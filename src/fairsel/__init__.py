@@ -8,7 +8,7 @@ predictor insensitive to it. Includes the group-fairness metric suite,
 a tabular data pipeline, a logistic baseline and a CLI.
 """
 
-from .baseline import LogisticModel, predict_logistic, train_logistic
+from .baseline import LogisticModel, train_logistic
 from .data import (Dataset, DatasetSpec, Encoder, encode_and_normalize,
                    load_csv, prepare_splits, split, synth_proxy)
 from .errors import (DataError, DegenerateGroupError, DimensionError,
@@ -17,10 +17,9 @@ from .metrics import (ConfusionCounts, GroupedOutcomes, accuracy,
                       average_odds_diff, balanced_accuracy,
                       equal_opportunity_diff, theil_index)
 from .nets import AdamState, DenseNet, adam_step, backward, forward, grad_check, selu
-from .selector import (SelectorPolicy, log_pi_grad, pi_prob, probabilities,
-                       sample_selection)
+from .selector import SelectorPolicy, log_pi_grad, pi_prob, probabilities
 from .training import (TrainConfig, TrainedModel, apply_selection,
-                       mean_sensitivity, predict, prediction_loss, predictor_step,
-                       selector_step, sensitivity_loss, train)
+                       mean_sensitivity, predict, predictor_step, selector_step,
+                       sensitivity_pair, train)
 
 __version__ = "0.1.0"

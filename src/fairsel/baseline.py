@@ -69,17 +69,9 @@ def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
     return LogisticModel(w, b)
 
 
-def predict_logistic(model, x):
-    """(label, probability) for one input; probability 0.5 predicts the
-    favorable label."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.weights.shape:
-        raise DimensionError("input", model.weights.shape, x.shape)
-    prob = float(sigmoid(np.array([x @ model.weights + model.bias]))[0])
-    return int(prob >= 0.5), prob
-
-
 def predict_logistic_batch(model, X):
+    """(labels, probabilities) for a batch of inputs; probability 0.5
+    predicts the favorable label."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
         raise DimensionError("input", f"(n, {model.weights.shape[0]})", X.shape)

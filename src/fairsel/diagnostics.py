@@ -17,8 +17,8 @@ from .baseline import logistic_loss_and_grad
 from .nets import DenseNet, grad_check, relative_error
 from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sample_selection_batch, sigmoid)
-from .training import (composite_loss_and_grads, enumerate_sensitivity,
-                       score_function_estimate, sensitivity_loss_and_grads)
+from .training import (enumerate_sensitivity, pair_loss_and_grads,
+                       score_function_estimate, sensitivity_pair)
 
 
 @dataclass
@@ -63,58 +63,46 @@ def random_instance(rng, batch=3):
     return net, X, Y, S, k
 
 
-def _worst_over_instances(loss_grad_of, n_instances, seed, tolerance):
+def _check_pair_gradients(name, n_instances, seed, tolerance, weights,
+                          fault=None):
+    """Worst finite-difference error of `pair_loss_and_grads` over seeded
+    instances, at the (sensitivity_weight, ce_weight) that
+    `weights(rng)` gives for each instance."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
         net, X, Y, S, k = random_instance(rng)
-        report = grad_check(net, loss_grad_of(X, Y, S, k), tolerance=tolerance)
+        sensitivity_weight, ce_weight = weights(rng)
+
+        def lag(net_):
+            pair = sensitivity_pair(net_, X, S, k)
+            loss, grads, _, _ = pair_loss_and_grads(
+                net_, pair, Y, sensitivity_weight, ce_weight, fault=fault)
+            return loss, grads
+        report = grad_check(net, lag, tolerance=tolerance)
         worst = max(worst, report.max_rel_error)
-    return worst
+    return CheckResult(name, worst <= tolerance, worst, tolerance)
 
 
 def check_prediction_gradients(n_instances=100, seed=0, tolerance=1e-4):
     """Cross-entropy parameter gradients vs central differences."""
-    def make(X, Y, S, k):
-        def lag(net):
-            loss, grads, _, _ = composite_loss_and_grads(net, X, Y, S, k, 0.0)
-            return loss, grads
-        return lag
-    worst = _worst_over_instances(make, n_instances, seed, tolerance)
-    return CheckResult("prediction-loss gradient", worst <= tolerance,
-                       worst, tolerance)
+    return _check_pair_gradients("prediction-loss gradient", n_instances,
+                                 seed, tolerance, lambda rng: (0.0, 1.0))
 
 
 def check_sensitivity_gradients(n_instances=100, seed=1, tolerance=1e-4,
                                 fault=None):
     """Sensitivity-norm parameter gradients vs central differences."""
-    def make(X, Y, S, k):
-        def lag(net):
-            loss, grads = sensitivity_loss_and_grads(net, X, S, k, fault=fault)
-            return loss, grads
-        return lag
-    worst = _worst_over_instances(make, n_instances, seed, tolerance)
-    return CheckResult("sensitivity-loss gradient", worst <= tolerance,
-                       worst, tolerance)
+    return _check_pair_gradients("sensitivity-loss gradient", n_instances,
+                                 seed, tolerance, lambda rng: (1.0, 0.0), fault)
 
 
 def check_composite_gradients(n_instances=100, seed=2, tolerance=1e-4,
                               fault=None):
     """Combined training-loss gradients vs central differences."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_instances):
-        net, X, Y, S, k = random_instance(rng)
-        lam = float(rng.uniform(0.2, 1.5))
-
-        def lag(net_):
-            loss, grads, _, _ = composite_loss_and_grads(net_, X, Y, S, k, lam,
-                                                         fault=fault)
-            return loss, grads
-        report = grad_check(net, lag, tolerance=tolerance)
-        worst = max(worst, report.max_rel_error)
-    return CheckResult("composite-loss gradient", worst <= tolerance,
-                       worst, tolerance)
+    return _check_pair_gradients(
+        "composite-loss gradient", n_instances, seed, tolerance,
+        lambda rng: (float(rng.uniform(0.2, 1.5)), 1.0), fault)
 
 
 def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):

@@ -73,12 +73,6 @@ def probabilities(policy):
     return p
 
 
-def sample_selection(p, rng):
-    """One selection vector of independent Bernoulli(p_j) draws."""
-    p = np.asarray(p, dtype=np.float64)
-    return (rng.random(p.shape[0]) < p).astype(np.int8)
-
-
 def sample_selection_batch(p, n_rows, rng):
     """n_rows independent selection vectors, one row per draw."""
     p = np.asarray(p, dtype=np.float64)

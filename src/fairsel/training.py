@@ -1,13 +1,16 @@
 """Adversarial training of the selector/predictor pair.
 
-Each mini-batch plays one round of the game: sample a selection vector
-per example, measure how much adding the sensitive feature moves the
-predictor's output (the sensitivity norm), push the selector's logits
-up that score-function gradient, then push the predictor's parameters
-down the gradient of (sensitivity_weight * sensitivity + cross-entropy)
-with Adam. The selector maximizes sensitivity, the predictor minimizes
-it while keeping classification accuracy, so at convergence the chosen
-features carry little information the sensitive feature could add.
+Each mini-batch plays one round of the game around one paired forward
+pass: sample a selection vector per example, run the predictor on the
+selected input and on the selected input plus the sensitive feature
+(`sensitivity_pair`), and read both players' updates off that pair. The
+selector pushes its logits up the score-function gradient of the
+pair's sensitivity norms; the predictor takes an Adam step down the
+gradient of (sensitivity_weight * sensitivity + cross-entropy) computed
+from the same pair (`pair_loss_and_grads`). The selector maximizes
+sensitivity, the predictor minimizes it while keeping classification
+accuracy, so at convergence the chosen features carry little
+information the sensitive feature could add.
 
 Training is deterministic given the config seed: identical runs produce
 bit-identical logs and parameters.
@@ -15,12 +18,13 @@ bit-identical logs and parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DimensionError, NumericalError
+from .errors import DimensionError, NumericalError
+from .metrics import GroupedOutcomes, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                    forward)
 from .selector import (SelectorPolicy, enumerate_selections, probabilities,
@@ -126,36 +130,32 @@ def apply_selection(x, s):
     return x * s
 
 
-def selection_outputs(net, X, S, k):
-    """Predictor outputs with and without the sensitive feature added.
+class SensitivityPair(NamedTuple):
+    """The predictor's output on the selected input and on the selected
+    input plus the sensitive feature, for one batch of selections."""
 
-    Returns (probs_selected, probs_with_sensitive, diff, norms) where
-    diff = probs_with_sensitive - probs_selected and norms are its
-    per-row Euclidean lengths.
-    """
+    S: np.ndarray       # (n, d) sampled selections
+    x_sel: np.ndarray   # selected input
+    x_with: np.ndarray  # selected input with feature k added
+    p_sel: np.ndarray   # forward(net, x_sel)
+    diff: np.ndarray    # forward(net, x_with) - p_sel
+    norms: np.ndarray   # per-row Euclidean length of diff
+
+
+def sensitivity_pair(net, X, S, k):
+    """Run the paired forward pass of one batch: every sensitivity norm
+    and every predictor gradient is read off this pair."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    S = np.atleast_2d(S)
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
     x_sel = apply_selection(X, S)
     x_with = x_sel.copy()
-    x_with[..., k] = np.asarray(X, dtype=np.float64)[..., k]
+    x_with[:, k] = X[:, k]
     p_sel = forward(net, x_sel)
-    p_with = forward(net, x_with)
-    diff = p_with - p_sel
-    norms = np.linalg.norm(np.atleast_2d(diff), axis=1)
-    return p_sel, p_with, diff, norms
-
-
-def sensitivity_loss(net, x, s, k):
-    """Euclidean norm of the output change caused by adding feature k to
-    the selection s."""
-    _, _, _, norms = selection_outputs(net, np.atleast_2d(x), np.atleast_2d(s), k)
-    return float(norms[0])
-
-
-def prediction_loss(net, x, s, y):
-    """Cross-entropy of the predictor on the selected input:
-    -log of the probability assigned to the true class."""
-    p = forward(net, apply_selection(x, s))
-    p_true = float(np.dot(p, np.asarray(y, dtype=np.float64)))
-    return -math.log(max(p_true, PROB_FLOOR))
+    diff = forward(net, x_with) - p_sel
+    return SensitivityPair(S, x_sel, x_with, p_sel, diff,
+                           np.linalg.norm(diff, axis=1))
 
 
 def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
@@ -163,56 +163,48 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
 
     Samples one selection per row, scores each by its sensitivity norm,
     and moves the logits along the batch-mean score-function estimate
-    norm * (s - p). Returns (updated policy, sampled selections, norms)
-    so the paired predictor step can reuse the same samples.
+    norm * (s - p). Returns (updated policy, sensitivity pair) so the
+    paired predictor step reuses the same samples and forward pass.
 
     baseline, if given, is subtracted from the norms before weighting
     (variance reduction; leaves the expected update unchanged).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] == 0:
-        raise ValueError("selector_step needs a nonempty batch")
     p = probabilities(policy)
     S = sample_selection_batch(p, X.shape[0], rng)
-    _, _, _, norms = selection_outputs(net, X, S, policy.sensitive_index)
-    if not np.isfinite(norms).all():
+    pair = sensitivity_pair(net, X, S, policy.sensitive_index)
+    if not np.isfinite(pair.norms).all():
         raise NumericalError("sensitivity estimate is non-finite; aborting epoch")
-    coeff = norms - baseline if baseline is not None else norms
+    coeff = pair.norms - baseline if baseline is not None else pair.norms
     grad = (coeff[:, None] * (S - p)).mean(axis=0)
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
-    return policy.with_logits(policy.logits + alpha_theta * grad), S, norms
+    return policy.with_logits(policy.logits + alpha_theta * grad), pair
 
 
-def composite_loss_and_grads(net, X, Y, S, k, sensitivity_weight, fault=None):
-    """Batch-mean predictor loss and its exact parameter gradients.
+def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
+                        fault=None):
+    """Batch-mean predictor loss and its exact parameter gradients, read
+    off a pair that `sensitivity_pair` computed on `net`.
 
     Loss per example: sensitivity_weight * ||sensitivity diff|| plus
-    cross-entropy on the selected input. Examples whose sensitivity norm
-    is below NORM_EPS contribute a zero sensitivity gradient (valid
-    subgradient at the kink).
+    ce_weight * cross-entropy on the selected input; ce_weight=0 gives
+    the sensitivity-only half of the adversarial objective. Examples
+    whose sensitivity norm is below NORM_EPS contribute a zero
+    sensitivity gradient (valid subgradient at the kink).
+
+    Returns (loss, grads, mean cross-entropy, mean sensitivity norm).
 
     fault is a test hook for the gradient checker; "sen-grad-sign" flips
     the sign of the sensitivity gradient term without touching the loss.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    S = np.atleast_2d(S)
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-
-    x_sel = apply_selection(X, S)
-    x_with = x_sel.copy()
-    x_with[:, k] = X[:, k]
-    p_sel = forward(net, x_sel)
-    p_with = forward(net, x_with)
-    diff = p_with - p_sel
-    norms = np.linalg.norm(diff, axis=1)
+    p_sel, diff, norms = pair.p_sel, pair.diff, pair.norms
+    n = p_sel.shape[0]
 
     p_true = np.maximum((p_sel * Y).sum(axis=1), PROB_FLOOR)
     ce = -np.log(p_true)
-    loss = float(np.mean(sensitivity_weight * norms + ce))
+    loss = float(np.mean(sensitivity_weight * norms + ce_weight * ce))
 
     unit = np.zeros_like(diff)
     active = norms > NORM_EPS
@@ -221,64 +213,25 @@ def composite_loss_and_grads(net, X, Y, S, k, sensitivity_weight, fault=None):
         unit = -unit
 
     grad_with = (sensitivity_weight / n) * unit
-    grad_sel = -(sensitivity_weight / n) * unit - (Y / np.maximum(p_sel, PROB_FLOOR)) / n
-    grads_a, _ = backward(net, x_with, grad_with)
-    grads_b, _ = backward(net, x_sel, grad_sel)
+    grad_sel = (-(sensitivity_weight / n) * unit
+                - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
+    grads_a, _ = backward(net, pair.x_with, grad_with)
+    grads_b, _ = backward(net, pair.x_sel, grad_sel)
     grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
     return loss, grads, float(ce.mean()), float(norms.mean())
 
 
-def sensitivity_loss_and_grads(net, X, S, k, fault=None):
-    """Batch-mean sensitivity norm and its exact parameter gradients
-    (the predictor-side half of the adversarial objective).
-
-    fault="sen-grad-sign" flips the gradient sign (checker test hook).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    S = np.atleast_2d(S)
-    n = X.shape[0]
-    x_sel = apply_selection(X, S)
-    x_with = x_sel.copy()
-    x_with[:, k] = X[:, k]
-    p_sel = forward(net, x_sel)
-    p_with = forward(net, x_with)
-    diff = p_with - p_sel
-    norms = np.linalg.norm(diff, axis=1)
-
-    unit = np.zeros_like(diff)
-    active = norms > NORM_EPS
-    unit[active] = diff[active] / norms[active, None]
-    if fault == "sen-grad-sign":
-        unit = -unit
-    grads_a, _ = backward(net, x_with, unit / n)
-    grads_b, _ = backward(net, x_sel, -unit / n)
-    grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
-    return float(norms.mean()), grads
-
-
-def predictor_step(net, X, Y, S, k, adam_state, alpha_phi, sensitivity_weight):
+def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
     """One Adam descent step on the composite predictor loss.
 
-    Must be fed the same sampled selections as the paired selector step.
-    Returns (updated net, updated adam state, mean cross-entropy,
-    mean sensitivity norm).
+    Must be fed the pair of the paired selector step, computed on this
+    same net. Returns (updated net, updated adam state, mean
+    cross-entropy, mean sensitivity norm).
     """
-    _, grads, ce_mean, sens_mean = composite_loss_and_grads(
-        net, X, Y, S, k, sensitivity_weight)
+    _, grads, ce_mean, sens_mean = pair_loss_and_grads(
+        net, pair, Y, sensitivity_weight)
     params, adam_state = adam_step(net.params(), grads, adam_state, alpha_phi)
     return net.with_params(params), adam_state, ce_mean, sens_mean
-
-
-def _macro_recall(y_true, y_pred, num_classes):
-    """Mean per-class recall; equals (TPR + TNR) / 2 for two classes."""
-    recalls = []
-    for c in range(num_classes):
-        mask = y_true == c
-        if mask.any():
-            recalls.append(float((y_pred[mask] == c).mean()))
-    if not recalls:
-        raise DataError("no labeled examples to score")
-    return float(np.mean(recalls))
 
 
 def _predict_probs(net, policy, config, X, rng):
@@ -331,8 +284,7 @@ def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     total = 0.0
     for _ in range(n_samples):
         S = sample_selection_batch(p, X.shape[0], rng)
-        _, _, _, norms = selection_outputs(net, X, S, policy.sensitive_index)
-        total += norms.mean()
+        total += sensitivity_pair(net, X, S, policy.sensitive_index).norms.mean()
     return total / n_samples
 
 
@@ -350,7 +302,7 @@ def enumerate_sensitivity(net, policy, x):
     S_all = enumerate_selections(d, masked_index=masked)
     pi = np.prod(np.where(S_all == 1, p, 1.0 - p), axis=1)
     X_rep = np.broadcast_to(x, (S_all.shape[0], d))
-    _, _, _, norms = selection_outputs(net, X_rep, S_all, policy.sensitive_index)
+    norms = sensitivity_pair(net, X_rep, S_all, policy.sensitive_index).norms
     expected = float(np.dot(pi, norms))
     grad = ((pi * norms)[:, None] * (S_all - p)).sum(axis=0)
     return expected, grad
@@ -368,7 +320,7 @@ def score_function_estimate(net, policy, x, n_samples, rng, chunk=20000):
         m = min(chunk, remaining)
         S = sample_selection_batch(p, m, rng)
         X_rep = np.broadcast_to(x, (m, x.shape[0]))
-        _, _, _, norms = selection_outputs(net, X_rep, S, policy.sensitive_index)
+        norms = sensitivity_pair(net, X_rep, S, policy.sensitive_index).norms
         total += (norms[:, None] * (S - p)).sum(axis=0)
         remaining -= m
     return total / n_samples
@@ -377,9 +329,8 @@ def score_function_estimate(net, policy, x, n_samples, rng, chunk=20000):
 def _validation_score(net, policy, config, val_data, epoch):
     rng = np.random.default_rng([config.seed, 1, epoch])
     probs = _predict_probs(net, policy, config, val_data.features, rng)
-    y_pred = probs.argmax(axis=1)
-    y_true = val_data.labels.argmax(axis=1)
-    return _macro_recall(y_true, y_pred, val_data.labels.shape[1])
+    return balanced_accuracy(GroupedOutcomes(
+        val_data.labels.argmax(axis=1), probs.argmax(axis=1), val_data.group_tags))
 
 
 def train(train_data, val_data, config, selection_hook=None):
@@ -390,6 +341,9 @@ def train(train_data, val_data, config, selection_hook=None):
     `config.patience` epochs. If the optimization produces non-finite
     values, the run aborts, the parameters from the last finished epoch
     are returned, and the diagnostics field says why.
+
+    Validation is scored by `metrics.balanced_accuracy`, so a
+    validation split that lacks a class raises DegenerateGroupError.
 
     selection_hook, if given, is called with every batch's sampled
     selection matrix (instrumentation; used to audit masking).
@@ -416,16 +370,16 @@ def train(train_data, val_data, config, selection_hook=None):
         try:
             for lo in range(0, n, config.batch_size):
                 idx = order[lo:lo + config.batch_size]
-                policy, S, norms = selector_step(
+                policy, pair = selector_step(
                     policy, X[idx], net, config.alpha_theta, rng,
                     baseline=baseline if config.score_baseline else None)
                 if selection_hook is not None:
-                    selection_hook(S)
+                    selection_hook(pair.S)
                 net, adam, ce_mean, sens_mean = predictor_step(
-                    net, X[idx], Y[idx], S, k, adam,
+                    net, pair, Y[idx], adam,
                     config.alpha_phi, config.sensitivity_weight)
                 if config.score_baseline:
-                    m = float(norms.mean())
+                    m = float(pair.norms.mean())
                     baseline = m if baseline is None else 0.9 * baseline + 0.1 * m
                 ce_sum += ce_mean * len(idx)
                 sens_sum += sens_mean * len(idx)

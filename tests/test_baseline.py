@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fairsel.baseline import (LogisticModel, logistic_loss_and_grad,
-                              predict_logistic, predict_logistic_batch,
-                              train_logistic)
+                              predict_logistic_batch, train_logistic)
 from fairsel.data import Dataset, synth_proxy, split
 from fairsel.errors import DimensionError
 from fairsel.nets import relative_error
@@ -101,15 +100,15 @@ class TestGradient:
 class TestPredictLogistic:
     def test_zero_model_ties_to_favorable(self):
         model = LogisticModel(np.zeros(3), 0.0)
-        label, prob = predict_logistic(model, np.ones(3))
-        assert prob == 0.5
-        assert label == 1
+        labels, probs = predict_logistic_batch(model, np.ones((1, 3)))
+        assert probs[0] == 0.5
+        assert labels[0] == 1
 
     def test_large_bias_saturates(self):
         model = LogisticModel(np.zeros(2), 40.0)
-        label, prob = predict_logistic(model, np.zeros(2))
-        assert label == 1
-        assert prob == pytest.approx(1.0, abs=1e-12)
+        labels, probs = predict_logistic_batch(model, np.zeros((1, 2)))
+        assert labels[0] == 1
+        assert probs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_independent_sigmoid(self):
         import math
@@ -117,8 +116,8 @@ class TestPredictLogistic:
         model = LogisticModel(rng.normal(0, 1, 3), 0.3)
         x = rng.random(3)
         z = float(x @ model.weights + model.bias)
-        _, prob = predict_logistic(model, x)
-        assert prob == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
+        _, probs = predict_logistic_batch(model, x[None, :])
+        assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
 
     def test_scaling_invariance_of_labels(self):
         rng = np.random.default_rng(5)
@@ -133,4 +132,4 @@ class TestPredictLogistic:
     def test_dimension_mismatch(self):
         model = LogisticModel(np.zeros(3), 0.0)
         with pytest.raises(DimensionError):
-            predict_logistic(model, np.ones(4))
+            predict_logistic_batch(model, np.ones((1, 4)))

@@ -210,7 +210,7 @@ class TestGradCheck:
         assert report.passed and report.max_rel_error < 1e-6
 
     def test_cross_entropy_on_seeded_net(self):
-        from fairsel.training import composite_loss_and_grads
+        from fairsel.training import pair_loss_and_grads, sensitivity_pair
         net = make_net(5, d=4, hidden=(6,), c=3)
         rng = np.random.default_rng(6)
         X = rng.random((3, 4))
@@ -218,7 +218,8 @@ class TestGradCheck:
         S = np.ones((3, 4), dtype=np.int8)
 
         def lag(net_):
-            loss, grads, _, _ = composite_loss_and_grads(net_, X, Y, S, 0, 0.0)
+            pair = sensitivity_pair(net_, X, S, 0)
+            loss, grads, _, _ = pair_loss_and_grads(net_, pair, Y, 0.0)
             return loss, grads
 
         report = grad_check(net, lag, tolerance=1e-4)

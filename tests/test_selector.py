@@ -7,7 +7,7 @@ from fairsel.errors import FairselError
 from fairsel.nets import relative_error
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
                               log_pi_grad, pi_prob, probabilities,
-                              sample_selection, sample_selection_batch,
+                              sample_selection_batch,
                               sigmoid)
 
 # sigmoid values computed with a 40-digit oracle and frozen
@@ -48,15 +48,15 @@ class TestSampling:
     def test_all_zero_probabilities(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sample_selection(np.zeros(5), rng).sum() == 0
+            assert sample_selection_batch(np.zeros(5), 1, rng).sum() == 0
 
     def test_all_one_probabilities_minus_mask(self):
         policy = SelectorPolicy(np.full(4, 30.0), 2)
         p = probabilities(policy)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            s = sample_selection(p, rng)
-            assert np.array_equal(s, [1, 1, 0, 1])
+            s = sample_selection_batch(p, 1, rng)
+            assert np.array_equal(s, [[1, 1, 0, 1]])
 
     def test_empirical_rate(self):
         rng = np.random.default_rng(2)
@@ -66,8 +66,8 @@ class TestSampling:
 
     def test_reproducible(self):
         p = np.array([0.3, 0.7, 0.5])
-        s1 = sample_selection(p, np.random.default_rng(42))
-        s2 = sample_selection(p, np.random.default_rng(42))
+        s1 = sample_selection_batch(p, 1, np.random.default_rng(42))
+        s2 = sample_selection_batch(p, 1, np.random.default_rng(42))
         assert np.array_equal(s1, s2)
 
 

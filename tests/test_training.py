@@ -5,16 +5,35 @@ import pytest
 
 from conftest import make_net, naive_forward
 from fairsel.data import synth_proxy, split
-from fairsel.errors import NumericalError
+from fairsel.errors import DegenerateGroupError, NumericalError
 from fairsel.nets import AdamState, DenseNet, adam_step, forward
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
                               probabilities)
 from fairsel import training
 from fairsel.training import (TrainConfig, apply_selection,
-                              composite_loss_and_grads, enumerate_sensitivity,
-                              mean_sensitivity, predict, prediction_loss,
-                              predictor_step, selector_step, sensitivity_loss,
-                              sensitivity_loss_and_grads, train)
+                              enumerate_sensitivity, mean_sensitivity,
+                              pair_loss_and_grads, predict, predictor_step,
+                              selector_step, sensitivity_pair, train)
+
+
+def sensitivity_norm(net, x, s, k):
+    return float(sensitivity_pair(net, x, s, k).norms[0])
+
+
+def cross_entropy(net, x, s, y):
+    """Loss of the pair routine with the sensitivity term weighted 0."""
+    loss, _, _, _ = pair_loss_and_grads(net, sensitivity_pair(net, x, s, 0),
+                                        y, 0.0)
+    return loss
+
+
+def sensitivity_only(net, X, S, k):
+    """Loss and gradients of the pair routine with the cross-entropy term
+    weighted 0."""
+    pair = sensitivity_pair(net, X, S, k)
+    loss, grads, _, _ = pair_loss_and_grads(
+        net, pair, np.zeros_like(pair.p_sel), 1.0, ce_weight=0.0)
+    return loss, grads
 
 
 class TestApplySelection:
@@ -37,13 +56,13 @@ class TestSensitivityLoss:
         net = make_net(0, d=3, hidden=(4,), c=2)
         x = np.array([0.5, 0.2, 0.9])
         s = np.array([1, 1, 0])  # k = 1 already in s (mask disabled upstream)
-        assert sensitivity_loss(net, x, s, 1) == 0.0
+        assert sensitivity_norm(net, x, s, 1) == 0.0
 
     def test_dead_sensitive_column_is_zero(self):
         net = make_net(1, d=3, hidden=(4,), c=2)
         net.weights[0][:, 2] = 0.0
         x = np.array([0.4, 0.6, 0.8])
-        assert sensitivity_loss(net, x, np.array([1, 0, 0]), 2) == \
+        assert sensitivity_norm(net, x, np.array([1, 0, 0]), 2) == \
             pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -59,27 +78,27 @@ class TestSensitivityLoss:
         without = [xv if sv else 0.0 for xv, sv in zip(x, s)]
         diff = naive_forward(net, with_k) - naive_forward(net, without)
         expected = math.sqrt(float((diff ** 2).sum()))
-        assert sensitivity_loss(net, x, s, k) == pytest.approx(expected, rel=1e-12)
+        assert sensitivity_norm(net, x, s, k) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPredictionLoss:
     def test_certain_true_class_is_zero(self):
         net = DenseNet([np.zeros((2, 3))], [np.array([60.0, 0.0])])
-        loss = prediction_loss(net, np.ones(3), np.ones(3, dtype=int),
-                               np.array([1.0, 0.0]))
+        loss = cross_entropy(net, np.ones(3), np.ones(3, dtype=int),
+                             np.array([1.0, 0.0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_gives_log_c(self):
         net = DenseNet([np.zeros((4, 2))], [np.zeros(4)])
-        loss = prediction_loss(net, np.ones(2), np.ones(2, dtype=int),
-                               np.array([0.0, 1.0, 0.0, 0.0]))
+        loss = cross_entropy(net, np.ones(2), np.ones(2, dtype=int),
+                             np.array([0.0, 1.0, 0.0, 0.0]))
         assert loss == pytest.approx(math.log(4), rel=1e-12)
 
     def test_quarter_probability_frozen_value(self):
         # output [0.25, 0.75] via bias ln(3) on class 1
         net = DenseNet([np.zeros((2, 2))], [np.array([0.0, math.log(3.0)])])
-        loss = prediction_loss(net, np.ones(2), np.ones(2, dtype=int),
-                               np.array([1.0, 0.0]))
+        loss = cross_entropy(net, np.ones(2), np.ones(2, dtype=int),
+                             np.array([1.0, 0.0]))
         assert loss == pytest.approx(1.3862943611198906, rel=1e-12)
 
 
@@ -89,10 +108,10 @@ class TestSelectorStep:
         net.weights[0][:, 1] = 0.0  # sensitive column dead -> all norms 0
         policy = SelectorPolicy(np.array([0.3, -0.2, 0.1, 0.4]), 1)
         X = np.random.default_rng(0).random((8, 4))
-        new_policy, S, norms = selector_step(policy, X, net, 0.5,
-                                             np.random.default_rng(1))
+        new_policy, pair = selector_step(policy, X, net, 0.5,
+                                         np.random.default_rng(1))
         assert np.array_equal(new_policy.logits, policy.logits)
-        assert np.all(norms == pytest.approx(0.0, abs=1e-15))
+        assert np.all(pair.norms == pytest.approx(0.0, abs=1e-15))
 
     def test_masked_coordinate_never_moves(self):
         net = make_net(2, d=5, hidden=(6,), c=2)
@@ -100,8 +119,8 @@ class TestSelectorStep:
         X = np.random.default_rng(4).random((16, 5))
         rng = np.random.default_rng(5)
         for _ in range(50):
-            policy, S, _ = selector_step(policy, X, net, 0.7, rng)
-            assert np.all(S[:, 3] == 0)
+            policy, pair = selector_step(policy, X, net, 0.7, rng)
+            assert np.all(pair.S[:, 3] == 0)
         assert policy.logits[3] == SelectorPolicy.initialize(
             5, 3, np.random.default_rng(3)).logits[3]
 
@@ -121,7 +140,7 @@ class TestSelectorStep:
         X = np.tile(x, (64, 1))
         total = np.zeros(5)
         for _ in range(1000):  # 64k draws in total
-            stepped, _, _ = selector_step(policy, X, net, 1.0, rng)
+            stepped, _ = selector_step(policy, X, net, 1.0, rng)
             total += stepped.logits - policy.logits
         cos = float(total @ exact / (np.linalg.norm(total) * np.linalg.norm(exact)))
         assert cos >= 0.95
@@ -134,7 +153,7 @@ class TestSelectorStep:
         X = np.tile(x, (64, 1))
         total = np.zeros(5)
         for _ in range(1000):
-            stepped, _, _ = selector_step(policy, X, net, 1.0, rng, baseline=0.1)
+            stepped, _ = selector_step(policy, X, net, 1.0, rng, baseline=0.1)
             total += stepped.logits - policy.logits
         cos = float(total @ exact / (np.linalg.norm(total) * np.linalg.norm(exact)))
         assert cos >= 0.95
@@ -166,7 +185,7 @@ class TestPredictorStep:
         oracle_params, _ = adam_step(net.params(), [gw1, gb1, gw2, gb2],
                                      AdamState.for_params(net.params()), 1e-3)
 
-        stepped, _, _, _ = predictor_step(net, X, Y, S, 0,
+        stepped, _, _, _ = predictor_step(net, sensitivity_pair(net, X, S, 0), Y,
                                           AdamState.for_params(net.params()),
                                           1e-3, 0.0)
         for a, b in zip(stepped.params(), oracle_params):
@@ -179,7 +198,7 @@ class TestPredictorStep:
         X = np.random.default_rng(0).random((4, 3))
         Y = np.tile([1.0, 0.0], (4, 1))
         S = np.zeros((4, 3), dtype=np.int8)
-        stepped, _, _, _ = predictor_step(net, X, Y, S, 0,
+        stepped, _, _, _ = predictor_step(net, sensitivity_pair(net, X, S, 0), Y,
                                           AdamState.for_params(net.params()),
                                           1e-4, 1.0)
         for a, b in zip(stepped.params(), net.params()):
@@ -192,7 +211,8 @@ class TestPredictorStep:
         net, X, Y, S, k = random_instance(rng)
 
         def lag(net_):
-            loss, grads, _, _ = composite_loss_and_grads(net_, X, Y, S, k, 0.8)
+            pair = sensitivity_pair(net_, X, S, k)
+            loss, grads, _, _ = pair_loss_and_grads(net_, pair, Y, 0.8)
             return loss, grads
 
         assert grad_check(net, lag, tolerance=1e-4).passed
@@ -202,7 +222,7 @@ class TestPredictorStep:
         net.weights[0][:, 1] = 0.0
         X = np.random.default_rng(1).random((3, 3))
         S = np.array([[1, 0, 0]] * 3, dtype=np.int8)
-        loss, grads = sensitivity_loss_and_grads(net, X, S, 1)
+        loss, grads = sensitivity_only(net, X, S, 1)
         assert loss == pytest.approx(0.0, abs=1e-15)
         assert all(np.allclose(g, 0.0, atol=1e-15) for g in grads)
 
@@ -235,8 +255,7 @@ class TestAdversarialSigns:
             val = 0.0
             acc = [np.zeros_like(g) for g in net_.params()]
             for weight, s in zip(pi, S_all):
-                loss, grads = sensitivity_loss_and_grads(
-                    net_, x[None, :], s[None, :], 0)
+                loss, grads = sensitivity_only(net_, x[None, :], s[None, :], 0)
                 val += weight * loss
                 acc = [a + weight * g for a, g in zip(acc, grads)]
             return val, acc
@@ -324,6 +343,31 @@ class TestTrain:
               selection_hook=seen.append)
         total = sum(int(S[:, tr.sensitive_index].sum()) for S in seen)
         assert total > 0
+
+    def test_one_paired_forward_per_batch(self, monkeypatch):
+        # both players read one pair per batch: 2 forward calls, plus the
+        # one threshold05 validation forward per epoch
+        tr, va, _ = self._data()
+        real = training.forward
+        calls = {"n": 0}
+
+        def counting(*args, **kw):
+            calls["n"] += 1
+            return real(*args, **kw)
+
+        monkeypatch.setattr(training, "forward", counting)
+        config = self._config()
+        model = train(tr, va, config)
+        epochs = len(model.training_log)
+        assert epochs == config.max_epochs
+        batches = epochs * math.ceil(tr.n / config.batch_size)
+        assert calls["n"] == 2 * batches + epochs
+
+    def test_one_class_validation_split_is_a_data_error(self):
+        tr, va, _ = self._data()
+        one_class = va.subset(va.label_indices() == 0)
+        with pytest.raises(DegenerateGroupError):
+            train(tr, one_class, self._config(max_epochs=1))
 
 
 class TestPredict:

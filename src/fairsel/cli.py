@@ -5,9 +5,14 @@ is deterministic given its full flag set (wall-clock report fields
 aside). Repetition seeds derive from the master seed through a fixed
 counter scheme, so adding repetitions never reshuffles earlier ones.
 
+train, compare and tune share one repetition runner: compare is train
+plus the logistic baseline, and tune is train over a list of
+sensitivity weights. Each command maps all of its (repetition, weight)
+tasks through one work list; FAIRSEL_THREADS=N (default 1, sequential)
+runs that list in one pool of N processes.
+
 Exit status: 0 success, 1 usage error, 2 data error, 3 numerical
-failure. The FAIRSEL_THREADS environment variable caps how many
-repetitions run in parallel (default 1, sequential).
+failure.
 """
 
 from __future__ import annotations
@@ -61,17 +66,20 @@ def derive_seed(master_seed, rep_index):
 def _worker_count():
     raw = os.environ.get("FAIRSEL_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"FAIRSEL_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
-def _map_reps(fn, n_reps):
-    workers = min(_worker_count(), n_reps)
+def _map_reps(fn, tasks, workers):
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return [fn(r) for r in range(n_reps)]
+        return [fn(t) for t in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_reps)))
+        return list(pool.map(fn, tasks))
 
 
 def _add_data_flags(p):
@@ -197,127 +205,108 @@ def _echo_config(args, skip=("command",)):
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _train_one_rep(rep, args, raw, spec, with_baseline=False):
+def _tune_point(model, val_ds):
+    """Validation balanced accuracy, the score tune ranks weights by."""
+    y_pred, _ = predict(model, val_ds.features)
+    return balanced_accuracy(GroupedOutcomes(
+        val_ds.label_indices(), y_pred, val_ds.group_tags))
+
+
+def _train_one_rep(task, args, raw, spec):
+    """Split, train and score one (repetition index, sensitivity weight)
+    task. tune gets (validation score, test metrics); train and compare
+    save their checkpoints here and get the report entry."""
+    rep, weight = task
     seed = derive_seed(args.seed, rep)
     train_ds, val_ds, test_ds = prepare_splits(raw, spec, seed)
     config = _config_from_args(args, seed)
+    config.sensitivity_weight = weight
 
     t0 = time.perf_counter()
     model = train(train_ds, val_ds, config)
     adv_metrics = rpt.evaluate_model(KIND_ADVERSARIAL, model, test_ds,
                                      sensitivity_seed=seed)
-    entry = {
-        "index": rep,
-        "seed": seed,
-        "metrics": adv_metrics,
-        "selection_probabilities": {
-            name: float(p) for name, p in
-            zip(test_ds.column_names, model.selection_probabilities)},
-        "best_epoch": model.best_epoch,
-        "epochs_run": len(model.training_log),
-        "diagnostics": model.diagnostics,
-    }
-    baseline_model = None
-    if with_baseline:
+    if args.command == "tune":
+        return _tune_point(model, val_ds), adv_metrics
+    entry = {"index": rep, "seed": seed}
+    if args.command == "train":
+        entry["metrics"] = adv_metrics
+        saved = {"checkpoint": model}
+    else:
         baseline_model = train_logistic(train_ds, val_ds,
                                         epochs=args.baseline_epochs,
-                                        lr=args.baseline_lr,
-                                        l2=getattr(args, "baseline_l2", 0.0))
-        entry["baseline_metrics"] = rpt.evaluate_model(
+                                        lr=args.baseline_lr, l2=args.baseline_l2)
+        entry["adversarial"] = adv_metrics
+        entry["baseline"] = rpt.evaluate_model(
             KIND_LOGISTIC, baseline_model, test_ds, sensitivity_seed=seed)
+        saved = {"adversarial": model, "baseline": baseline_model}
+    entry["selection_probabilities"] = {
+        name: float(p) for name, p in
+        zip(test_ds.column_names, model.selection_probabilities)}
+    entry["best_epoch"] = model.best_epoch
+    entry["epochs_run"] = len(model.training_log)
+    entry["diagnostics"] = model.diagnostics
+    names = {tag: f"{tag}_rep{rep}.json" for tag in saved}
+    for tag, saved_model in saved.items():
+        save_model(Path(args.out) / names[tag], saved_model, train_ds.encoder)
+    # reports stay byte-identical across runs: file names only, the
+    # checkpoints live next to the report
+    if args.command == "train":
+        entry["checkpoint"] = names["checkpoint"]
+    else:
+        entry["checkpoints"] = names
     entry["wall_clock_seconds"] = time.perf_counter() - t0
-    return entry, model, baseline_model, train_ds.encoder
+    return entry
 
 
-def _print_aggregate(tag, agg, stream=sys.stdout):
-    parts = []
-    for name in rpt.METRIC_NAMES:
-        stats = agg[name]
-        if stats["mean"] is None:
-            continue
-        parts.append(f"{name}={stats['mean']:.4f}+-{stats['std']:.4f}")
-    print(f"{tag}: " + " ".join(parts), file=stream)
+def _run_tasks(args, weights):
+    """Run every (repetition, weight) task of a command, weight-major,
+    through one pool; returns the results in task order and the start
+    time of the runs."""
+    if args.reps < 1:
+        raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    workers = _worker_count()
+    spec = DatasetSpec.from_json(args.spec)
+    raw = load_csv(args.data, spec)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+
+    t0 = time.perf_counter()
+    tasks = [(rep, w) for w in weights for rep in range(args.reps)]
+    runner = functools.partial(_train_one_rep, args=args, raw=raw, spec=spec)
+    return _map_reps(runner, tasks, workers), t0
+
+
+def _write_report(args, fields, t0, summary):
+    report = rpt.base_report(args.command, _echo_config(args), args.seed)
+    report.update(fields)
+    report["wall_clock_seconds"] = time.perf_counter() - t0
+    report_path = Path(args.out) / f"report.{args.report_format}"
+    rpt.write_report(report, report_path, args.report_format)
+    for line in summary:
+        print(line)
+    print(f"report written to {report_path}")
+    return EXIT_OK
+
+
+def _aggregate_line(tag, agg):
+    parts = [f"{name}={agg[name]['mean']:.4f}+-{agg[name]['std']:.4f}"
+             for name in rpt.METRIC_NAMES if agg[name]["mean"] is not None]
+    return f"{tag}: " + " ".join(parts)
 
 
 def cmd_train(args):
-    spec = DatasetSpec.from_json(args.spec)
-    raw = load_csv(args.data, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    results = _map_reps(
-        functools.partial(_train_one_rep, args=args, raw=raw, spec=spec), args.reps)
-
-    reps = []
-    for entry, model, _, encoder in results:
-        path = out_dir / f"checkpoint_rep{entry['index']}.json"
-        save_model(path, model, encoder)
-        # report stays byte-identical across runs: name only, the file
-        # lives next to the report
-        entry["checkpoint"] = path.name
-        reps.append(entry)
-
-    report = rpt.base_report("train", _echo_config(args), args.seed)
-    report["repetitions"] = reps
-    report["aggregate"] = rpt.aggregate([r["metrics"] for r in reps])
-    report["wall_clock_seconds"] = time.perf_counter() - t0
-
-    ext = "json" if args.report_format == "json" else "csv"
-    report_path = out_dir / f"report.{ext}"
-    rpt.write_report(report, report_path, args.report_format)
-    _print_aggregate("adversarial", report["aggregate"])
-    print(f"report written to {report_path}")
-    return EXIT_OK
-
-
-def cmd_compare(args):
-    spec = DatasetSpec.from_json(args.spec)
-    raw = load_csv(args.data, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    results = _map_reps(
-        functools.partial(_train_one_rep, args=args, raw=raw, spec=spec,
-                          with_baseline=True), args.reps)
-
-    reps = []
-    for entry, model, baseline_model, encoder in results:
-        idx = entry["index"]
-        adv_path = out_dir / f"adversarial_rep{idx}.json"
-        base_path = out_dir / f"baseline_rep{idx}.json"
-        save_model(adv_path, model, encoder)
-        save_model(base_path, baseline_model, encoder)
-        reps.append({
-            "index": idx,
-            "seed": entry["seed"],
-            "adversarial": entry["metrics"],
-            "baseline": entry["baseline_metrics"],
-            "selection_probabilities": entry["selection_probabilities"],
-            "best_epoch": entry["best_epoch"],
-            "epochs_run": entry["epochs_run"],
-            "diagnostics": entry["diagnostics"],
-            "checkpoints": {"adversarial": adv_path.name,
-                            "baseline": base_path.name},
-            "wall_clock_seconds": entry["wall_clock_seconds"],
-        })
-
-    report = rpt.base_report("compare", _echo_config(args), args.seed)
-    report["repetitions"] = reps
-    report["aggregate"] = {
-        "adversarial": rpt.aggregate([r["adversarial"] for r in reps]),
-        "baseline": rpt.aggregate([r["baseline"] for r in reps]),
-    }
-    report["wall_clock_seconds"] = time.perf_counter() - t0
-
-    ext = "json" if args.report_format == "json" else "csv"
-    report_path = out_dir / f"report.{ext}"
-    rpt.write_report(report, report_path, args.report_format)
-    _print_aggregate("adversarial", report["aggregate"]["adversarial"])
-    _print_aggregate("baseline", report["aggregate"]["baseline"])
-    print(f"report written to {report_path}")
-    return EXIT_OK
+    """train, and compare: train plus the logistic baseline on the same
+    splits."""
+    reps, t0 = _run_tasks(args, [args.sensitivity_weight])
+    if args.command == "train":
+        aggregate = rpt.aggregate([r["metrics"] for r in reps])
+        summary = [_aggregate_line("adversarial", aggregate)]
+    else:
+        aggregate = {tag: rpt.aggregate([r[tag] for r in reps])
+                     for tag in ("adversarial", "baseline")}
+        summary = [_aggregate_line(tag, agg) for tag, agg in aggregate.items()]
+    return _write_report(args, {"repetitions": reps, "aggregate": aggregate},
+                         t0, summary)
 
 
 def cmd_evaluate(args):
@@ -360,59 +349,32 @@ def _parse_grid(text):
     return grid
 
 
-def _tune_point(rep, args, raw, spec, weight):
-    seed = derive_seed(args.seed, rep)
-    train_ds, val_ds, test_ds = prepare_splits(raw, spec, seed)
-    config = _config_from_args(args, seed)
-    config.sensitivity_weight = weight
-    model = train(train_ds, val_ds, config)
-    y_pred, _ = predict(model, val_ds.features)
-    val_score = balanced_accuracy(GroupedOutcomes(
-        val_ds.label_indices(), y_pred, val_ds.group_tags))
-    test_metrics = rpt.evaluate_model(KIND_ADVERSARIAL, model, test_ds,
-                                      sensitivity_seed=seed)
-    return val_score, test_metrics
-
-
 def cmd_tune(args):
-    spec = DatasetSpec.from_json(args.spec)
-    raw = load_csv(args.data, spec)
+    if args.report_format != "json":
+        raise UsageError("tune writes its report as JSON only")
     grid = sorted(set(_parse_grid(args.grid)))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows, t0 = _run_tasks(args, grid)
 
-    t0 = time.perf_counter()
     entries = []
     best = None  # (score, weight)
-    for weight in grid:
-        rows = _map_reps(
-            functools.partial(_tune_point, args=args, raw=raw, spec=spec,
-                              weight=weight), args.reps)
-        val_scores = [r[0] for r in rows]
-        mean_val = float(np.mean(val_scores))
+    for i, weight in enumerate(grid):
+        point = rows[i * args.reps:(i + 1) * args.reps]
+        mean_val = float(np.mean([r[0] for r in point]))
         entries.append({
             "sensitivity_weight": weight,
             "validation_balanced_accuracy": mean_val,
-            "test": rpt.aggregate([r[1] for r in rows]),
+            "test": rpt.aggregate([r[1] for r in point]),
         })
         if best is None or mean_val > best[0]:
             best = (mean_val, weight)
-
     for e in entries:
         e["selected"] = e["sensitivity_weight"] == best[1]
 
-    report = rpt.base_report("tune", _echo_config(args), args.seed)
-    report["grid"] = entries
-    report["best"] = {"sensitivity_weight": best[1],
-                      "validation_balanced_accuracy": best[0]}
-    report["wall_clock_seconds"] = time.perf_counter() - t0
-
-    report_path = out_dir / "report.json"
-    rpt.write_report(report, report_path, "json")
-    print(f"best sensitivity weight: {best[1]} "
-          f"(validation balanced accuracy {best[0]:.4f})")
-    print(f"report written to {report_path}")
-    return EXIT_OK
+    fields = {"grid": entries, "best": {"sensitivity_weight": best[1],
+                                        "validation_balanced_accuracy": best[0]}}
+    return _write_report(args, fields, t0, [
+        f"best sensitivity weight: {best[1]} "
+        f"(validation balanced accuracy {best[0]:.4f})"])
 
 
 def cmd_gradcheck(args):
@@ -435,7 +397,7 @@ def cmd_gradcheck(args):
 _COMMANDS = {
     "train": cmd_train,
     "evaluate": cmd_evaluate,
-    "compare": cmd_compare,
+    "compare": cmd_train,
     "tune": cmd_tune,
     "gradcheck": cmd_gradcheck,
 }

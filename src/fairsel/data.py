@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,8 +177,9 @@ def load_csv(path, spec):
     """Parse a headered RFC-4180 CSV against a DatasetSpec.
 
     Rows with missing cells in any used column are rejected (counted in
-    the result, never imputed). Unparseable numeric cells raise a
-    DataError naming the data row (1-based, header excluded) and column.
+    the result, never imputed). Numeric cells that do not parse as a
+    finite number (including nan and inf) raise a DataError naming the
+    data row (1-based, header excluded) and column.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -221,9 +223,11 @@ def load_csv(path, spec):
                     try:
                         cell = float(cell)
                     except ValueError:
+                        cell = math.nan
+                    if not math.isfinite(cell):
                         raise DataError(
                             f"{path}: row {row_no}, column {c.name!r}: "
-                            f"cannot parse {cells[c.name]!r} as numeric") from None
+                            f"cannot parse {cells[c.name]!r} as a finite number")
                 feature_values[c.name].append(cell)
             label_values.append(cells[spec.label_column])
     return RawTable(spec, feature_values, label_values, n_rejected)

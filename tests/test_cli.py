@@ -286,19 +286,87 @@ class TestGridRuntime:
 
 class TestParallelReps:
     def test_thread_env_var(self, tmp_path, capsys, monkeypatch):
+        data, spec = write_toy(tmp_path)
+        commands = {
+            "train": ["train"],
+            "compare": ["compare", "--baseline-epochs", "20"],
+            # one repetition per weight: the grid points are the parallel tasks
+            "tune": ["tune", "--grid", "0,0.5,1"],
+        }
+        for name, head in commands.items():
+            tail = ["--reps", "1"] if name == "tune" else []
+            argv = lambda out: [*head, "--data", data, "--spec", spec,
+                                "--seed", "5", *fast_flags(out), *tail]
+            monkeypatch.setenv("FAIRSEL_THREADS", "2")
+            assert main(argv(tmp_path / f"{name}-par")) == 0
+            report = json.loads((tmp_path / f"{name}-par" / "report.json").read_text())
+            if name != "tune":
+                assert len(report["repetitions"]) == 2
+            # parallel run must produce the same numbers as sequential
+            monkeypatch.delenv("FAIRSEL_THREADS")
+            assert main(argv(tmp_path / f"{name}-seq")) == 0
+            r2 = json.loads((tmp_path / f"{name}-seq" / "report.json").read_text())
+            a, b = strip_wall_clock(report), strip_wall_clock(r2)
+            del a["config"]["out"], b["config"]["out"]
+            assert json.dumps(a) == json.dumps(b), name
+
+    def test_one_pool_per_command(self, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+        starts = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                starts.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setenv("FAIRSEL_THREADS", "2")
         data, spec = write_toy(tmp_path)
-        out = tmp_path / "par"
+        assert main(["tune", "--data", data, "--spec", spec,
+                     "--grid", "0,0.5,1", *fast_flags(tmp_path / "t")]) == 0
+        assert starts == [2]
+        report = json.loads((tmp_path / "t" / "report.json").read_text())
+        assert [e["sensitivity_weight"] for e in report["grid"]] == [0, 0.5, 1]
+
+
+class TestInvalidValues:
+    @pytest.mark.parametrize("command", ["train", "compare", "tune"])
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_one_is_usage_error(self, tmp_path, capsys, command, reps):
+        data, spec = write_toy(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, "--data", data, "--spec", spec,
+                     *fast_flags(out), "--reps", reps]) == 1
+        assert "--reps" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_tune_csv_report_is_usage_error(self, tmp_path, capsys):
+        data, spec = write_toy(tmp_path)
+        out = tmp_path / "o"
+        assert main(["tune", "--data", data, "--spec", spec, "--grid", "0,1",
+                     "--report-format", "csv", *fast_flags(out)]) == 1
+        assert "JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["two", "1.5", "", "0", "-1"])
+    def test_bad_thread_count_is_usage_error(self, tmp_path, capsys,
+                                             monkeypatch, value):
+        monkeypatch.setenv("FAIRSEL_THREADS", value)
+        data, spec = write_toy(tmp_path)
         assert main(["train", "--data", data, "--spec", spec,
-                     "--seed", "5", *fast_flags(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert len(report["repetitions"]) == 2
-        # parallel run must produce the same numbers as sequential
-        monkeypatch.delenv("FAIRSEL_THREADS")
-        out2 = tmp_path / "seq"
-        assert main(["train", "--data", data, "--spec", spec,
-                     "--seed", "5", *fast_flags(out2)]) == 0
-        r2 = json.loads((out2 / "report.json").read_text())
-        a = strip_wall_clock(report["repetitions"])
-        b = strip_wall_clock(r2["repetitions"])
-        assert json.dumps(a) == json.dumps(b)
+                     *fast_flags(tmp_path / "o")]) == 1
+        assert "FAIRSEL_THREADS" in capsys.readouterr().err
+
+    def test_non_finite_numeric_cell_is_a_data_error(self, tmp_path, capsys,
+                                                     german_csv, german_spec_path):
+        rows = german_csv.read_text().splitlines()
+        header = rows[0].split(",")
+        cells = rows[7].split(",")
+        cells[header.index("credit_amount")] = "inf"
+        rows[7] = ",".join(cells)
+        data = tmp_path / "german-inf.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["train", "--data", str(data), "--spec", german_spec_path,
+                     *fast_flags(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "row 7" in err and "'credit_amount'" in err

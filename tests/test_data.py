@@ -102,6 +102,23 @@ class TestLoadCsv:
         msg = str(exc.value)
         assert "row 2" in msg and "size" in msg and "huge" in msg
 
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_sensitive_cell_names_coordinates(self, tmp_path, cell):
+        # a nan age would otherwise fail the `ge 25` predicate and put the
+        # row in the unprivileged group without a word
+        from importlib.resources import files
+        spec = DatasetSpec.from_json(str(files("fairsel") / "specs" / "bank.json"))
+        header = [c.name for c in spec.columns] + ["y"]
+        row = ["41", "admin.", "married", "secondary", "no", "120", "yes", "no",
+               "cellular", "5", "may", "300", "1", "-1", "0", "unknown", "no"]
+        bad = list(row)
+        bad[header.index("age")] = cell
+        path = write_csv(tmp_path / "bank.csv", header, [row, row, bad, row])
+        with pytest.raises(DataError) as exc:
+            load_csv(path, spec)
+        msg = str(exc.value)
+        assert "row 3" in msg and "'age'" in msg and cell in msg
+
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(tmp_path / "x.csv",
                          ["junk", "color", "size", "group", "label"],

@@ -9,8 +9,8 @@ a tabular data pipeline, a logistic baseline and a CLI.
 """
 
 from .baseline import LogisticModel, train_logistic
-from .data import (Dataset, DatasetSpec, Encoder, encode_and_normalize,
-                   load_csv, prepare_splits, split, synth_proxy)
+from .data import (Dataset, DatasetSpec, Encoder, load_csv, prepare_splits,
+                   split, synth_proxy)
 from .errors import (DataError, DegenerateGroupError, DimensionError,
                      FairselError, NumericalError)
 from .metrics import (ConfusionCounts, GroupedOutcomes, accuracy,

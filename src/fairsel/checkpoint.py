@@ -8,6 +8,7 @@ the JSON round trip bit-exactly (shortest-repr serialization).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -25,25 +26,16 @@ KIND_ADVERSARIAL = "adversarial-selection"
 KIND_LOGISTIC = "logistic"
 
 
-def _net_payload(net):
-    return {"weights": [w.tolist() for w in net.weights],
-            "biases": [b.tolist() for b in net.biases]}
-
-
-def _net_from_payload(p):
-    return DenseNet([np.array(w, dtype=np.float64) for w in p["weights"]],
-                    [np.array(b, dtype=np.float64) for b in p["biases"]])
-
-
 def save_model(path, model, encoder):
     """Write a TrainedModel or LogisticModel checkpoint."""
     if isinstance(model, TrainedModel):
         body = {
             "version": CHECKPOINT_VERSION,
             "kind": KIND_ADVERSARIAL,
-            "config": model.config.to_dict(),
+            "config": dataclasses.asdict(model.config),
             "seed": model.config.seed,
-            "net": _net_payload(model.net),
+            "net": {"weights": [w.tolist() for w in model.net.weights],
+                    "biases": [b.tolist() for b in model.net.biases]},
             "selector": {
                 "logits": model.policy.logits.tolist(),
                 "sensitive_index": model.policy.sensitive_index,
@@ -81,13 +73,14 @@ def load_model(path):
     try:
         encoder = Encoder.from_payload(body["encoder"])
         if kind == KIND_ADVERSARIAL:
-            sel = body["selector"]
+            sel, net = body["selector"], body["net"]
             model = TrainedModel(
-                net=_net_from_payload(body["net"]),
+                net=DenseNet([np.array(w, dtype=np.float64) for w in net["weights"]],
+                             [np.array(b, dtype=np.float64) for b in net["biases"]]),
                 policy=SelectorPolicy(np.array(sel["logits"], dtype=np.float64),
                                       sel["sensitive_index"],
                                       sel["mask_sensitive"]),
-                config=TrainConfig.from_dict(body["config"]),
+                config=TrainConfig(**body["config"]),
             )
             return kind, model, encoder
         if kind == KIND_LOGISTIC:

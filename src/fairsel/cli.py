@@ -7,9 +7,11 @@ counter scheme, so adding repetitions never reshuffles earlier ones.
 
 train, compare and tune share one repetition runner: compare is train
 plus the logistic baseline, and tune is train over a list of
-sensitivity weights. Each command maps all of its (repetition, weight)
-tasks through one work list; FAIRSEL_THREADS=N (default 1, sequential)
-runs that list in one pool of N processes.
+sensitivity weights. Each command checks every flag before it reads or
+writes a file, then maps all of its (repetition, config) tasks through
+one work list; FAIRSEL_THREADS=N (default 1, sequential) runs that list
+in one pool of N processes, each of which receives the loaded table
+once.
 
 Exit status: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -57,6 +61,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind, ok, rule):
+    """argparse type: a `kind` value for which ok(value) holds. The
+    bounds are written so that NaN fails them."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # "invalid int value: ..." on a typo
+    return parse
+
+
+_AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf,
+                        "nonnegative and finite")
+
+
 def derive_seed(master_seed, rep_index):
     """Stable per-repetition seed from the master seed."""
     return int(np.random.SeedSequence(
@@ -66,20 +88,34 @@ def derive_seed(master_seed, rep_index):
 def _worker_count():
     raw = os.environ.get("FAIRSEL_THREADS", "1")
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise UsageError(f"FAIRSEL_THREADS must be a positive integer, got {raw!r}")
-    return workers
+        return _AT_LEAST_ONE(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"FAIRSEL_THREADS must be a positive integer, "
+                         f"got {raw!r}") from None
+
+
+_runner = None  # a pool worker's task runner, set by _set_runner
+
+
+def _set_runner(fn):
+    global _runner
+    _runner = fn
+
+
+def _run_task(task):
+    return _runner(task)
 
 
 def _map_reps(fn, tasks, workers):
+    """fn over tasks, in order. A pool receives fn, which holds the
+    loaded table, once per worker through its initializer."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_runner,
+            initargs=(fn,)) as pool:
+        return list(pool.map(_run_task, tasks))
 
 
 def _add_data_flags(p):
@@ -87,12 +123,13 @@ def _add_data_flags(p):
     p.add_argument("--spec", required=True, help="dataset spec JSON")
 
 
-def _add_train_flags(p):
+def _add_train_flags(p, lambda_flag=True):
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--reps", type=int, default=5,
+    p.add_argument("--reps", type=_AT_LEAST_ONE, default=5,
                    help="independent repetitions with distinct splits")
-    p.add_argument("--lambda", dest="sensitivity_weight", type=float, default=1.0,
-                   help="weight of the sensitivity term in the predictor loss")
+    if lambda_flag:  # tune takes its weights from --grid
+        p.add_argument("--lambda", dest="sensitivity_weight", type=float, default=1.0,
+                       help="weight of the sensitivity term in the predictor loss")
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
@@ -143,15 +180,15 @@ def build_parser():
                             "on identical splits")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--baseline-epochs", type=int, default=500)
-    p.add_argument("--baseline-lr", type=float, default=0.1)
-    p.add_argument("--baseline-l2", type=float, default=0.0,
+    p.add_argument("--baseline-epochs", type=_AT_LEAST_ONE, default=500)
+    p.add_argument("--baseline-lr", type=_POSITIVE, default=0.1)
+    p.add_argument("--baseline-l2", type=_NONNEGATIVE, default=0.0,
                    help="optional L2 weight for the logistic baseline")
     _add_out_flags(p, "fairsel-compare")
 
     p = sub.add_parser("tune", help="grid search over the sensitivity weight")
     _add_data_flags(p)
-    _add_train_flags(p)
+    _add_train_flags(p, lambda_flag=False)
     p.add_argument("--grid", default=DEFAULT_GRID,
                    help="comma-separated sensitivity weights")
     _add_out_flags(p, "fairsel-tune")
@@ -159,12 +196,14 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="run gradient and estimator checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=50,
+    p.add_argument("--instances", type=_AT_LEAST_ONE, default=50,
                    help="random instances per gradient check")
-    p.add_argument("--dims", type=int, default=None,
+    # the estimator instance needs 3 features; 2^8 selections bound the cost
+    p.add_argument("--dims", type=_checked(int, lambda v: 3 <= v <= 8, "in 3..8"),
+                   default=None,
                    help="also run the enumeration unbiasedness check at this "
-                        "feature count (<= 8)")
-    p.add_argument("--samples", type=int, default=200_000,
+                        "feature count (3 to 8)")
+    p.add_argument("--samples", type=_AT_LEAST_ONE, default=200_000,
                    help="draws for the unbiasedness check")
     p.add_argument("--inject-fault", choices=("sen-grad-sign",), default=None,
                    help="deliberately corrupt a gradient (checker self-test)")
@@ -176,12 +215,12 @@ def _parse_hidden(text):
         sizes = tuple(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise UsageError(f"--hidden expects comma-separated integers, got {text!r}")
-    if not sizes:
-        raise UsageError("--hidden must name at least one layer")
     return sizes
 
 
-def _config_from_args(args, seed):
+def _config_from_args(args, weight):
+    """The training config of one sensitivity weight; the seed is set
+    per repetition."""
     try:
         return TrainConfig(
             alpha_theta=args.alpha_theta,
@@ -189,8 +228,8 @@ def _config_from_args(args, seed):
             batch_size=args.batch_size,
             max_epochs=args.max_epochs,
             patience=args.patience,
-            sensitivity_weight=args.sensitivity_weight,
-            seed=seed,
+            sensitivity_weight=weight,
+            seed=args.seed,
             inference_policy=args.inference_policy,
             mc_samples=args.mc_samples,
             hidden_sizes=_parse_hidden(args.hidden),
@@ -201,8 +240,8 @@ def _config_from_args(args, seed):
         raise UsageError(str(exc)) from None
 
 
-def _echo_config(args, skip=("command",)):
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _echo_config(args):
+    return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
 
 
 def _tune_point(model, val_ds):
@@ -213,14 +252,13 @@ def _tune_point(model, val_ds):
 
 
 def _train_one_rep(task, args, raw, spec):
-    """Split, train and score one (repetition index, sensitivity weight)
-    task. tune gets (validation score, test metrics); train and compare
-    save their checkpoints here and get the report entry."""
-    rep, weight = task
+    """Split, train and score one (repetition index, config) task. tune
+    gets (validation score, test metrics); train and compare save their
+    checkpoints here and get the report entry."""
+    rep, config = task
     seed = derive_seed(args.seed, rep)
     train_ds, val_ds, test_ds = prepare_splits(raw, spec, seed)
-    config = _config_from_args(args, seed)
-    config.sensitivity_weight = weight
+    config = dataclasses.replace(config, seed=seed)
 
     t0 = time.perf_counter()
     model = train(train_ds, val_ds, config)
@@ -260,18 +298,18 @@ def _train_one_rep(task, args, raw, spec):
 
 
 def _run_tasks(args, weights):
-    """Run every (repetition, weight) task of a command, weight-major,
-    through one pool; returns the results in task order and the start
-    time of the runs."""
-    if args.reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {args.reps}")
+    """Run every (repetition, config) task of a command, one config per
+    sensitivity weight, weight-major, through one pool; returns the
+    results in task order and the start time of the runs. Every flag is
+    checked before any file is read or made."""
     workers = _worker_count()
+    configs = [_config_from_args(args, w) for w in weights]
     spec = DatasetSpec.from_json(args.spec)
     raw = load_csv(args.data, spec)
     Path(args.out).mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    tasks = [(rep, w) for w in weights for rep in range(args.reps)]
+    tasks = [(rep, config) for config in configs for rep in range(args.reps)]
     runner = functools.partial(_train_one_rep, args=args, raw=raw, spec=spec)
     return _map_reps(runner, tasks, workers), t0
 
@@ -344,8 +382,6 @@ def _parse_grid(text):
         raise UsageError(f"--grid expects comma-separated numbers, got {text!r}")
     if not grid:
         raise UsageError("--grid must contain at least one value")
-    if any(g < 0 for g in grid):
-        raise UsageError("grid values must be nonnegative")
     return grid
 
 
@@ -378,8 +414,6 @@ def cmd_tune(args):
 
 
 def cmd_gradcheck(args):
-    if args.dims is not None and args.dims > 8:
-        raise UsageError("--dims must be at most 8 (enumeration cost)")
     results = run_all(seed=args.seed, instances=args.instances,
                       dims=args.dims, samples=args.samples,
                       fault=args.inject_fault)

@@ -24,7 +24,6 @@ from .errors import DataError, DimensionError
 
 MISSING_TOKENS = {"", "?", "NA"}
 
-NUMERIC_KINDS = ("numeric",)
 COLUMN_KINDS = ("numeric", "categorical")
 
 _PREDICATE_OPS = ("eq", "in", "ge", "gt", "le", "lt")
@@ -109,20 +108,12 @@ class DatasetSpec:
         if self.label_column in names:
             raise DataError(f"label column {self.label_column!r} must not be "
                             "listed as a feature column")
-        if self.label_column == self.sensitive_column:
-            raise DataError("label and sensitive columns must be distinct")
         overlap = set(self.drop_columns) & (set(names) | {self.label_column})
         if overlap:
             raise DataError(f"drop columns overlap used columns: {sorted(overlap)}")
-        kind = self.column_kind(self.sensitive_column)
+        kind = next(c.kind for c in self.columns if c.name == self.sensitive_column)
         if self.privileged.op in ("ge", "gt", "le", "lt") and kind != "numeric":
             raise DataError("numeric predicate on a categorical sensitive column")
-
-    def column_kind(self, name):
-        for c in self.columns:
-            if c.name == name:
-                return c.kind
-        raise DataError(f"unknown column {name!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -265,14 +256,6 @@ class Dataset:
     def n(self):
         return self.features.shape[0]
 
-    @property
-    def dim(self):
-        return self.features.shape[1]
-
-    @property
-    def num_classes(self):
-        return self.labels.shape[1]
-
     def subset(self, idx):
         return Dataset(self.features[idx], self.labels[idx],
                        self.sensitive_index, self.group_tags[idx],
@@ -409,12 +392,6 @@ class Encoder:
                        column_names=list(payload["column_names"]))
         except KeyError as exc:
             raise DataError(f"encoder payload missing field {exc}") from None
-
-
-def encode_and_normalize(raw, spec, stat_rows=None):
-    """Fit an Encoder on a RawTable and transform it. Returns a Dataset
-    whose .encoder carries the fitted transforms."""
-    return Encoder.fit(raw, spec, stat_rows=stat_rows).transform(raw)
 
 
 def split_indices(n, seed):

@@ -3,8 +3,9 @@
 Each check builds seeded random instances, compares an analytic
 quantity against an independent oracle (central finite differences, or
 exhaustive enumeration of selection vectors), and reports the worst
-error seen. The CLI `gradcheck` command runs these; the test suite
-reuses them at the tolerances they were designed for.
+error seen (`nets.worst_error`, so a NaN error fails the check). The
+CLI `gradcheck` command runs these; the test suite reuses them at the
+tolerances they were designed for.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import logistic_loss_and_grad
-from .nets import DenseNet, grad_check, relative_error
+from .nets import DenseNet, grad_check, relative_error, worst_error
 from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sample_selection_batch, sigmoid)
 from .training import (enumerate_sensitivity, pair_loss_and_grads,
@@ -38,6 +39,12 @@ class CheckResult:
         extra = f" ({self.detail})" if self.detail else ""
         return (f"{status} {self.name}: worst error {self.worst_error:.3e} "
                 f"vs tolerance {self.tolerance:.1e}{extra}")
+
+
+def _gate(name, errors, tolerance):
+    """Pass iff the worst error, NaN if any is NaN, is within tolerance."""
+    worst = worst_error(errors)
+    return CheckResult(name, worst <= tolerance, worst, tolerance)
 
 
 def random_instance(rng, batch=3):
@@ -69,7 +76,7 @@ def _check_pair_gradients(name, n_instances, seed, tolerance, weights,
     instances, at the (sensitivity_weight, ce_weight) that
     `weights(rng)` gives for each instance."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(n_instances):
         net, X, Y, S, k = random_instance(rng)
         sensitivity_weight, ce_weight = weights(rng)
@@ -79,9 +86,8 @@ def _check_pair_gradients(name, n_instances, seed, tolerance, weights,
             loss, grads, _, _ = pair_loss_and_grads(
                 net_, pair, Y, sensitivity_weight, ce_weight, fault=fault)
             return loss, grads
-        report = grad_check(net, lag, tolerance=tolerance)
-        worst = max(worst, report.max_rel_error)
-    return CheckResult(name, worst <= tolerance, worst, tolerance)
+        errors.append(grad_check(net, lag, tolerance=tolerance).max_rel_error)
+    return _gate(name, errors, tolerance)
 
 
 def check_prediction_gradients(n_instances=100, seed=0, tolerance=1e-4):
@@ -108,7 +114,7 @@ def check_composite_gradients(n_instances=100, seed=2, tolerance=1e-4,
 def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
     """Logistic-regression gradients vs central differences."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(n_instances):
         n, d = 8, int(rng.integers(2, 6))
         X = rng.random((n, d))
@@ -124,14 +130,14 @@ def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
             tm[j] -= h
             lp, _, _ = logistic_loss_and_grad(tp[:d], tp[d], X, y)
             lm, _, _ = logistic_loss_and_grad(tm[:d], tm[d], X, y)
-            worst = max(worst, relative_error(analytic[j], (lp - lm) / (2 * h)))
-    return CheckResult("logistic gradient", worst <= tolerance, worst, tolerance)
+            errors.append(relative_error(analytic[j], (lp - lm) / (2 * h)))
+    return _gate("logistic gradient", errors, tolerance)
 
 
 def check_pi_normalization(n_policies=50, seed=4, tolerance=1e-9, max_dim=10):
     """Selection probabilities must sum to one over all 2^d vectors."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(n_policies):
         d = int(rng.integers(2, max_dim + 1))
         logits = rng.normal(0, 2, size=d)
@@ -140,15 +146,14 @@ def check_pi_normalization(n_policies=50, seed=4, tolerance=1e-9, max_dim=10):
         p = probabilities(policy)
         masked = policy.sensitive_index if policy.mask_sensitive else None
         total = sum(pi_prob(p, s) for s in enumerate_selections(d, masked))
-        worst = max(worst, abs(total - 1.0))
-    return CheckResult("selection-distribution normalization",
-                       worst <= tolerance, worst, tolerance)
+        errors.append(abs(total - 1.0))
+    return _gate("selection-distribution normalization", errors, tolerance)
 
 
 def check_log_pi_gradient(n_policies=50, seed=5, tolerance=1e-6, h=1e-6):
     """Score function s - p vs finite differences of log pi(sigmoid(logits))."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    errors = []
     for _ in range(n_policies):
         d = int(rng.integers(2, 8))
         logits = rng.normal(0, 1.5, size=d)
@@ -160,9 +165,8 @@ def check_log_pi_gradient(n_policies=50, seed=5, tolerance=1e-6, h=1e-6):
             tm[j] -= h
             lp = np.log(pi_prob(sigmoid(tp), s))
             lm = np.log(pi_prob(sigmoid(tm), s))
-            worst = max(worst, relative_error(analytic[j], (lp - lm) / (2 * h)))
-    return CheckResult("log-selection-probability gradient",
-                       worst <= tolerance, worst, tolerance)
+            errors.append(relative_error(analytic[j], (lp - lm) / (2 * h)))
+    return _gate("log-selection-probability gradient", errors, tolerance)
 
 
 def estimator_instance(d=6):
@@ -207,13 +211,9 @@ def check_estimator_unbiasedness(d=6, n_samples=200_000, seed=22,
     _, exact = enumerate_sensitivity(net, policy, x)
     rng = np.random.default_rng([seed, 7])
     estimate = score_function_estimate(net, policy, x, n_samples, rng)
-    worst = 0.0
-    for j in range(d):
-        if j == policy.sensitive_index:
-            continue
-        worst = max(worst, abs(estimate[j] - exact[j]) / abs(exact[j]))
-    return CheckResult(f"score-function estimator (d={d}, {n_samples} draws)",
-                       worst <= rel_tolerance, worst, rel_tolerance)
+    return _gate(f"score-function estimator (d={d}, {n_samples} draws)",
+                 [abs(estimate[j] - exact[j]) / abs(exact[j])
+                  for j in range(d) if j != policy.sensitive_index], rel_tolerance)
 
 
 def run_all(seed=0, instances=100, dims=None, samples=200_000, fault=None):

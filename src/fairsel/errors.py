@@ -24,8 +24,6 @@ class DimensionError(FairselError):
     """Shape contract violation between caller-supplied arrays."""
 
     def __init__(self, what, expected, actual):
-        self.expected = expected
-        self.actual = actual
         super().__init__(f"{what}: expected {expected}, got {actual}")
 
 

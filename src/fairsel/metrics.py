@@ -61,10 +61,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.tn + self.fn
-
     def tpr(self, group_name="population"):
         if self.tp + self.fn == 0:
             raise DegenerateGroupError(
@@ -76,9 +72,6 @@ class ConfusionCounts:
             raise DegenerateGroupError(
                 f"{group_name} has no negative (label 0) examples")
         return self.tn / (self.tn + self.fp)
-
-    def fpr(self, group_name="population"):
-        return 1.0 - self.tnr(group_name)
 
 
 def confusion_counts(outcomes, privileged=None):

@@ -1,10 +1,11 @@
 """Dense feed-forward classifier with hand-written gradients.
 
-The network maps an input vector through SELU hidden layers to a softmax
-head and is trained with Adam. `backward` returns the exact gradient of
-the scalar <g, forward(x)> for a caller-supplied vector g, which is the
-only primitive needed to assemble every loss gradient used in training.
-A finite-difference checker (`grad_check`) guards the analytic gradients.
+The network maps a batch of input rows through SELU hidden layers to a
+softmax head and is trained with Adam. `backward` returns the exact
+gradient of the scalar sum_n <g_n, forward(x)_n> for caller-supplied
+rows g, which is the only primitive needed to assemble every loss
+gradient used in training. A finite-difference checker (`grad_check`)
+guards the analytic gradients.
 
 All math is float64. Everything here is a pure function of its inputs;
 parameter updates return fresh arrays instead of mutating.
@@ -23,6 +24,11 @@ SELU_ALPHA = 1.6732632423543772
 
 # softmax outputs are floored at this value before any logarithm
 PROB_FLOOR = 1e-12
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def selu(x):
@@ -106,10 +112,6 @@ class DenseNet:
         bs = [np.asarray(params[2 * i + 1], dtype=np.float64) for i in range(self.num_layers)]
         return DenseNet(ws, bs)
 
-    def copy(self):
-        return DenseNet([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
-
 
 def param_block_name(index):
     kind = "weight" if index % 2 == 0 else "bias"
@@ -118,25 +120,17 @@ def param_block_name(index):
 
 def _check_input(net, X):
     X = np.asarray(X, dtype=np.float64)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError("input", f"(n, {net.input_dim})", X.shape)
-    return X, squeeze
+    return X
 
 
-def forward(net, x):
-    """Class-probability vector for input x.
-
-    Accepts a single vector (d,) -> (c,), or a batch (n, d) -> (n, c).
-    """
-    X, squeeze = _check_input(net, x)
-    acts = X
+def forward(net, X):
+    """Class-probability rows (n, c) for a batch of input rows (n, d)."""
+    acts = _check_input(net, X)
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
         acts = selu(acts @ w.T + b)
-    probs = softmax(acts @ net.weights[-1].T + net.biases[-1])
-    return probs[0] if squeeze else probs
+    return softmax(acts @ net.weights[-1].T + net.biases[-1])
 
 
 def _forward_cache(net, X):
@@ -149,17 +143,16 @@ def _forward_cache(net, X):
     return pre, acts
 
 
-def backward(net, x, output_grad):
-    """Exact gradients of sum_n <output_grad_n, forward(x_n)>.
+def backward(net, X, output_grad):
+    """Exact gradients of sum_n <output_grad_n, forward(X)_n> for a batch
+    of input rows X (n, d) and output-gradient rows (n, c).
 
     Returns (param_grads, input_grad) where param_grads is a flat list
-    aligned with `net.params()`. For a batch, parameter gradients are
-    summed over rows and input_grad is per-row. Linear in output_grad.
+    aligned with `net.params()`, summed over rows, and input_grad is
+    per-row (n, d). Linear in output_grad.
     """
-    X, squeeze = _check_input(net, x)
+    X = _check_input(net, X)
     G = np.asarray(output_grad, dtype=np.float64)
-    if squeeze:
-        G = G[None, :]
     if G.shape != (X.shape[0], net.num_classes):
         raise DimensionError("output_grad", (X.shape[0], net.num_classes), G.shape)
 
@@ -175,12 +168,11 @@ def backward(net, x, output_grad):
         b_grads[i] = delta.sum(axis=0)
         upstream = delta @ net.weights[i]
         delta = upstream * selu_deriv(pre[i - 1]) if i > 0 else upstream
-    input_grad = delta
 
     param_grads = []
     for gw, gb in zip(w_grads, b_grads):
         param_grads.extend((gw, gb))
-    return param_grads, (input_grad[0] if squeeze else input_grad)
+    return param_grads, delta
 
 
 @dataclass
@@ -190,9 +182,6 @@ class AdamState:
     first: list
     second: list
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params):
@@ -218,17 +207,17 @@ def adam_step(params, grads, state, lr):
                 f"non-finite gradient in parameter block {param_block_name(i)}")
 
     t = state.step_count + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, new_first, new_second = [], [], []
     for p, g, m, v in zip(params, grads, state.first, state.second):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
+        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_first.append(m)
         new_second.append(v)
-    return new_params, AdamState(new_first, new_second, t, b1, b2, eps)
+    return new_params, AdamState(new_first, new_second, t)
 
 
 @dataclass
@@ -254,6 +243,15 @@ def relative_error(a, b, floor=1e-6):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
+def worst_error(errors):
+    """The largest of a nonempty sequence of errors, NaN if any is NaN
+    (`max()` would drop a NaN and let a gate pass on it)."""
+    errors = np.asarray(errors, dtype=np.float64)
+    if errors.size == 0:
+        raise ValueError("no errors to reduce: the check covered nothing")
+    return float(errors.max())
+
+
 def grad_check(net, loss_and_grad, tolerance=1e-4, h=1e-5,
                max_entries_per_block=None, rng=None):
     """Check analytic parameter gradients against central finite differences.
@@ -261,14 +259,12 @@ def grad_check(net, loss_and_grad, tolerance=1e-4, h=1e-5,
     loss_and_grad(net) must return (scalar_loss, param_grads) with
     param_grads aligned with net.params(). Every coordinate is checked
     unless max_entries_per_block caps the per-block sample (drawn from
-    rng, which is then required).
+    rng, which is then required). A NaN error fails the check.
     """
     _, analytic = loss_and_grad(net)
     params = [p.copy() for p in net.params()]
 
-    max_err = 0.0
-    worst_block, worst_entry = "", ()
-    checked = 0
+    errors, entries = [], []
     for bi, block in enumerate(params):
         flat_ids = np.arange(block.size)
         if max_entries_per_block is not None and block.size > max_entries_per_block:
@@ -282,10 +278,10 @@ def grad_check(net, loss_and_grad, tolerance=1e-4, h=1e-5,
             lm, _ = loss_and_grad(net.with_params(params))
             block[idx] = orig
             numeric = (lp - lm) / (2 * h)
-            err = relative_error(analytic[bi][idx], numeric)
-            checked += 1
-            if err > max_err:
-                max_err = err
-                worst_block, worst_entry = param_block_name(bi), idx
+            errors.append(relative_error(analytic[bi][idx], numeric))
+            entries.append((bi, idx))
+    max_err = worst_error(errors)
+    # argmax picks the first NaN if there is one, as worst_error does
+    bi, idx = entries[int(np.argmax(errors))]
     return GradCheckReport(max_err, tolerance, max_err <= tolerance,
-                           worst_block, worst_entry, checked)
+                           param_block_name(bi), idx, len(errors))

@@ -19,6 +19,7 @@ from .errors import DimensionError, FairselError, NumericalError
 # strictly inside (0, 1) and log-probabilities stay finite (float64 keeps
 # sigmoid strictly below 1 up to ~36.7)
 LOGIT_LIMIT = 20.0
+INIT_LOGIT_SCALE = 0.01  # standard deviation of the initial logits
 
 
 def sigmoid(x):
@@ -49,17 +50,12 @@ class SelectorPolicy:
             raise ValueError(
                 f"sensitive index {self.sensitive_index} outside [0, {self.logits.shape[0]})")
 
-    @property
-    def dim(self):
-        return self.logits.shape[0]
-
     @classmethod
-    def initialize(cls, dim, sensitive_index, rng, scale=0.01,
-                   mask_sensitive=True):
+    def initialize(cls, dim, sensitive_index, rng, mask_sensitive=True):
         """Small random logits, so initial selection probabilities sit
         near 1/2 without being exactly symmetric."""
-        return cls(rng.normal(0.0, scale, size=dim), sensitive_index,
-                   mask_sensitive)
+        return cls(rng.normal(0.0, INIT_LOGIT_SCALE, size=dim),
+                   sensitive_index, mask_sensitive)
 
     def with_logits(self, logits):
         return replace(self, logits=np.asarray(logits, dtype=np.float64))

@@ -18,6 +18,7 @@ bit-identical logs and parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -36,13 +37,17 @@ INFERENCE_POLICIES = ("threshold05", "expected-input", "mc-average")
 # not differentiable there; zero is a valid subgradient)
 NORM_EPS = 1e-12
 
+# selections per chunk in score_function_estimate (bounds its memory)
+ESTIMATE_CHUNK = 20000
+
 
 @dataclass
 class TrainConfig:
     """Hyper-parameters of one training run.
 
     patience is clamped to max_epochs so the invariant
-    patience <= max_epochs always holds.
+    patience <= max_epochs always holds. Field order is the checkpoint's
+    key order (`dataclasses.asdict`).
     """
 
     alpha_theta: float = 1e-4
@@ -59,14 +64,17 @@ class TrainConfig:
     score_baseline: bool = False
 
     def __post_init__(self):
-        if self.alpha_theta <= 0 or self.alpha_phi <= 0:
-            raise ValueError("learning rates must be positive")
+        # written so that NaN fails every comparison
+        if not (0 < self.alpha_theta < math.inf and 0 < self.alpha_phi < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
-        if self.sensitivity_weight < 0:
-            raise ValueError("sensitivity_weight must be nonnegative")
+        if self.patience < 0:
+            raise ValueError("patience must be nonnegative")
+        if not 0 <= self.sensitivity_weight < math.inf:
+            raise ValueError("sensitivity_weight must be nonnegative and finite")
         if self.mc_samples < 1:
             raise ValueError("mc_samples must be at least 1")
         if self.inference_policy not in INFERENCE_POLICIES:
@@ -76,28 +84,6 @@ class TrainConfig:
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise ValueError("hidden_sizes must be a nonempty tuple of positive ints")
         self.patience = min(int(self.patience), self.max_epochs)
-
-    def to_dict(self):
-        return {
-            "alpha_theta": self.alpha_theta,
-            "alpha_phi": self.alpha_phi,
-            "batch_size": self.batch_size,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-            "sensitivity_weight": self.sensitivity_weight,
-            "seed": self.seed,
-            "inference_policy": self.inference_policy,
-            "mc_samples": self.mc_samples,
-            "hidden_sizes": list(self.hidden_sizes),
-            "mask_sensitive": self.mask_sensitive,
-            "score_baseline": self.score_baseline,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_sizes"] = tuple(d.get("hidden_sizes", (200, 200, 200, 200)))
-        return cls(**d)
 
 
 @dataclass
@@ -143,10 +129,13 @@ class SensitivityPair(NamedTuple):
 
 
 def sensitivity_pair(net, X, S, k):
-    """Run the paired forward pass of one batch: every sensitivity norm
-    and every predictor gradient is read off this pair."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    S = np.atleast_2d(S)
+    """Run the paired forward pass of one batch of input rows X (n, d)
+    under selection rows S (n, d): every sensitivity norm and every
+    predictor gradient is read off this pair."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or np.shape(S) != X.shape:
+        raise DimensionError("input and selection rows", "two (n, d) arrays",
+                             (X.shape, np.shape(S)))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     x_sel = apply_selection(X, S)
@@ -161,7 +150,8 @@ def sensitivity_pair(net, X, S, k):
 def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     """One gradient-ascent step on the selector logits.
 
-    Samples one selection per row, scores each by its sensitivity norm,
+    Samples one selection per row of the batch X (n, d), scores each by
+    its sensitivity norm,
     and moves the logits along the batch-mean score-function estimate
     norm * (s - p). Returns (updated policy, sensitivity pair) so the
     paired predictor step reuses the same samples and forward pass.
@@ -169,7 +159,6 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     baseline, if given, is subtracted from the norms before weighting
     (variance reduction; leaves the expected update unchanged).
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     p = probabilities(policy)
     S = sample_selection_batch(p, X.shape[0], rng)
     pair = sensitivity_pair(net, X, S, policy.sensitive_index)
@@ -187,7 +176,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     """Batch-mean predictor loss and its exact parameter gradients, read
     off a pair that `sensitivity_pair` computed on `net`.
 
-    Loss per example: sensitivity_weight * ||sensitivity diff|| plus
+    Y holds one one-hot label row per pair row. Loss per example:
+    sensitivity_weight * ||sensitivity diff|| plus
     ce_weight * cross-entropy on the selected input; ce_weight=0 gives
     the sensitivity-only half of the adversarial objective. Examples
     whose sensitivity norm is below NORM_EPS contribute a zero
@@ -198,8 +188,9 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     fault is a test hook for the gradient checker; "sen-grad-sign" flips
     the sign of the sensitivity gradient term without touching the loss.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     p_sel, diff, norms = pair.p_sel, pair.diff, pair.norms
+    if np.shape(Y) != p_sel.shape:
+        raise DimensionError("label rows", p_sel.shape, np.shape(Y))
     n = p_sel.shape[0]
 
     p_true = np.maximum((p_sel * Y).sum(axis=1), PROB_FLOOR)
@@ -251,35 +242,29 @@ def _predict_probs(net, policy, config, X, rng):
     return acc / config.mc_samples
 
 
-def predict(model, x, rng=None):
-    """Predicted class and probability vector under the model's
-    inference policy.
+def predict(model, X, rng=None):
+    """Predicted classes (n,) and probability rows (n, c) for a batch of
+    input rows X (n, d) under the model's inference policy.
 
-    Accepts a single vector or a batch. Ties break toward the lower
-    class index. For the mc-average policy an rng may be passed;
-    otherwise a generator derived from the config seed is used, so
-    repeated calls give identical output.
+    Ties break toward the lower class index. For the mc-average policy
+    an rng may be passed; otherwise a generator derived from the config
+    seed is used, so repeated calls give identical output.
     """
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.net.input_dim:
-        raise DimensionError("input", f"(n, {model.net.input_dim})", x.shape)
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.net.input_dim:
+        raise DimensionError("input", f"(n, {model.net.input_dim})", X.shape)
     if rng is None:
         rng = np.random.default_rng([model.config.seed, 0x9E3779B9])
     probs = _predict_probs(model.net, model.policy, model.config, X, rng)
-    labels = probs.argmax(axis=1)
-    if squeeze:
-        return int(labels[0]), probs[0]
-    return labels, probs
+    return probs.argmax(axis=1), probs
 
 
 def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     """Monte-Carlo estimate of the expected sensitivity norm over the
-    selection distribution, averaged over the rows of X."""
+    selection distribution, averaged over the rows of X (n, d)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
     p = probabilities(policy)
     total = 0.0
     for _ in range(n_samples):
@@ -308,7 +293,7 @@ def enumerate_sensitivity(net, policy, x):
     return expected, grad
 
 
-def score_function_estimate(net, policy, x, n_samples, rng, chunk=20000):
+def score_function_estimate(net, policy, x, n_samples, rng):
     """Monte-Carlo estimate of the logit gradient of the expected
     sensitivity norm for one input: mean of norm * (s - p) over sampled
     selections. The sampled counterpart of `enumerate_sensitivity`."""
@@ -317,7 +302,7 @@ def score_function_estimate(net, policy, x, n_samples, rng, chunk=20000):
     total = np.zeros_like(p)
     remaining = n_samples
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(ESTIMATE_CHUNK, remaining)
         S = sample_selection_batch(p, m, rng)
         X_rep = np.broadcast_to(x, (m, x.shape[0]))
         norms = sensitivity_pair(net, X_rep, S, policy.sensitive_index).norms
@@ -333,7 +318,7 @@ def _validation_score(net, policy, config, val_data, epoch):
         val_data.labels.argmax(axis=1), probs.argmax(axis=1), val_data.group_tags))
 
 
-def train(train_data, val_data, config, selection_hook=None):
+def train(train_data, val_data, config):
     """Run the adversarial training loop and return the model from the
     best validation epoch.
 
@@ -344,9 +329,6 @@ def train(train_data, val_data, config, selection_hook=None):
 
     Validation is scored by `metrics.balanced_accuracy`, so a
     validation split that lacks a class raises DegenerateGroupError.
-
-    selection_hook, if given, is called with every batch's sampled
-    selection matrix (instrumentation; used to audit masking).
     """
     X, Y = train_data.features, train_data.labels
     k = train_data.sensitive_index
@@ -373,8 +355,6 @@ def train(train_data, val_data, config, selection_hook=None):
                 policy, pair = selector_step(
                     policy, X[idx], net, config.alpha_theta, rng,
                     baseline=baseline if config.score_baseline else None)
-                if selection_hook is not None:
-                    selection_hook(pair.S)
                 net, adam, ce_mean, sens_mean = predictor_step(
                     net, pair, Y[idx], adam,
                     config.alpha_phi, config.sensitivity_weight)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fairsel.nets import DenseNet
+from fairsel.nets import DenseNet, forward
 
 
 def brute_force_metrics(records):
@@ -74,6 +74,27 @@ def naive_forward(net, x):
             total = sum(exps)
             acts = [e / total for e in exps]
     return np.array(acts)
+
+
+def forward_row(net, x):
+    """forward on the one-row batch of a single input vector."""
+    return forward(net, x[None, :])[0]
+
+
+def recorded_selections(monkeypatch):
+    """A list that receives every selection matrix `fairsel.training`
+    samples, as it is drawn (the masking audits read it)."""
+    from fairsel import training
+    seen = []
+    real = training.sample_selection_batch
+
+    def recording(*args, **kw):
+        S = real(*args, **kw)
+        seen.append(S)
+        return S
+
+    monkeypatch.setattr(training, "sample_selection_batch", recording)
+    return seen
 
 
 def make_net(seed, d=4, hidden=(6, 5), c=3, random_bias=True):

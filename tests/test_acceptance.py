@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_metrics, random_nondegenerate, write_german_csv
+from conftest import (brute_force_metrics, random_nondegenerate,
+                      recorded_selections, write_german_csv)
 from fairsel import diagnostics
 from fairsel.baseline import predict_logistic_batch, train_logistic
 from fairsel.cli import derive_seed, main
@@ -103,14 +104,14 @@ def test_criterion_4_metric_oracle_equivalence():
     assert ok
 
 
-def test_criterion_5_masking_semantics():
+def test_criterion_5_masking_semantics(monkeypatch):
     ds = synth_proxy(2000, 0.9, seed=3)
     tr, va, _ = split(ds, 4)
     cfg = TrainConfig(alpha_theta=1.0, alpha_phi=1e-3, batch_size=128,
                       max_epochs=15, patience=15, seed=5, hidden_sizes=(16, 16),
                       score_baseline=True)
-    seen = []
-    model = train(tr, va, cfg, selection_hook=seen.append)
+    seen = recorded_selections(monkeypatch)
+    model = train(tr, va, cfg)
     n_vectors = sum(len(S) for S in seen)
     violations = sum(int(S[:, tr.sensitive_index].sum()) for S in seen)
     p = probabilities(model.policy)

@@ -328,6 +328,22 @@ class TestParallelReps:
         report = json.loads((tmp_path / "t" / "report.json").read_text())
         assert [e["sensitivity_weight"] for e in report["grid"]] == [0, 0.5, 1]
 
+    def test_table_sent_at_most_once_per_worker(self, tmp_path, capsys,
+                                                 monkeypatch):
+        from fairsel.data import RawTable
+        pickles = []
+
+        def counting_reduce(table, protocol):
+            pickles.append(table.n_rows)
+            return object.__reduce_ex__(table, protocol)
+
+        monkeypatch.setattr(RawTable, "__reduce_ex__", counting_reduce)
+        monkeypatch.setenv("FAIRSEL_THREADS", "2")
+        data, spec = write_toy(tmp_path)
+        assert main(["tune", "--data", data, "--spec", spec,
+                     "--grid", "0,0.5,1", *fast_flags(tmp_path / "t")]) == 0
+        assert len(pickles) <= 2
+
 
 class TestInvalidValues:
     @pytest.mark.parametrize("command", ["train", "compare", "tune"])
@@ -356,6 +372,50 @@ class TestInvalidValues:
         assert main(["train", "--data", data, "--spec", spec,
                      *fast_flags(tmp_path / "o")]) == 1
         assert "FAIRSEL_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("train", ["--alpha-theta", "nan"]),
+        ("train", ["--alpha-phi", "inf"]),
+        ("train", ["--lambda", "nan"]),
+        ("compare", ["--lambda", "inf"]),
+        ("train", ["--patience", "-1"]),
+        ("train", ["--hidden", "abc"]),
+        ("compare", ["--baseline-epochs", "0"]),
+        ("compare", ["--baseline-lr", "0"]),
+        ("compare", ["--baseline-lr", "nan"]),
+        ("compare", ["--baseline-l2", "-1"]),
+        ("tune", ["--grid", "0,nan"]),
+        ("tune", ["--grid", "0,inf"]),
+        ("tune", ["--grid", "0,-1"]),
+    ])
+    def test_bad_flag_is_usage_error_before_any_file(self, tmp_path, capsys,
+                                                     command, flags):
+        data, spec = write_toy(tmp_path)
+        out = tmp_path / "o"
+        assert main([command, "--data", data, "--spec", spec,
+                     *fast_flags(out), *flags]) == 1
+        assert not out.exists()
+        # the flag is checked before the data file is opened
+        assert main([command, "--data", str(tmp_path / "nope.csv"), "--spec", spec,
+                     *fast_flags(out), *flags]) == 1
+
+    def test_tune_takes_weights_from_grid_only(self, tmp_path, capsys):
+        data, spec = write_toy(tmp_path)
+        out = tmp_path / "t"
+        assert main(["tune", "--data", data, "--spec", spec, "--grid", "0,1",
+                     "--lambda", "-1", *fast_flags(out)]) == 1
+        assert "--lambda" in capsys.readouterr().err
+        assert main(["tune", "--data", data, "--spec", spec, "--grid", "0,1",
+                     *fast_flags(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "sensitivity_weight" not in report["config"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--instances", "0"], ["--samples", "0", "--dims", "4"],
+        ["--dims", "2"], ["--dims", "9"]])
+    def test_gradcheck_range_is_usage_error(self, capsys, flags):
+        assert main(["gradcheck", *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
 
     def test_non_finite_numeric_cell_is_a_data_error(self, tmp_path, capsys,
                                                      german_csv, german_spec_path):

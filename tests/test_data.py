@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder,
-                          Predicate, encode_and_normalize, load_csv,
-                          prepare_splits, split, split_indices, synth_proxy)
+                          Predicate, load_csv, prepare_splits, split,
+                          split_indices, synth_proxy)
 from fairsel.errors import DataError
+
+
+def encode_and_normalize(raw, spec):
+    """Fit the encoder on every row and transform the whole table."""
+    return Encoder.fit(raw, spec).transform(raw)
 
 
 def tiny_spec():

@@ -3,11 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_net, naive_forward
+from conftest import forward_row, make_net, naive_forward
 from fairsel.errors import DimensionError, NumericalError
 from fairsel.nets import (AdamState, DenseNet, adam_step, backward, forward,
                           grad_check, relative_error, selu, selu_deriv,
-                          softmax)
+                          softmax, worst_error)
+
+
+def backward_row(net, x, g):
+    grads, xgrad = backward(net, x[None, :], g[None, :])
+    return grads, xgrad[0]
 
 
 class TestSelu:
@@ -39,32 +44,40 @@ class TestForward:
     def test_zero_net_uniform(self):
         net = DenseNet([np.zeros((4, 3)), np.zeros((5, 4))],
                        [np.zeros(4), np.zeros(5)])
-        p = forward(net, np.ones(3))
+        p = forward_row(net, np.ones(3))
         assert np.allclose(p, 0.2)
 
     def test_two_class_symmetry(self):
         net = DenseNet([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
-        assert np.allclose(forward(net, np.zeros(2)), [0.5, 0.5])
+        assert np.allclose(forward_row(net, np.zeros(2)), [0.5, 0.5])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_independent_reimplementation(self, seed):
         net = make_net(seed)
         x = np.random.default_rng(seed + 100).random(net.input_dim)
-        assert np.allclose(forward(net, x), naive_forward(net, x),
+        assert np.allclose(forward_row(net, x), naive_forward(net, x),
                            rtol=1e-12, atol=1e-14)
 
     def test_dimension_error_names_dims(self):
         net = make_net(0, d=4)
         with pytest.raises(DimensionError) as exc:
-            forward(net, np.ones(3))
+            forward(net, np.ones((2, 3)))
         assert "4" in str(exc.value) and "3" in str(exc.value)
+
+    def test_single_vector_is_a_dimension_error(self):
+        # batches only: a 1-D row is not silently promoted
+        net = make_net(0, d=4, c=3)
+        with pytest.raises(DimensionError):
+            forward(net, np.ones(4))
+        with pytest.raises(DimensionError):
+            backward(net, np.ones(4), np.ones(3))
 
     def test_batch_matches_rows(self):
         net = make_net(1)
         X = np.random.default_rng(5).random((6, net.input_dim))
         P = forward(net, X)
         for i in range(6):
-            assert np.allclose(P[i], forward(net, X[i]))
+            assert np.allclose(P[i], forward_row(net, X[i]))
 
     @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -77,7 +90,7 @@ class TestForward:
         rng = np.random.default_rng(7)
         for seed in range(30):
             net = make_net(seed, d=5, hidden=(8,), c=4)
-            p = forward(net, rng.random(5) * 10 - 5)
+            p = forward_row(net, rng.random(5) * 10 - 5)
             assert abs(p.sum() - 1.0) < 1e-9
 
     def test_class_permutation_equivariance(self):
@@ -87,14 +100,14 @@ class TestForward:
         permuted = DenseNet(
             net.weights[:-1] + [net.weights[-1][perm]],
             net.biases[:-1] + [net.biases[-1][perm]])
-        assert np.allclose(forward(permuted, x), forward(net, x)[perm])
+        assert np.allclose(forward_row(permuted, x), forward_row(net, x)[perm])
 
 
 class TestBackward:
     def test_zero_output_grad_gives_zero(self):
         net = make_net(0)
-        grads, xgrad = backward(net, np.ones(net.input_dim),
-                                np.zeros(net.num_classes))
+        grads, xgrad = backward_row(net, np.ones(net.input_dim),
+                                    np.zeros(net.num_classes))
         assert all(np.all(g == 0) for g in grads)
         assert np.all(xgrad == 0)
 
@@ -102,8 +115,8 @@ class TestBackward:
         net = make_net(1)
         rng = np.random.default_rng(2)
         x, g = rng.random(net.input_dim), rng.random(net.num_classes)
-        g1, x1 = backward(net, x, g)
-        g2, x2 = backward(net, x, 2 * g)
+        g1, x1 = backward_row(net, x, g)
+        g2, x2 = backward_row(net, x, 2 * g)
         for a, b in zip(g1, g2):
             assert np.allclose(2 * a, b)
         assert np.allclose(2 * x1, x2)
@@ -116,7 +129,7 @@ class TestBackward:
         batch_grads, _ = backward(net, X, G)
         acc = [np.zeros_like(g) for g in batch_grads]
         for i in range(3):
-            row_grads, _ = backward(net, X[i], G[i])
+            row_grads, _ = backward_row(net, X[i], G[i])
             acc = [a + r for a, r in zip(acc, row_grads)]
         for a, b in zip(acc, batch_grads):
             assert np.allclose(a, b, rtol=1e-12)
@@ -128,8 +141,8 @@ class TestBackward:
         x, g = rng.random(3), rng.random(2)
 
         def lag(net_):
-            grads, _ = backward(net_, x, g)
-            return float(forward(net_, x) @ g), grads
+            grads, _ = backward_row(net_, x, g)
+            return float(forward_row(net_, x) @ g), grads
 
         report = grad_check(net, lag, tolerance=1e-6)
         assert report.passed, str(report)
@@ -138,13 +151,13 @@ class TestBackward:
         net = make_net(11)
         rng = np.random.default_rng(8)
         x, g = rng.random(net.input_dim), rng.random(net.num_classes)
-        _, xgrad = backward(net, x, g)
+        _, xgrad = backward_row(net, x, g)
         h = 1e-6
         for j in range(net.input_dim):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            num = (forward(net, xp) @ g - forward(net, xm) @ g) / (2 * h)
+            num = (forward_row(net, xp) @ g - forward_row(net, xm) @ g) / (2 * h)
             assert relative_error(xgrad[j], num) < 1e-6
 
 
@@ -238,14 +251,33 @@ class TestGradCheck:
         report = grad_check(net, lag, tolerance=1e-4)
         assert not report.passed
 
+    def test_nan_gradient_fails(self):
+        net = make_net(0, d=2, hidden=(3,), c=2)
+
+        def lag(net_):
+            params = net_.params()
+            loss = sum(0.5 * np.sum(p ** 2) for p in params)
+            return float(loss), [np.full_like(p, np.nan) for p in params]
+
+        report = grad_check(net, lag, tolerance=1e-4)
+        assert not report.passed
+        assert np.isnan(report.max_rel_error)
+
+    def test_worst_error_keeps_nan_and_rejects_nothing(self):
+        assert np.isnan(worst_error([0.0, np.nan, 1.0]))
+        assert np.isnan(worst_error([np.nan, 1.0]))
+        assert worst_error([0.5, 2.0]) == 2.0
+        with pytest.raises(ValueError):
+            worst_error([])
+
     def test_subsampled_entries(self):
         net = make_net(2, d=5, hidden=(8, 8), c=3)
         rng = np.random.default_rng(0)
         x, g = rng.random(5), rng.random(3)
 
         def lag(net_):
-            grads, _ = backward(net_, x, g)
-            return float(forward(net_, x) @ g), grads
+            grads, _ = backward_row(net_, x, g)
+            return float(forward_row(net_, x) @ g), grads
 
         report = grad_check(net, lag, tolerance=1e-5,
                             max_entries_per_block=5, rng=rng)

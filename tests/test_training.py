@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_net, naive_forward
+from conftest import forward_row, make_net, naive_forward, recorded_selections
 from fairsel.data import synth_proxy, split
-from fairsel.errors import DegenerateGroupError, NumericalError
-from fairsel.nets import AdamState, DenseNet, adam_step, forward
+from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
+from fairsel.nets import AdamState, DenseNet, adam_step
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
                               probabilities)
 from fairsel import training
@@ -17,14 +18,19 @@ from fairsel.training import (TrainConfig, apply_selection,
 
 
 def sensitivity_norm(net, x, s, k):
-    return float(sensitivity_pair(net, x, s, k).norms[0])
+    return float(sensitivity_pair(net, x[None, :], s[None, :], k).norms[0])
 
 
 def cross_entropy(net, x, s, y):
     """Loss of the pair routine with the sensitivity term weighted 0."""
-    loss, _, _, _ = pair_loss_and_grads(net, sensitivity_pair(net, x, s, 0),
-                                        y, 0.0)
+    pair = sensitivity_pair(net, x[None, :], s[None, :], 0)
+    loss, _, _, _ = pair_loss_and_grads(net, pair, y[None, :], 0.0)
     return loss
+
+
+def predict_row(model, x, rng=None):
+    labels, probs = predict(model, x[None, :], rng=rng)
+    return int(labels[0]), probs[0]
 
 
 def sensitivity_only(net, X, S, k):
@@ -284,7 +290,7 @@ class TestTrain:
         assert model.training_log == []
         assert model.best_epoch == -1
         fresh = np.random.default_rng(5)
-        expected = DenseNet.initialize(tr.dim, (8, 8), 2, fresh)
+        expected = DenseNet.initialize(tr.features.shape[1], (8, 8), 2, fresh)
         assert np.array_equal(model.net.weights[0], expected.weights[0])
 
     def test_bit_identical_reruns(self):
@@ -296,10 +302,10 @@ class TestTrain:
             assert np.array_equal(a, b)
         assert np.array_equal(m1.policy.logits, m2.policy.logits)
 
-    def test_masking_invariant_over_full_run(self):
+    def test_masking_invariant_over_full_run(self, monkeypatch):
         tr, va, _ = self._data()
-        seen = []
-        train(tr, va, self._config(), selection_hook=seen.append)
+        seen = recorded_selections(monkeypatch)
+        train(tr, va, self._config())
         assert seen, "hook never called"
         for S in seen:
             assert np.all(S[:, tr.sensitive_index] == 0)
@@ -336,11 +342,10 @@ class TestTrain:
         assert all(np.isfinite(w).all() for w in model.net.weights)
         assert len(model.training_log) < 6
 
-    def test_unmasked_ablation_can_select_sensitive(self):
+    def test_unmasked_ablation_can_select_sensitive(self, monkeypatch):
         tr, va, _ = self._data()
-        seen = []
-        train(tr, va, self._config(mask_sensitive=False),
-              selection_hook=seen.append)
+        seen = recorded_selections(monkeypatch)
+        train(tr, va, self._config(mask_sensitive=False))
         total = sum(int(S[:, tr.sensitive_index].sum()) for S in seen)
         assert total > 0
 
@@ -384,15 +389,15 @@ class TestPredict:
         x = np.random.default_rng(1).random(4)
         masked = x.copy()
         masked[1] = 0.0
-        label, probs = predict(model, x)
-        assert np.array_equal(probs, forward(model.net, masked))
+        label, probs = predict_row(model, x)
+        assert np.array_equal(probs, forward_row(model.net, masked))
         assert label == int(np.argmax(probs))
 
     def test_threshold_is_deterministic(self):
         model = self._model([0.3, -0.4, 0.8, -0.2])
         x = np.random.default_rng(2).random(4)
-        out1 = predict(model, x)
-        out2 = predict(model, x)
+        out1 = predict_row(model, x)
+        out2 = predict_row(model, x)
         assert out1[0] == out2[0]
         assert np.array_equal(out1[1], out2[1])
 
@@ -400,8 +405,8 @@ class TestPredict:
         model = self._model([0.5, 2.0, -0.3, 0.1], policy="expected-input")
         x = np.random.default_rng(3).random(4)
         p = probabilities(model.policy)
-        _, probs = predict(model, x)
-        assert np.allclose(probs, forward(model.net, x * p))
+        _, probs = predict_row(model, x)
+        assert np.allclose(probs, forward_row(model.net, x * p))
 
     def test_mc_average_converges_to_enumeration(self):
         model = self._model([0.4, 1.0, -0.6, 0.2], policy="mc-average",
@@ -410,23 +415,23 @@ class TestPredict:
         p = probabilities(model.policy)
         S_all = enumerate_selections(4, masked_index=1)
         pi = np.prod(np.where(S_all == 1, p, 1 - p), axis=1)
-        exact = sum(w * forward(model.net, x * s) for w, s in zip(pi, S_all))
-        _, probs = predict(model, x, rng=np.random.default_rng(9))
+        exact = sum(w * forward_row(model.net, x * s) for w, s in zip(pi, S_all))
+        _, probs = predict_row(model, x, rng=np.random.default_rng(9))
         assert np.all(np.abs(probs - exact) / exact < 0.01)
 
     def test_mc_average_default_rng_is_deterministic(self):
         model = self._model([0.4, 1.0, -0.6, 0.2], policy="mc-average", mc=32)
         x = np.random.default_rng(5).random(4)
-        _, p1 = predict(model, x)
-        _, p2 = predict(model, x)
+        _, p1 = predict_row(model, x)
+        _, p2 = predict_row(model, x)
         assert np.array_equal(p1, p2)
 
     def test_tie_breaks_toward_lower_class(self):
         net = DenseNet([np.zeros((3, 2))], [np.zeros(3)])
         pol = SelectorPolicy(np.zeros(2), 0)
         cfg = TrainConfig(max_epochs=0, patience=0, hidden_sizes=(1,))
-        label, probs = predict(training.TrainedModel(net, pol, cfg),
-                               np.array([0.4, 0.6]))
+        label, probs = predict_row(training.TrainedModel(net, pol, cfg),
+                                   np.array([0.4, 0.6]))
         assert label == 0
         assert np.allclose(probs, 1 / 3)
 
@@ -435,7 +440,7 @@ class TestPredict:
         X = np.random.default_rng(6).random((5, 4))
         labels, probs = predict(model, X)
         for i in range(5):
-            li, pi = predict(model, X[i])
+            li, pi = predict_row(model, X[i])
             assert li == labels[i]
             # batched and single-row matmuls may differ in the last ulp
             assert np.allclose(pi, probs[i], rtol=1e-10, atol=1e-14)
@@ -481,4 +486,32 @@ class TestTrainConfig:
 
     def test_round_trip_dict(self):
         cfg = TrainConfig(sensitivity_weight=0.3, hidden_sizes=(16, 8))
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig(**dataclasses.asdict(cfg)) == cfg
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha_theta", math.nan), ("alpha_phi", math.inf),
+        ("sensitivity_weight", math.nan), ("sensitivity_weight", math.inf),
+        ("patience", -1)])
+    def test_non_finite_or_negative_value_is_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
+
+class TestBatchesOnly:
+    """A single 1-D row is a DimensionError, never silently promoted."""
+
+    def test_one_dimensional_arguments_raise(self):
+        net = make_net(0, d=4, hidden=(5,), c=2)
+        policy = SelectorPolicy(np.zeros(4), 1)
+        model = training.TrainedModel(net, policy, TrainConfig(hidden_sizes=(5,)))
+        x, s = np.full(4, 0.5), np.array([1, 0, 1, 1], dtype=np.int8)
+        pair = sensitivity_pair(net, x[None, :], s[None, :], 1)
+        rng = np.random.default_rng(0)
+        calls = [lambda: predict(model, x),
+                 lambda: sensitivity_pair(net, x, s, 1),
+                 lambda: selector_step(policy, x, net, 0.1, rng),
+                 lambda: pair_loss_and_grads(net, pair, np.array([0.0, 1.0]), 1.0),
+                 lambda: mean_sensitivity(net, policy, x, rng=rng)]
+        for call in calls:
+            with pytest.raises(DimensionError):
+                call()

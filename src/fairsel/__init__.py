@@ -16,7 +16,7 @@ from .errors import (DataError, DegenerateGroupError, DimensionError,
 from .metrics import (ConfusionCounts, GroupedOutcomes, accuracy,
                       average_odds_diff, balanced_accuracy,
                       equal_opportunity_diff, theil_index)
-from .nets import AdamState, DenseNet, adam_step, backward, forward, grad_check, selu
+from .nets import AdamState, DenseNet, adam_step, backward, forward, selu
 from .selector import SelectorPolicy, log_pi_grad, pi_prob, probabilities
 from .training import (TrainConfig, TrainedModel, apply_selection,
                        mean_sensitivity, predict, predictor_step, selector_step,

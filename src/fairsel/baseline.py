@@ -47,6 +47,13 @@ def logistic_loss_and_grad(weights, bias, X, y, l2=0.0):
 def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
     """Fit by full-batch gradient descent; keep the best-validation
     parameters. Deterministic (zero initialization, convex loss)."""
+    # written so that NaN fails every comparison
+    if epochs < 1:
+        raise ValueError("epochs must be at least 1")
+    if not 0 < lr < np.inf:
+        raise ValueError("lr must be positive and finite")
+    if not 0 <= l2 < np.inf:
+        raise ValueError("l2 must be nonnegative and finite")
     X = train_data.features
     y = train_data.labels[:, 1]
     w = np.zeros(X.shape[1])

@@ -353,30 +353,9 @@ class Encoder:
         labels = np.zeros((n, 2))
         labels[np.arange(n), fav.astype(int)] = 1.0
 
-        sens_vals = raw.feature_values[spec.sensitive_column]
-        tags = np.array([spec.privileged.matches(sens_vals[i]) for i in idx])
+        tags = features[:, self.sensitive_index] == 1.0
         return Dataset(features, labels, self.sensitive_index, tags,
                        list(self.column_names), self)
-
-    def denormalize(self, features):
-        """Recover raw numeric values from encoded features, as a dict
-        column name -> array. Categorical and sensitive columns are
-        returned as encoded."""
-        out = {}
-        pos = 0
-        for item in self.layout:
-            if item["role"] == "numeric":
-                lo, hi = item["min"], item["max"]
-                out[item["name"]] = features[:, pos] * (hi - lo) + lo
-                pos += 1
-            elif item["role"] == "sensitive":
-                out[item["name"]] = features[:, pos].copy()
-                pos += 1
-            else:
-                width = len(item["categories"])
-                out[item["name"]] = features[:, pos:pos + width].copy()
-                pos += width
-        return out
 
     def to_payload(self):
         return {"spec": self.spec.to_dict(), "layout": self.layout,

@@ -2,10 +2,10 @@
 
 The network maps a batch of input rows through SELU hidden layers to a
 softmax head and is trained with Adam. `backward` returns the exact
-gradient of the scalar sum_n <g_n, forward(x)_n> for caller-supplied
-rows g, which is the only primitive needed to assemble every loss
-gradient used in training. A finite-difference checker (`grad_check`)
-guards the analytic gradients.
+parameter gradient of the scalar sum_n <g_n, forward(x)_n> for
+caller-supplied rows g, which is the only primitive needed to assemble
+every loss gradient used in training. The central-difference oracle
+that guards these gradients lives in `diagnostics`.
 
 All math is float64. Everything here is a pure function of its inputs;
 parameter updates return fresh arrays instead of mutating.
@@ -147,9 +147,8 @@ def backward(net, X, output_grad):
     """Exact gradients of sum_n <output_grad_n, forward(X)_n> for a batch
     of input rows X (n, d) and output-gradient rows (n, c).
 
-    Returns (param_grads, input_grad) where param_grads is a flat list
-    aligned with `net.params()`, summed over rows, and input_grad is
-    per-row (n, d). Linear in output_grad.
+    Returns the parameter gradients as a flat list aligned with
+    `net.params()`, summed over rows. Linear in output_grad.
     """
     X = _check_input(net, X)
     G = np.asarray(output_grad, dtype=np.float64)
@@ -166,13 +165,13 @@ def backward(net, X, output_grad):
     for i in range(net.num_layers - 1, -1, -1):
         w_grads[i] = delta.T @ acts[i]
         b_grads[i] = delta.sum(axis=0)
-        upstream = delta @ net.weights[i]
-        delta = upstream * selu_deriv(pre[i - 1]) if i > 0 else upstream
+        if i > 0:
+            delta = (delta @ net.weights[i]) * selu_deriv(pre[i - 1])
 
     param_grads = []
     for gw, gb in zip(w_grads, b_grads):
         param_grads.extend((gw, gb))
-    return param_grads, delta
+    return param_grads
 
 
 @dataclass
@@ -218,70 +217,3 @@ def adam_step(params, grads, state, lr):
         new_first.append(m)
         new_second.append(v)
     return new_params, AdamState(new_first, new_second, t)
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of comparing analytic gradients against central differences."""
-
-    max_rel_error: float
-    tolerance: float
-    passed: bool
-    worst_block: str = ""
-    worst_entry: tuple = ()
-    entries_checked: int = 0
-
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} max_rel_error={self.max_rel_error:.3e} "
-                f"tol={self.tolerance:.1e} worst={self.worst_block}{self.worst_entry}")
-
-
-def relative_error(a, b, floor=1e-6):
-    """|a - b| relative to the larger magnitude, floored so that near-zero
-    pairs are compared absolutely at `floor` scale."""
-    return abs(a - b) / max(abs(a), abs(b), floor)
-
-
-def worst_error(errors):
-    """The largest of a nonempty sequence of errors, NaN if any is NaN
-    (`max()` would drop a NaN and let a gate pass on it)."""
-    errors = np.asarray(errors, dtype=np.float64)
-    if errors.size == 0:
-        raise ValueError("no errors to reduce: the check covered nothing")
-    return float(errors.max())
-
-
-def grad_check(net, loss_and_grad, tolerance=1e-4, h=1e-5,
-               max_entries_per_block=None, rng=None):
-    """Check analytic parameter gradients against central finite differences.
-
-    loss_and_grad(net) must return (scalar_loss, param_grads) with
-    param_grads aligned with net.params(). Every coordinate is checked
-    unless max_entries_per_block caps the per-block sample (drawn from
-    rng, which is then required). A NaN error fails the check.
-    """
-    _, analytic = loss_and_grad(net)
-    params = [p.copy() for p in net.params()]
-
-    errors, entries = [], []
-    for bi, block in enumerate(params):
-        flat_ids = np.arange(block.size)
-        if max_entries_per_block is not None and block.size > max_entries_per_block:
-            flat_ids = rng.choice(block.size, size=max_entries_per_block, replace=False)
-        for fid in flat_ids:
-            idx = np.unravel_index(fid, block.shape)
-            orig = block[idx]
-            block[idx] = orig + h
-            lp, _ = loss_and_grad(net.with_params(params))
-            block[idx] = orig - h
-            lm, _ = loss_and_grad(net.with_params(params))
-            block[idx] = orig
-            numeric = (lp - lm) / (2 * h)
-            errors.append(relative_error(analytic[bi][idx], numeric))
-            entries.append((bi, idx))
-    max_err = worst_error(errors)
-    # argmax picks the first NaN if there is one, as worst_error does
-    bi, idx = entries[int(np.argmax(errors))]
-    return GradCheckReport(max_err, tolerance, max_err <= tolerance,
-                           param_block_name(bi), idx, len(errors))

@@ -206,8 +206,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     grad_with = (sensitivity_weight / n) * unit
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
-    grads_a, _ = backward(net, pair.x_with, grad_with)
-    grads_b, _ = backward(net, pair.x_sel, grad_sel)
+    grads_a = backward(net, pair.x_with, grad_with)
+    grads_b = backward(net, pair.x_sel, grad_sel)
     grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
     return loss, grads, float(ce.mean()), float(norms.mean())
 
@@ -262,6 +262,8 @@ def predict(model, X, rng=None):
 def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     """Monte-Carlo estimate of the expected sensitivity norm over the
     selection distribution, averaged over the rows of X (n, d)."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     X = np.asarray(X, dtype=np.float64)
@@ -297,6 +299,8 @@ def score_function_estimate(net, policy, x, n_samples, rng):
     """Monte-Carlo estimate of the logit gradient of the expected
     sensitivity norm for one input: mean of norm * (s - p) over sampled
     selections. The sampled counterpart of `enumerate_sensitivity`."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     x = np.asarray(x, dtype=np.float64)
     p = probabilities(policy)
     total = np.zeros_like(p)

@@ -5,7 +5,7 @@ from fairsel.baseline import (LogisticModel, logistic_loss_and_grad,
                               predict_logistic_batch, train_logistic)
 from fairsel.data import Dataset, synth_proxy, split
 from fairsel.errors import DimensionError
-from fairsel.nets import relative_error
+from fairsel.diagnostics import relative_error
 
 
 def toy_dataset(X, y, k=0):
@@ -34,11 +34,23 @@ class TestTrainLogistic:
         labels, _ = predict_logistic_batch(model, ds.features)
         assert (labels == ds.label_indices()).mean() == 1.0
 
-    def test_zero_learning_rate_keeps_initialization(self):
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_fewer_than_one_epoch_is_rejected(self, epochs):
         ds = separable()
-        model = train_logistic(ds, ds, epochs=50, lr=0.0)
-        assert np.all(model.weights == 0.0)
-        assert model.bias == 0.0
+        with pytest.raises(ValueError, match="epochs"):
+            train_logistic(ds, ds, epochs=epochs)
+
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
+    def test_non_positive_or_non_finite_lr_is_rejected(self, lr):
+        ds = separable()
+        with pytest.raises(ValueError, match="lr"):
+            train_logistic(ds, ds, epochs=5, lr=lr)
+
+    @pytest.mark.parametrize("l2", [-0.5, np.nan, np.inf])
+    def test_negative_or_non_finite_l2_is_rejected(self, l2):
+        ds = separable()
+        with pytest.raises(ValueError, match="l2"):
+            train_logistic(ds, ds, epochs=5, l2=l2)
 
     def test_deterministic(self):
         ds = synth_proxy(400, 0.8, seed=1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsel.errors import FairselError
-from fairsel.nets import relative_error
+from fairsel.diagnostics import relative_error
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
                               log_pi_grad, pi_prob, probabilities,
                               sample_selection_batch,

@@ -42,17 +42,6 @@ class GroupedOutcomes:
     def __len__(self):
         return self.y_true.shape[0]
 
-    @classmethod
-    def from_records(cls, records):
-        """Build from an iterable of (true, pred, privileged) triples."""
-        rows = list(records)
-        if rows:
-            t, p, g = zip(*rows)
-        else:
-            t, p, g = (), (), ()
-        return cls(np.array(t, dtype=np.int64), np.array(p, dtype=np.int64),
-                   np.array(g, dtype=bool))
-
 
 @dataclass
 class ConfusionCounts:

@@ -1,7 +1,8 @@
 """Dense feed-forward classifier with hand-written gradients.
 
 The network maps a batch of input rows through SELU hidden layers to a
-softmax head and is trained with Adam. `backward` returns the exact
+softmax head and is trained with Adam. `backward` reads the layer
+outputs of one forward pass (`layer_outputs`) and returns the exact
 parameter gradient of the scalar sum_n <g_n, forward(x)_n> for
 caller-supplied rows g, which is the only primitive needed to assemble
 every loss gradient used in training. The central-difference oracle
@@ -37,10 +38,11 @@ def selu(x):
     return np.where(x > 0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(x))
 
 
-def selu_deriv(x):
-    """Derivative of `selu`; the x <= 0 branch is used at the kink."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, SELU_SCALE, SELU_SCALE * SELU_ALPHA * np.exp(x))
+def selu_slope(a):
+    """SELU's derivative at z, read off the activation a = selu(z): the
+    scale where z > 0, else scale * alpha * e^z = a + scale * alpha (the
+    z <= 0 branch is used at the kink). Needs no exponential."""
+    return np.where(a > 0, SELU_SCALE, a + SELU_SCALE * SELU_ALPHA)
 
 
 def softmax(z):
@@ -125,27 +127,35 @@ def _check_input(net, X):
     return X
 
 
+def _layers(net, X):
+    """Each layer's output in turn: the SELU activations of the hidden
+    layers, then the class probabilities."""
+    acts = _check_input(net, X)
+    last = net.num_layers - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts @ w.T + b
+        acts = softmax(z) if i == last else selu(z)
+        yield acts
+
+
 def forward(net, X):
     """Class-probability rows (n, c) for a batch of input rows (n, d)."""
-    acts = _check_input(net, X)
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        acts = selu(acts @ w.T + b)
-    return softmax(acts @ net.weights[-1].T + net.biases[-1])
+    for probs in _layers(net, X):
+        pass
+    return probs
 
 
-def _forward_cache(net, X):
-    """Pre-activations and activations needed by backprop."""
-    pre, acts = [], [X]
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w.T + b
-        pre.append(z)
-        acts.append(softmax(z) if i == net.num_layers - 1 else selu(z))
-    return pre, acts
+def layer_outputs(net, X):
+    """Every layer's output for a batch of input rows X (n, d): the hidden
+    SELU activations, then the probability rows (n, c). `backward` reads
+    the activations off this list instead of recomputing them."""
+    return list(_layers(net, X))
 
 
-def backward(net, X, output_grad):
+def backward(net, X, outputs, output_grad):
     """Exact gradients of sum_n <output_grad_n, forward(X)_n> for a batch
-    of input rows X (n, d) and output-gradient rows (n, c).
+    of input rows X (n, d), their `layer_outputs` and output-gradient
+    rows (n, c).
 
     Returns the parameter gradients as a flat list aligned with
     `net.params()`, summed over rows. Linear in output_grad.
@@ -154,24 +164,22 @@ def backward(net, X, output_grad):
     G = np.asarray(output_grad, dtype=np.float64)
     if G.shape != (X.shape[0], net.num_classes):
         raise DimensionError("output_grad", (X.shape[0], net.num_classes), G.shape)
+    if len(outputs) != net.num_layers or outputs[-1].shape != G.shape:
+        raise DimensionError("layer outputs", f"{net.num_layers} ending in {G.shape}",
+                             [np.shape(o) for o in outputs])
 
-    pre, acts = _forward_cache(net, X)
-    probs = acts[-1]
+    acts = [X, *outputs[:-1]]
+    probs = outputs[-1]
     # softmax Jacobian-vector product: dz = p * (g - <g, p>)
     delta = probs * (G - (G * probs).sum(axis=1, keepdims=True))
 
-    w_grads = [None] * net.num_layers
-    b_grads = [None] * net.num_layers
+    grads = [None] * (2 * net.num_layers)
     for i in range(net.num_layers - 1, -1, -1):
-        w_grads[i] = delta.T @ acts[i]
-        b_grads[i] = delta.sum(axis=0)
+        grads[2 * i] = delta.T @ acts[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ net.weights[i]) * selu_deriv(pre[i - 1])
-
-    param_grads = []
-    for gw, gb in zip(w_grads, b_grads):
-        param_grads.extend((gw, gb))
-    return param_grads
+            delta = (delta @ net.weights[i]) * selu_slope(acts[i])
+    return grads
 
 
 @dataclass
@@ -209,11 +217,22 @@ def adam_step(params, grads, state, lr):
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, new_first, new_second = [], [], []
     for p, g, m, v in zip(params, grads, state.first, state.second):
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
+        # b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and p - lr*m_hat/(sqrt(v_hat) + eps),
+        # same operations in the same order, in place on fresh arrays
+        tmp = (1 - b1) * g
+        m = b1 * m
+        m += tmp
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        v = b2 * v
+        v += tmp
+        np.divide(v, 1 - b2 ** t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step = m / (1 - b1 ** t)
+        step *= lr
+        step /= tmp
+        new_params.append(np.subtract(p, step, out=step))
         new_first.append(m)
         new_second.append(v)
     return new_params, AdamState(new_first, new_second, t)

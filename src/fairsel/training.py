@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .metrics import GroupedOutcomes, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
-                   forward)
+                   forward, layer_outputs)
 from .selector import (SelectorPolicy, enumerate_selections, probabilities,
                        sample_selection_batch)
 
@@ -39,6 +39,10 @@ NORM_EPS = 1e-12
 
 # selections per chunk in score_function_estimate (bounds its memory)
 ESTIMATE_CHUNK = 20000
+
+# rows per paired pass in mean_sensitivity: bounds the cached layer
+# outputs when a whole evaluation set is scored
+SENSITIVITY_BLOCK = 256
 
 
 @dataclass
@@ -107,43 +111,37 @@ class TrainedModel:
         return probabilities(self.policy)
 
 
-def apply_selection(x, s):
-    """Zero out unselected features: out_j = x_j if s_j = 1 else 0."""
-    x = np.asarray(x, dtype=np.float64)
-    s = np.asarray(s)
-    if x.shape[-1] != s.shape[-1]:
-        raise DimensionError("selection vector", x.shape[-1], s.shape[-1])
-    return x * s
-
-
 class SensitivityPair(NamedTuple):
     """The predictor's output on the selected input and on the selected
     input plus the sensitive feature, for one batch of selections."""
 
     S: np.ndarray       # (n, d) sampled selections
-    x_sel: np.ndarray   # selected input
-    x_with: np.ndarray  # selected input with feature k added
-    p_sel: np.ndarray   # forward(net, x_sel)
-    diff: np.ndarray    # forward(net, x_with) - p_sel
+    rows: np.ndarray    # (2n, d): X * S, then X * S with feature k added
+    outputs: list       # layer_outputs(net, rows)
+    p_sel: np.ndarray   # probability rows of the first half
+    diff: np.ndarray    # second half's probabilities minus p_sel
     norms: np.ndarray   # per-row Euclidean length of diff
 
 
 def sensitivity_pair(net, X, S, k):
     """Run the paired forward pass of one batch of input rows X (n, d)
-    under selection rows S (n, d): every sensitivity norm and every
-    predictor gradient is read off this pair."""
+    under selection rows S (n, d) as one stacked pass: every sensitivity
+    norm and every predictor gradient is read off this pair."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or np.shape(S) != X.shape:
         raise DimensionError("input and selection rows", "two (n, d) arrays",
                              (X.shape, np.shape(S)))
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    x_sel = apply_selection(X, S)
-    x_with = x_sel.copy()
-    x_with[:, k] = X[:, k]
-    p_sel = forward(net, x_sel)
-    diff = forward(net, x_with) - p_sel
-    return SensitivityPair(S, x_sel, x_with, p_sel, diff,
+    n = X.shape[0]
+    rows = np.empty((2 * n, X.shape[1]))
+    np.multiply(X, S, out=rows[:n])
+    rows[n:] = rows[:n]
+    rows[n:, k] = X[:, k]
+    outputs = layer_outputs(net, rows)
+    p_sel = outputs[-1][:n]
+    diff = outputs[-1][n:] - p_sel
+    return SensitivityPair(S, rows, outputs, p_sel, diff,
                            np.linalg.norm(diff, axis=1))
 
 
@@ -206,9 +204,7 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     grad_with = (sensitivity_weight / n) * unit
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
-    grads_a = backward(net, pair.x_with, grad_with)
-    grads_b = backward(net, pair.x_sel, grad_sel)
-    grads = [ga + gb for ga, gb in zip(grads_a, grads_b)]
+    grads = backward(net, pair.rows, pair.outputs, np.vstack([grad_sel, grad_with]))
     return loss, grads, float(ce.mean()), float(norms.mean())
 
 
@@ -238,7 +234,7 @@ def _predict_probs(net, policy, config, X, rng):
     acc = np.zeros((X.shape[0], net.num_classes))
     for _ in range(config.mc_samples):
         S = sample_selection_batch(p, X.shape[0], rng)
-        acc += forward(net, apply_selection(X, S))
+        acc += forward(net, X * S)
     return acc / config.mc_samples
 
 
@@ -261,7 +257,8 @@ def predict(model, X, rng=None):
 
 def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     """Monte-Carlo estimate of the expected sensitivity norm over the
-    selection distribution, averaged over the rows of X (n, d)."""
+    selection distribution, averaged over the rows of X (n, d); the pair
+    runs over blocks of SENSITIVITY_BLOCK rows."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if rng is None:
@@ -271,7 +268,11 @@ def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     total = 0.0
     for _ in range(n_samples):
         S = sample_selection_batch(p, X.shape[0], rng)
-        total += sensitivity_pair(net, X, S, policy.sensitive_index).norms.mean()
+        norms = [sensitivity_pair(net, X[lo:lo + SENSITIVITY_BLOCK],
+                                  S[lo:lo + SENSITIVITY_BLOCK],
+                                  policy.sensitive_index).norms
+                 for lo in range(0, X.shape[0], SENSITIVITY_BLOCK)]
+        total += np.concatenate(norms).mean()
     return total / n_samples
 
 

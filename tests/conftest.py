@@ -76,6 +76,23 @@ def naive_forward(net, x):
     return np.array(acts)
 
 
+def selu_deriv(z):
+    """exp-based oracle for SELU's derivative at the pre-activation z;
+    the z <= 0 branch is used at the kink."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.where(z > 0, 1.0507009873554805,
+                    1.0507009873554805 * 1.6732632423543772 * np.exp(z))
+
+
+def outcomes_from_records(records):
+    """GroupedOutcomes from an iterable of (true, pred, privileged) triples."""
+    from fairsel.metrics import GroupedOutcomes
+    rows = list(records)
+    t, p, g = zip(*rows) if rows else ((), (), ())
+    return GroupedOutcomes(np.array(t, dtype=np.int64), np.array(p, dtype=np.int64),
+                           np.array(g, dtype=bool))
+
+
 def forward_row(net, x):
     """forward on the one-row batch of a single input vector."""
     return forward(net, x[None, :])[0]

@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (brute_force_metrics, random_nondegenerate,
-                      recorded_selections, write_german_csv)
+from conftest import (brute_force_metrics, outcomes_from_records,
+                      random_nondegenerate, recorded_selections,
+                      write_german_csv)
 from fairsel import diagnostics
 from fairsel.baseline import predict_logistic_batch, train_logistic
 from fairsel.cli import derive_seed, main
@@ -74,7 +75,7 @@ def test_criterion_4_metric_oracle_equivalence():
     worst = 0.0
     for _ in range(1000):
         recs = random_nondegenerate(rng, n_max=200)
-        out = GroupedOutcomes.from_records(recs)
+        out = outcomes_from_records(recs)
         acc, bal, eod, aod, _, theil = brute_force_metrics(recs)
         for got, want in ((accuracy(out), acc),
                           (balanced_accuracy(out), bal),
@@ -90,7 +91,7 @@ def test_criterion_4_metric_oracle_equivalence():
         [(1, 1, True), (1, 0, False)],                       # no negatives
     ]
     for recs in cases:
-        out = GroupedOutcomes.from_records(recs)
+        out = outcomes_from_records(recs)
         for metric in (balanced_accuracy, equal_opportunity_diff,
                        average_odds_diff):
             try:
@@ -209,9 +210,12 @@ def test_criterion_8_linear_scaling():
         return time.perf_counter() - t0
 
     train_once(500, epochs=3)  # warmup: BLAS pools, allocator
-    times = {}
-    for n in (1000, 2000, 4000):
-        times[n] = min(train_once(n) for _ in range(3))
+    # the sizes alternate within each of the 3 repeats, so a slow spell
+    # of a shared machine hits every size alike; each keeps its minimum
+    times = dict.fromkeys((1000, 2000, 4000), float("inf"))
+    for _ in range(3):
+        for n in times:
+            times[n] = min(times[n], train_once(n))
     r1 = times[2000] / times[1000]
     r2 = times[4000] / times[2000]
     ok = r1 <= 2.5 and r2 <= 2.5

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_metrics, random_nondegenerate
+from conftest import (brute_force_metrics, outcomes_from_records,
+                      random_nondegenerate)
 from fairsel.errors import DataError, DegenerateGroupError
 from fairsel.metrics import (ConfusionCounts, GroupedOutcomes, accuracy,
                              average_odds_diff, balanced_accuracy,
@@ -13,41 +14,41 @@ from fairsel.metrics import (ConfusionCounts, GroupedOutcomes, accuracy,
 
 class TestAccuracy:
     def test_all_correct(self):
-        o = GroupedOutcomes.from_records([(1, 1, True), (0, 0, False)])
+        o = outcomes_from_records([(1, 1, True), (0, 0, False)])
         assert accuracy(o) == 1.0
 
     def test_all_wrong(self):
-        o = GroupedOutcomes.from_records([(1, 0, True), (0, 1, False)])
+        o = outcomes_from_records([(1, 0, True), (0, 1, False)])
         assert accuracy(o) == 0.0
 
     def test_seven_of_ten(self):
         recs = [(1, 1, True)] * 7 + [(1, 0, False)] * 3
-        assert accuracy(GroupedOutcomes.from_records(recs)) == pytest.approx(0.7)
+        assert accuracy(outcomes_from_records(recs)) == pytest.approx(0.7)
 
     def test_empty_errors(self):
         with pytest.raises(DataError):
-            accuracy(GroupedOutcomes.from_records([]))
+            accuracy(outcomes_from_records([]))
 
 
 class TestBalancedAccuracy:
     def test_perfect(self):
         recs = [(1, 1, True), (0, 0, False), (1, 1, False), (0, 0, True)]
-        assert balanced_accuracy(GroupedOutcomes.from_records(recs)) == 1.0
+        assert balanced_accuracy(outcomes_from_records(recs)) == 1.0
 
     def test_always_predict_one(self):
         recs = [(1, 1, True), (0, 1, False), (1, 1, False), (0, 1, True)]
-        assert balanced_accuracy(GroupedOutcomes.from_records(recs)) == 0.5
+        assert balanced_accuracy(outcomes_from_records(recs)) == 0.5
 
     def test_constructed_rates(self):
         # TPR = 0.8 (8 of 10), TNR = 0.6 (6 of 10) -> 0.7
         recs = ([(1, 1, True)] * 8 + [(1, 0, True)] * 2
                 + [(0, 0, False)] * 6 + [(0, 1, False)] * 4)
-        assert balanced_accuracy(GroupedOutcomes.from_records(recs)) == \
+        assert balanced_accuracy(outcomes_from_records(recs)) == \
             pytest.approx(0.7)
 
     def test_missing_class_named(self):
         with pytest.raises(DegenerateGroupError) as exc:
-            balanced_accuracy(GroupedOutcomes.from_records(
+            balanced_accuracy(outcomes_from_records(
                 [(1, 1, True), (1, 0, False)]))
         assert "negative" in str(exc.value)
 
@@ -56,27 +57,27 @@ class TestEqualOpportunity:
     def test_identical_tprs(self):
         recs = [(1, 1, True), (1, 0, True), (1, 1, False), (1, 0, False),
                 (0, 0, True), (0, 0, False)]
-        assert equal_opportunity_diff(GroupedOutcomes.from_records(recs)) == 0.0
+        assert equal_opportunity_diff(outcomes_from_records(recs)) == 0.0
 
     def test_constructed_gap(self):
         # privileged TP=8 FN=2; unprivileged TP=5 FN=5 -> |0.8 - 0.5| = 0.3
         recs = ([(1, 1, True)] * 8 + [(1, 0, True)] * 2
                 + [(1, 1, False)] * 5 + [(1, 0, False)] * 5)
-        assert equal_opportunity_diff(GroupedOutcomes.from_records(recs)) == \
+        assert equal_opportunity_diff(outcomes_from_records(recs)) == \
             pytest.approx(0.3)
 
     def test_group_swap_invariant(self):
         rng = np.random.default_rng(0)
         recs = random_nondegenerate(rng)
         swapped = [(t, p, not g) for t, p, g in recs]
-        a = equal_opportunity_diff(GroupedOutcomes.from_records(recs))
-        b = equal_opportunity_diff(GroupedOutcomes.from_records(swapped))
+        a = equal_opportunity_diff(outcomes_from_records(recs))
+        b = equal_opportunity_diff(outcomes_from_records(swapped))
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_group_without_positives_errors(self):
         recs = [(0, 1, True), (0, 0, True), (1, 1, False), (0, 0, False)]
         with pytest.raises(DegenerateGroupError) as exc:
-            equal_opportunity_diff(GroupedOutcomes.from_records(recs))
+            equal_opportunity_diff(outcomes_from_records(recs))
         assert "positive" in str(exc.value)
 
 
@@ -85,7 +86,7 @@ class TestAverageOdds:
         block = [(1, 1), (1, 0), (0, 0), (0, 1)]
         recs = [(t, p, True) for t, p in block] + \
                [(t, p, False) for t, p in block]
-        assert average_odds_diff(GroupedOutcomes.from_records(recs)) == 0.0
+        assert average_odds_diff(outcomes_from_records(recs)) == 0.0
 
     def test_constructed_gap(self):
         # privileged TPR=0.9 TNR=0.7, unprivileged TPR=0.6 TNR=0.6
@@ -93,13 +94,13 @@ class TestAverageOdds:
                 + [(0, 0, True)] * 7 + [(0, 1, True)] * 3
                 + [(1, 1, False)] * 6 + [(1, 0, False)] * 4
                 + [(0, 0, False)] * 6 + [(0, 1, False)] * 4)
-        out = GroupedOutcomes.from_records(recs)
+        out = outcomes_from_records(recs)
         assert average_odds_diff(out) == pytest.approx(0.2)
 
     def test_variant_flag(self):
         rng = np.random.default_rng(1)
         recs = random_nondegenerate(rng)
-        out = GroupedOutcomes.from_records(recs)
+        out = outcomes_from_records(recs)
         *_, aod_alt_oracle, _ = brute_force_metrics(recs)
         assert average_odds_diff(out, variant="tpr-fpr-average") == \
             pytest.approx(aod_alt_oracle, abs=1e-12)
@@ -110,38 +111,38 @@ class TestAverageOdds:
         rng = np.random.default_rng(2)
         recs = random_nondegenerate(rng)
         swapped = [(t, p, not g) for t, p, g in recs]
-        a = average_odds_diff(GroupedOutcomes.from_records(recs))
-        b = average_odds_diff(GroupedOutcomes.from_records(swapped))
+        a = average_odds_diff(outcomes_from_records(recs))
+        b = average_odds_diff(outcomes_from_records(swapped))
         assert a == pytest.approx(b, abs=1e-15)
 
 
 class TestTheil:
     def test_perfect_predictions_zero(self):
         recs = [(1, 1, True), (0, 0, False), (1, 1, False)]
-        assert theil_index(GroupedOutcomes.from_records(recs)) == 0.0
+        assert theil_index(outcomes_from_records(recs)) == 0.0
 
     def test_constant_benefit_zero(self):
         # every record a false positive: benefit 2 for all, zero dispersion
         recs = [(0, 1, True), (0, 1, False), (0, 1, True)]
-        assert theil_index(GroupedOutcomes.from_records(recs)) == \
+        assert theil_index(outcomes_from_records(recs)) == \
             pytest.approx(0.0, abs=1e-15)
 
     def test_frozen_oracle_value(self):
         # benefits [1, 1, 2]; (1/n) sum (b/mu) ln(b/mu) at 40 digits
         recs = [(1, 1, True), (0, 0, False), (0, 1, True)]
-        assert theil_index(GroupedOutcomes.from_records(recs)) == \
+        assert theil_index(outcomes_from_records(recs)) == \
             pytest.approx(0.05889151782819173, abs=1e-12)
 
     def test_all_false_negatives_errors(self):
         recs = [(1, 0, True), (1, 0, False)]
         with pytest.raises(DataError):
-            theil_index(GroupedOutcomes.from_records(recs))
+            theil_index(outcomes_from_records(recs))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             recs = random_nondegenerate(rng)
-            assert theil_index(GroupedOutcomes.from_records(recs)) >= 0.0
+            assert theil_index(outcomes_from_records(recs)) >= 0.0
 
 
 class TestOracleEquivalence:
@@ -150,7 +151,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(seed)
         for _ in range(40):
             recs = random_nondegenerate(rng)
-            out = GroupedOutcomes.from_records(recs)
+            out = outcomes_from_records(recs)
             acc, bal, eod, aod, _, theil = brute_force_metrics(recs)
             assert accuracy(out) == pytest.approx(acc, abs=1e-12)
             assert balanced_accuracy(out) == pytest.approx(bal, abs=1e-12)
@@ -161,7 +162,7 @@ class TestOracleEquivalence:
     def test_difference_metrics_bounded_by_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
-            out = GroupedOutcomes.from_records(random_nondegenerate(rng))
+            out = outcomes_from_records(random_nondegenerate(rng))
             assert 0.0 <= equal_opportunity_diff(out) <= 1.0
             assert 0.0 <= average_odds_diff(out) <= 1.0
             assert 0.0 <= balanced_accuracy(out) <= 1.0
@@ -171,9 +172,9 @@ class TestOracleEquivalence:
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         recs = random_nondegenerate(rng, n_max=60)
-        out = GroupedOutcomes.from_records(recs)
+        out = outcomes_from_records(recs)
         perm = rng.permutation(len(recs))
-        shuffled = GroupedOutcomes.from_records([recs[i] for i in perm])
+        shuffled = outcomes_from_records([recs[i] for i in perm])
         for metric in (accuracy, balanced_accuracy, equal_opportunity_diff,
                        average_odds_diff, theil_index):
             assert metric(out) == pytest.approx(metric(shuffled), abs=1e-12)
@@ -183,7 +184,7 @@ class TestConfusionCounts:
     def test_totals(self):
         rng = np.random.default_rng(4)
         recs = random_nondegenerate(rng)
-        out = GroupedOutcomes.from_records(recs)
+        out = outcomes_from_records(recs)
         both = confusion_counts(out)
         priv = confusion_counts(out, privileged=True)
         unpriv = confusion_counts(out, privileged=False)

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_row, make_net, naive_forward
+from conftest import forward_row, make_net, naive_forward, selu_deriv
 from fairsel.diagnostics import net_gradient_errors, worst_error
 from fairsel.errors import DimensionError, NumericalError
-from fairsel.nets import (AdamState, DenseNet, adam_step, backward, forward,
-                          selu, selu_deriv, softmax)
+from fairsel.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DenseNet,
+                          adam_step, backward, forward, layer_outputs, selu,
+                          selu_slope, softmax)
 
 
 def backward_row(net, x, g):
-    return backward(net, x[None, :], g[None, :])
+    X = x[None, :]
+    return backward(net, X, layer_outputs(net, X), g[None, :])
 
 
 class TestSelu:
@@ -37,6 +39,16 @@ class TestSelu:
         h = 1e-7
         num = (selu(xs + h) - selu(xs - h)) / (2 * h)
         assert np.allclose(selu_deriv(xs), num, rtol=1e-5)
+
+    def test_slope_from_activation_matches_exp_oracle(self):
+        z = np.concatenate([np.linspace(-30, 30, 6001),
+                            [0.0, 1e-300, -1e-300, -0.0]])
+        slope = selu_slope(selu(z))
+        # a + scale*alpha cancels for very negative z: agree to a few ulp
+        # of scale*alpha, absolutely
+        assert np.allclose(slope, selu_deriv(z), rtol=0, atol=1e-15)
+        assert np.array_equal(slope[z > 0], np.full((z > 0).sum(), 1.0507009873554805))
+        assert slope[-4] == selu_deriv(0.0) and slope[-2] == selu_deriv(-1e-300)
 
 
 class TestForward:
@@ -69,7 +81,16 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(net, np.ones(4))
         with pytest.raises(DimensionError):
-            backward(net, np.ones(4), np.ones(3))
+            backward(net, np.ones(4), layer_outputs(net, np.ones((1, 4))),
+                     np.ones(3))
+
+    def test_layer_outputs_end_in_forward(self):
+        net = make_net(2, d=4, hidden=(6, 5), c=3)
+        X = np.random.default_rng(4).random((7, 4))
+        outputs = layer_outputs(net, X)
+        assert [o.shape for o in outputs] == [(7, 6), (7, 5), (7, 3)]
+        assert np.array_equal(outputs[-1], forward(net, X))
+        assert np.array_equal(outputs[0], selu(X @ net.weights[0].T + net.biases[0]))
 
     def test_batch_matches_rows(self):
         net = make_net(1)
@@ -109,6 +130,14 @@ class TestBackward:
                              np.zeros(net.num_classes))
         assert all(np.all(g == 0) for g in grads)
 
+    def test_outputs_must_belong_to_the_rows(self):
+        net = make_net(0, d=4, hidden=(6, 5), c=3)
+        X, G = np.ones((2, 4)), np.ones((2, 3))
+        for outputs in (layer_outputs(net, np.ones((3, 4))),
+                        layer_outputs(net, X)[1:], []):
+            with pytest.raises(DimensionError):
+                backward(net, X, outputs, G)
+
     def test_linear_in_output_grad(self):
         net = make_net(1)
         rng = np.random.default_rng(2)
@@ -123,7 +152,7 @@ class TestBackward:
         rng = np.random.default_rng(3)
         X = rng.random((3, net.input_dim))
         G = rng.random((3, net.num_classes))
-        batch_grads = backward(net, X, G)
+        batch_grads = backward(net, X, layer_outputs(net, X), G)
         acc = [np.zeros_like(g) for g in batch_grads]
         for i in range(3):
             row_grads = backward_row(net, X[i], G[i])
@@ -146,6 +175,29 @@ class TestBackward:
 class TestAdam:
     def _params(self):
         return [np.array([[1.0, -2.0]]), np.array([0.5])]
+
+    def test_bit_equal_to_textbook_formula_and_inputs_untouched(self):
+        rng = np.random.default_rng(0)
+        params = [rng.normal(size=(5, 3)), rng.normal(size=5)]
+        state = AdamState.for_params(params)
+        b1, b2, lr = ADAM_BETA1, ADAM_BETA2, 1e-3
+        for t in range(1, 51):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-8, 3), size=p.shape)
+                     for p in params]
+            inputs = (*params, *grads, *state.first, *state.second)
+            before = [a.copy() for a in inputs]
+            new_params, new_state = adam_step(params, grads, state, lr)
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+            # textbook Adam with bias correction
+            m = [b1 * m + (1 - b1) * g for m, g in zip(state.first, grads)]
+            v = [b2 * v + (1 - b2) * g * g for v, g in zip(state.second, grads)]
+            want = [p - lr * (m_ / (1 - b1 ** t)) / (np.sqrt(v_ / (1 - b2 ** t)) + ADAM_EPS)
+                    for p, m_, v_ in zip(params, m, v)]
+            for got, ref in zip((*new_params, *new_state.first, *new_state.second),
+                                (*want, *m, *v)):
+                assert np.array_equal(got, ref)
+            assert new_state.step_count == t
+            params, state = new_params, new_state
 
     def test_zero_gradient_keeps_params(self):
         params = self._params()

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import forward_row, make_net, naive_forward, recorded_selections
+from conftest import (forward_row, make_net, naive_forward, recorded_selections,
+                      selu_deriv)
 from fairsel.data import synth_proxy, split
 from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
-from fairsel.nets import AdamState, DenseNet, adam_step
+from fairsel.nets import AdamState, DenseNet, adam_step, backward, layer_outputs
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
-                              probabilities)
+                              probabilities, sample_selection_batch)
 from fairsel import training
-from fairsel.training import (TrainConfig, apply_selection,
-                              enumerate_sensitivity, mean_sensitivity,
-                              pair_loss_and_grads, predict, predictor_step,
-                              selector_step, sensitivity_pair, train)
+from fairsel.training import (TrainConfig, enumerate_sensitivity,
+                              mean_sensitivity, pair_loss_and_grads, predict,
+                              predictor_step, selector_step, sensitivity_pair,
+                              train)
 
 
 def sensitivity_norm(net, x, s, k):
@@ -42,19 +43,28 @@ def sensitivity_only(net, X, S, k):
     return loss, grads
 
 
+def selected_rows(x, s, k):
+    """The pair's stacked input rows for one example: x * s, then x * s
+    with feature k added."""
+    net = make_net(0, d=x.shape[0], hidden=(3,), c=2)
+    return sensitivity_pair(net, x[None, :], s[None, :], k).rows
+
+
 class TestApplySelection:
+    """The selection zeroes unselected features: out_j = x_j if s_j = 1
+    else 0, and the second half of the pair adds feature k back."""
+
     def test_partial(self):
-        out = apply_selection(np.array([0.2, 0.7, 0.9]), np.array([1, 0, 1]))
-        assert np.array_equal(out, [0.2, 0.0, 0.9])
+        out = selected_rows(np.array([0.2, 0.7, 0.9]), np.array([1, 0, 1]), 1)
+        assert np.array_equal(out, [[0.2, 0.0, 0.9], [0.2, 0.7, 0.9]])
 
     def test_full_identity(self):
         x = np.array([0.1, 0.2])
-        assert np.array_equal(apply_selection(x, np.ones(2, dtype=int)), x)
+        assert np.array_equal(selected_rows(x, np.ones(2, dtype=int), 0), [x, x])
 
     def test_empty_zero(self):
-        assert np.array_equal(
-            apply_selection(np.array([0.1, 0.2]), np.zeros(2, dtype=int)),
-            [0.0, 0.0])
+        out = selected_rows(np.array([0.1, 0.2]), np.zeros(2, dtype=int), 1)
+        assert np.array_equal(out, [[0.0, 0.0], [0.0, 0.2]])
 
 
 class TestSensitivityLoss:
@@ -179,7 +189,7 @@ class TestPredictorStep:
         S[:, 0] = 0
 
         x_sel = X * S
-        from fairsel.nets import selu, selu_deriv, softmax
+        from fairsel.nets import selu, softmax
         z1 = x_sel @ net.weights[0].T + net.biases[0]
         a1 = selu(z1)
         probs = softmax(a1 @ net.weights[1].T + net.biases[1])
@@ -223,6 +233,32 @@ class TestPredictorStep:
             return loss, grads
 
         assert worst_error(net_gradient_errors(net, lag)) <= 1e-4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_backward_matches_two_backward_sum(self, seed):
+        # oracle: the two halves of the pair through backward one by one,
+        # each with its own layer outputs, and their gradients summed
+        from fairsel.diagnostics import random_instance
+        net, X, Y, S, k = random_instance(np.random.default_rng(seed))
+        weight, n = 0.8, X.shape[0]
+        pair = sensitivity_pair(net, X, S, k)
+        _, grads, _, _ = pair_loss_and_grads(net, pair, Y, weight)
+
+        x_sel = X * S
+        x_with = x_sel.copy()
+        x_with[:, k] = X[:, k]
+        p_sel = layer_outputs(net, x_sel)[-1]
+        diff = layer_outputs(net, x_with)[-1] - p_sel
+        norms = np.linalg.norm(diff, axis=1)
+        assert (norms > 1e-12).all()
+        unit = diff / norms[:, None]
+        grad_with = weight / n * unit
+        grad_sel = -weight / n * unit - Y / p_sel / n
+        summed = [a + b for a, b in zip(
+            backward(net, x_with, layer_outputs(net, x_with), grad_with),
+            backward(net, x_sel, layer_outputs(net, x_sel), grad_sel))]
+        for got, want in zip(grads, summed):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_tiny_norm_uses_zero_subgradient(self):
         net = make_net(4, d=3, hidden=(4,), c=2)
@@ -351,23 +387,27 @@ class TestTrain:
         assert total > 0
 
     def test_one_paired_forward_per_batch(self, monkeypatch):
-        # both players read one pair per batch: 2 forward calls, plus the
-        # one threshold05 validation forward per epoch
+        # both players read one stacked pass per batch (layer_outputs);
+        # forward runs only for the threshold05 validation, once per epoch
         tr, va, _ = self._data()
-        real = training.forward
-        calls = {"n": 0}
+        calls = {"forward": 0, "layer_outputs": 0}
 
-        def counting(*args, **kw):
-            calls["n"] += 1
-            return real(*args, **kw)
+        def counting(name):
+            real = getattr(training, name)
 
-        monkeypatch.setattr(training, "forward", counting)
+            def counted(*args, **kw):
+                calls[name] += 1
+                return real(*args, **kw)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(training, name, counting(name))
         config = self._config()
         model = train(tr, va, config)
         epochs = len(model.training_log)
         assert epochs == config.max_epochs
         batches = epochs * math.ceil(tr.n / config.batch_size)
-        assert calls["n"] == 2 * batches + epochs
+        assert calls == {"forward": epochs, "layer_outputs": batches}
 
     def test_one_class_validation_split_is_a_data_error(self):
         tr, va, _ = self._data()
@@ -464,6 +504,21 @@ class TestMeanSensitivity:
         est = mean_sensitivity(net, policy, x[None, :], n_samples=4000,
                                rng=np.random.default_rng(2))
         assert est == pytest.approx(exact, rel=0.05)
+
+    def test_blocks_match_one_unblocked_pair(self):
+        # 600 rows run as blocks of 256, 256 and 88
+        assert training.SENSITIVITY_BLOCK < 600
+        net = make_net(3, d=5, hidden=(6, 4), c=2)
+        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1]), 2)
+        X = np.random.default_rng(4).random((600, 5))
+        rng = np.random.default_rng(5)
+        p = probabilities(policy)
+        unblocked = np.mean([
+            sensitivity_pair(net, X, sample_selection_batch(p, 600, rng), 2).norms.mean()
+            for _ in range(3)])
+        blocked = mean_sensitivity(net, policy, X, n_samples=3,
+                                   rng=np.random.default_rng(5))
+        assert blocked == pytest.approx(unblocked, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_is_an_error(self, n_samples):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import LogisticModel
 from .data import Encoder
-from .errors import DataError
+from .errors import DataError, DimensionError, NumericalError
 from .nets import DenseNet
 from .selector import SelectorPolicy
 from .training import TrainConfig, TrainedModel
@@ -75,8 +75,7 @@ def load_model(path):
         if kind == KIND_ADVERSARIAL:
             sel, net = body["selector"], body["net"]
             model = TrainedModel(
-                net=DenseNet([np.array(w, dtype=np.float64) for w in net["weights"]],
-                             [np.array(b, dtype=np.float64) for b in net["biases"]]),
+                net=DenseNet.from_layers(net["weights"], net["biases"]),
                 policy=SelectorPolicy(np.array(sel["logits"], dtype=np.float64),
                                       sel["sensitive_index"],
                                       sel["mask_sensitive"]),
@@ -87,6 +86,6 @@ def load_model(path):
             model = LogisticModel(np.array(body["weights"], dtype=np.float64),
                                   float(body["bias"]))
             return kind, model, encoder
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DimensionError, NumericalError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from None
     raise DataError(f"unknown checkpoint kind {kind!r}")

@@ -282,10 +282,16 @@ class Encoder:
 
         stat_rows restricts min/max fitting to those row indices (pass
         the training-split rows to avoid leakage). One-hot vocabularies
-        use every row: the category set is schema, not statistics.
+        use every row: the category set is schema, not statistics. The
+        label column must hold the favorable value and exactly one other.
         """
         if raw.n_rows == 0:
             raise DataError("cannot encode a table with zero rows")
+        seen = sorted(set(raw.label_values))
+        if len(seen) != 2 or spec.favorable_value not in seen:
+            raise DataError(f"label column {spec.label_column!r} must hold the "
+                            f"favorable value {spec.favorable_value!r} and one other "
+                            f"value, saw {seen[:10]}{' ...' if len(seen) > 10 else ''}")
         enc = cls(spec=spec)
         out_pos = 0
         for c in spec.columns:

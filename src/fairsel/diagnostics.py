@@ -2,10 +2,10 @@
 
 Each check builds seeded random instances, compares an analytic
 quantity against an independent oracle (central finite differences by
-`difference_errors`, or exhaustive enumeration of selection vectors),
+`difference_errors`, or `enumerate_sensitivity`'s exhaustive enumeration),
 and reports the worst error seen (`worst_error`, so a NaN error fails
 the check). The CLI `gradcheck` command runs these; the test suite
-reuses them at the tolerances they were designed for.
+reuses them and the oracles at the tolerances they were designed for.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ from .baseline import logistic_loss_and_grad
 from .nets import DenseNet
 from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sample_selection_batch, sigmoid)
-from .training import (enumerate_sensitivity, pair_loss_and_grads,
-                       score_function_estimate, sensitivity_pair)
+from .training import pair_loss_and_grads, sensitivity_pair
+
+# selections per chunk in score_function_estimate (bounds its memory)
+ESTIMATE_CHUNK = 20000
 
 
 @dataclass
@@ -67,26 +69,13 @@ def difference_errors(loss, theta, analytic, h):
     return errors
 
 
-def flatten(arrays):
-    """One flat vector of a list of arrays, block after block."""
-    return np.concatenate([np.ravel(a) for a in arrays])
-
-
-def unflatten(net, theta):
-    """The net shaped like `net` whose parameters are the flat vector
-    theta, laid out as `flatten(net.params())`."""
-    params = net.params()
-    blocks = np.split(theta, np.cumsum([p.size for p in params])[:-1])
-    return net.with_params([b.reshape(p.shape) for b, p in zip(blocks, params)])
-
-
 def net_gradient_errors(net, loss_and_grad):
-    """`difference_errors` at step 1e-5 of every parameter gradient of a
-    net; loss_and_grad(net) returns (loss, grads aligned with
-    net.params())."""
+    """`difference_errors` at step 1e-5 of every coordinate of a net's
+    parameter gradient; loss_and_grad(net) returns (loss, gradient laid
+    out like net.theta)."""
     _, analytic = loss_and_grad(net)
-    return difference_errors(lambda theta: loss_and_grad(unflatten(net, theta))[0],
-                             flatten(net.params()), flatten(analytic), 1e-5)
+    return difference_errors(lambda theta: loss_and_grad(DenseNet(net.sizes, theta))[0],
+                             net.theta, analytic, 1e-5)
 
 
 def _gate(name, errors, tolerance):
@@ -107,8 +96,8 @@ def random_instance(rng, batch=3):
     c = int(rng.integers(2, 4))
     hidden = tuple(int(h) for h in rng.integers(4, 9, size=2))
     net = DenseNet.initialize(d, hidden, c, rng)
-    net = DenseNet(net.weights, [rng.normal(0.0, 0.3, size=b.shape)
-                                 for b in net.biases])
+    net = DenseNet.from_layers(net.weights, [rng.normal(0.0, 0.3, size=b.shape)
+                                             for b in net.biases])
     k = int(rng.integers(0, d))
     X = rng.random((batch, d))
     Y = np.zeros((batch, c))
@@ -206,6 +195,46 @@ def check_log_pi_gradient(n_policies=50, seed=5, tolerance=1e-6, h=1e-6):
     return _gate("log-selection-probability gradient", errors, tolerance)
 
 
+def enumerate_sensitivity(net, policy, x):
+    """Exact expected sensitivity norm and its logit gradient for one
+    input, by enumerating every selection vector.
+
+    Oracle-grade reference for the sampled estimates; only sensible for
+    small feature counts.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[0]
+    p = probabilities(policy)
+    masked = policy.sensitive_index if policy.mask_sensitive else None
+    S_all = enumerate_selections(d, masked_index=masked)
+    pi = np.prod(np.where(S_all == 1, p, 1.0 - p), axis=1)
+    X_rep = np.broadcast_to(x, (S_all.shape[0], d))
+    norms = sensitivity_pair(net, X_rep, S_all, policy.sensitive_index).norms
+    expected = float(np.dot(pi, norms))
+    grad = ((pi * norms)[:, None] * (S_all - p)).sum(axis=0)
+    return expected, grad
+
+
+def score_function_estimate(net, policy, x, n_samples, rng):
+    """Monte-Carlo estimate of the logit gradient of the expected
+    sensitivity norm for one input: mean of norm * (s - p) over sampled
+    selections. The sampled counterpart of `enumerate_sensitivity`."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    x = np.asarray(x, dtype=np.float64)
+    p = probabilities(policy)
+    total = np.zeros_like(p)
+    remaining = n_samples
+    while remaining > 0:
+        m = min(ESTIMATE_CHUNK, remaining)
+        S = sample_selection_batch(p, m, rng)
+        X_rep = np.broadcast_to(x, (m, x.shape[0]))
+        norms = sensitivity_pair(net, X_rep, S, policy.sensitive_index).norms
+        total += (norms[:, None] * (S - p)).sum(axis=0)
+        remaining -= m
+    return total / n_samples
+
+
 def estimator_instance(d=6):
     """Fixed instance for the unbiasedness check.
 
@@ -227,7 +256,7 @@ def estimator_instance(d=6):
     w2 = np.zeros((2, 1))
     w2[0, 0] = 2.0
     b2 = np.array([3.4, 0.0])
-    net = DenseNet([w1, w2], [b1, b2])
+    net = DenseNet.from_layers([w1, w2], [b1, b2])
     policy = SelectorPolicy(np.zeros(d), k, mask_sensitive=True)
     x = np.linspace(1.0, 0.85, d)
     return net, policy, x

@@ -115,24 +115,15 @@ def equal_opportunity_diff(outcomes):
     return abs(priv.tpr("privileged group") - unpriv.tpr("unprivileged group"))
 
 
-def average_odds_diff(outcomes, variant="balanced-accuracy-gap"):
-    """Absolute average-odds gap between the groups.
-
-    The default variant is the absolute difference in per-group balanced
-    accuracy. variant="tpr-fpr-average" instead averages the absolute
-    TPR and FPR gaps (the convention of several fairness toolkits),
-    offered for cross-toolkit comparison.
-    """
+def average_odds_diff(outcomes):
+    """Absolute average-odds gap between the groups: the absolute
+    difference in per-group balanced accuracy."""
     _require_groups(outcomes)
     priv = confusion_counts(outcomes, privileged=True)
     unpriv = confusion_counts(outcomes, privileged=False)
     tpr_p, tpr_u = priv.tpr("privileged group"), unpriv.tpr("unprivileged group")
     tnr_p, tnr_u = priv.tnr("privileged group"), unpriv.tnr("unprivileged group")
-    if variant == "balanced-accuracy-gap":
-        return abs(0.5 * (tpr_p + tnr_p) - 0.5 * (tpr_u + tnr_u))
-    if variant == "tpr-fpr-average":
-        return 0.5 * (abs(tpr_p - tpr_u) + abs((1 - tnr_p) - (1 - tnr_u)))
-    raise ValueError(f"unknown average_odds_diff variant {variant!r}")
+    return abs(0.5 * (tpr_p + tnr_p) - 0.5 * (tpr_u + tnr_u))
 
 
 def theil_index(outcomes):

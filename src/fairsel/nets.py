@@ -8,12 +8,17 @@ caller-supplied rows g, which is the only primitive needed to assemble
 every loss gradient used in training. The central-difference oracle
 that guards these gradients lives in `diagnostics`.
 
+A net's parameters are one flat vector, `theta`, and only this module
+knows its layout: the per-layer weights and biases are views into it,
+and `backward` and `adam_step` work on vectors laid out like it.
+
 All math is float64. Everything here is a pure function of its inputs;
 parameter updates return fresh arrays instead of mutating.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,71 +58,86 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass
+def _layout(sizes):
+    """(name, start, stop, shape) of each parameter block of theta, in the
+    order W0, b0, W1, b1, ... (weights row-major, shape (out, in))."""
+    stop = 0
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        for kind, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,))):
+            start, stop = stop, stop + math.prod(shape)
+            yield f"layer{i}.{kind}", start, stop, shape
+
+
+def _require_finite(net, vector, what):
+    """Name the block of the first non-finite coordinate of a vector laid
+    out like net.theta in a NumericalError."""
+    finite = np.isfinite(vector)
+    if not finite.all():
+        j = int(finite.argmin())
+        block = next(name for name, lo, hi, _ in _layout(net.sizes) if lo <= j < hi)
+        raise NumericalError(f"non-finite {what} in parameter block {block}")
+
+
 class DenseNet:
     """Fully-connected classifier: SELU hidden layers, softmax output.
 
-    weights[i] has shape (out_i, in_i) and biases[i] shape (out_i,);
-    layer i consumes the output of layer i-1.
+    sizes is (input_dim, *hidden, num_classes) and theta the one flat
+    float64 parameter vector, laid out by `_layout`. weights[i] (out_i,
+    in_i) and biases[i] (out_i,) are views into theta; layer i consumes
+    the output of layer i-1.
     """
 
-    weights: list
-    biases: list
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ValueError("weights and biases must be nonempty and parallel")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise DimensionError(f"layer {i}", f"(out, in) with bias (out,)",
-                                     f"{w.shape} with bias {b.shape}")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
-                raise DimensionError(f"layer {i} input",
-                                     self.weights[i - 1].shape[0], w.shape[1])
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NumericalError(f"non-finite parameter in layer {i}")
+    def __init__(self, sizes, theta):
+        self.sizes = tuple(int(s) for s in sizes)
+        if len(self.sizes) < 2 or min(self.sizes) < 1:
+            raise ValueError(f"need at least two positive layer sizes, got {self.sizes}")
+        blocks = list(_layout(self.sizes))
+        self.theta = np.asarray(theta, dtype=np.float64)
+        if self.theta.shape != (blocks[-1][2],):
+            raise DimensionError("parameter vector", (blocks[-1][2],), self.theta.shape)
+        views = [self.theta[lo:hi].reshape(shape) for _, lo, hi, shape in blocks]
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def input_dim(self):
-        return self.weights[0].shape[1]
+        return self.sizes[0]
 
     @property
     def num_classes(self):
-        return self.weights[-1].shape[0]
+        return self.sizes[-1]
 
     @property
     def num_layers(self):
-        return len(self.weights)
+        return len(self.sizes) - 1
 
     @classmethod
     def initialize(cls, input_dim, hidden_sizes, num_classes, rng):
         """LeCun-normal weights (var 1/fan_in, the standard companion to
         SELU), zero biases."""
-        sizes = [input_dim, *hidden_sizes, num_classes]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(rng.normal(0.0, 1.0 / np.sqrt(fan_in),
-                                      size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
+        sizes = (input_dim, *hidden_sizes, num_classes)
+        net = cls(sizes, np.zeros(list(_layout(sizes))[-1][2]))
+        for w in net.weights:
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
+        return net
 
-    def params(self):
-        """Flat parameter list [W0, b0, W1, b1, ...] (references, not copies)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def with_params(self, params):
-        """New net built from a flat parameter list (see `params`)."""
-        ws = [np.asarray(params[2 * i], dtype=np.float64) for i in range(self.num_layers)]
-        bs = [np.asarray(params[2 * i + 1], dtype=np.float64) for i in range(self.num_layers)]
-        return DenseNet(ws, bs)
-
-
-def param_block_name(index):
-    kind = "weight" if index % 2 == 0 else "bias"
-    return f"layer{index // 2}.{kind}"
+    @classmethod
+    def from_layers(cls, weights, biases):
+        """Net holding copies of hand-built layers: weights[i] (out_i, in_i)
+        and biases[i] (out_i,), each layer consuming the last one's output,
+        all finite."""
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if len(weights) != len(biases) or not weights:
+            raise ValueError("weights and biases must be nonempty and parallel")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            fan_in = weights[i - 1].shape[0] if i else "in"
+            if w.ndim != 2 or b.shape != w.shape[:1] or (i and w.shape[1] != fan_in):
+                raise DimensionError(f"layer {i}", f"(out, {fan_in}) with bias (out,)",
+                                     f"{w.shape} with bias {b.shape}")
+        net = cls([weights[0].shape[1], *(w.shape[0] for w in weights)],
+                  np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb]))
+        _require_finite(net, net.theta, "value")
+        return net
 
 
 def _check_input(net, X):
@@ -153,12 +173,12 @@ def layer_outputs(net, X):
 
 
 def backward(net, X, outputs, output_grad):
-    """Exact gradients of sum_n <output_grad_n, forward(X)_n> for a batch
+    """Exact gradient of sum_n <output_grad_n, forward(X)_n> for a batch
     of input rows X (n, d), their `layer_outputs` and output-gradient
     rows (n, c).
 
-    Returns the parameter gradients as a flat list aligned with
-    `net.params()`, summed over rows. Linear in output_grad.
+    Returns one flat vector laid out like `net.theta`, summed over rows.
+    Linear in output_grad.
     """
     X = _check_input(net, X)
     G = np.asarray(output_grad, dtype=np.float64)
@@ -173,66 +193,57 @@ def backward(net, X, outputs, output_grad):
     # softmax Jacobian-vector product: dz = p * (g - <g, p>)
     delta = probs * (G - (G * probs).sum(axis=1, keepdims=True))
 
-    grads = [None] * (2 * net.num_layers)
+    grad = DenseNet(net.sizes, np.empty_like(net.theta))
     for i in range(net.num_layers - 1, -1, -1):
-        grads[2 * i] = delta.T @ acts[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[i], out=grad.weights[i])
+        delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
             delta = (delta @ net.weights[i]) * selu_slope(acts[i])
-    return grads
+    return grad.theta
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for Adam, one pair per block."""
+    """Adam's first and second moments, each laid out like net.theta."""
 
-    first: list
-    second: list
+    first: np.ndarray
+    second: np.ndarray
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, params):
-        return cls([np.zeros_like(p) for p in params],
-                   [np.zeros_like(p) for p in params])
+    def for_net(cls, net):
+        return cls(np.zeros_like(net.theta), np.zeros_like(net.theta))
 
 
-def adam_step(params, grads, state, lr):
-    """One Adam update with bias correction. Returns (new_params, new_state).
+def adam_step(net, grad, state, lr):
+    """One Adam update with bias correction, given the gradient laid out
+    like net.theta. Returns (new_net, new_state).
 
     Pure: inputs are not mutated, so identical calls from identical
     states give identical results.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(grads) or len(params) != len(state.first):
-        raise DimensionError("parameter/gradient lists", len(params), len(grads))
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise DimensionError(f"gradient for {param_block_name(i)}", p.shape, g.shape)
-        if not np.isfinite(g).all():
-            raise NumericalError(
-                f"non-finite gradient in parameter block {param_block_name(i)}")
+    if not net.theta.shape == np.shape(grad) == state.first.shape == state.second.shape:
+        raise DimensionError("gradient and moments", net.theta.shape, np.shape(grad))
+    _require_finite(net, grad, "gradient")
 
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    new_params, new_first, new_second = [], [], []
-    for p, g, m, v in zip(params, grads, state.first, state.second):
-        # b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and p - lr*m_hat/(sqrt(v_hat) + eps),
-        # same operations in the same order, in place on fresh arrays
-        tmp = (1 - b1) * g
-        m = b1 * m
-        m += tmp
-        np.multiply(g, 1 - b2, out=tmp)
-        tmp *= g
-        v = b2 * v
-        v += tmp
-        np.divide(v, 1 - b2 ** t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        step = m / (1 - b1 ** t)
-        step *= lr
-        step /= tmp
-        new_params.append(np.subtract(p, step, out=step))
-        new_first.append(m)
-        new_second.append(v)
-    return new_params, AdamState(new_first, new_second, t)
+    # b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and p - lr*m_hat/(sqrt(v_hat) + eps),
+    # same operations in the same order, in place on fresh arrays
+    tmp = (1 - b1) * grad
+    m = b1 * state.first
+    m += tmp
+    np.multiply(grad, 1 - b2, out=tmp)
+    tmp *= grad
+    v = b2 * state.second
+    v += tmp
+    np.divide(v, 1 - b2 ** t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step = m / (1 - b1 ** t)
+    step *= lr
+    step /= tmp
+    theta = np.subtract(net.theta, step, out=step)
+    return DenseNet(net.sizes, theta), AdamState(m, v, t)

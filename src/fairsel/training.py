@@ -28,17 +28,13 @@ from .errors import DimensionError, NumericalError
 from .metrics import GroupedOutcomes, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                    forward, layer_outputs)
-from .selector import (SelectorPolicy, enumerate_selections, probabilities,
-                       sample_selection_batch)
+from .selector import SelectorPolicy, probabilities, sample_selection_batch
 
 INFERENCE_POLICIES = ("threshold05", "expected-input", "mc-average")
 
 # sensitivity norms below this are treated as exactly zero (the norm is
 # not differentiable there; zero is a valid subgradient)
 NORM_EPS = 1e-12
-
-# selections per chunk in score_function_estimate (bounds its memory)
-ESTIMATE_CHUNK = 20000
 
 # rows per paired pass in mean_sensitivity: bounds the cached layer
 # outputs when a whole evaluation set is scored
@@ -181,7 +177,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     whose sensitivity norm is below NORM_EPS contribute a zero
     sensitivity gradient (valid subgradient at the kink).
 
-    Returns (loss, grads, mean cross-entropy, mean sensitivity norm).
+    Returns (loss, gradient laid out like net.theta, mean cross-entropy,
+    mean sensitivity norm).
 
     fault is a test hook for the gradient checker; "sen-grad-sign" flips
     the sign of the sensitivity gradient term without touching the loss.
@@ -204,8 +201,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     grad_with = (sensitivity_weight / n) * unit
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
-    grads = backward(net, pair.rows, pair.outputs, np.vstack([grad_sel, grad_with]))
-    return loss, grads, float(ce.mean()), float(norms.mean())
+    grad = backward(net, pair.rows, pair.outputs, np.vstack([grad_sel, grad_with]))
+    return loss, grad, float(ce.mean()), float(norms.mean())
 
 
 def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
@@ -215,10 +212,9 @@ def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
     same net. Returns (updated net, updated adam state, mean
     cross-entropy, mean sensitivity norm).
     """
-    _, grads, ce_mean, sens_mean = pair_loss_and_grads(
-        net, pair, Y, sensitivity_weight)
-    params, adam_state = adam_step(net.params(), grads, adam_state, alpha_phi)
-    return net.with_params(params), adam_state, ce_mean, sens_mean
+    _, grad, ce_mean, sens_mean = pair_loss_and_grads(net, pair, Y, sensitivity_weight)
+    net, adam_state = adam_step(net, grad, adam_state, alpha_phi)
+    return net, adam_state, ce_mean, sens_mean
 
 
 def _predict_probs(net, policy, config, X, rng):
@@ -276,46 +272,6 @@ def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     return total / n_samples
 
 
-def enumerate_sensitivity(net, policy, x):
-    """Exact expected sensitivity norm and its logit gradient for one
-    input, by enumerating every selection vector.
-
-    Oracle-grade reference for the sampled estimates; only sensible for
-    small feature counts.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.shape[0]
-    p = probabilities(policy)
-    masked = policy.sensitive_index if policy.mask_sensitive else None
-    S_all = enumerate_selections(d, masked_index=masked)
-    pi = np.prod(np.where(S_all == 1, p, 1.0 - p), axis=1)
-    X_rep = np.broadcast_to(x, (S_all.shape[0], d))
-    norms = sensitivity_pair(net, X_rep, S_all, policy.sensitive_index).norms
-    expected = float(np.dot(pi, norms))
-    grad = ((pi * norms)[:, None] * (S_all - p)).sum(axis=0)
-    return expected, grad
-
-
-def score_function_estimate(net, policy, x, n_samples, rng):
-    """Monte-Carlo estimate of the logit gradient of the expected
-    sensitivity norm for one input: mean of norm * (s - p) over sampled
-    selections. The sampled counterpart of `enumerate_sensitivity`."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    p = probabilities(policy)
-    total = np.zeros_like(p)
-    remaining = n_samples
-    while remaining > 0:
-        m = min(ESTIMATE_CHUNK, remaining)
-        S = sample_selection_batch(p, m, rng)
-        X_rep = np.broadcast_to(x, (m, x.shape[0]))
-        norms = sensitivity_pair(net, X_rep, S, policy.sensitive_index).norms
-        total += (norms[:, None] * (S - p)).sum(axis=0)
-        remaining -= m
-    return total / n_samples
-
-
 def _validation_score(net, policy, config, val_data, epoch):
     rng = np.random.default_rng([config.seed, 1, epoch])
     probs = _predict_probs(net, policy, config, val_data.features, rng)
@@ -343,7 +299,7 @@ def train(train_data, val_data, config):
     net = DenseNet.initialize(d, config.hidden_sizes, Y.shape[1], rng)
     policy = SelectorPolicy.initialize(d, k, rng,
                                        mask_sensitive=config.mask_sensitive)
-    adam = AdamState.for_params(net.params())
+    adam = AdamState.for_net(net)
 
     log = []
     best = None  # (score, epoch, net, policy)
@@ -355,7 +311,7 @@ def train(train_data, val_data, config):
         order = rng.permutation(n)
         ce_sum = sens_sum = 0.0
         try:
-            for lo in range(0, n, config.batch_size):
+            for batch, lo in enumerate(range(0, n, config.batch_size)):
                 idx = order[lo:lo + config.batch_size]
                 policy, pair = selector_step(
                     policy, X[idx], net, config.alpha_theta, rng,
@@ -370,7 +326,7 @@ def train(train_data, val_data, config):
                 sens_sum += sens_mean * len(idx)
         except NumericalError as exc:
             net, policy, adam = epoch_start
-            diagnostics = f"training aborted during epoch {epoch}: {exc}"
+            diagnostics = f"training aborted during epoch {epoch}, batch {batch}: {exc}"
             break
 
         val_score = _validation_score(net, policy, config, val_data, epoch)

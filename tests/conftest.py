@@ -30,13 +30,12 @@ def brute_force_metrics(records):
     tpr_u, tnr_u = rates(unpriv)
     eod = abs(tpr_p - tpr_u)
     aod = abs((tpr_p + tnr_p) / 2 - (tpr_u + tnr_u) / 2)
-    aod_alt = 0.5 * (abs(tpr_p - tpr_u) + abs((1 - tnr_p) - (1 - tnr_u)))
 
     benefits = [p - t + 1 for t, p, _ in records]
     mu = sum(benefits) / len(benefits)
     theil = sum((b / mu) * math.log(b / mu) for b in benefits if b > 0)
     theil /= len(benefits)
-    return acc, bal, eod, aod, aod_alt, theil
+    return acc, bal, eod, aod, theil
 
 
 def random_nondegenerate(rng, n_max=200):
@@ -120,8 +119,8 @@ def make_net(seed, d=4, hidden=(6, 5), c=3, random_bias=True):
     rng = np.random.default_rng(seed)
     net = DenseNet.initialize(d, hidden, c, rng)
     if random_bias:
-        net = DenseNet(net.weights,
-                       [rng.normal(0, 0.3, size=b.shape) for b in net.biases])
+        net = DenseNet.from_layers(
+            net.weights, [rng.normal(0, 0.3, size=b.shape) for b in net.biases])
     return net
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,8 +153,8 @@ class TestEvaluateCommand:
         raw = load_csv(data, spec)
         encoder = Encoder.fit(raw, spec)
         a = 30.0
-        net = DenseNet([np.array([[0, 0, -a, 0.0], [0, 0, a, 0.0]])],
-                       [np.array([a / 2, -a / 2])])
+        net = DenseNet.from_layers([np.array([[0, 0, -a, 0.0], [0, 0, a, 0.0]])],
+                                   [np.array([a / 2, -a / 2])])
         policy = SelectorPolicy(np.full(4, 5.0), encoder.sensitive_index)
         cfg = TrainConfig(max_epochs=0, patience=0, hidden_sizes=(1,))
         path = tmp_path / "memorizer.json"
@@ -194,6 +195,24 @@ class TestEvaluateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["model_kind"] == "logistic"
         assert report["metrics"]["mean_sensitivity"] is None
+
+    @pytest.mark.parametrize("corrupt", ["layer-shapes", "nan-weight", "inf-logit"])
+    def test_corrupt_checkpoint_is_two(self, tmp_path, capsys, corrupt):
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        body = json.loads(Path(ckpt).read_text())
+        if corrupt == "layer-shapes":
+            # a second layer that reads 3 inputs after a 2-unit layer
+            body["net"]["weights"].append([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            body["net"]["biases"].append([0.0, 0.0])
+        elif corrupt == "nan-weight":
+            body["net"]["weights"][0][1][2] = float("nan")
+        else:
+            body["selector"]["logits"][0] = float("inf")
+        Path(ckpt).write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data]) == 2
+        assert "malformed checkpoint" in capsys.readouterr().err
 
     def test_empty_data_file_is_two(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)

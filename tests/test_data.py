@@ -168,6 +168,18 @@ class TestEncode:
                     for v in raw.feature_values["group"]]
         assert np.array_equal(ds.group_tags, expected)
 
+    @pytest.mark.parametrize("labels", [["yes", "no", "YES", "no"],
+                                        ["no", "NO", "no", "no"],
+                                        ["yes", "yes", "yes", "yes"]])
+    def test_label_column_must_hold_favorable_and_one_other(self, tmp_path, labels):
+        # a YES among yes/no would otherwise be read as unfavorable
+        path = write_csv(tmp_path / "labels.csv", ["color", "size", "group", "label"],
+                         [["red", str(i), "a", v] for i, v in enumerate(labels)])
+        with pytest.raises(DataError) as exc:
+            Encoder.fit(load_csv(path, tiny_spec()), tiny_spec())
+        msg = str(exc.value)
+        assert "'label'" in msg and str(sorted(set(labels))) in msg
+
     def test_labels_one_hot_favorable_is_class_one(self, tiny_csv):
         ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
         assert np.array_equal(ds.labels.argmax(axis=1), [1, 0, 1])

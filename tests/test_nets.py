@@ -53,13 +53,13 @@ class TestSelu:
 
 class TestForward:
     def test_zero_net_uniform(self):
-        net = DenseNet([np.zeros((4, 3)), np.zeros((5, 4))],
-                       [np.zeros(4), np.zeros(5)])
+        net = DenseNet.from_layers([np.zeros((4, 3)), np.zeros((5, 4))],
+                                   [np.zeros(4), np.zeros(5)])
         p = forward_row(net, np.ones(3))
         assert np.allclose(p, 0.2)
 
     def test_two_class_symmetry(self):
-        net = DenseNet([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
+        net = DenseNet.from_layers([np.array([[1.0, 0.0], [0.0, 1.0]])], [np.zeros(2)])
         assert np.allclose(forward_row(net, np.zeros(2)), [0.5, 0.5])
 
     @pytest.mark.parametrize("seed", range(8))
@@ -117,7 +117,7 @@ class TestForward:
         net = make_net(3, c=4)
         x = np.random.default_rng(9).random(net.input_dim)
         perm = np.array([2, 0, 3, 1])
-        permuted = DenseNet(
+        permuted = DenseNet.from_layers(
             net.weights[:-1] + [net.weights[-1][perm]],
             net.biases[:-1] + [net.biases[-1][perm]])
         assert np.allclose(forward_row(permuted, x), forward_row(net, x)[perm])
@@ -126,9 +126,9 @@ class TestForward:
 class TestBackward:
     def test_zero_output_grad_gives_zero(self):
         net = make_net(0)
-        grads = backward_row(net, np.ones(net.input_dim),
-                             np.zeros(net.num_classes))
-        assert all(np.all(g == 0) for g in grads)
+        grad = backward_row(net, np.ones(net.input_dim),
+                            np.zeros(net.num_classes))
+        assert grad.shape == net.theta.shape and np.all(grad == 0)
 
     def test_outputs_must_belong_to_the_rows(self):
         net = make_net(0, d=4, hidden=(6, 5), c=3)
@@ -142,23 +142,16 @@ class TestBackward:
         net = make_net(1)
         rng = np.random.default_rng(2)
         x, g = rng.random(net.input_dim), rng.random(net.num_classes)
-        g1 = backward_row(net, x, g)
-        g2 = backward_row(net, x, 2 * g)
-        for a, b in zip(g1, g2):
-            assert np.allclose(2 * a, b)
+        assert np.allclose(2 * backward_row(net, x, g), backward_row(net, x, 2 * g))
 
     def test_batch_sums_rows(self):
         net = make_net(4)
         rng = np.random.default_rng(3)
         X = rng.random((3, net.input_dim))
         G = rng.random((3, net.num_classes))
-        batch_grads = backward(net, X, layer_outputs(net, X), G)
-        acc = [np.zeros_like(g) for g in batch_grads]
-        for i in range(3):
-            row_grads = backward_row(net, X[i], G[i])
-            acc = [a + r for a, r in zip(acc, row_grads)]
-        for a, b in zip(acc, batch_grads):
-            assert np.allclose(a, b, rtol=1e-12)
+        batch_grad = backward(net, X, layer_outputs(net, X), G)
+        rows_grad = sum(backward_row(net, X[i], G[i]) for i in range(3))
+        assert np.allclose(rows_grad, batch_grad, rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
@@ -173,85 +166,129 @@ class TestBackward:
 
 
 class TestAdam:
-    def _params(self):
-        return [np.array([[1.0, -2.0]]), np.array([0.5])]
+    def _net(self):
+        # one 2 -> 1 layer: W = [[1, -2]], b = [0.5]
+        return DenseNet((2, 1), np.array([1.0, -2.0, 0.5]))
 
     def test_bit_equal_to_textbook_formula_and_inputs_untouched(self):
         rng = np.random.default_rng(0)
-        params = [rng.normal(size=(5, 3)), rng.normal(size=5)]
-        state = AdamState.for_params(params)
+        net = DenseNet((3, 5), rng.normal(size=20))
+        state = AdamState.for_net(net)
         b1, b2, lr = ADAM_BETA1, ADAM_BETA2, 1e-3
         for t in range(1, 51):
-            grads = [rng.normal(scale=10.0 ** rng.integers(-8, 3), size=p.shape)
-                     for p in params]
-            inputs = (*params, *grads, *state.first, *state.second)
+            grad = rng.normal(scale=10.0 ** rng.integers(-8, 3), size=20)
+            inputs = (net.theta, grad, state.first, state.second)
             before = [a.copy() for a in inputs]
-            new_params, new_state = adam_step(params, grads, state, lr)
+            new_net, new_state = adam_step(net, grad, state, lr)
             assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
             # textbook Adam with bias correction
-            m = [b1 * m + (1 - b1) * g for m, g in zip(state.first, grads)]
-            v = [b2 * v + (1 - b2) * g * g for v, g in zip(state.second, grads)]
-            want = [p - lr * (m_ / (1 - b1 ** t)) / (np.sqrt(v_ / (1 - b2 ** t)) + ADAM_EPS)
-                    for p, m_, v_ in zip(params, m, v)]
-            for got, ref in zip((*new_params, *new_state.first, *new_state.second),
-                                (*want, *m, *v)):
+            m = b1 * state.first + (1 - b1) * grad
+            v = b2 * state.second + (1 - b2) * grad * grad
+            want = net.theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
+            for got, ref in zip((new_net.theta, new_state.first, new_state.second),
+                                (want, m, v)):
                 assert np.array_equal(got, ref)
-            assert new_state.step_count == t
-            params, state = new_params, new_state
+            assert new_net.sizes == net.sizes and new_state.step_count == t
+            net, state = new_net, new_state
 
     def test_zero_gradient_keeps_params(self):
-        params = self._params()
-        fresh = AdamState.for_params(params)
-        new, _ = adam_step(params, [np.zeros_like(p) for p in params],
-                           fresh, lr=0.1)
-        for p, q in zip(params, new):
-            assert np.array_equal(p, q)
+        net = self._net()
+        new, _ = adam_step(net, np.zeros(3), AdamState.for_net(net), lr=0.1)
+        assert np.array_equal(new.theta, net.theta)
 
     def test_first_step_hand_value(self):
         # m_hat = v_hat = 1 at t=1, so the step is lr / (1 + eps)
-        params = [np.array([0.0])]
-        grads = [np.array([1.0])]
-        new, state = adam_step(params, grads, AdamState.for_params(params), 0.1)
-        assert new[0][0] == pytest.approx(-0.09999999900000001, rel=1e-12)
+        net = DenseNet((1, 1), np.zeros(2))
+        new, state = adam_step(net, np.array([1.0, 0.0]), AdamState.for_net(net), 0.1)
+        assert new.weights[0][0, 0] == pytest.approx(-0.09999999900000001, rel=1e-12)
+        assert new.biases[0][0] == 0.0
         assert state.step_count == 1
 
     def test_deterministic(self):
-        params = self._params()
-        grads = [np.array([[0.3, -0.1]]), np.array([0.2])]
-        state = AdamState.for_params(params)
-        a1, s1 = adam_step(params, grads, state, 0.01)
-        a2, s2 = adam_step(params, grads, state, 0.01)
-        for x, y in zip(a1, a2):
-            assert np.array_equal(x, y)
-        assert np.array_equal(s1.first[0], s2.first[0])
+        net = self._net()
+        grad = np.array([0.3, -0.1, 0.2])
+        state = AdamState.for_net(net)
+        a1, s1 = adam_step(net, grad, state, 0.01)
+        a2, s2 = adam_step(net, grad, state, 0.01)
+        assert np.array_equal(a1.theta, a2.theta)
+        assert np.array_equal(s1.first, s2.first)
 
     def test_nonfinite_gradient_names_block(self):
-        params = self._params()
-        grads = [np.array([[np.nan, 0.0]]), np.array([0.0])]
+        net = self._net()
         with pytest.raises(NumericalError) as exc:
-            adam_step(params, grads, AdamState.for_params(params), 0.1)
+            adam_step(net, np.array([np.nan, 0.0, 0.0]), AdamState.for_net(net), 0.1)
         assert "layer0.weight" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_at_block_ends_names_that_block(self, bad):
+        net = make_net(0, d=3, hidden=(4, 5), c=2)
+        names = [f"layer{i}.{kind}" for i in range(3) for kind in ("weight", "bias")]
+        blocks = [b for wb in zip(net.weights, net.biases) for b in wb]
+        start = 0
+        for name, block in zip(names, blocks):
+            for j in (start, start + block.size - 1):
+                grad = np.zeros_like(net.theta)
+                grad[j] = bad
+                with pytest.raises(NumericalError, match=rf"parameter block {name}$"):
+                    adam_step(net, grad, AdamState.for_net(net), 0.1)
+                theta = net.theta.copy()
+                theta[j] = bad
+                odd = DenseNet(net.sizes, theta)
+                with pytest.raises(NumericalError, match=rf"parameter block {name}$"):
+                    DenseNet.from_layers(odd.weights, odd.biases)
+            start += block.size
+        assert start == net.theta.size
+
+    def test_gradient_shape_is_checked(self):
+        net = self._net()
+        with pytest.raises(DimensionError):
+            adam_step(net, np.zeros(4), AdamState.for_net(net), 0.1)
+
     def test_moments_decay(self):
-        params = [np.array([1.0])]
-        state = AdamState.for_params(params)
-        state.first = [np.array([1.0])]
-        state.second = [np.array([1.0])]
-        _, s2 = adam_step(params, [np.array([0.0])], state, 0.1)
-        assert abs(s2.first[0][0]) < 1.0
-        assert abs(s2.second[0][0]) < 1.0
+        net = DenseNet((1, 1), np.array([1.0, 0.0]))
+        state = AdamState(np.ones(2), np.ones(2))
+        _, s2 = adam_step(net, np.zeros(2), state, 0.1)
+        assert (np.abs(s2.first) < 1.0).all()
+        assert (np.abs(s2.second) < 1.0).all()
+
+
+class TestLayout:
+    def test_blocks_are_row_major_views_in_order(self):
+        # sizes (2, 3, 2): W0 (3, 2), b0 (3,), W1 (2, 3), b1 (2,)
+        net = DenseNet((2, 3, 2), np.arange(17.0))
+        assert np.array_equal(net.weights[0], np.arange(6.0).reshape(3, 2))
+        assert np.array_equal(net.biases[0], [6.0, 7.0, 8.0])
+        assert np.array_equal(net.weights[1], np.arange(9.0, 15.0).reshape(2, 3))
+        assert np.array_equal(net.biases[1], [15.0, 16.0])
+        net.biases[1][0] = -1.0
+        assert net.theta[15] == -1.0
+        assert (net.input_dim, net.num_classes, net.num_layers) == (2, 2, 2)
+
+    def test_wrong_length_vector_is_a_dimension_error(self):
+        with pytest.raises(DimensionError):
+            DenseNet((2, 3, 2), np.zeros(16))
+
+    def test_from_layers_checks_shapes(self):
+        with pytest.raises(DimensionError, match="layer 0"):
+            DenseNet.from_layers([np.zeros((3, 2))], [np.zeros(2)])
+        with pytest.raises(DimensionError, match=r"layer 1: expected \(out, 3\)"):
+            DenseNet.from_layers([np.zeros((3, 2)), np.zeros((2, 4))],
+                                 [np.zeros(3), np.zeros(2)])
+
+    def test_from_layers_copies(self):
+        w, b = np.ones((2, 2)), np.zeros(2)
+        net = DenseNet.from_layers([w], [b])
+        w[0, 0] = 5.0
+        assert net.weights[0][0, 0] == 1.0
 
 
 class TestGradCheck:
     def test_quadratic_toy_loss(self):
         net = make_net(0, d=2, hidden=(3,), c=2)
-        targets = [np.full_like(p, 0.7) for p in net.params()]
+        target = np.full_like(net.theta, 0.7)
 
         def lag(net_):
-            params = net_.params()
-            loss = sum(0.5 * np.sum((p - t) ** 2)
-                       for p, t in zip(params, targets))
-            return float(loss), [p - t for p, t in zip(params, targets)]
+            return float(0.5 * np.sum((net_.theta - target) ** 2)), net_.theta - target
 
         assert worst_error(net_gradient_errors(net, lag)) < 1e-6
 
@@ -274,11 +311,9 @@ class TestGradCheck:
         net = make_net(0, d=2, hidden=(3,), c=2)
 
         def lag(net_):
-            params = net_.params()
-            loss = sum(0.5 * np.sum(p ** 2) for p in params)
-            grads = [p.copy() for p in params]
-            grads[0][0, 0] += 1.0  # injected fault
-            return float(loss), grads
+            grad = net_.theta.copy()
+            grad[0] += 1.0  # injected fault
+            return float(0.5 * np.sum(net_.theta ** 2)), grad
 
         assert not worst_error(net_gradient_errors(net, lag)) <= 1e-4
 
@@ -286,9 +321,7 @@ class TestGradCheck:
         net = make_net(0, d=2, hidden=(3,), c=2)
 
         def lag(net_):
-            params = net_.params()
-            loss = sum(0.5 * np.sum(p ** 2) for p in params)
-            return float(loss), [np.full_like(p, np.nan) for p in params]
+            return float(0.5 * np.sum(net_.theta ** 2)), np.full_like(net_.theta, np.nan)
 
         worst = worst_error(net_gradient_errors(net, lag))
         assert not worst <= 1e-4
@@ -312,4 +345,4 @@ class TestGradCheck:
         errors = net_gradient_errors(net, lag)
         assert worst_error(errors) <= 1e-5
         # every coordinate of every block is checked
-        assert len(errors) == sum(p.size for p in net.params())
+        assert len(errors) == sum(w.size + b.size for w, b in zip(net.weights, net.biases))

@@ -12,10 +12,10 @@ from fairsel.nets import AdamState, DenseNet, adam_step, backward, layer_outputs
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
                               probabilities, sample_selection_batch)
 from fairsel import training
-from fairsel.training import (TrainConfig, enumerate_sensitivity,
-                              mean_sensitivity, pair_loss_and_grads, predict,
-                              predictor_step, selector_step, sensitivity_pair,
-                              train)
+from fairsel.diagnostics import enumerate_sensitivity, score_function_estimate
+from fairsel.training import (TrainConfig, mean_sensitivity,
+                              pair_loss_and_grads, predict, predictor_step,
+                              selector_step, sensitivity_pair, train)
 
 
 def sensitivity_norm(net, x, s, k):
@@ -35,12 +35,12 @@ def predict_row(model, x, rng=None):
 
 
 def sensitivity_only(net, X, S, k):
-    """Loss and gradients of the pair routine with the cross-entropy term
+    """Loss and gradient of the pair routine with the cross-entropy term
     weighted 0."""
     pair = sensitivity_pair(net, X, S, k)
-    loss, grads, _, _ = pair_loss_and_grads(
+    loss, grad, _, _ = pair_loss_and_grads(
         net, pair, np.zeros_like(pair.p_sel), 1.0, ce_weight=0.0)
-    return loss, grads
+    return loss, grad
 
 
 def selected_rows(x, s, k):
@@ -99,20 +99,20 @@ class TestSensitivityLoss:
 
 class TestPredictionLoss:
     def test_certain_true_class_is_zero(self):
-        net = DenseNet([np.zeros((2, 3))], [np.array([60.0, 0.0])])
+        net = DenseNet.from_layers([np.zeros((2, 3))], [np.array([60.0, 0.0])])
         loss = cross_entropy(net, np.ones(3), np.ones(3, dtype=int),
                              np.array([1.0, 0.0]))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_gives_log_c(self):
-        net = DenseNet([np.zeros((4, 2))], [np.zeros(4)])
+        net = DenseNet.from_layers([np.zeros((4, 2))], [np.zeros(4)])
         loss = cross_entropy(net, np.ones(2), np.ones(2, dtype=int),
                              np.array([0.0, 1.0, 0.0, 0.0]))
         assert loss == pytest.approx(math.log(4), rel=1e-12)
 
     def test_quarter_probability_frozen_value(self):
         # output [0.25, 0.75] via bias ln(3) on class 1
-        net = DenseNet([np.zeros((2, 2))], [np.array([0.0, math.log(3.0)])])
+        net = DenseNet.from_layers([np.zeros((2, 2))], [np.array([0.0, math.log(3.0)])])
         loss = cross_entropy(net, np.ones(2), np.ones(2, dtype=int),
                              np.array([1.0, 0.0]))
         assert loss == pytest.approx(1.3862943611198906, rel=1e-12)
@@ -199,27 +199,23 @@ class TestPredictorStep:
         delta1 = (delta2 @ net.weights[1]) * selu_deriv(z1)
         gw1 = delta1.T @ x_sel
         gb1 = delta1.sum(axis=0)
-        oracle_params, _ = adam_step(net.params(), [gw1, gb1, gw2, gb2],
-                                     AdamState.for_params(net.params()), 1e-3)
+        oracle_grad = np.concatenate([g.ravel() for g in (gw1, gb1, gw2, gb2)])
+        oracle, _ = adam_step(net, oracle_grad, AdamState.for_net(net), 1e-3)
 
         stepped, _, _, _ = predictor_step(net, sensitivity_pair(net, X, S, 0), Y,
-                                          AdamState.for_params(net.params()),
-                                          1e-3, 0.0)
-        for a, b in zip(stepped.params(), oracle_params):
-            assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+                                          AdamState.for_net(net), 1e-3, 0.0)
+        assert np.allclose(stepped.theta, oracle.theta, rtol=1e-10, atol=1e-12)
 
     def test_zero_gradients_leave_net_bit_identical(self):
         # dead sensitive pathway (zero weights) and a saturated output:
         # every gradient underflows against O(10) parameters
-        net = DenseNet([np.zeros((2, 3))], [np.array([80.0, 10.0])])
+        net = DenseNet.from_layers([np.zeros((2, 3))], [np.array([80.0, 10.0])])
         X = np.random.default_rng(0).random((4, 3))
         Y = np.tile([1.0, 0.0], (4, 1))
         S = np.zeros((4, 3), dtype=np.int8)
         stepped, _, _, _ = predictor_step(net, sensitivity_pair(net, X, S, 0), Y,
-                                          AdamState.for_params(net.params()),
-                                          1e-4, 1.0)
-        for a, b in zip(stepped.params(), net.params()):
-            assert np.array_equal(a, b)
+                                          AdamState.for_net(net), 1e-4, 1.0)
+        assert np.array_equal(stepped.theta, net.theta)
 
     def test_composite_gradient_passes_finite_differences(self):
         from fairsel.diagnostics import (net_gradient_errors, random_instance,
@@ -242,7 +238,7 @@ class TestPredictorStep:
         net, X, Y, S, k = random_instance(np.random.default_rng(seed))
         weight, n = 0.8, X.shape[0]
         pair = sensitivity_pair(net, X, S, k)
-        _, grads, _, _ = pair_loss_and_grads(net, pair, Y, weight)
+        _, grad, _, _ = pair_loss_and_grads(net, pair, Y, weight)
 
         x_sel = X * S
         x_with = x_sel.copy()
@@ -254,20 +250,18 @@ class TestPredictorStep:
         unit = diff / norms[:, None]
         grad_with = weight / n * unit
         grad_sel = -weight / n * unit - Y / p_sel / n
-        summed = [a + b for a, b in zip(
-            backward(net, x_with, layer_outputs(net, x_with), grad_with),
-            backward(net, x_sel, layer_outputs(net, x_sel), grad_sel))]
-        for got, want in zip(grads, summed):
-            assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+        summed = (backward(net, x_with, layer_outputs(net, x_with), grad_with)
+                  + backward(net, x_sel, layer_outputs(net, x_sel), grad_sel))
+        assert np.allclose(grad, summed, rtol=1e-12, atol=1e-15)
 
     def test_tiny_norm_uses_zero_subgradient(self):
         net = make_net(4, d=3, hidden=(4,), c=2)
         net.weights[0][:, 1] = 0.0
         X = np.random.default_rng(1).random((3, 3))
         S = np.array([[1, 0, 0]] * 3, dtype=np.int8)
-        loss, grads = sensitivity_only(net, X, S, 1)
+        loss, grad = sensitivity_only(net, X, S, 1)
         assert loss == pytest.approx(0.0, abs=1e-15)
-        assert all(np.allclose(g, 0.0, atol=1e-15) for g in grads)
+        assert np.allclose(grad, 0.0, atol=1e-15)
 
 
 class TestAdversarialSigns:
@@ -275,7 +269,7 @@ class TestAdversarialSigns:
 
     def _instance(self):
         net = make_net(8, d=5, hidden=(8,), c=2)
-        net = DenseNet([2.5 * w for w in net.weights], net.biases)
+        net = DenseNet.from_layers([2.5 * w for w in net.weights], net.biases)
         policy = SelectorPolicy(np.random.default_rng(2).normal(0, 0.4, 5), 0)
         x = np.random.default_rng(3).random(5)
         return net, policy, x
@@ -295,17 +289,15 @@ class TestAdversarialSigns:
         pi = np.prod(np.where(S_all == 1, p, 1 - p), axis=1)
 
         def expected_value_and_grads(net_):
-            val = 0.0
-            acc = [np.zeros_like(g) for g in net_.params()]
+            val, acc = 0.0, np.zeros_like(net_.theta)
             for weight, s in zip(pi, S_all):
-                loss, grads = sensitivity_only(net_, x[None, :], s[None, :], 0)
+                loss, grad = sensitivity_only(net_, x[None, :], s[None, :], 0)
                 val += weight * loss
-                acc = [a + weight * g for a, g in zip(acc, grads)]
+                acc += weight * grad
             return val, acc
 
-        value, grads = expected_value_and_grads(net)
-        stepped = net.with_params([p_ - 1e-4 * g
-                                   for p_, g in zip(net.params(), grads)])
+        value, grad = expected_value_and_grads(net)
+        stepped = DenseNet(net.sizes, net.theta - 1e-4 * grad)
         value2, _ = expected_value_and_grads(stepped)
         assert value2 < value
 
@@ -335,8 +327,7 @@ class TestTrain:
         m1 = train(tr, va, self._config())
         m2 = train(tr, va, self._config())
         assert m1.training_log == m2.training_log
-        for a, b in zip(m1.net.params(), m2.net.params()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(m1.net.theta, m2.net.theta)
         assert np.array_equal(m1.policy.logits, m2.policy.logits)
 
     def test_masking_invariant_over_full_run(self, monkeypatch):
@@ -378,6 +369,28 @@ class TestTrain:
         assert "injected" in model.diagnostics
         assert all(np.isfinite(w).all() for w in model.net.weights)
         assert len(model.training_log) < 6
+
+    def test_divergence_names_epoch_batch_and_block(self, monkeypatch):
+        tr, va, _ = self._data()
+        real = training.pair_loss_and_grads
+        calls = {"n": 0}
+
+        def poisoned(*args, **kw):
+            loss, grad, ce, sens = real(*args, **kw)
+            calls["n"] += 1
+            if calls["n"] == 6:  # epoch 1, batch 2: the last of 3 per epoch
+                grad = grad.copy()
+                grad[-1] = np.nan  # the last bias coordinate
+            return loss, grad, ce, sens
+
+        monkeypatch.setattr(training, "pair_loss_and_grads", poisoned)
+        config = self._config(max_epochs=6)
+        assert math.ceil(tr.n / config.batch_size) == 3
+        model = train(tr, va, config)
+        assert model.diagnostics == (
+            "training aborted during epoch 1, batch 2: "
+            "non-finite gradient in parameter block layer2.bias")
+        assert len(model.training_log) == 1
 
     def test_unmasked_ablation_can_select_sensitive(self, monkeypatch):
         tr, va, _ = self._data()
@@ -468,7 +481,7 @@ class TestPredict:
         assert np.array_equal(p1, p2)
 
     def test_tie_breaks_toward_lower_class(self):
-        net = DenseNet([np.zeros((3, 2))], [np.zeros(3)])
+        net = DenseNet.from_layers([np.zeros((3, 2))], [np.zeros(3)])
         pol = SelectorPolicy(np.zeros(2), 0)
         cfg = TrainConfig(max_epochs=0, patience=0, hidden_sizes=(1,))
         label, probs = predict_row(training.TrainedModel(net, pol, cfg),
@@ -534,8 +547,8 @@ class TestScoreFunctionEstimate:
         from fairsel.diagnostics import estimator_instance
         net, policy, x = estimator_instance(d=5)
         with pytest.raises(ValueError, match="n_samples"):
-            training.score_function_estimate(net, policy, x, n_samples,
-                                             np.random.default_rng(0))
+            score_function_estimate(net, policy, x, n_samples,
+                                    np.random.default_rng(0))
 
 
 class TestTrainConfig:

@@ -70,6 +70,8 @@ def load_model(path):
         raise DataError(f"unsupported checkpoint version {version!r} "
                         f"(this build reads version {CHECKPOINT_VERSION})")
     kind = body.get("kind")
+    if kind not in (KIND_ADVERSARIAL, KIND_LOGISTIC):
+        raise DataError(f"unknown checkpoint kind {kind!r}")
     try:
         encoder = Encoder.from_payload(body["encoder"])
         if kind == KIND_ADVERSARIAL:
@@ -81,11 +83,17 @@ def load_model(path):
                                       sel["mask_sensitive"]),
                 config=TrainConfig(**body["config"]),
             )
-            return kind, model, encoder
-        if kind == KIND_LOGISTIC:
+            what = "net input and selector logit widths"
+            widths = (model.net.input_dim, model.policy.logits.shape[0])
+            expected = (encoder.dim, encoder.dim)
+        else:
             model = LogisticModel(np.array(body["weights"], dtype=np.float64),
                                   float(body["bias"]))
-            return kind, model, encoder
+            what = "logistic weights shape"
+            widths, expected = model.weights.shape, (encoder.dim,)
+        # each width must be the encoder's, or scoring fails far from here
+        if widths != expected:
+            raise DimensionError(what, expected, widths)
     except (KeyError, TypeError, ValueError, DimensionError, NumericalError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from None
-    raise DataError(f"unknown checkpoint kind {kind!r}")
+    return kind, model, encoder

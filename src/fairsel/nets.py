@@ -13,7 +13,9 @@ knows its layout: the per-layer weights and biases are views into it,
 and `backward` and `adam_step` work on vectors laid out like it.
 
 All math is float64. Everything here is a pure function of its inputs;
-parameter updates return fresh arrays instead of mutating.
+parameter updates return fresh arrays instead of mutating. The
+in-place ufuncs that keep the SELU layers lean on memory only ever
+write to arrays the function itself allocated.
 """
 
 from __future__ import annotations
@@ -38,9 +40,18 @@ ADAM_EPS = 1e-8
 
 
 def selu(x):
-    """Scaled exponential linear unit, elementwise."""
+    """Scaled exponential linear unit, elementwise:
+    scale * max(x, 0) + scale * alpha * expm1(min(x, 0)), computed in two
+    buffers it allocates itself. expm1 never sees a positive value, and
+    x is never written."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * np.expm1(x))
+    neg = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(neg, out=neg)
+    neg *= SELU_SCALE * SELU_ALPHA
+    out = np.maximum(x, 0.0, out=np.empty_like(x))
+    out *= SELU_SCALE
+    out += neg
+    return out
 
 
 def selu_slope(a):
@@ -153,7 +164,8 @@ def _layers(net, X):
     acts = _check_input(net, X)
     last = net.num_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts @ w.T + b
+        z = acts @ w.T
+        z += b
         acts = softmax(z) if i == last else selu(z)
         yield acts
 
@@ -198,7 +210,8 @@ def backward(net, X, outputs, output_grad):
         np.matmul(delta.T, acts[i], out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
         if i > 0:
-            delta = (delta @ net.weights[i]) * selu_slope(acts[i])
+            delta = delta @ net.weights[i]
+            delta *= selu_slope(acts[i])
     return grad.theta
 
 

@@ -75,6 +75,14 @@ def naive_forward(net, x):
     return np.array(acts)
 
 
+def selu_where(x):
+    """np.where oracle for SELU: scale * x where x > 0, else
+    scale * alpha * expm1(x), with expm1 run on every element."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(x > 0, 1.0507009873554805 * x,
+                    1.0507009873554805 * 1.6732632423543772 * np.expm1(x))
+
+
 def selu_deriv(z):
     """exp-based oracle for SELU's derivative at the pre-activation z;
     the z <= 0 branch is used at the kink."""

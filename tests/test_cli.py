@@ -196,7 +196,9 @@ class TestEvaluateCommand:
         assert report["model_kind"] == "logistic"
         assert report["metrics"]["mean_sensitivity"] is None
 
-    @pytest.mark.parametrize("corrupt", ["layer-shapes", "nan-weight", "inf-logit"])
+    @pytest.mark.parametrize("corrupt", ["layer-shapes", "nan-weight", "inf-logit",
+                                         "narrow-input", "short-logits",
+                                         "short-logistic-weights"])
     def test_corrupt_checkpoint_is_two(self, tmp_path, capsys, corrupt):
         data, spec_path = write_toy(tmp_path)
         ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
@@ -207,8 +209,17 @@ class TestEvaluateCommand:
             body["net"]["biases"].append([0.0, 0.0])
         elif corrupt == "nan-weight":
             body["net"]["weights"][0][1][2] = float("nan")
-        else:
+        elif corrupt == "inf-logit":
             body["selector"]["logits"][0] = float("inf")
+        elif corrupt == "narrow-input":
+            # the encoder writes 4 columns, the net reads 3
+            body["net"]["weights"][0] = [row[:3] for row in body["net"]["weights"][0]]
+        elif corrupt == "short-logits":
+            body["selector"]["logits"] = body["selector"]["logits"][:3]
+        else:
+            body = {"version": body["version"], "kind": "logistic",
+                    "weights": [0.0, 0.0, 0.0], "bias": 0.0,
+                    "encoder": body["encoder"]}
         Path(ckpt).write_text(json.dumps(body))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_row, make_net, naive_forward, selu_deriv
+from conftest import forward_row, make_net, naive_forward, selu_deriv, selu_where
 from fairsel.diagnostics import net_gradient_errors, worst_error
 from fairsel.errors import DimensionError, NumericalError
 from fairsel.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DenseNet,
@@ -32,6 +32,24 @@ class TestSelu:
         out = selu(x)
         assert out.shape == (3,)
         assert out[2] == pytest.approx(3 * 1.0507009873554805)
+
+    def test_bit_equal_to_where_formula(self):
+        tiny = [1e-300, -1e-300, 5e-324, -5e-324]
+        large = [1e300, -1e300, 1e308, -1e308]
+        x = np.concatenate([np.linspace(-40, 40, 80001), tiny, large,
+                            [0.0, -0.0, np.nan, -np.nan]])
+        before = x.copy()
+        out = selu(x)
+        with np.errstate(over="ignore"):   # the oracle runs expm1(1e308)
+            oracle = selu_where(x)
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
+        # at -0.0 SIMD max/min may pick either zero
+        neg_zero = (x == 0) & np.signbit(x)
+        assert neg_zero.sum() == 1 and out[neg_zero][0] == 0.0
+        assert np.array_equal(out[~neg_zero].view(np.int64),
+                              oracle[~neg_zero].view(np.int64))
+        assert selu(0.0) == 0.0
+        assert selu(np.float64(-1.0)) == selu_where(-1.0)
 
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(0)

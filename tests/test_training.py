@@ -519,8 +519,10 @@ class TestMeanSensitivity:
         assert est == pytest.approx(exact, rel=0.05)
 
     def test_blocks_match_one_unblocked_pair(self):
-        # 600 rows run as blocks of 256, 256 and 88
+        # 600 rows run as 600 // SENSITIVITY_BLOCK full blocks and a short
+        # final block of 600 % SENSITIVITY_BLOCK rows
         assert training.SENSITIVITY_BLOCK < 600
+        assert 600 % training.SENSITIVITY_BLOCK != 0
         net = make_net(3, d=5, hidden=(6, 4), c=2)
         policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1]), 2)
         X = np.random.default_rng(4).random((600, 5))

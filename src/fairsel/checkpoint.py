@@ -1,13 +1,18 @@
 """Versioned JSON checkpoints shared by both model kinds.
 
 A checkpoint stores everything needed to reproduce predictions on new
-data: network weights or logistic coefficients, selector logits, the
-fitted encoder, the training config and seed. float64 values survive
-the JSON round trip bit-exactly (shortest-repr serialization).
+data: network parameters or logistic coefficients, selector logits, the
+fitted encoder (with its label vocabulary), the training config and
+seed. Version 2, the one written, stores a net as its layer sizes and
+its flat parameter vector `theta` (laid out by `nets`) as one base64
+blob of little-endian float64; version 1, still read, stored nested
+weight and bias lists. Every float64 survives the round trip bit-exactly:
+the blob holds the raw bits, and the JSON numbers are shortest reprs.
 """
 
 from __future__ import annotations
 
+import binascii
 import dataclasses
 import json
 
@@ -16,11 +21,12 @@ import numpy as np
 from .baseline import LogisticModel
 from .data import Encoder
 from .errors import DataError, DimensionError, NumericalError
-from .nets import DenseNet
+from .nets import DenseNet, require_finite
 from .selector import SelectorPolicy
 from .training import TrainConfig, TrainedModel
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 KIND_ADVERSARIAL = "adversarial-selection"
 KIND_LOGISTIC = "logistic"
@@ -34,8 +40,8 @@ def save_model(path, model, encoder):
             "kind": KIND_ADVERSARIAL,
             "config": dataclasses.asdict(model.config),
             "seed": model.config.seed,
-            "net": {"weights": [w.tolist() for w in model.net.weights],
-                    "biases": [b.tolist() for b in model.net.biases]},
+            "net": {"sizes": list(model.net.sizes),
+                    "theta": _encode_theta(model.net.theta)},
             "selector": {
                 "logits": model.policy.logits.tolist(),
                 "sensitive_index": model.policy.sensitive_index,
@@ -54,7 +60,28 @@ def save_model(path, model, encoder):
     else:
         raise TypeError(f"cannot checkpoint a {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh)
+        fh.write(json.dumps(body))   # dumps runs the C encoder, dump does not
+
+
+def _encode_theta(theta):
+    return binascii.b2a_base64(theta.astype("<f8").tobytes(), newline=False).decode("ascii")
+
+
+def _decode_net(version, net):
+    """The DenseNet of a checkpoint's "net" entry; raises on any defect."""
+    if version == 1:
+        return DenseNet.from_layers(net["weights"], net["biases"])
+    text = net["theta"]
+    blob = binascii.a2b_base64(text)
+    # a2b_base64 skips stray characters: only the canonical text is accepted
+    if binascii.b2a_base64(blob, newline=False).decode("ascii") != text:
+        raise ValueError("net.theta is not canonical base64")
+    sizes = net["sizes"]
+    if not (isinstance(sizes, list) and all(type(s) is int for s in sizes)):
+        raise ValueError(f"net.sizes must be a list of integers, got {sizes!r}")
+    out = DenseNet(sizes, np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    require_finite(out, out.theta, "value")
+    return out
 
 
 def load_model(path):
@@ -64,11 +91,13 @@ def load_model(path):
             body = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    if not isinstance(body, dict):
+        raise DataError(f"malformed checkpoint {path}: not a JSON object")
 
     version = body.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version!r} "
-                        f"(this build reads version {CHECKPOINT_VERSION})")
+    if version not in READABLE_VERSIONS:
+        raise DataError(f"unsupported checkpoint version {version!r} (this build "
+                        f"reads versions {' and '.join(map(str, READABLE_VERSIONS))})")
     kind = body.get("kind")
     if kind not in (KIND_ADVERSARIAL, KIND_LOGISTIC):
         raise DataError(f"unknown checkpoint kind {kind!r}")
@@ -77,7 +106,7 @@ def load_model(path):
         if kind == KIND_ADVERSARIAL:
             sel, net = body["selector"], body["net"]
             model = TrainedModel(
-                net=DenseNet.from_layers(net["weights"], net["biases"]),
+                net=_decode_net(version, net),
                 policy=SelectorPolicy(np.array(sel["logits"], dtype=np.float64),
                                       sel["sensitive_index"],
                                       sel["mask_sensitive"]),

@@ -275,6 +275,7 @@ class Encoder:
     layout: list = field(default_factory=list)   # per spec column: dict
     sensitive_index: int = -1
     column_names: list = field(default_factory=list)
+    labels: list = None   # the label values fit saw; None if not stored
 
     @classmethod
     def fit(cls, raw, spec, stat_rows=None):
@@ -292,7 +293,7 @@ class Encoder:
             raise DataError(f"label column {spec.label_column!r} must hold the "
                             f"favorable value {spec.favorable_value!r} and one other "
                             f"value, saw {seen[:10]}{' ...' if len(seen) > 10 else ''}")
-        enc = cls(spec=spec)
+        enc = cls(spec=spec, labels=seen)
         out_pos = 0
         for c in spec.columns:
             vals = raw.feature_values[c.name]
@@ -321,10 +322,23 @@ class Encoder:
         return len(self.column_names)
 
     def transform(self, raw, rows=None):
-        """Encode (a subset of) a RawTable into a Dataset."""
+        """Encode (a subset of) a RawTable into a Dataset.
+
+        A label outside the vocabulary fit saw raises a DataError naming
+        the row (1-based among the loaded rows) and the value; an encoder
+        without a stored vocabulary takes any other label as unfavorable.
+        """
         if raw.n_rows == 0:
             raise DataError("cannot encode a table with zero rows")
         idx = list(range(raw.n_rows)) if rows is None else list(rows)
+        if self.labels is not None:
+            vocab = set(self.labels)
+            bad = next((i for i in idx if raw.label_values[i] not in vocab), None)
+            if bad is not None:
+                raise DataError(
+                    f"label column {self.spec.label_column!r}, loaded row {bad + 1}: "
+                    f"{raw.label_values[bad]!r} is not one of the labels the "
+                    f"encoder was fitted on {self.labels}")
         n = len(idx)
         features = np.zeros((n, self.dim))
         pos = 0
@@ -366,15 +380,21 @@ class Encoder:
     def to_payload(self):
         return {"spec": self.spec.to_dict(), "layout": self.layout,
                 "sensitive_index": self.sensitive_index,
-                "column_names": list(self.column_names)}
+                "column_names": list(self.column_names), "labels": self.labels}
 
     @classmethod
     def from_payload(cls, payload):
+        labels = payload["labels"] if "labels" in payload else None   # v1: none
+        if labels is not None and not (isinstance(labels, list)
+                                       and all(isinstance(v, str) for v in labels)):
+            raise DataError(f"encoder payload field 'labels' must be a list of "
+                            f"strings, got {labels!r}")
         try:
             return cls(spec=DatasetSpec.from_dict(payload["spec"]),
                        layout=payload["layout"],
                        sensitive_index=payload["sensitive_index"],
-                       column_names=list(payload["column_names"]))
+                       column_names=list(payload["column_names"]),
+                       labels=labels)
         except KeyError as exc:
             raise DataError(f"encoder payload missing field {exc}") from None
 
@@ -417,7 +437,7 @@ def _synth_encoder():
         privileged=Predicate(op="ge", value=0.5),
         name="synthetic-proxy",
     )
-    enc = Encoder(spec=spec)
+    enc = Encoder(spec=spec, labels=["0", "1"])
     for i, name in enumerate(SYNTH_COLUMNS):
         if name == "sensitive":
             enc.layout.append({"name": name, "role": "sensitive"})

@@ -57,8 +57,13 @@ def selu(x):
 def selu_slope(a):
     """SELU's derivative at z, read off the activation a = selu(z): the
     scale where z > 0, else scale * alpha * e^z = a + scale * alpha (the
-    z <= 0 branch is used at the kink). Needs no exponential."""
-    return np.where(a > 0, SELU_SCALE, a + SELU_SCALE * SELU_ALPHA)
+    z <= 0 branch is used at the kink). Needs no exponential.
+
+    Branch-free: min(a, 0) + c is c where a > 0, and subtracting the exact
+    c - scale (Sterbenz) there leaves exactly scale, so the result equals
+    the np.where form bit for bit, without its unpredictable mask."""
+    c = SELU_SCALE * SELU_ALPHA
+    return np.minimum(a, 0.0) + c - (a > 0) * (c - SELU_SCALE)
 
 
 def softmax(z):
@@ -79,7 +84,7 @@ def _layout(sizes):
             yield f"layer{i}.{kind}", start, stop, shape
 
 
-def _require_finite(net, vector, what):
+def require_finite(net, vector, what):
     """Name the block of the first non-finite coordinate of a vector laid
     out like net.theta in a NumericalError."""
     finite = np.isfinite(vector)
@@ -147,7 +152,7 @@ class DenseNet:
                                      f"{w.shape} with bias {b.shape}")
         net = cls([weights[0].shape[1], *(w.shape[0] for w in weights)],
                   np.concatenate([a.ravel() for wb in zip(weights, biases) for a in wb]))
-        _require_finite(net, net.theta, "value")
+        require_finite(net, net.theta, "value")
         return net
 
 
@@ -239,7 +244,7 @@ def adam_step(net, grad, state, lr):
         raise ValueError(f"learning rate must be positive, got {lr}")
     if not net.theta.shape == np.shape(grad) == state.first.shape == state.second.shape:
         raise DimensionError("gradient and moments", net.theta.shape, np.shape(grad))
-    _require_finite(net, grad, "gradient")
+    require_finite(net, grad, "gradient")
 
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2

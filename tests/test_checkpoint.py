@@ -1,14 +1,21 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
+from conftest import as_v1_body
 from fairsel.baseline import LogisticModel, train_logistic
 from fairsel.checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
                                 save_model)
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DataError
+from fairsel.nets import DenseNet, forward
 from fairsel.training import TrainConfig, train
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +37,33 @@ class TestRoundTrip:
         kind, loaded, enc2 = load_model(path)
         assert kind == KIND_ADVERSARIAL
         assert loaded.net.sizes == model.net.sizes
-        assert np.array_equal(loaded.net.theta, model.net.theta)
-        assert np.array_equal(loaded.policy.logits, model.policy.logits)
         assert loaded.policy.sensitive_index == model.policy.sensitive_index
         assert loaded.config == model.config
         assert enc2.to_payload() == encoder.to_payload()
+        # version 2: sizes, and theta as one base64 blob of little-endian float64
+        body = json.loads(path.read_text())
+        assert body["version"] == 2
+        assert body["net"]["sizes"] == list(model.net.sizes)
+        blob = base64.b64decode(body["net"]["theta"], validate=True)
+        assert blob == model.net.theta.astype("<f8").tobytes()
+        assert body["encoder"]["labels"] == encoder.labels == ["0", "1"]
+        assert loaded.net.theta.flags.writeable and loaded.net.theta.dtype == np.float64
+        assert np.array_equal(bits(loaded.net.theta), bits(model.net.theta))
+        assert np.array_equal(bits(loaded.policy.logits), bits(model.policy.logits))
+        X = np.random.default_rng(0).random((50, encoder.dim))
+        assert np.array_equal(bits(forward(loaded.net, X)), bits(forward(model.net, X)))
+
+    def test_v1_body_loads_same_bits(self, trained, tmp_path):
+        model, _, encoder = trained
+        path = tmp_path / "adv.json"
+        save_model(path, model, encoder)
+        v1 = as_v1_body(json.loads(path.read_text()))
+        path.write_text(json.dumps(v1))
+        kind, loaded, enc1 = load_model(path)
+        assert kind == KIND_ADVERSARIAL and enc1.labels is None
+        assert loaded.net.sizes == model.net.sizes
+        assert np.array_equal(bits(loaded.net.theta), bits(model.net.theta))
+        assert np.array_equal(bits(loaded.policy.logits), bits(model.policy.logits))
 
     def test_logistic_bit_exact(self, trained, tmp_path):
         _, baseline, encoder = trained
@@ -76,12 +105,52 @@ class TestValidation:
         path.write_text(json.dumps(body))
         with pytest.raises(DataError) as exc:
             load_model(path)
-        assert "version" in str(exc.value)
+        assert "version 99" in str(exc.value)
+        assert "reads versions 1 and 2" in str(exc.value)
+
+    @pytest.mark.parametrize("corrupt", ["not-base64", "short-blob", "nan-blob",
+                                         "inf-blob", "sizes-vs-encoder",
+                                         "missing-sizes", "float-sizes"])
+    def test_corrupt_v2_net(self, trained, tmp_path, corrupt):
+        model, _, encoder = trained
+        path = tmp_path / "c.json"
+        save_model(path, model, encoder)
+        body = json.loads(path.read_text())
+        net, theta = body["net"], model.net.theta.copy()
+        blob = lambda t: base64.b64encode(t.astype("<f8").tobytes()).decode()
+        if corrupt == "not-base64":
+            net["theta"] = net["theta"][:40] + "!?" + net["theta"][40:]
+        elif corrupt == "short-blob":
+            net["theta"] = blob(theta[:-1])
+        elif corrupt in ("nan-blob", "inf-blob"):
+            theta[-1] = np.nan if corrupt == "nan-blob" else -np.inf
+            net["theta"] = blob(theta)
+        elif corrupt == "sizes-vs-encoder":
+            # a well-formed net that reads one input more than the encoder writes
+            wide = DenseNet.initialize(encoder.dim + 1, (6, 5), 2, np.random.default_rng(0))
+            net["sizes"], net["theta"] = list(wide.sizes), blob(wide.theta)
+        elif corrupt == "missing-sizes":
+            del net["sizes"]
+        else:
+            net["sizes"] = [s + 0.5 for s in net["sizes"]]   # int() would truncate
+        path.write_text(json.dumps(body))
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert "malformed checkpoint" in str(exc.value)
+        if corrupt in ("nan-blob", "inf-blob"):
+            assert "layer2.bias" in str(exc.value)
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         with pytest.raises(DataError):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[]", '"checkpoint"', "2"])
+    def test_body_not_an_object(self, tmp_path, text):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="malformed checkpoint"):
             load_model(path)
 
     def test_truncated_body(self, trained, tmp_path):

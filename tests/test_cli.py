@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import as_v1_body
 from fairsel.checkpoint import save_model
 from fairsel.cli import derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
@@ -203,6 +204,8 @@ class TestEvaluateCommand:
         data, spec_path = write_toy(tmp_path)
         ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
         body = json.loads(Path(ckpt).read_text())
+        if corrupt in ("layer-shapes", "nan-weight", "narrow-input"):
+            body = as_v1_body(body)   # the version-1 net is nested lists
         if corrupt == "layer-shapes":
             # a second layer that reads 3 inputs after a 2-unit layer
             body["net"]["weights"].append([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -224,6 +227,32 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data]) == 2
         assert "malformed checkpoint" in capsys.readouterr().err
+
+    def test_label_outside_vocabulary_is_two(self, tmp_path, capsys):
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        rows = Path(data).read_text().splitlines()
+        rows[5] = rows[5].rsplit(",", 1)[0] + ",YES"
+        bad = tmp_path / "shouting.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "'label'" in err and "loaded row 5" in err and "'YES'" in err
+
+    def test_v1_and_v2_checkpoints_give_identical_reports(self, tmp_path, capsys):
+        data, spec = write_toy(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", data, "--spec", spec, "--reps", "1",
+                     "--max-epochs", "2", "--patience", "2", "--hidden", "8,6",
+                     "--alpha-phi", "1e-3", "--out", str(out)]) == 0
+        ckpt = out / "checkpoint_rep0.json"
+        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", data]
+        capsys.readouterr()
+        assert main(evaluate) == 0
+        from_v2 = capsys.readouterr().out
+        ckpt.write_text(json.dumps(as_v1_body(json.loads(ckpt.read_text()))))
+        assert main(evaluate) == 0
+        assert capsys.readouterr().out == from_v2
 
     def test_empty_data_file_is_two(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)

@@ -180,6 +180,22 @@ class TestEncode:
         msg = str(exc.value)
         assert "'label'" in msg and str(sorted(set(labels))) in msg
 
+    def test_transform_rejects_label_outside_vocabulary(self, tiny_csv, tmp_path):
+        enc = Encoder.fit(load_csv(tiny_csv, tiny_spec()), tiny_spec())
+        assert enc.labels == ["no", "yes"]
+        path = write_csv(tmp_path / "new.csv", ["color", "size", "group", "label"],
+                         [["red", "2", "a", "yes"], ["blue", "", "b", "no"],
+                          ["red", "3", "a", "no"], ["blue", "4", "b", "YES"]])
+        raw = load_csv(path, tiny_spec())   # the row with no size is rejected
+        with pytest.raises(DataError) as exc:
+            enc.transform(raw)
+        msg = str(exc.value)
+        assert "'label'" in msg and "loaded row 3" in msg and "'YES'" in msg
+        # an encoder without a stored vocabulary (checkpoint v1) reads any
+        # label other than the favorable one as unfavorable
+        enc.labels = None
+        assert np.array_equal(enc.transform(raw).label_indices(), [1, 0, 0])
+
     def test_labels_one_hot_favorable_is_class_one(self, tiny_csv):
         ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
         assert np.array_equal(ds.labels.argmax(axis=1), [1, 0, 1])

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import forward_row, make_net, naive_forward, selu_deriv, selu_where
+from conftest import (forward_row, make_net, naive_forward, selu_deriv,
+                      selu_slope_where, selu_where)
 from fairsel.diagnostics import net_gradient_errors, worst_error
 from fairsel.errors import DimensionError, NumericalError
 from fairsel.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DenseNet,
@@ -67,6 +68,18 @@ class TestSelu:
         assert np.allclose(slope, selu_deriv(z), rtol=0, atol=1e-15)
         assert np.array_equal(slope[z > 0], np.full((z > 0).sum(), 1.0507009873554805))
         assert slope[-4] == selu_deriv(0.0) and slope[-2] == selu_deriv(-1e-300)
+
+    def test_slope_bit_equal_to_where_formula(self):
+        # the grids above, as activations and as raw values, plus the
+        # non-finite values: signed zeros, infinities and NaNs must match too
+        grid = np.concatenate([np.linspace(-40, 40, 80001), np.linspace(-30, 30, 6001),
+                               [1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
+                                1e308, -1e308, 0.0, -0.0]])
+        a = np.concatenate([selu(grid), grid, [np.inf, -np.inf, np.nan, -np.nan]])
+        before = a.copy()
+        out = selu_slope(a)
+        assert np.array_equal(a.view(np.int64), before.view(np.int64))
+        assert np.array_equal(out.view(np.int64), selu_slope_where(a).view(np.int64))
 
 
 class TestForward:

@@ -1,8 +1,9 @@
+import jsonschema
 import numpy as np
 import pytest
 from jsonschema.exceptions import ValidationError
 
-from fairsel.report import (METRIC_NAMES, aggregate, base_report,
+from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, aggregate, base_report,
                             flatten_csv, strip_wall_clock, validate_report)
 
 
@@ -60,6 +61,25 @@ class TestSchema:
         rep["command"] = "mystery"
         with pytest.raises(ValidationError):
             validate_report(rep)
+
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("breakage", ["missing-key", "wrong-type", "bad-enum"])
+    def test_same_error_as_jsonschema_validate(self, breakage):
+        rep = self._train_report()
+        if breakage == "missing-key":
+            del rep["repetitions"][0]["metrics"]["theil_index"]
+        elif breakage == "wrong-type":
+            rep["aggregate"]["accuracy"]["mean"] = "high"
+        else:
+            rep["command"] = "mystery"
+        with pytest.raises(ValidationError) as ours:
+            validate_report(rep)
+        with pytest.raises(ValidationError) as reference:
+            jsonschema.validate(rep, REPORT_SCHEMA)
+        assert ours.value.message == reference.value.message
+        assert ours.value.path == reference.value.path
 
 
 class TestFlattenCsv:

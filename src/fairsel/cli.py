@@ -74,6 +74,7 @@ def _checked(kind, ok, rule):
 
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
+_SEED = _checked(int, lambda v: v >= 0, "nonnegative")  # SeedSequence entropy
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf,
                         "nonnegative and finite")
@@ -124,7 +125,7 @@ def _add_data_flags(p):
 
 
 def _add_train_flags(p, lambda_flag=True):
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_SEED, default=0, help="master seed")
     p.add_argument("--reps", type=_AT_LEAST_ONE, default=5,
                    help="independent repetitions with distinct splits")
     if lambda_flag:  # tune takes its weights from --grid
@@ -171,7 +172,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--spec", default=None,
                    help="optional spec JSON, checked against the checkpoint")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.add_argument("--report-format", choices=("json", "csv"), default="json")
 
@@ -195,7 +196,7 @@ def build_parser():
     p.set_defaults(reps=1)
 
     p = sub.add_parser("gradcheck", help="run gradient and estimator checks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--instances", type=_AT_LEAST_ONE, default=50,
                    help="random instances per gradient check")
     # the estimator instance needs 3 features; 2^8 selections bound the cost

@@ -157,6 +157,7 @@ class RawTable:
     spec: DatasetSpec
     feature_values: dict           # column name -> list (float or str)
     label_values: list             # raw label strings
+    data_rows: list                # CSV data row of each kept row (1-based)
     n_rejected: int = 0            # rows dropped for missing cells
 
     @property
@@ -170,7 +171,8 @@ def load_csv(path, spec):
     Rows with missing cells in any used column are rejected (counted in
     the result, never imputed). Numeric cells that do not parse as a
     finite number (including nan and inf) raise a DataError naming the
-    data row (1-based, header excluded) and column.
+    data row (1-based, header excluded) and column; so does a used
+    column that the header names twice.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -189,9 +191,13 @@ def load_csv(path, spec):
         missing = [name for name in used if name not in col_index]
         if missing:
             raise DataError(f"{path}: header is missing column(s) {missing}")
+        repeated = [name for name in used if header.count(name) > 1]
+        if repeated:
+            raise DataError(f"{path}: header repeats column(s) {repeated}")
 
         feature_values = {c.name: [] for c in spec.columns}
         label_values = []
+        data_rows = []
         n_rejected = 0
         for row_no, row in enumerate(reader, start=1):
             if not row:
@@ -221,7 +227,8 @@ def load_csv(path, spec):
                             f"cannot parse {cells[c.name]!r} as a finite number")
                 feature_values[c.name].append(cell)
             label_values.append(cells[spec.label_column])
-    return RawTable(spec, feature_values, label_values, n_rejected)
+            data_rows.append(row_no)
+    return RawTable(spec, feature_values, label_values, data_rows, n_rejected)
 
 
 @dataclass
@@ -321,31 +328,30 @@ class Encoder:
     def dim(self):
         return len(self.column_names)
 
-    def transform(self, raw, rows=None):
-        """Encode (a subset of) a RawTable into a Dataset.
+    def transform(self, raw):
+        """Encode a RawTable into a Dataset.
 
         A label outside the vocabulary fit saw raises a DataError naming
-        the row (1-based among the loaded rows) and the value; an encoder
+        its CSV data row, as load_csv does, and the value; an encoder
         without a stored vocabulary takes any other label as unfavorable.
         """
         if raw.n_rows == 0:
             raise DataError("cannot encode a table with zero rows")
-        idx = list(range(raw.n_rows)) if rows is None else list(rows)
         if self.labels is not None:
             vocab = set(self.labels)
-            bad = next((i for i in idx if raw.label_values[i] not in vocab), None)
+            bad = next((i for i, v in enumerate(raw.label_values) if v not in vocab),
+                       None)
             if bad is not None:
                 raise DataError(
-                    f"label column {self.spec.label_column!r}, loaded row {bad + 1}: "
-                    f"{raw.label_values[bad]!r} is not one of the labels the "
-                    f"encoder was fitted on {self.labels}")
-        n = len(idx)
+                    f"row {raw.data_rows[bad]}, label column "
+                    f"{self.spec.label_column!r}: {raw.label_values[bad]!r} is not "
+                    f"one of the labels the encoder was fitted on {self.labels}")
+        n = raw.n_rows
         features = np.zeros((n, self.dim))
         pos = 0
         spec = self.spec
         for item in self.layout:
-            vals = raw.feature_values[item["name"]]
-            cells = [vals[i] for i in idx]
+            cells = raw.feature_values[item["name"]]
             if item["role"] == "sensitive":
                 features[:, pos] = [1.0 if spec.privileged.matches(v) else 0.0
                                     for v in cells]
@@ -368,8 +374,7 @@ class Encoder:
                         features[r, pos + j] = 1.0
                 pos += len(item["categories"])
 
-        raw_labels = [raw.label_values[i] for i in idx]
-        fav = np.array([v == spec.favorable_value for v in raw_labels])
+        fav = np.array([v == spec.favorable_value for v in raw.label_values])
         labels = np.zeros((n, 2))
         labels[np.arange(n), fav.astype(int)] = 1.0
 
@@ -419,10 +424,10 @@ def split(dataset, seed):
 
 def prepare_splits(raw, spec, seed):
     """Split raw rows 60/20/20, fit the encoder's statistics on the
-    training rows only, and encode all three splits with it."""
+    training rows only, and encode the table once with it to split."""
     tr, va, te = split_indices(raw.n_rows, seed)
-    enc = Encoder.fit(raw, spec, stat_rows=tr)
-    return enc.transform(raw, tr), enc.transform(raw, va), enc.transform(raw, te)
+    dataset = Encoder.fit(raw, spec, stat_rows=tr).transform(raw)
+    return dataset.subset(tr), dataset.subset(va), dataset.subset(te)
 
 
 SYNTH_COLUMNS = ["sensitive", "proxy", "informative", "noise_0", "noise_1"]

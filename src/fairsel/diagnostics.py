@@ -1,11 +1,11 @@
 """Randomized self-checks of every analytic gradient and estimator.
 
-Each check builds seeded random instances, compares an analytic
-quantity against an independent oracle (central finite differences by
-`difference_errors`, or `enumerate_sensitivity`'s exhaustive enumeration),
-and reports the worst error seen (`worst_error`, so a NaN error fails
-the check). The CLI `gradcheck` command runs these; the test suite
-reuses them and the oracles at the tolerances they were designed for.
+Each check runs the code that trains on seeded random instances (the
+estimator check drives `selector_step` itself), compares it against an
+independent oracle (central finite differences by `difference_errors`, or
+`enumerate_sensitivity`'s exhaustive enumeration), and reports the worst
+error seen (`worst_error`, so a NaN error fails the check). `gradcheck`
+runs these; the tests reuse them at the tolerances they were designed for.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import numpy as np
 from .baseline import logistic_loss_and_grad
 from .nets import DenseNet
 from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
-                       pi_prob, probabilities, sample_selection_batch, sigmoid)
-from .training import pair_loss_and_grads, sensitivity_pair
+                       pi_prob, probabilities, sigmoid)
+from .training import pair_loss_and_grads, selector_step, sensitivity_pair
 
-# selections per chunk in score_function_estimate (bounds its memory)
+# draws per selector_step in check_estimator_unbiasedness (bounds its memory)
 ESTIMATE_CHUNK = 20000
 
 
@@ -176,22 +176,23 @@ def check_pi_normalization(n_policies=50, seed=4, tolerance=1e-9, max_dim=10):
                                 mask_sensitive=bool(rng.integers(0, 2)))
         p = probabilities(policy)
         masked = policy.sensitive_index if policy.mask_sensitive else None
-        total = sum(pi_prob(p, s) for s in enumerate_selections(d, masked))
+        # Python's sequential sum; numpy's pairwise sum changes the error
+        total = sum(pi_prob(p, enumerate_selections(d, masked)))
         errors.append(abs(total - 1.0))
     return _gate("selection-distribution normalization", errors, tolerance)
 
 
 def check_log_pi_gradient(n_policies=50, seed=5, tolerance=1e-6, h=1e-6):
-    """Score function s - p vs finite differences of log pi(sigmoid(logits))."""
+    """`log_pi_grad` vs finite differences of log pi(sigmoid(logits))."""
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(n_policies):
         d = int(rng.integers(2, 8))
         logits = rng.normal(0, 1.5, size=d)
-        s = (rng.random(d) < 0.5).astype(np.int8)
+        S = (rng.random((1, d)) < 0.5).astype(np.int8)
         errors.extend(difference_errors(
-            lambda theta: np.log(pi_prob(sigmoid(theta), s)), logits,
-            log_pi_grad(sigmoid(logits), s), h))
+            lambda theta: np.log(pi_prob(sigmoid(theta), S)[0]), logits,
+            log_pi_grad(sigmoid(logits), S)[0], h))
     return _gate("log-selection-probability gradient", errors, tolerance)
 
 
@@ -207,32 +208,12 @@ def enumerate_sensitivity(net, policy, x):
     p = probabilities(policy)
     masked = policy.sensitive_index if policy.mask_sensitive else None
     S_all = enumerate_selections(d, masked_index=masked)
-    pi = np.prod(np.where(S_all == 1, p, 1.0 - p), axis=1)
+    pi = pi_prob(p, S_all)
     X_rep = np.broadcast_to(x, (S_all.shape[0], d))
     norms = sensitivity_pair(net, X_rep, S_all, policy.sensitive_index).norms
     expected = float(np.dot(pi, norms))
-    grad = ((pi * norms)[:, None] * (S_all - p)).sum(axis=0)
+    grad = ((pi * norms)[:, None] * log_pi_grad(p, S_all)).sum(axis=0)
     return expected, grad
-
-
-def score_function_estimate(net, policy, x, n_samples, rng):
-    """Monte-Carlo estimate of the logit gradient of the expected
-    sensitivity norm for one input: mean of norm * (s - p) over sampled
-    selections. The sampled counterpart of `enumerate_sensitivity`."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    x = np.asarray(x, dtype=np.float64)
-    p = probabilities(policy)
-    total = np.zeros_like(p)
-    remaining = n_samples
-    while remaining > 0:
-        m = min(ESTIMATE_CHUNK, remaining)
-        S = sample_selection_batch(p, m, rng)
-        X_rep = np.broadcast_to(x, (m, x.shape[0]))
-        norms = sensitivity_pair(net, X_rep, S, policy.sensitive_index).norms
-        total += (norms[:, None] * (S - p)).sum(axis=0)
-        remaining -= m
-    return total / n_samples
 
 
 def estimator_instance(d=6):
@@ -264,19 +245,26 @@ def estimator_instance(d=6):
 
 def check_estimator_unbiasedness(d=6, n_samples=200_000, seed=22,
                                  rel_tolerance=0.02):
-    """Score-function gradient estimate vs exhaustive enumeration.
+    """The selector's training update vs exhaustive enumeration.
 
-    Compares the empirical mean of norm * (s - p) over sampled
-    selections against the exact gradient computed from every selection
-    vector, coordinate by coordinate (the masked coordinate is zero on
-    both sides and is skipped). The tolerance is calibrated for the
-    default sample count; small seed-to-seed excursions near it are
-    sampling noise, not estimator bias.
+    Runs `selector_step` on n_samples draws, ESTIMATE_CHUNK per step; at
+    the instance's zero logits a unit step moves them by exactly its
+    estimate. The draw-weighted mean move is compared with the exact
+    gradient per coordinate (the masked one, zero on both sides, is
+    skipped). The tolerance is calibrated for the default sample count;
+    small seed-to-seed excursions near it are sampling noise, not bias.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     net, policy, x = estimator_instance(d=d)
     _, exact = enumerate_sensitivity(net, policy, x)
     rng = np.random.default_rng([seed, 7])
-    estimate = score_function_estimate(net, policy, x, n_samples, rng)
+    total = np.zeros(d)
+    for lo in range(0, n_samples, ESTIMATE_CHUNK):
+        m = min(ESTIMATE_CHUNK, n_samples - lo)
+        stepped, _ = selector_step(policy, np.broadcast_to(x, (m, d)), net, 1.0, rng)
+        total += m * (stepped.logits - policy.logits)
+    estimate = total / n_samples
     return _gate(f"score-function estimator (d={d}, {n_samples} draws)",
                  [abs(estimate[j] - exact[j]) / abs(exact[j])
                   for j in range(d) if j != policy.sensitive_index], rel_tolerance)

@@ -75,31 +75,34 @@ def sample_selection_batch(p, n_rows, rng):
     return (rng.random((n_rows, p.shape[0])) < p).astype(np.int8)
 
 
-def _validate_pair(p, s):
+def _validate_rows(p, S):
+    """p as float64 and S, checked to be (m, d) selection rows that pick no
+    masked (p <= 0) feature: per batch, so only masked columns are read."""
     p = np.asarray(p, dtype=np.float64)
-    s = np.asarray(s)
-    if p.shape != s.shape:
-        raise DimensionError("selection vector", p.shape, s.shape)
-    if np.any((s == 1) & (p <= 0.0)):
+    S = np.asarray(S)
+    if S.ndim != 2 or S.shape[1:] != p.shape:
+        raise DimensionError("selection rows", f"(m, {p.size})", S.shape)
+    if any(np.count_nonzero(S[:, j])
+           for j, pj in enumerate(p.tolist()) if pj <= 0.0):
         raise FairselError("selection includes a masked (zero-probability) feature")
-    return p, s
+    return p, S
 
 
-def pi_prob(p, s):
-    """Probability of the joint selection vector s under independent
-    Bernoulli gates: prod_j p_j^{s_j} (1-p_j)^{1-s_j}."""
-    p, s = _validate_pair(p, s)
-    return float(np.prod(np.where(s == 1, p, 1.0 - p)))
+def pi_prob(p, S):
+    """Probability (m,) of each selection row of S (m, d) under
+    independent Bernoulli gates: prod_j p_j^{s_j} (1-p_j)^{1-s_j}."""
+    p, S = _validate_rows(p, S)
+    return np.prod(np.where(S == 1, p, 1.0 - p), axis=1)
 
 
-def log_pi_grad(p, s):
-    """Gradient of log pi w.r.t. the logits: s_j - p_j componentwise.
+def log_pi_grad(p, S):
+    """Gradient of log pi w.r.t. the logits at each row of S: s_j - p_j.
 
     Zero at the masked index (there s_j = p_j = 0), so masked logits
     never receive an update.
     """
-    p, s = _validate_pair(p, s)
-    return s.astype(np.float64) - p
+    p, S = _validate_rows(p, S)
+    return S - p
 
 
 def enumerate_selections(d, masked_index=None):

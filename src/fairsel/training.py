@@ -28,7 +28,8 @@ from .errors import DimensionError, NumericalError
 from .metrics import GroupedOutcomes, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                    forward, layer_outputs)
-from .selector import SelectorPolicy, probabilities, sample_selection_batch
+from .selector import (SelectorPolicy, log_pi_grad, probabilities,
+                       sample_selection_batch)
 
 INFERENCE_POLICIES = ("threshold05", "expected-input", "mc-average")
 
@@ -149,9 +150,8 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     """One gradient-ascent step on the selector logits.
 
     Samples one selection per row of the batch X (n, d), scores each by
-    its sensitivity norm,
-    and moves the logits along the batch-mean score-function estimate
-    norm * (s - p). Returns (updated policy, sensitivity pair) so the
+    its sensitivity norm, and moves the logits along the batch mean of
+    norm * log_pi_grad. Returns (updated policy, sensitivity pair) so the
     paired predictor step reuses the same samples and forward pass.
 
     baseline, if given, is subtracted from the norms before weighting
@@ -163,7 +163,7 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     if not np.isfinite(pair.norms).all():
         raise NumericalError("sensitivity estimate is non-finite; aborting epoch")
     coeff = pair.norms - baseline if baseline is not None else pair.norms
-    grad = (coeff[:, None] * (S - p)).mean(axis=0)
+    grad = (coeff[:, None] * log_pi_grad(p, S)).mean(axis=0)
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
     return policy.with_logits(policy.logits + alpha_theta * grad), pair

@@ -237,7 +237,7 @@ class TestEvaluateCommand:
         bad.write_text("\n".join(rows) + "\n")
         assert main(["evaluate", "--checkpoint", ckpt, "--data", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "'label'" in err and "loaded row 5" in err and "'YES'" in err
+        assert "row 5," in err and "'label'" in err and "'YES'" in err
 
     def test_v1_and_v2_checkpoints_give_identical_reports(self, tmp_path, capsys):
         data, spec = write_toy(tmp_path)
@@ -457,6 +457,20 @@ class TestInvalidValues:
         # the flag is checked before the data file is opened
         assert main([command, "--data", str(tmp_path / "nope.csv"), "--spec", spec,
                      *fast_flags(out), *flags]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "compare", "tune", "evaluate",
+                                         "gradcheck"])
+    @pytest.mark.parametrize("seed", ["-1", "-2"])
+    def test_negative_seed_is_usage_error_before_any_file(self, tmp_path, capsys,
+                                                          command, seed):
+        # no file exists, so reading one first would exit 2
+        out, missing = tmp_path / "o", str(tmp_path / "nope")
+        flags = {"evaluate": ["--checkpoint", missing, "--data", missing],
+                 "gradcheck": []}.get(
+            command, ["--data", missing, "--spec", missing, *fast_flags(out)])
+        assert main([command, *flags, "--seed", seed]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tune_takes_weights_from_grid_only(self, tmp_path, capsys):
         data, spec = write_toy(tmp_path)

@@ -96,6 +96,19 @@ class TestLoadCsv:
         raw = load_csv(path, tiny_spec())
         assert raw.n_rows == 2
         assert raw.n_rejected == 2
+        assert raw.data_rows == [1, 4]
+
+    def test_repeated_header_column_names_it(self, tmp_path):
+        path = write_csv(tmp_path / "twice.csv",
+                         ["color", "size", "group", "size", "label"],
+                         [["red", "2", "a", "9", "yes"],
+                          ["blue", "3", "b", "8", "no"],
+                          ["red", "4", "a", "7", "yes"]])
+        with pytest.raises(DataError) as exc:
+            load_csv(path, tiny_spec())
+        msg = str(exc.value)
+        assert "repeats" in msg and "'size'" in msg
+        assert "color" not in msg and "group" not in msg
 
     def test_unparseable_numeric_names_coordinates(self, tmp_path):
         path = write_csv(tmp_path / "p.csv",
@@ -190,7 +203,8 @@ class TestEncode:
         with pytest.raises(DataError) as exc:
             enc.transform(raw)
         msg = str(exc.value)
-        assert "'label'" in msg and "loaded row 3" in msg and "'YES'" in msg
+        # the CSV data row, counting the rejected one, as load_csv names rows
+        assert "row 4," in msg and "'label'" in msg and "'YES'" in msg
         # an encoder without a stored vocabulary (checkpoint v1) reads any
         # label other than the favorable one as unfavorable
         enc.labels = None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_net
-from fairsel import diagnostics
+from fairsel import diagnostics, training
 from fairsel.diagnostics import difference_errors
 from fairsel.nets import DenseNet
 
@@ -50,6 +50,22 @@ class TestWrongAnalyticGradientFails:
         res = diagnostics.check_log_pi_gradient(n_policies=2)
         assert not res.passed
         assert np.isnan(res.worst_error) == (corruption == "nan")
+
+
+def test_estimator_check_runs_the_training_update(monkeypatch):
+    # the check drives selector_step, so a wrong score function in the
+    # training module, and nowhere else, must fail it
+    assert diagnostics.check_estimator_unbiasedness().passed
+    real = training.log_pi_grad
+    monkeypatch.setattr(training, "log_pi_grad",
+                        lambda p, S: CORRUPTIONS["shifted"](real(p, S)))
+    assert not diagnostics.check_estimator_unbiasedness().passed
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_estimator_check_rejects_no_samples(n_samples):
+    with pytest.raises(ValueError, match="n_samples"):
+        diagnostics.check_estimator_unbiasedness(d=5, n_samples=n_samples)
 
 
 def test_net_rebuilt_from_flat_parameters_is_bit_identical():

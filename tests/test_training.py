@@ -9,10 +9,10 @@ from conftest import (forward_row, make_net, naive_forward, recorded_selections,
 from fairsel.data import synth_proxy, split
 from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
 from fairsel.nets import AdamState, DenseNet, adam_step, backward, layer_outputs
-from fairsel.selector import (SelectorPolicy, enumerate_selections,
+from fairsel.selector import (SelectorPolicy, enumerate_selections, pi_prob,
                               probabilities, sample_selection_batch)
 from fairsel import training
-from fairsel.diagnostics import enumerate_sensitivity, score_function_estimate
+from fairsel.diagnostics import enumerate_sensitivity
 from fairsel.training import (TrainConfig, mean_sensitivity,
                               pair_loss_and_grads, predict, predictor_step,
                               selector_step, sensitivity_pair, train)
@@ -286,7 +286,7 @@ class TestAdversarialSigns:
         net, policy, x = self._instance()
         p = probabilities(policy)
         S_all = enumerate_selections(5, masked_index=0)
-        pi = np.prod(np.where(S_all == 1, p, 1 - p), axis=1)
+        pi = pi_prob(p, S_all)
 
         def expected_value_and_grads(net_):
             val, acc = 0.0, np.zeros_like(net_.theta)
@@ -468,7 +468,7 @@ class TestPredict:
         x = np.random.default_rng(4).random(4)
         p = probabilities(model.policy)
         S_all = enumerate_selections(4, masked_index=1)
-        pi = np.prod(np.where(S_all == 1, p, 1 - p), axis=1)
+        pi = pi_prob(p, S_all)
         exact = sum(w * forward_row(model.net, x * s) for w, s in zip(pi, S_all))
         _, probs = predict_row(model, x, rng=np.random.default_rng(9))
         assert np.all(np.abs(probs - exact) / exact < 0.01)
@@ -541,16 +541,6 @@ class TestMeanSensitivity:
         policy = SelectorPolicy(np.zeros(3), 0)
         with pytest.raises(ValueError, match="n_samples"):
             mean_sensitivity(net, policy, np.ones((2, 3)), n_samples=n_samples)
-
-
-class TestScoreFunctionEstimate:
-    @pytest.mark.parametrize("n_samples", [0, -3])
-    def test_no_samples_is_an_error(self, n_samples):
-        from fairsel.diagnostics import estimator_instance
-        net, policy, x = estimator_instance(d=5)
-        with pytest.raises(ValueError, match="n_samples"):
-            score_function_estimate(net, policy, x, n_samples,
-                                    np.random.default_rng(0))
 
 
 class TestTrainConfig:

@@ -1,12 +1,12 @@
 """Versioned JSON checkpoints shared by both model kinds.
 
-A checkpoint stores everything needed to reproduce predictions on new
-data: network parameters or logistic coefficients, selector logits, the
-fitted encoder (with its label vocabulary), the training config and
-seed. Version 2, the one written, stores a net as its layer sizes and
-its flat parameter vector `theta` (laid out by `nets`) as one base64
-blob of little-endian float64; version 1, still read, stored nested
-weight and bias lists. Every float64 survives the round trip bit-exactly:
+A checkpoint stores each fact needed to reproduce predictions on new
+data once: network parameters or logistic coefficients, selector logits,
+the fitted encoder (layout and label vocabulary) and the training
+config. A net is its layer sizes and its flat parameter vector `theta`
+(laid out by `nets`) as one base64 blob of little-endian float64.
+Version 3 is written; version 2 is read the same way, its copies of
+derived facts ignored. Every float64 survives the round trip bit-exactly:
 the blob holds the raw bits, and the JSON numbers are shortest reprs.
 """
 
@@ -25,8 +25,8 @@ from .nets import DenseNet, require_finite
 from .selector import SelectorPolicy
 from .training import TrainConfig, TrainedModel
 
-CHECKPOINT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
+CHECKPOINT_VERSION = 3
+READABLE_VERSIONS = (2, 3)
 
 KIND_ADVERSARIAL = "adversarial-selection"
 KIND_LOGISTIC = "logistic"
@@ -39,14 +39,9 @@ def save_model(path, model, encoder):
             "version": CHECKPOINT_VERSION,
             "kind": KIND_ADVERSARIAL,
             "config": dataclasses.asdict(model.config),
-            "seed": model.config.seed,
             "net": {"sizes": list(model.net.sizes),
                     "theta": _encode_theta(model.net.theta)},
-            "selector": {
-                "logits": model.policy.logits.tolist(),
-                "sensitive_index": model.policy.sensitive_index,
-                "mask_sensitive": model.policy.mask_sensitive,
-            },
+            "selector": {"logits": model.policy.logits.tolist()},
             "encoder": encoder.to_payload(),
         }
     elif isinstance(model, LogisticModel):
@@ -67,10 +62,8 @@ def _encode_theta(theta):
     return binascii.b2a_base64(theta.astype("<f8").tobytes(), newline=False).decode("ascii")
 
 
-def _decode_net(version, net):
+def _decode_net(net):
     """The DenseNet of a checkpoint's "net" entry; raises on any defect."""
-    if version == 1:
-        return DenseNet.from_layers(net["weights"], net["biases"])
     text = net["theta"]
     blob = binascii.a2b_base64(text)
     # a2b_base64 skips stray characters: only the canonical text is accepted
@@ -104,13 +97,13 @@ def load_model(path):
     try:
         encoder = Encoder.from_payload(body["encoder"])
         if kind == KIND_ADVERSARIAL:
-            sel, net = body["selector"], body["net"]
+            config = TrainConfig(**body["config"])
             model = TrainedModel(
-                net=_decode_net(version, net),
-                policy=SelectorPolicy(np.array(sel["logits"], dtype=np.float64),
-                                      sel["sensitive_index"],
-                                      sel["mask_sensitive"]),
-                config=TrainConfig(**body["config"]),
+                net=_decode_net(body["net"]),
+                policy=SelectorPolicy(np.array(body["selector"]["logits"],
+                                               dtype=np.float64),
+                                      encoder.sensitive_index, config.mask_sensitive),
+                config=config,
             )
             what = "net input and selector logit widths"
             widths = (model.net.input_dim, model.policy.logits.shape[0])
@@ -123,6 +116,7 @@ def load_model(path):
         # each width must be the encoder's, or scoring fails far from here
         if widths != expected:
             raise DimensionError(what, expected, widths)
-    except (KeyError, TypeError, ValueError, DimensionError, NumericalError) as exc:
+    except (KeyError, TypeError, ValueError, DataError, DimensionError,
+            NumericalError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from None
     return kind, model, encoder

@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +30,28 @@ COLUMN_KINDS = ("numeric", "categorical")
 _PREDICATE_OPS = ("eq", "in", "ge", "gt", "le", "lt")
 
 
+def _strings(v):
+    return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+def _layout_entry_fits(item, name, role):
+    """item is the layout entry of column name in that role: a numeric
+    entry holds finite min <= max, a categorical one a list of strings."""
+    if not (isinstance(item, dict) and item.get("name") == name
+            and item.get("role") == role):
+        return False
+    if role == "numeric":
+        lo, hi = item.get("min"), item.get("max")
+        return (all(type(v) in (int, float) and math.isfinite(v) for v in (lo, hi))
+                and lo <= hi)
+    return role == "sensitive" or _strings(item.get("categories"))
+
+
 @dataclass
 class Predicate:
     """Membership test for the privileged group, evaluated on raw cells.
 
-    eq/in compare the raw string; ge/gt/le/lt parse the cell as a number.
+    A numeric column's cells compare as numbers, others (eq/in) as strings.
     """
 
     op: str
@@ -51,10 +69,11 @@ class Predicate:
             raise DataError(f"predicate op {self.op!r} needs a value")
 
     def matches(self, cell):
-        if self.op == "eq":
-            return str(cell) == str(self.value)
-        if self.op == "in":
-            return str(cell) in self.values
+        if self.op in ("eq", "in"):
+            wanted = self.values if self.op == "in" else (str(self.value),)
+            if isinstance(cell, float):
+                return any(cell == float(v) for v in wanted)
+            return str(cell) in wanted
         x = float(cell)
         ref = float(self.value)
         if self.op == "ge":
@@ -112,8 +131,14 @@ class DatasetSpec:
         if overlap:
             raise DataError(f"drop columns overlap used columns: {sorted(overlap)}")
         kind = next(c.kind for c in self.columns if c.name == self.sensitive_column)
-        if self.privileged.op in ("ge", "gt", "le", "lt") and kind != "numeric":
+        pred = self.privileged
+        if pred.op in ("ge", "gt", "le", "lt") and kind != "numeric":
             raise DataError("numeric predicate on a categorical sensitive column")
+        try:   # matches compares a numeric column's cells as numbers
+            [float(v) for v in pred.values or (pred.value,) if kind == "numeric"]
+        except (TypeError, ValueError):
+            raise DataError(f"privileged value on numeric column "
+                            f"{self.sensitive_column!r} is not a number") from None
 
     @classmethod
     def from_dict(cls, d):
@@ -272,17 +297,37 @@ class Dataset:
         return self.labels.argmax(axis=1)
 
 
-@dataclass
 class Encoder:
     """Fitted column transforms: one-hot vocabularies, min-max ranges,
     and the sensitive-column binarization. Serializable so checkpoints
-    can re-encode new data exactly as at training time."""
+    can re-encode new data exactly as at training time. The layout (one
+    entry per spec column) and the label vocabulary are stored; the column
+    names, sensitive index and width are derived from them here, and a
+    layout or vocabulary that does not fit the spec is a DataError."""
 
-    spec: DatasetSpec
-    layout: list = field(default_factory=list)   # per spec column: dict
-    sensitive_index: int = -1
-    column_names: list = field(default_factory=list)
-    labels: list = None   # the label values fit saw; None if not stored
+    def __init__(self, spec, layout, labels):
+        if not (_strings(labels) and len(set(labels)) == len(labels) == 2
+                and spec.favorable_value in labels):
+            raise DataError(f"label column {spec.label_column!r} must hold the "
+                            f"favorable value {spec.favorable_value!r} and one other "
+                            f"value, saw {reprlib.repr(labels)}")
+        if not (isinstance(layout, list) and len(layout) == len(spec.columns)):
+            raise DataError(f"encoder layout must list the {len(spec.columns)} spec "
+                            f"columns in order, got {reprlib.repr(layout)}")
+        self.spec, self.layout, self.labels = spec, layout, labels
+        self.column_names = []
+        for c, item in zip(spec.columns, layout):
+            role = "sensitive" if c.name == spec.sensitive_column else c.kind
+            if not _layout_entry_fits(item, c.name, role):
+                raise DataError(f"encoder layout entry {reprlib.repr(item)} does not "
+                                f"fit the {role} column {c.name!r}")
+            if role == "sensitive":
+                self.sensitive_index = len(self.column_names)
+            if role == "categorical":
+                self.column_names.extend(f"{c.name}={cat}" for cat in item["categories"])
+            else:
+                self.column_names.append(c.name)
+        self.dim = len(self.column_names)
 
     @classmethod
     def fit(cls, raw, spec, stat_rows=None):
@@ -295,61 +340,30 @@ class Encoder:
         """
         if raw.n_rows == 0:
             raise DataError("cannot encode a table with zero rows")
-        seen = sorted(set(raw.label_values))
-        if len(seen) != 2 or spec.favorable_value not in seen:
-            raise DataError(f"label column {spec.label_column!r} must hold the "
-                            f"favorable value {spec.favorable_value!r} and one other "
-                            f"value, saw {seen[:10]}{' ...' if len(seen) > 10 else ''}")
-        enc = cls(spec=spec, labels=seen)
-        out_pos = 0
+        layout = []
         for c in spec.columns:
             vals = raw.feature_values[c.name]
             if c.name == spec.sensitive_column:
-                enc.layout.append({"name": c.name, "role": "sensitive"})
-                enc.sensitive_index = out_pos
-                enc.column_names.append(c.name)
-                out_pos += 1
+                layout.append({"name": c.name, "role": "sensitive"})
             elif c.kind == "numeric":
                 pool = vals if stat_rows is None else [vals[i] for i in stat_rows]
-                vmin, vmax = float(min(pool)), float(max(pool))
-                enc.layout.append({"name": c.name, "role": "numeric",
-                                   "min": vmin, "max": vmax})
-                enc.column_names.append(c.name)
-                out_pos += 1
+                layout.append({"name": c.name, "role": "numeric",
+                               "min": float(min(pool)), "max": float(max(pool))})
             else:
-                cats = sorted(set(vals))
-                enc.layout.append({"name": c.name, "role": "categorical",
-                                   "categories": cats})
-                enc.column_names.extend(f"{c.name}={cat}" for cat in cats)
-                out_pos += len(cats)
-        return enc
-
-    @property
-    def dim(self):
-        return len(self.column_names)
+                layout.append({"name": c.name, "role": "categorical",
+                               "categories": sorted(set(vals))})
+        return cls(spec, layout, sorted(set(raw.label_values)))
 
     def transform(self, raw):
-        """Encode a RawTable into a Dataset.
-
-        A label outside the vocabulary fit saw raises a DataError naming
-        its CSV data row, as load_csv does, and the value; an encoder
-        without a stored vocabulary takes any other label as unfavorable.
-        """
+        """Encode a RawTable into a Dataset. A label or category that fit
+        did not see is a DataError naming its CSV data row, column and value."""
         if raw.n_rows == 0:
             raise DataError("cannot encode a table with zero rows")
-        if self.labels is not None:
-            vocab = set(self.labels)
-            bad = next((i for i, v in enumerate(raw.label_values) if v not in vocab),
-                       None)
-            if bad is not None:
-                raise DataError(
-                    f"row {raw.data_rows[bad]}, label column "
-                    f"{self.spec.label_column!r}: {raw.label_values[bad]!r} is not "
-                    f"one of the labels the encoder was fitted on {self.labels}")
+        spec = self.spec
+        label_codes = _codes(raw, raw.label_values, self.labels, spec.label_column)
         n = raw.n_rows
         features = np.zeros((n, self.dim))
         pos = 0
-        spec = self.spec
         for item in self.layout:
             cells = raw.feature_values[item["name"]]
             if item["role"] == "sensitive":
@@ -359,24 +373,17 @@ class Encoder:
             elif item["role"] == "numeric":
                 lo, hi = item["min"], item["max"]
                 col = np.asarray(cells, dtype=np.float64)
-                if hi > lo:
-                    col = (col - lo) / (hi - lo)
-                else:
-                    col = np.zeros(n)
+                col = (col - lo) / (hi - lo) if hi > lo else np.zeros(n)
                 # train-fitted range: out-of-range validation/test values clip
                 features[:, pos] = np.clip(col, 0.0, 1.0)
                 pos += 1
             else:
-                lookup = {cat: j for j, cat in enumerate(item["categories"])}
-                for r, v in enumerate(cells):
-                    j = lookup.get(v)
-                    if j is not None:
-                        features[r, pos + j] = 1.0
-                pos += len(item["categories"])
+                cats = item["categories"]
+                features[np.arange(n), pos + _codes(raw, cells, cats, item["name"])] = 1.0
+                pos += len(cats)
 
-        fav = np.array([v == spec.favorable_value for v in raw.label_values])
-        labels = np.zeros((n, 2))
-        labels[np.arange(n), fav.astype(int)] = 1.0
+        favorable = label_codes == self.labels.index(spec.favorable_value)
+        labels = np.eye(2)[favorable.astype(int)]   # one-hot, class 1 = favorable
 
         tags = features[:, self.sensitive_index] == 1.0
         return Dataset(features, labels, self.sensitive_index, tags,
@@ -384,24 +391,27 @@ class Encoder:
 
     def to_payload(self):
         return {"spec": self.spec.to_dict(), "layout": self.layout,
-                "sensitive_index": self.sensitive_index,
-                "column_names": list(self.column_names), "labels": self.labels}
+                "labels": self.labels}
 
     @classmethod
     def from_payload(cls, payload):
-        labels = payload["labels"] if "labels" in payload else None   # v1: none
-        if labels is not None and not (isinstance(labels, list)
-                                       and all(isinstance(v, str) for v in labels)):
-            raise DataError(f"encoder payload field 'labels' must be a list of "
-                            f"strings, got {labels!r}")
         try:
-            return cls(spec=DatasetSpec.from_dict(payload["spec"]),
-                       layout=payload["layout"],
-                       sensitive_index=payload["sensitive_index"],
-                       column_names=list(payload["column_names"]),
-                       labels=labels)
+            return cls(DatasetSpec.from_dict(payload["spec"]), payload["layout"],
+                       payload["labels"])
         except KeyError as exc:
             raise DataError(f"encoder payload missing field {exc}") from None
+
+
+def _codes(raw, cells, values, column):
+    """The index in values of each cell of a RawTable column; a cell
+    outside values is a DataError naming its CSV data row."""
+    lookup = {v: j for j, v in enumerate(values)}
+    try:
+        return np.array([lookup[v] for v in cells])
+    except KeyError as exc:
+        raise DataError(f"row {raw.data_rows[cells.index(exc.args[0])]}, column "
+                        f"{column!r}: {exc.args[0]!r} is not one of the values the "
+                        f"encoder was fitted on, {reprlib.repr(values)}") from None
 
 
 def split_indices(n, seed):
@@ -442,16 +452,10 @@ def _synth_encoder():
         privileged=Predicate(op="ge", value=0.5),
         name="synthetic-proxy",
     )
-    enc = Encoder(spec=spec, labels=["0", "1"])
-    for i, name in enumerate(SYNTH_COLUMNS):
-        if name == "sensitive":
-            enc.layout.append({"name": name, "role": "sensitive"})
-            enc.sensitive_index = i
-        else:
-            enc.layout.append({"name": name, "role": "numeric",
-                               "min": 0.0, "max": 1.0})
-        enc.column_names.append(name)
-    return enc
+    layout = [{"name": name, "role": "sensitive"} if name == "sensitive" else
+              {"name": name, "role": "numeric", "min": 0.0, "max": 1.0}
+              for name in SYNTH_COLUMNS]
+    return Encoder(spec, layout, ["0", "1"])
 
 
 def synth_proxy(n, proxy_correlation, seed, label_shift=1.5, signal=4.0):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import logistic_loss_and_grad
+from .errors import NumericalError
 from .nets import DenseNet
 from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sigmoid)
@@ -262,7 +263,11 @@ def check_estimator_unbiasedness(d=6, n_samples=200_000, seed=22,
     total = np.zeros(d)
     for lo in range(0, n_samples, ESTIMATE_CHUNK):
         m = min(ESTIMATE_CHUNK, n_samples - lo)
-        stepped, _ = selector_step(policy, np.broadcast_to(x, (m, d)), net, 1.0, rng)
+        try:
+            stepped, _ = selector_step(policy, np.broadcast_to(x, (m, d)), net, 1.0, rng)
+        except NumericalError:   # a non-finite estimate fails the gate
+            total[:] = np.nan
+            break
         total += m * (stepped.logits - policy.logits)
     estimate = total / n_samples
     return _gate(f"score-function estimator (d={d}, {n_samples} draws)",

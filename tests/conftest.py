@@ -1,4 +1,3 @@
-import base64
 import csv
 import math
 
@@ -127,20 +126,6 @@ def recorded_selections(monkeypatch):
 
     monkeypatch.setattr(training, "sample_selection_batch", recording)
     return seen
-
-
-def as_v1_body(body):
-    """The version-1 form of a checkpoint body as save_model writes it: the
-    net as nested weight and bias lists instead of sizes and a base64
-    theta blob, and an encoder without a label vocabulary."""
-    body = dict(body, version=1)
-    body["encoder"] = {k: v for k, v in body["encoder"].items() if k != "labels"}
-    if "net" in body:
-        theta = np.frombuffer(base64.b64decode(body["net"]["theta"], validate=True), "<f8")
-        net = DenseNet(body["net"]["sizes"], theta)
-        body["net"] = {"weights": [w.tolist() for w in net.weights],
-                       "biases": [b.tolist() for b in net.biases]}
-    return body
 
 
 def make_net(seed, d=4, hidden=(6, 5), c=3, random_bias=True):

@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from conftest import as_v1_body
 from fairsel.baseline import LogisticModel, train_logistic
 from fairsel.checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
                                 save_model)
@@ -40,9 +39,9 @@ class TestRoundTrip:
         assert loaded.policy.sensitive_index == model.policy.sensitive_index
         assert loaded.config == model.config
         assert enc2.to_payload() == encoder.to_payload()
-        # version 2: sizes, and theta as one base64 blob of little-endian float64
+        # version 3: sizes, and theta as one base64 blob of little-endian float64
         body = json.loads(path.read_text())
-        assert body["version"] == 2
+        assert body["version"] == 3
         assert body["net"]["sizes"] == list(model.net.sizes)
         blob = base64.b64decode(body["net"]["theta"], validate=True)
         assert blob == model.net.theta.astype("<f8").tobytes()
@@ -53,17 +52,18 @@ class TestRoundTrip:
         X = np.random.default_rng(0).random((50, encoder.dim))
         assert np.array_equal(bits(forward(loaded.net, X)), bits(forward(model.net, X)))
 
-    def test_v1_body_loads_same_bits(self, trained, tmp_path):
+    def test_each_fact_stored_once(self, trained, tmp_path):
+        # the seed is the config's, the sensitive index and the column
+        # names are the encoder layout's, the mask flag is the config's
         model, _, encoder = trained
         path = tmp_path / "adv.json"
         save_model(path, model, encoder)
-        v1 = as_v1_body(json.loads(path.read_text()))
-        path.write_text(json.dumps(v1))
-        kind, loaded, enc1 = load_model(path)
-        assert kind == KIND_ADVERSARIAL and enc1.labels is None
-        assert loaded.net.sizes == model.net.sizes
-        assert np.array_equal(bits(loaded.net.theta), bits(model.net.theta))
-        assert np.array_equal(bits(loaded.policy.logits), bits(model.policy.logits))
+        body = json.loads(path.read_text())
+        assert "seed" not in body and set(body["selector"]) == {"logits"}
+        assert set(body["encoder"]) == {"spec", "layout", "labels"}
+        _, loaded, enc2 = load_model(path)
+        assert loaded.policy.sensitive_index == enc2.sensitive_index == 0
+        assert loaded.policy.mask_sensitive is model.config.mask_sensitive is True
 
     def test_logistic_bit_exact(self, trained, tmp_path):
         _, baseline, encoder = trained
@@ -106,7 +106,7 @@ class TestValidation:
         with pytest.raises(DataError) as exc:
             load_model(path)
         assert "version 99" in str(exc.value)
-        assert "reads versions 1 and 2" in str(exc.value)
+        assert "reads versions 2 and 3" in str(exc.value)
 
     @pytest.mark.parametrize("corrupt", ["not-base64", "short-blob", "nan-blob",
                                          "inf-blob", "sizes-vs-encoder",

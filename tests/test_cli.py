@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import as_v1_body
+from conftest import GERMAN_HEADER, write_german_csv
 from fairsel.checkpoint import save_model
 from fairsel.cli import derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
@@ -13,6 +14,8 @@ from fairsel.nets import DenseNet
 from fairsel.report import strip_wall_clock
 from fairsel.selector import SelectorPolicy
 from fairsel.training import TrainConfig, TrainedModel
+
+DATA_DIR = Path(__file__).parent / "data"
 
 TOY_SPEC = {
     "name": "toy",
@@ -204,19 +207,22 @@ class TestEvaluateCommand:
         data, spec_path = write_toy(tmp_path)
         ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
         body = json.loads(Path(ckpt).read_text())
-        if corrupt in ("layer-shapes", "nan-weight", "narrow-input"):
-            body = as_v1_body(body)   # the version-1 net is nested lists
+        net = body["net"]   # sizes [4, 2]: one (2, 4) weight and a bias
+        theta = np.frombuffer(base64.b64decode(net["theta"]), "<f8").copy()
+        blob = lambda t: base64.b64encode(t.astype("<f8").tobytes()).decode()
         if corrupt == "layer-shapes":
             # a second layer that reads 3 inputs after a 2-unit layer
-            body["net"]["weights"].append([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-            body["net"]["biases"].append([0.0, 0.0])
+            net["sizes"] = [4, 2, 3]
+            net["theta"] = blob(np.concatenate([theta, np.eye(3).ravel(), np.zeros(3)]))
         elif corrupt == "nan-weight":
-            body["net"]["weights"][0][1][2] = float("nan")
+            theta[1 * 4 + 2] = float("nan")   # weight row 1, column 2
+            net["theta"] = blob(theta)
         elif corrupt == "inf-logit":
             body["selector"]["logits"][0] = float("inf")
         elif corrupt == "narrow-input":
             # the encoder writes 4 columns, the net reads 3
-            body["net"]["weights"][0] = [row[:3] for row in body["net"]["weights"][0]]
+            w, b = theta[:8].reshape(2, 4), theta[8:]
+            net["sizes"], net["theta"] = [3, 2], blob(np.concatenate([w[:, :3].ravel(), b]))
         elif corrupt == "short-logits":
             body["selector"]["logits"] = body["selector"]["logits"][:3]
         else:
@@ -227,6 +233,50 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data]) == 2
         assert "malformed checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", [
+        "layout-not-list", "short-layout", "wrong-name", "wrong-role", "bogus-role",
+        "text-min", "missing-max", "infinite-max", "inverted-range",
+        "no-categories", "int-categories",
+        "labels-null", "labels-not-strings", "labels-without-favorable"])
+    def test_encoder_defect_is_two(self, tmp_path, capsys, german_spec_path, defect):
+        data, ckpt = self._german_baseline_checkpoint(tmp_path, german_spec_path)
+        body = json.loads(ckpt.read_text())
+        enc = body["encoder"]
+        entry = {item["role"]: item for item in enc["layout"]}   # one of each
+        if defect == "layout-not-list":
+            enc["layout"] = {item["name"]: item for item in enc["layout"]}
+        elif defect == "short-layout":
+            enc["layout"].pop()
+        elif defect == "wrong-name":
+            entry["numeric"]["name"] = "age_years"
+        elif defect == "wrong-role":
+            entry["sensitive"]["role"] = "categorical"
+        elif defect == "bogus-role":
+            entry["categorical"]["role"] = "ordinal"
+        elif defect == "text-min":
+            entry["numeric"]["min"] = "x"
+        elif defect == "missing-max":
+            del entry["numeric"]["max"]
+        elif defect == "infinite-max":
+            entry["numeric"]["max"] = float("inf")
+        elif defect == "inverted-range":
+            # transform would encode every value of the column as 0
+            entry["numeric"]["min"], entry["numeric"]["max"] = 2.0, 1.0
+        elif defect == "no-categories":
+            del entry["categorical"]["categories"]
+        elif defect == "int-categories":
+            entry["categorical"]["categories"] = list(range(4))
+        elif defect == "labels-null":
+            enc["labels"] = None
+        elif defect == "labels-not-strings":
+            enc["labels"] = [1, 2]
+        else:
+            enc["labels"] = ["2", "3"]   # the favorable value is "1"
+        ckpt.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        assert f"malformed checkpoint {ckpt}: " in capsys.readouterr().err
 
     def test_label_outside_vocabulary_is_two(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)
@@ -239,20 +289,70 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "row 5," in err and "'label'" in err and "'YES'" in err
 
-    def test_v1_and_v2_checkpoints_give_identical_reports(self, tmp_path, capsys):
-        data, spec = write_toy(tmp_path)
-        out = tmp_path / "run"
-        assert main(["train", "--data", data, "--spec", spec, "--reps", "1",
-                     "--max-epochs", "2", "--patience", "2", "--hidden", "8,6",
-                     "--alpha-phi", "1e-3", "--out", str(out)]) == 0
-        ckpt = out / "checkpoint_rep0.json"
-        evaluate = ["evaluate", "--checkpoint", str(ckpt), "--data", data]
+    @staticmethod
+    def _german_baseline_checkpoint(tmp_path, spec_path):
+        """A German-shaped CSV and a logistic checkpoint fitted on it, whose
+        layout holds numeric, categorical and sensitive entries."""
+        from fairsel.baseline import LogisticModel
+        data = write_german_csv(tmp_path / "german.csv", n=40, seed=1)
+        spec = DatasetSpec.from_json(spec_path)
+        encoder = Encoder.fit(load_csv(data, spec), spec)
+        ckpt = tmp_path / "base.json"
+        save_model(ckpt, LogisticModel(np.zeros(encoder.dim), 0.0), encoder)
+        return data, ckpt
+
+    def test_unseen_category_is_two(self, tmp_path, capsys, german_spec_path):
+        data, ckpt = self._german_baseline_checkpoint(tmp_path, german_spec_path)
+        rows = Path(data).read_text().splitlines()
+        cells = rows[7].split(",")
+        cells[GERMAN_HEADER.index("purpose")] = "A4X"
+        rows[7] = ",".join(cells)
+        bad = tmp_path / "unseen.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "row 7," in err and "'purpose'" in err and "'A4X'" in err
+
+    def test_v2_checkpoint_reproduces_its_recorded_metrics(self, tmp_path, capsys):
+        # tests/data holds a version-2 checkpoint and the evaluate report of
+        # it on write_toy(tmp_path), both written by the version-2 writer
+        report = self._evaluate_v2_fixture(tmp_path, capsys, lambda body: None)
+        assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
+
+    @pytest.mark.parametrize("copy", ["selector.sensitive_index",
+                                      "encoder.sensitive_index",
+                                      "selector.mask_sensitive",
+                                      "encoder.column_names", "seed"])
+    def test_v2_copies_of_derived_facts_are_ignored(self, tmp_path, capsys, copy):
+        # the copies disagree with the layout and the config; none is read
+        section, _, key = copy.rpartition(".")
+        wrong = {"sensitive_index": 2, "mask_sensitive": False,
+                 "column_names": ["a", "b", "c", "d"], "seed": 1}[key]
+        edit = lambda body: (body[section] if section else body).__setitem__(key, wrong)
+        report = self._evaluate_v2_fixture(tmp_path, capsys, edit)
+        assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
+
+    def test_v1_checkpoint_is_two(self, tmp_path, capsys):
+        data, _ = write_toy(tmp_path)
+        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
+        ckpt = tmp_path / "v1.json"
+        ckpt.write_text(json.dumps(dict(body, version=1)))
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
+        assert "reads versions 2 and 3" in capsys.readouterr().err
+
+    @staticmethod
+    def _evaluate_v2_fixture(tmp_path, capsys, edit):
+        """The evaluate report of the v2 fixture, after edit(body), on the
+        toy data, without its echoed flags and wall-clock fields."""
+        data, _ = write_toy(tmp_path)
+        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
+        edit(body)
+        ckpt = tmp_path / "v2.json"
+        ckpt.write_text(json.dumps(body))
         capsys.readouterr()
-        assert main(evaluate) == 0
-        from_v2 = capsys.readouterr().out
-        ckpt.write_text(json.dumps(as_v1_body(json.loads(ckpt.read_text()))))
-        assert main(evaluate) == 0
-        assert capsys.readouterr().out == from_v2
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 0
+        report = json.loads(capsys.readouterr().out)
+        return {k: report[k] for k in ("model_kind", "n_rows", "rejected_rows", "metrics")}
 
     def test_empty_data_file_is_two(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)

@@ -205,10 +205,14 @@ class TestEncode:
         msg = str(exc.value)
         # the CSV data row, counting the rejected one, as load_csv names rows
         assert "row 4," in msg and "'label'" in msg and "'YES'" in msg
-        # an encoder without a stored vocabulary (checkpoint v1) reads any
-        # label other than the favorable one as unfavorable
-        enc.labels = None
-        assert np.array_equal(enc.transform(raw).label_indices(), [1, 0, 0])
+
+    def test_encoder_derives_columns_and_sensitive_index(self, tiny_csv):
+        fitted = Encoder.fit(load_csv(tiny_csv, tiny_spec()), tiny_spec())
+        enc = Encoder(tiny_spec(), fitted.layout, ["no", "yes"])
+        assert enc.column_names == ["color=blue", "color=red", "size", "group"]
+        assert (enc.sensitive_index, enc.dim) == (3, 4)
+        assert enc.to_payload() == fitted.to_payload()
+        assert set(enc.to_payload()) == {"spec", "layout", "labels"}
 
     def test_labels_one_hot_favorable_is_class_one(self, tiny_csv):
         ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
@@ -350,6 +354,29 @@ class TestSpecValidation:
         path.write_text(json.dumps(spec.to_dict()))
         again = DatasetSpec.from_json(path)
         assert again.to_dict() == spec.to_dict()
+
+    def test_numeric_eq_and_in_compare_numbers(self, tmp_path):
+        rows = [[str(i), str(i % 2), "yes" if i < 5 else "no"] for i in range(10)]
+        path = write_csv(tmp_path / "sex.csv", ["x", "sex", "label"], rows)
+        for privileged in ({"op": "eq", "value": 1}, {"op": "in", "values": [1]},
+                           {"op": "eq", "value": "1"}):
+            spec = DatasetSpec.from_dict({
+                "columns": [{"name": "x", "kind": "numeric"},
+                            {"name": "sex", "kind": "numeric"}],
+                "label": {"column": "label", "favorable": "yes"},
+                "sensitive": {"column": "sex", "privileged": privileged}})
+            ds = encode_and_normalize(load_csv(path, spec), spec)
+            assert np.array_equal(ds.group_tags, [i % 2 == 1 for i in range(10)])
+
+    @pytest.mark.parametrize("privileged", [{"op": "eq", "value": "Female"},
+                                            {"op": "in", "values": [1, "F"]},
+                                            {"op": "ge", "value": "old"}])
+    def test_non_number_on_numeric_sensitive_column_rejected(self, privileged):
+        with pytest.raises(DataError, match="not a number"):
+            DatasetSpec.from_dict({
+                "columns": [{"name": "sex", "kind": "numeric"}],
+                "label": {"column": "label", "favorable": "yes"},
+                "sensitive": {"column": "sex", "privileged": privileged}})
 
     def test_predicate_ops(self):
         assert Predicate(op="ge", value=25).matches("30")

@@ -28,16 +28,18 @@ class GroupedOutcomes:
     privileged: np.ndarray
 
     def __post_init__(self):
-        self.y_true = np.asarray(self.y_true, dtype=np.int64)
-        self.y_pred = np.asarray(self.y_pred, dtype=np.int64)
+        y_true, y_pred = np.asarray(self.y_true), np.asarray(self.y_pred)
         self.privileged = np.asarray(self.privileged, dtype=bool)
-        n = self.y_true.shape[0]
-        if self.y_pred.shape != (n,) or self.privileged.shape != (n,):
+        n = y_true.shape[0]
+        if y_pred.shape != (n,) or self.privileged.shape != (n,):
             raise DimensionError("outcome arrays", (n,),
-                                 (self.y_pred.shape, self.privileged.shape))
-        for name, arr in (("y_true", self.y_true), ("y_pred", self.y_pred)):
-            if arr.size and not np.isin(arr, (0, 1)).all():
+                                 (y_pred.shape, self.privileged.shape))
+        # checked before the cast, which would truncate 0.9 to 0
+        for name, arr in (("y_true", y_true), ("y_pred", y_pred)):
+            if not ((arr == 0) | (arr == 1)).all():
                 raise DataError(f"{name} must contain only 0/1 labels")
+        self.y_true = y_true.astype(np.int64, copy=False)
+        self.y_pred = y_pred.astype(np.int64, copy=False)
 
     def __len__(self):
         return self.y_true.shape[0]

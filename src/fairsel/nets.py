@@ -20,6 +20,7 @@ write to arrays the function itself allocated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,22 +67,40 @@ def selu_slope(a):
     return np.minimum(a, 0.0) + c - (a > 0) * (c - SELU_SCALE)
 
 
+def reduce_classes(ufunc, a):
+    """ufunc.reduce(a, axis=-1) for np.add or np.maximum, bit for bit.
+
+    numpy reduces a short last axis with a fixed cost per row; for the
+    two classes training uses, one op over the two columns gives the same
+    values. numpy's add starts each row's tail from 0. (so -0. + -0. sums
+    to +0.), which the 0. + below repeats."""
+    if a.shape[-1] != 2:
+        return ufunc.reduce(a, axis=-1)
+    first, second = a[..., 0], a[..., 1]
+    return ufunc(first, 0.0 + second if ufunc is np.add else second)
+
+
 def softmax(z):
     """Row-wise softmax with max-subtraction for numerical stability."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - reduce_classes(np.maximum, z)[..., None]
+    np.exp(e, out=e)
+    e /= reduce_classes(np.add, e)[..., None]
+    return e
 
 
+@functools.lru_cache(maxsize=64)
 def _layout(sizes):
     """(name, start, stop, shape) of each parameter block of theta, in the
-    order W0, b0, W1, b1, ... (weights row-major, shape (out, in))."""
-    stop = 0
+    order W0, b0, W1, b1, ... (weights row-major, shape (out, in)), for a
+    tuple of layer sizes. Cached: every backward and Adam step builds a
+    net of the sizes it was given."""
+    blocks, stop = [], 0
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         for kind, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,))):
             start, stop = stop, stop + math.prod(shape)
-            yield f"layer{i}.{kind}", start, stop, shape
+            blocks.append((f"layer{i}.{kind}", start, stop, shape))
+    return tuple(blocks)
 
 
 def require_finite(net, vector, what):
@@ -107,7 +126,7 @@ class DenseNet:
         self.sizes = tuple(int(s) for s in sizes)
         if len(self.sizes) < 2 or min(self.sizes) < 1:
             raise ValueError(f"need at least two positive layer sizes, got {self.sizes}")
-        blocks = list(_layout(self.sizes))
+        blocks = _layout(self.sizes)
         self.theta = np.asarray(theta, dtype=np.float64)
         if self.theta.shape != (blocks[-1][2],):
             raise DimensionError("parameter vector", (blocks[-1][2],), self.theta.shape)
@@ -131,7 +150,7 @@ class DenseNet:
         """LeCun-normal weights (var 1/fan_in, the standard companion to
         SELU), zero biases."""
         sizes = (input_dim, *hidden_sizes, num_classes)
-        net = cls(sizes, np.zeros(list(_layout(sizes))[-1][2]))
+        net = cls(sizes, np.zeros(_layout(sizes)[-1][2]))
         for w in net.weights:
             w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[1]), size=w.shape)
         return net
@@ -208,7 +227,7 @@ def backward(net, X, outputs, output_grad):
     acts = [X, *outputs[:-1]]
     probs = outputs[-1]
     # softmax Jacobian-vector product: dz = p * (g - <g, p>)
-    delta = probs * (G - (G * probs).sum(axis=1, keepdims=True))
+    delta = probs * (G - reduce_classes(np.add, G * probs)[:, None])
 
     grad = DenseNet(net.sizes, np.empty_like(net.theta))
     for i in range(net.num_layers - 1, -1, -1):

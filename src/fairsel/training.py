@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, NumericalError
 from .metrics import GroupedOutcomes, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
-                   forward, layer_outputs)
+                   forward, layer_outputs, reduce_classes)
 from .selector import (SelectorPolicy, log_pi_grad, probabilities,
                        sample_selection_batch)
 
@@ -69,6 +69,18 @@ class TrainConfig:
     score_baseline: bool = False
 
     def __post_init__(self):
+        # a checkpoint's config arrives as JSON: a float or a bool must
+        # not pass for a count, nor a string for a flag
+        for name in ("batch_size", "max_epochs", "patience", "mc_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("mask_sensitive", "score_baseline"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         # written so that NaN fails every comparison
         if not (0 < self.alpha_theta < math.inf and 0 < self.alpha_phi < math.inf):
             raise ValueError("learning rates must be positive and finite")
@@ -142,8 +154,9 @@ def sensitivity_pair(net, X, S, k):
     outputs = layer_outputs(net, rows)
     p_sel = outputs[-1][:n]
     diff = outputs[-1][n:] - p_sel
+    # np.linalg.norm(diff, axis=1), the same bits
     return SensitivityPair(S, rows, outputs, p_sel, diff,
-                           np.linalg.norm(diff, axis=1))
+                           np.sqrt(reduce_classes(np.add, diff * diff)))
 
 
 def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
@@ -192,13 +205,13 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
         raise DimensionError("label rows", p_sel.shape, np.shape(Y))
     n = p_sel.shape[0]
 
-    p_true = np.maximum((p_sel * Y).sum(axis=1), PROB_FLOOR)
+    p_true = np.maximum(reduce_classes(np.add, p_sel * Y), PROB_FLOOR)
     ce = -np.log(p_true)
-    loss = float(np.mean(sensitivity_weight * norms + ce_weight * ce))
+    # sum() / n is what np.mean computes, without its Python wrapper
+    loss = float((sensitivity_weight * norms + ce_weight * ce).sum() / n)
 
-    unit = np.zeros_like(diff)
-    active = norms > NORM_EPS
-    unit[active] = diff[active] / norms[active, None]
+    unit = np.divide(diff, norms[:, None], out=np.zeros_like(diff),
+                     where=(norms > NORM_EPS)[:, None])
     if fault == "sen-grad-sign":
         unit = -unit
 
@@ -206,7 +219,7 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
     grad = backward(net, pair.rows, pair.outputs, np.vstack([grad_sel, grad_with]))
-    return loss, grad, float(ce.mean()), float(norms.mean())
+    return loss, grad, float(ce.sum() / n), float(norms.sum() / n)
 
 
 def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
@@ -222,6 +235,9 @@ def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
 
 
 def _predict_probs(net, policy, config, X, rng):
+    """Probability rows under the config's inference policy. rng is a
+    Generator or the seed of one; only mc-average draws, so only it
+    builds the generator."""
     p = probabilities(policy)
     k = policy.sensitive_index
     if config.inference_policy == "threshold05":
@@ -231,6 +247,7 @@ def _predict_probs(net, policy, config, X, rng):
     if config.inference_policy == "expected-input":
         return forward(net, X * p)
     # mc-average
+    rng = np.random.default_rng(rng)
     acc = np.zeros((X.shape[0], net.num_classes))
     for _ in range(config.mc_samples):
         S = sample_selection_batch(p, X.shape[0], rng)
@@ -250,7 +267,7 @@ def predict(model, X, rng=None):
     if X.ndim != 2 or X.shape[1] != model.net.input_dim:
         raise DimensionError("input", f"(n, {model.net.input_dim})", X.shape)
     if rng is None:
-        rng = np.random.default_rng([model.config.seed, 0x9E3779B9])
+        rng = [model.config.seed, 0x9E3779B9]
     probs = _predict_probs(model.net, model.policy, model.config, X, rng)
     return probs.argmax(axis=1), probs
 
@@ -277,8 +294,8 @@ def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
 
 
 def _validation_score(net, policy, config, val_data, epoch):
-    rng = np.random.default_rng([config.seed, 1, epoch])
-    probs = _predict_probs(net, policy, config, val_data.features, rng)
+    probs = _predict_probs(net, policy, config, val_data.features,
+                           [config.seed, 1, epoch])
     return balanced_accuracy(GroupedOutcomes(
         val_data.labels.argmax(axis=1), probs.argmax(axis=1), val_data.group_tags))
 
@@ -324,8 +341,8 @@ def train(train_data, val_data, config):
                     net, pair, Y[idx], adam,
                     config.alpha_phi, config.sensitivity_weight)
                 if config.score_baseline:
-                    m = float(pair.norms.mean())
-                    baseline = m if baseline is None else 0.9 * baseline + 0.1 * m
+                    baseline = (sens_mean if baseline is None
+                                else 0.9 * baseline + 0.1 * sens_mean)
                 ce_sum += ce_mean * len(idx)
                 sens_sum += sens_mean * len(idx)
         except NumericalError as exc:

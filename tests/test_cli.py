@@ -340,6 +340,21 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
         assert "reads versions 2 and 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("mask_sensitive", "no"), ("score_baseline", "yes"), ("mc_samples", 4.0),
+        ("seed", -3), ("seed", 1.5), ("batch_size", True), ("max_epochs", 20.0),
+        ("patience", False)])
+    def test_config_field_of_wrong_type_is_two(self, tmp_path, capsys, field, value):
+        data, _ = write_toy(tmp_path)
+        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
+        # mc-average is the policy that reads mc_samples and the seed
+        body["config"].update({field: value, "inference_policy": "mc-average"})
+        ckpt = tmp_path / "typed.json"
+        ckpt.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
+        assert f"malformed checkpoint {ckpt}: {field} must be" in capsys.readouterr().err
+
     @staticmethod
     def _evaluate_v2_fixture(tmp_path, capsys, edit):
         """The evaluate report of the v2 fixture, after edit(body), on the

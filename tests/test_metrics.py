@@ -191,3 +191,18 @@ class TestConfusionCounts:
         with pytest.raises(DataError):
             GroupedOutcomes(np.array([0, 2]), np.array([0, 1]),
                             np.array([True, False]))
+
+    @pytest.mark.parametrize("y_true,y_pred", [
+        ([0, 1, 1, 0], [0.9, 0.4, 0.6, 0.1]),   # an int cast reads all zeros
+        ([0, 1, 1, 0], [0, 1, 1, -0.5]),
+        ([0, 1, np.nan, 0], [0, 1, 1, 0])])
+    def test_fractional_label_is_not_truncated(self, y_true, y_pred):
+        with pytest.raises(DataError, match="only 0/1 labels"):
+            GroupedOutcomes(np.array(y_true), np.array(y_pred),
+                            np.array([True, False, True, False]))
+
+    def test_float_and_bool_labels_are_read_as_ints(self):
+        out = GroupedOutcomes(np.array([0.0, 1.0]), np.array([True, True]),
+                              np.array([True, False]))
+        assert out.y_true.dtype == out.y_pred.dtype == np.int64
+        assert out.y_pred.tolist() == [1, 1] and accuracy(out) == 0.5

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import (forward_row, make_net, naive_forward, selu_deriv,
                       selu_slope_where, selu_where)
+from fairsel import nets, training
 from fairsel.diagnostics import net_gradient_errors, worst_error
 from fairsel.errors import DimensionError, NumericalError
-from fairsel.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, DenseNet,
-                          adam_step, backward, forward, layer_outputs, selu,
-                          selu_slope, softmax)
+from fairsel.nets import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PROB_FLOOR, AdamState,
+                          DenseNet, adam_step, backward, forward, layer_outputs,
+                          reduce_classes, selu, selu_slope, softmax)
 
 
 def backward_row(net, x, g):
@@ -152,6 +153,95 @@ class TestForward:
             net.weights[:-1] + [net.weights[-1][perm]],
             net.biases[:-1] + [net.biases[-1][perm]])
         assert np.allclose(forward_row(permuted, x), forward_row(net, x)[perm])
+
+
+def bits(a):
+    """The raw bits of a float64 array: -0. differs from 0., NaN equals NaN."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+# two-class rows: ties, signed zeros, huge and subnormal values
+EDGE_ROWS = np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0],
+                      [2.5, 2.5], [-2.5, -2.5], [1e308, 1e308], [-1e308, 1e308],
+                      [800.0, -800.0], [-745.0, 709.0], [5e-324, -5e-324],
+                      [-5e-324, -5e-324], [1.0, -3.0], [np.inf, 1.0]])
+
+
+def _random_rows(n, seed):
+    """Rows of mixed magnitudes and signs, a third of them signed zeros."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, 2)) * rng.choice([1.0, 30.0, 1e-300], size=(n, 2))
+    rows[::3] = rng.choice([0.0, -0.0], size=rows[::3].shape)
+    return rows
+
+
+class TestClassAxisColumns:
+    """reduce_classes does numpy's reductions over the class axis as
+    column ops. Each caller must keep the bits it had with numpy's own
+    reduce, which the reference below puts back."""
+
+    ROWS = [EDGE_ROWS, EDGE_ROWS[1:2], _random_rows(1, 0), _random_rows(256, 1)]
+
+    @staticmethod
+    def _with_numpy_reduce(monkeypatch, fn, *args):
+        with monkeypatch.context() as m:
+            reference = lambda ufunc, a: ufunc.reduce(a, axis=-1)
+            m.setattr(nets, "reduce_classes", reference)
+            m.setattr(training, "reduce_classes", reference)
+            return fn(*args)
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_matches_numpy_reduce(self, rows, ufunc):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(bits(reduce_classes(ufunc, rows)),
+                                  bits(ufunc.reduce(rows, axis=-1)))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_softmax(self, monkeypatch, rows):
+        rows = np.clip(rows, -1e300, 1e300)   # an infinite logit gives NaN
+        assert np.array_equal(bits(softmax(rows)),
+                              bits(self._with_numpy_reduce(monkeypatch, softmax, rows)))
+
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_backward_jvp(self, monkeypatch, n, scale):
+        # scale 1e3 saturates the softmax: probabilities of exactly 0 and 1
+        net = make_net(n, d=4, hidden=(6, 5), c=2)
+        net = DenseNet.from_layers(net.weights[:-1] + [scale * net.weights[-1]],
+                                   net.biases)
+        X = np.random.default_rng(n).normal(size=(n, 4))
+        G = _random_rows(n, n + 1)
+        G[-1] = G[-1, 0]   # a tied row
+        G[0] = -0.0        # numpy's sum of its products is +0.
+        outputs = layer_outputs(net, X)
+        assert np.array_equal(
+            bits(backward(net, X, outputs, G)),
+            bits(self._with_numpy_reduce(monkeypatch, backward, net, X, outputs, G)))
+
+    @pytest.mark.parametrize("n", [1, 64])
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_pair_norm_and_cross_entropy(self, monkeypatch, n, scale):
+        net = make_net(n, d=4, hidden=(6, 5), c=2)
+        net = DenseNet.from_layers(net.weights[:-1] + [scale * net.weights[-1]],
+                                   net.biases)
+        rng = np.random.default_rng(n)
+        X, S = rng.normal(size=(n, 4)), (rng.random((n, 4)) < 0.5).astype(np.int8)
+        S[0] = 0   # selects nothing: with feature 0 also 0, the norm is 0
+        X[0, 0] = 0.0
+        Y = np.eye(2)[rng.integers(0, 2, size=n)]
+
+        pair = training.sensitivity_pair(net, X, S, 0)
+        loss, grad, ce, sens = training.pair_loss_and_grads(net, pair, Y, 1.0)
+        # numpy's own forms of the norm, the cross-entropy and the means
+        assert np.array_equal(bits(pair.norms), bits(np.linalg.norm(pair.diff, axis=1)))
+        ce_rows = -np.log(np.maximum((pair.p_sel * Y).sum(axis=1), PROB_FLOOR))
+        assert (loss, ce, sens) == (float(np.mean(pair.norms + ce_rows)),
+                                    float(np.mean(ce_rows)), float(np.mean(pair.norms)))
+        ref_grad = self._with_numpy_reduce(
+            monkeypatch, lambda: training.pair_loss_and_grads(
+                net, training.sensitivity_pair(net, X, S, 0), Y, 1.0)[1])
+        assert np.array_equal(bits(grad), bits(ref_grad))
 
 
 class TestBackward:

@@ -92,6 +92,9 @@ def random_instance(rng, batch=3):
     all-zero selected input would place every pre-activation exactly on
     the SELU kink, where finite differences straddle the two branches
     and cannot agree with any one-sided derivative.
+
+    The sensitive column is 0/1, as `Encoder` makes it, so some rows have
+    the same input in both halves of the pair and run once.
     """
     d = int(rng.integers(3, 7))
     c = int(rng.integers(2, 4))
@@ -101,6 +104,7 @@ def random_instance(rng, batch=3):
                                              for b in net.biases])
     k = int(rng.integers(0, d))
     X = rng.random((batch, d))
+    X[:, k] = X[:, k] < 0.5
     Y = np.zeros((batch, c))
     Y[np.arange(batch), rng.integers(0, c, size=batch)] = 1.0
     S = (rng.random((batch, d)) < 0.5).astype(np.int8)

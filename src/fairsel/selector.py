@@ -23,13 +23,13 @@ INIT_LOGIT_SCALE = 0.01  # standard deviation of the initial logits
 
 
 def sigmoid(x):
+    """Logistic function, elementwise, with no overflowing exponential:
+    1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, both read
+    off the one exponential e^min(x, -x). Branch-free: no boolean-mask
+    scatter, and the same bits as computing the two branches apart."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass

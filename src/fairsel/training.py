@@ -2,15 +2,16 @@
 
 Each mini-batch plays one round of the game around one paired forward
 pass: sample a selection vector per example, run the predictor on the
-selected input and on the selected input plus the sensitive feature
-(`sensitivity_pair`), and read both players' updates off that pair. The
-selector pushes its logits up the score-function gradient of the
-pair's sensitivity norms; the predictor takes an Adam step down the
-gradient of (sensitivity_weight * sensitivity + cross-entropy) computed
-from the same pair (`pair_loss_and_grads`). The selector maximizes
-sensitivity, the predictor minimizes it while keeping classification
-accuracy, so at convergence the chosen features carry little
-information the sensitive feature could add.
+selected input and, where adding the sensitive feature changes it, on
+the selected input plus that feature (`sensitivity_pair`), and read both
+players' updates off that pair. The selector pushes its logits up the
+score-function gradient of the pair's sensitivity norms; the predictor
+takes an Adam step down the gradient of (sensitivity_weight *
+sensitivity + cross-entropy) computed from the same pair
+(`pair_loss_and_grads`). The selector maximizes sensitivity, the
+predictor minimizes it while keeping classification accuracy, so at
+convergence the chosen features carry little information the sensitive
+feature could add.
 
 Training is deterministic given the config seed: identical runs produce
 bit-identical logs and parameters.
@@ -39,10 +40,12 @@ NORM_EPS = 1e-12
 
 # rows per paired pass in mean_sensitivity: bounds the cached layer
 # outputs when a whole evaluation set is scored. The stacked pair of 128
-# rows keeps a 4x200 net's four 256x200 activation blocks (1.6 MB) inside
-# a 2 MB per-core L2 cache. mean_sensitivity(n_samples=16) over 5,000x51
-# rows, 4x200 net, one BLAS thread, 2-core Xeon, 3 runs each: 64: 1.84-2.00 s,
-# 128: 1.75-1.89 s, 192: 1.85-1.93 s, 256: 2.66-2.73 s, 512: 2.69-2.93 s
+# rows (at most 256 with its changed rows) keeps a 4x200 net's four
+# activation blocks (at most 256x200, 1.6 MB) inside a 2 MB per-core L2
+# cache. mean_sensitivity(n_samples=16) over 5,000x51 bank-shaped rows
+# (14% run once), 4x200 net, one BLAS thread, 2-core Xeon, 3 runs each:
+# 64: 0.87-0.90 s, 128: 0.83-0.84 s, 192: 0.82-0.85 s, 256: 1.16-1.24 s,
+# 512: 1.23-1.35 s
 SENSITIVITY_BLOCK = 128
 
 
@@ -126,20 +129,26 @@ class TrainedModel:
 
 class SensitivityPair(NamedTuple):
     """The predictor's output on the selected input and on the selected
-    input plus the sensitive feature, for one batch of selections."""
+    input plus the sensitive feature, for one batch of selections. Only
+    rows where adding the feature changes the input run a second time;
+    every other row's sensitivity is exactly zero."""
 
-    S: np.ndarray       # (n, d) sampled selections
-    rows: np.ndarray    # (2n, d): X * S, then X * S with feature k added
-    outputs: list       # layer_outputs(net, rows)
-    p_sel: np.ndarray   # probability rows of the first half
-    diff: np.ndarray    # second half's probabilities minus p_sel
-    norms: np.ndarray   # per-row Euclidean length of diff
+    S: np.ndarray        # (n, d) sampled selections
+    changed: np.ndarray  # (m,) indices of the rows adding feature k changes
+    rows: np.ndarray     # (n + m, d): X * S, then those m rows with k added
+    outputs: list        # layer_outputs(net, rows)
+    p_sel: np.ndarray    # (n, c) probability rows of the first half
+    diff: np.ndarray     # (n, c) second half minus p_sel; 0 on unchanged rows
+    norms: np.ndarray    # (n,) per-row Euclidean length of diff
 
 
 def sensitivity_pair(net, X, S, k):
     """Run the paired forward pass of one batch of input rows X (n, d)
     under selection rows S (n, d) as one stacked pass: every sensitivity
-    norm and every predictor gradient is read off this pair."""
+    norm and every predictor gradient is read off this pair.
+
+    A row whose selection already holds feature k, or zeroes a feature
+    value that is 0, has the same input in both halves; it runs once."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or np.shape(S) != X.shape:
         raise DimensionError("input and selection rows", "two (n, d) arrays",
@@ -147,15 +156,16 @@ def sensitivity_pair(net, X, S, k):
     if X.shape[0] == 0:
         raise ValueError("empty batch")
     n = X.shape[0]
-    rows = np.empty((2 * n, X.shape[1]))
-    np.multiply(X, S, out=rows[:n])
-    rows[n:] = rows[:n]
-    rows[n:, k] = X[:, k]
+    selected = X * S
+    changed = np.flatnonzero(selected[:, k] != X[:, k])
+    rows = np.concatenate([selected, selected[changed]])
+    rows[n:, k] = X[changed, k]
     outputs = layer_outputs(net, rows)
     p_sel = outputs[-1][:n]
-    diff = outputs[-1][n:] - p_sel
+    diff = np.zeros_like(p_sel)
+    diff[changed] = outputs[-1][n:] - p_sel[changed]
     # np.linalg.norm(diff, axis=1), the same bits
-    return SensitivityPair(S, rows, outputs, p_sel, diff,
+    return SensitivityPair(S, changed, rows, outputs, p_sel, diff,
                            np.sqrt(reduce_classes(np.add, diff * diff)))
 
 
@@ -192,7 +202,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     ce_weight * cross-entropy on the selected input; ce_weight=0 gives
     the sensitivity-only half of the adversarial objective. Examples
     whose sensitivity norm is below NORM_EPS contribute a zero
-    sensitivity gradient (valid subgradient at the kink).
+    sensitivity gradient (valid subgradient at the kink); rows the pair
+    ran once, whose norm is exactly 0, give `backward` no second row.
 
     Returns (loss, gradient laid out like net.theta, mean cross-entropy,
     mean sensitivity norm).
@@ -215,7 +226,7 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
     if fault == "sen-grad-sign":
         unit = -unit
 
-    grad_with = (sensitivity_weight / n) * unit
+    grad_with = (sensitivity_weight / n) * unit[pair.changed]
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
     grad = backward(net, pair.rows, pair.outputs, np.vstack([grad_sel, grad_with]))

@@ -18,7 +18,7 @@ from fairsel.data import split, synth_proxy
 from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
 
-TRAIN_SHA256 = "332014fe471ae359d44f9a5c35efce35903b0bfcf74d6c2b678586e734cff888"
+TRAIN_SHA256 = "1c32091ea8522643d94d45008562685d1efe431c250158f288051d2d864079a1"
 COMPARE_SHA256 = "2fbe9de579790d5ae90da81088bba39a12029ea0810fb809460f5de57578d737"
 
 

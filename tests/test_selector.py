@@ -15,6 +15,27 @@ SIGMOID_0P3 = 0.5744425168116589
 SIGMOID_M0P7 = 0.33181222783183384
 
 
+class TestSigmoid:
+    @staticmethod
+    def two_branch_sigmoid(x):
+        """The two-branch form: each sign's branch on its own entries."""
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_same_bits_as_two_branch_form(self):
+        edges = [0.0, -0.0, 20.0, -20.0, 700.0, -700.0, 800.0, -800.0,
+                 np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                 2.2e-308, -2.2e-308, 1e-300, -1e-300]
+        x = np.concatenate([edges, np.random.default_rng(0).normal(0, 10, 10_000)])
+        with np.errstate(over="ignore"):
+            expected = self.two_branch_sigmoid(x)
+        assert np.array_equal(sigmoid(x).view(np.int64), expected.view(np.int64))
+
+
 class TestProbabilities:
     def test_zero_logits_masked(self):
         policy = SelectorPolicy(np.zeros(3), 1)

@@ -8,7 +8,8 @@ from conftest import (forward_row, make_net, naive_forward, recorded_selections,
                       selu_deriv)
 from fairsel.data import synth_proxy, split
 from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
-from fairsel.nets import AdamState, DenseNet, adam_step, backward, layer_outputs
+from fairsel.nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
+                         layer_outputs)
 from fairsel.selector import (SelectorPolicy, enumerate_selections, pi_prob,
                               probabilities, sample_selection_batch)
 from fairsel import training
@@ -45,22 +46,24 @@ def sensitivity_only(net, X, S, k):
 
 def selected_rows(x, s, k):
     """The pair's stacked input rows for one example: x * s, then x * s
-    with feature k added."""
+    with feature k added if that changes it."""
     net = make_net(0, d=x.shape[0], hidden=(3,), c=2)
     return sensitivity_pair(net, x[None, :], s[None, :], k).rows
 
 
 class TestApplySelection:
     """The selection zeroes unselected features: out_j = x_j if s_j = 1
-    else 0, and the second half of the pair adds feature k back."""
+    else 0, and the second half of the pair adds feature k back, on rows
+    where that changes the input."""
 
     def test_partial(self):
         out = selected_rows(np.array([0.2, 0.7, 0.9]), np.array([1, 0, 1]), 1)
         assert np.array_equal(out, [[0.2, 0.0, 0.9], [0.2, 0.7, 0.9]])
 
     def test_full_identity(self):
+        # feature 0 is already selected: the second half holds no row
         x = np.array([0.1, 0.2])
-        assert np.array_equal(selected_rows(x, np.ones(2, dtype=int), 0), [x, x])
+        assert np.array_equal(selected_rows(x, np.ones(2, dtype=int), 0), [x])
 
     def test_empty_zero(self):
         out = selected_rows(np.array([0.1, 0.2]), np.zeros(2, dtype=int), 1)
@@ -232,13 +235,17 @@ class TestPredictorStep:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_stacked_backward_matches_two_backward_sum(self, seed):
-        # oracle: the two halves of the pair through backward one by one,
-        # each with its own layer outputs, and their gradients summed
+        # oracle: the two full halves of the pair through backward one by
+        # one, each with its own layer outputs, and their gradients summed;
+        # rows whose two inputs are the same take the zero subgradient
         from fairsel.diagnostics import random_instance
         net, X, Y, S, k = random_instance(np.random.default_rng(seed))
         weight, n = 0.8, X.shape[0]
         pair = sensitivity_pair(net, X, S, k)
         _, grad, _, _ = pair_loss_and_grads(net, pair, Y, weight)
+        # the sensitive column is 0/1 and never selected: rows holding a 0
+        # there skip the second half
+        assert np.array_equal(pair.changed, np.flatnonzero(X[:, k]))
 
         x_sel = X * S
         x_with = x_sel.copy()
@@ -246,8 +253,8 @@ class TestPredictorStep:
         p_sel = layer_outputs(net, x_sel)[-1]
         diff = layer_outputs(net, x_with)[-1] - p_sel
         norms = np.linalg.norm(diff, axis=1)
-        assert (norms > 1e-12).all()
-        unit = diff / norms[:, None]
+        live = (X[:, k] != 0)[:, None]
+        unit = np.divide(diff, norms[:, None], out=np.zeros_like(diff), where=live)
         grad_with = weight / n * unit
         grad_sel = -weight / n * unit - Y / p_sel / n
         summed = (backward(net, x_with, layer_outputs(net, x_with), grad_with)
@@ -262,6 +269,113 @@ class TestPredictorStep:
         loss, grad = sensitivity_only(net, X, S, 1)
         assert loss == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(grad, 0.0, atol=1e-15)
+
+
+def full_pair_reference(net, X, S, Y, k, sensitivity_weight, ce_weight):
+    """Loss, gradient and norms of the pair as all 2n stacked rows: every
+    row runs a second time with feature k added, changed or not."""
+    n = X.shape[0]
+    x_sel = X * S
+    x_with = x_sel.copy()
+    x_with[:, k] = X[:, k]
+    rows = np.vstack([x_sel, x_with])
+    outputs = layer_outputs(net, rows)
+    p_sel = outputs[-1][:n]
+    diff = outputs[-1][n:] - p_sel
+    norms = np.linalg.norm(diff, axis=1)
+    ce = -np.log(np.maximum((p_sel * Y).sum(axis=1), PROB_FLOOR))
+    loss = np.mean(sensitivity_weight * norms + ce_weight * ce)
+    unit = np.divide(diff, norms[:, None], out=np.zeros_like(diff),
+                     where=(norms > training.NORM_EPS)[:, None])
+    G = np.vstack([-sensitivity_weight / n * unit
+                   - ce_weight * Y / np.maximum(p_sel, PROB_FLOOR) / n,
+                   sensitivity_weight / n * unit])
+    return loss, backward(net, rows, outputs, G), norms
+
+
+def skip_instance(case, n=37, d=6, k=2, seed=0):
+    """Rows X, selections S and labels Y where adding feature k changes:
+    masked, 0/1 column: rows with X_k = 1; unmasked: rows with S_k = 0
+    and X_k != 0; none: no row; all: every row."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    S = (rng.random((n, d)) < 0.5).astype(np.int8)
+    if case in ("masked-binary", "unmasked-binary", "none"):
+        X[:, k] = rng.random(n) < 0.5
+    if case in ("masked-binary", "all"):
+        S[:, k] = 0
+    if case == "none":
+        S[:, k] = X[:, k]   # selects each 1, drops each 0: never a change
+    Y = np.eye(2)[rng.integers(0, 2, size=n)]
+    return X, S, Y
+
+
+SKIP_CASES = ["masked-binary", "unmasked-binary", "unmasked-continuous",
+              "none", "all"]
+
+
+class TestSkippedRows:
+    """A row whose two pair inputs are the same runs once: its sensitivity
+    is exactly 0, and every value agrees with the full 2n-row pair."""
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    def test_second_half_holds_only_changed_rows(self, case):
+        X, S, _ = skip_instance(case)
+        pair = sensitivity_pair(make_net(0, d=6, hidden=(8,), c=2), X, S, 2)
+        changed = np.flatnonzero((S[:, 2] == 0) & (X[:, 2] != 0))
+        assert np.array_equal(pair.changed, changed)
+        assert pair.rows.shape == (37 + changed.size, 6)
+        if case in ("none", "all"):
+            assert changed.size == {"none": 0, "all": 37}[case]
+        else:
+            assert 0 < changed.size < 37
+
+    def test_unchanged_rows_are_exactly_zero_at_odd_batch_sizes(self):
+        # a 4x200 net on credit-shaped rows: run in one stacked batch, the
+        # two copies of a row can round differently at the last bit
+        net = DenseNet.initialize(55, (200,) * 4, 2, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            X = rng.random((37, 55))
+            X[:, 3] = rng.random(37) < 0.65
+            S = (rng.random((37, 55)) < 0.5).astype(np.int8)
+            S[:, 3] = 0
+            norms = sensitivity_pair(net, X, S, 3).norms
+            assert np.all(norms[X[:, 3] == 0] == 0.0)
+            assert np.all(norms[X[:, 3] == 1] > 0.0)
+
+    @pytest.mark.parametrize("case", SKIP_CASES)
+    @pytest.mark.parametrize("weights", [(0.8, 1.0), (1.0, 0.0)])
+    def test_loss_and_gradient_match_full_pair(self, case, weights):
+        X, S, Y = skip_instance(case, seed=3)
+        net = make_net(5, d=6, hidden=(8, 7), c=2)
+        loss, grad, _, sens = pair_loss_and_grads(
+            net, sensitivity_pair(net, X, S, 2), Y, *weights)
+        ref_loss, ref_grad, ref_norms = full_pair_reference(net, X, S, Y, 2, *weights)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert sens == pytest.approx(ref_norms.mean(), rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("mask", [True, False])
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_mean_sensitivity_matches_full_pair(self, mask, binary):
+        net = make_net(6, d=6, hidden=(8,), c=2)
+        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4]), 2,
+                                mask_sensitive=mask)
+        rng = np.random.default_rng(7)
+        X = rng.random((300, 6))
+        if binary:
+            X[:, 2] = rng.random(300) < 0.5
+        p = probabilities(policy)
+        rng = np.random.default_rng(8)
+        Y = np.zeros((300, 2))
+        expected = np.mean([
+            full_pair_reference(net, X, sample_selection_batch(p, 300, rng), Y,
+                                2, 1.0, 0.0)[2].mean()
+            for _ in range(3)])
+        assert mean_sensitivity(net, policy, X, n_samples=3,
+                                rng=np.random.default_rng(8)) == \
+            pytest.approx(expected, rel=1e-12)
 
 
 class TestAdversarialSigns:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .metrics import GroupedOutcomes, balanced_accuracy
+from .metrics import balanced_accuracy
 from .selector import sigmoid
 
 
@@ -55,7 +55,7 @@ def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
     if not 0 <= l2 < np.inf:
         raise ValueError("l2 must be nonnegative and finite")
     X = train_data.features
-    y = train_data.labels[:, 1]
+    y = train_data.labels
     w = np.zeros(X.shape[1])
     b = 0.0
 
@@ -68,8 +68,7 @@ def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
         w = w - lr * gw
         b = b - lr * gb
         labels, _ = predict_logistic_batch(LogisticModel(w, b), val_data.features)
-        score = balanced_accuracy(GroupedOutcomes(
-            val_data.labels.argmax(axis=1), labels, val_data.group_tags))
+        score = balanced_accuracy(val_data.outcomes(labels))
         if score > best[0]:
             best = (score, w.copy(), b)
     _, w, b = best

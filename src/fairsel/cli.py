@@ -39,7 +39,7 @@ from .checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
 from .data import DatasetSpec, load_csv, prepare_splits
 from .diagnostics import run_all
 from .errors import DataError, FairselError, NumericalError
-from .metrics import GroupedOutcomes, balanced_accuracy
+from .metrics import balanced_accuracy
 from .training import INFERENCE_POLICIES, TrainConfig, predict, train
 
 EXIT_OK = 0
@@ -248,8 +248,7 @@ def _echo_config(args):
 def _tune_point(model, val_ds):
     """Validation balanced accuracy, the score tune ranks weights by."""
     y_pred, _ = predict(model, val_ds.features)
-    return balanced_accuracy(GroupedOutcomes(
-        val_ds.label_indices(), y_pred, val_ds.group_tags))
+    return balanced_accuracy(val_ds.outcomes(y_pred))
 
 
 def _train_one_rep(task, args, raw, spec):
@@ -305,9 +304,15 @@ def _run_tasks(args, weights):
     checked before any file is read or made."""
     workers = _worker_count()
     configs = [_config_from_args(args, w) for w in weights]
+    out = Path(args.out)
+    # mkdir(parents=True) below makes what is missing under the nearest
+    # existing ancestor, which must be a directory
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise UsageError(f"--out {args.out}: {nearest} is not a directory")
     spec = DatasetSpec.from_json(args.spec)
     raw = load_csv(args.data, spec)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     tasks = [(rep, config) for config in configs for rep in range(args.reps)]
@@ -349,11 +354,16 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    if args.out is not None and (Path(args.out).is_dir()
+                                 or not Path(args.out).parent.is_dir()):
+        raise UsageError(f"--out {args.out}: not a file in an existing directory")
     kind, model, encoder = load_model(args.checkpoint)
     if args.spec is not None:
-        spec = DatasetSpec.from_json(args.spec)
-        if spec.to_dict()["columns"] != encoder.spec.to_dict()["columns"]:
-            raise DataError("spec columns do not match the checkpoint's encoder")
+        ours, theirs = DatasetSpec.from_json(args.spec).to_dict(), encoder.spec.to_dict()
+        wrong = [k for k in ("columns", "label", "sensitive") if ours[k] != theirs[k]]
+        if wrong:
+            raise DataError("spec does not match the checkpoint's encoder in its "
+                            + " and ".join(wrong))
     raw = load_csv(args.data, encoder.spec)
     dataset = encoder.transform(raw)
 

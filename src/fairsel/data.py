@@ -9,6 +9,10 @@ Encoding expands categoricals one-hot, min-max scales numerics into
 masks. Min/max statistics can be fitted on a subset of rows (the
 training split) and reused, so validation and test never leak into the
 normalizer; out-of-range values are clipped.
+
+A Dataset holds the encoded features, one 0/1 label per row and its
+encoder; its column names, sensitive index and group tags are read off
+those, and `Dataset.outcomes` gives every score its GroupedOutcomes.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .metrics import GroupedOutcomes
 
 MISSING_TOKENS = {"", "?", "NA"}
 
@@ -32,6 +37,28 @@ _PREDICATE_OPS = ("eq", "in", "ge", "gt", "le", "lt")
 
 def _strings(v):
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               (str, int, float): "a string or a number"}
+
+
+def _typed(value, kinds, what):
+    """value, if it is of type kinds; a DataError naming what otherwise."""
+    if not isinstance(value, kinds):
+        raise DataError(f"{what} must be {_JSON_TYPES[kinds]}, "
+                        f"got {reprlib.repr(value)}")
+    return value
+
+
+def _field(obj, path, kinds, default=None):
+    """The field at path (dotted, from the spec's root) of the spec JSON
+    object obj that holds it, of type kinds; a DataError naming the path
+    if it is of another type, or missing and has no default."""
+    key = path.rpartition(".")[2]
+    if key not in obj and default is None:
+        raise DataError(f"dataset spec is missing field {path!r}")
+    return _typed(obj.get(key, default), kinds, f"dataset spec field {path!r}")
 
 
 def _layout_entry_fits(item, name, role):
@@ -92,7 +119,7 @@ class Predicate:
     @classmethod
     def from_dict(cls, d):
         return cls(op=d.get("op"), value=d.get("value"),
-                   values=tuple(d.get("values", ())))
+                   values=tuple(_field(d, "sensitive.privileged.values", list, [])))
 
 
 @dataclass
@@ -142,19 +169,29 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d):
-        try:
-            columns = [ColumnSpec(c["name"], c["kind"]) for c in d["columns"]]
-            return cls(
-                columns=columns,
-                label_column=d["label"]["column"],
-                favorable_value=str(d["label"]["favorable"]),
-                sensitive_column=d["sensitive"]["column"],
-                privileged=Predicate.from_dict(d["sensitive"]["privileged"]),
-                drop_columns=tuple(d.get("drop", ())),
-                name=d.get("name", ""),
-            )
-        except KeyError as exc:
-            raise DataError(f"dataset spec is missing field {exc}") from None
+        """A spec from its parsed JSON; a field that is missing or of
+        another JSON type is a DataError that names it."""
+        _typed(d, dict, "dataset spec")
+        columns = []
+        for i, c in enumerate(_field(d, "columns", list)):
+            _typed(c, dict, f"dataset spec field 'columns[{i}]'")
+            columns.append(ColumnSpec(_field(c, f"columns[{i}].name", str),
+                                      _field(c, f"columns[{i}].kind", str)))
+        label, sensitive = _field(d, "label", dict), _field(d, "sensitive", dict)
+        drop = d.get("drop", [])
+        if not _strings(drop):
+            raise DataError(f"dataset spec field 'drop' must be a list of strings, "
+                            f"got {reprlib.repr(drop)}")
+        return cls(
+            columns=columns,
+            label_column=_field(label, "label.column", str),
+            favorable_value=str(_field(label, "label.favorable", (str, int, float))),
+            sensitive_column=_field(sensitive, "sensitive.column", str),
+            privileged=Predicate.from_dict(
+                _field(sensitive, "sensitive.privileged", dict)),
+            drop_columns=tuple(drop),
+            name=_field(d, "name", str, ""),
+        )
 
     @classmethod
     def from_json(cls, path):
@@ -258,43 +295,44 @@ def load_csv(path, spec):
 
 @dataclass
 class Dataset:
-    """Encoded, normalized matrix form ready for training."""
+    """Encoded features, their labels and the encoder that made them; the
+    group tags are read off the sensitive column (1 = privileged)."""
 
     features: np.ndarray           # (n, d) in [0, 1]
-    labels: np.ndarray             # (n, c) one-hot, class 1 = favorable
-    sensitive_index: int
-    group_tags: np.ndarray         # (n,) bool, True = privileged
-    column_names: list
-    encoder: "Encoder" = None
+    labels: np.ndarray             # (n,) 0/1, 1 = favorable
+    encoder: "Encoder"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        self.group_tags = np.asarray(self.group_tags, dtype=bool)
+        labels = np.asarray(self.labels)
         n, d = self.features.shape
         if not ((self.features >= 0) & (self.features <= 1)).all():
             raise DataError("features must lie in [0, 1]")
-        if self.labels.shape[0] != n or self.group_tags.shape != (n,):
-            raise DimensionError("dataset rows", n,
-                                 (self.labels.shape[0], self.group_tags.shape))
-        if n and not np.allclose(self.labels.sum(axis=1), 1.0):
-            raise DataError("label rows must be one-hot")
-        if not 0 <= self.sensitive_index < d:
-            raise DataError(f"sensitive index {self.sensitive_index} out of range")
-        if len(self.column_names) != d:
-            raise DimensionError("column names", d, len(self.column_names))
+        if labels.shape != (n,) or not ((labels == 0) | (labels == 1)).all():
+            raise DataError(f"labels must be {n} values of 0 or 1")
+        if d != self.encoder.dim:
+            raise DimensionError("feature columns", self.encoder.dim, d)
+        self.labels = labels.astype(np.int64, copy=False)
+        self.group_tags = self.features[:, self.sensitive_index] == 1.0
 
     @property
     def n(self):
         return self.features.shape[0]
 
-    def subset(self, idx):
-        return Dataset(self.features[idx], self.labels[idx],
-                       self.sensitive_index, self.group_tags[idx],
-                       self.column_names, self.encoder)
+    @property
+    def sensitive_index(self):
+        return self.encoder.sensitive_index
 
-    def label_indices(self):
-        return self.labels.argmax(axis=1)
+    @property
+    def column_names(self):
+        return self.encoder.column_names
+
+    def subset(self, idx):
+        return Dataset(self.features[idx], self.labels[idx], self.encoder)
+
+    def outcomes(self, y_pred):
+        """These labels and group tags next to predicted classes y_pred."""
+        return GroupedOutcomes(self.labels, y_pred, self.group_tags)
 
 
 class Encoder:
@@ -383,11 +421,7 @@ class Encoder:
                 pos += len(cats)
 
         favorable = label_codes == self.labels.index(spec.favorable_value)
-        labels = np.eye(2)[favorable.astype(int)]   # one-hot, class 1 = favorable
-
-        tags = features[:, self.sensitive_index] == 1.0
-        return Dataset(features, labels, self.sensitive_index, tags,
-                       list(self.column_names), self)
+        return Dataset(features, favorable.astype(np.int64), self)
 
     def to_payload(self):
         return {"spec": self.spec.to_dict(), "layout": self.layout,
@@ -485,7 +519,4 @@ def synth_proxy(n, proxy_correlation, seed, label_shift=1.5, signal=4.0):
     y = (rng.random(n) < p_pos).astype(int)
 
     features = np.column_stack([a, proxy, info, noise])
-    labels = np.zeros((n, 2))
-    labels[np.arange(n), y] = 1.0
-    return Dataset(features, labels, 0, a.astype(bool),
-                   list(SYNTH_COLUMNS), _synth_encoder())
+    return Dataset(features, y, _synth_encoder())

@@ -145,8 +145,7 @@ def evaluate_model(kind, model, dataset, sensitivity_seed=0):
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
-    outcomes = M.GroupedOutcomes(dataset.label_indices(), y_pred,
-                                 dataset.group_tags)
+    outcomes = dataset.outcomes(y_pred)
     return {
         "accuracy": M.accuracy(outcomes),
         "balanced_accuracy": M.balanced_accuracy(outcomes),

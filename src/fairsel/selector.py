@@ -9,7 +9,7 @@ what drives the selector's training updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class SelectorPolicy:
         near 1/2 without being exactly symmetric."""
         return cls(rng.normal(0.0, INIT_LOGIT_SCALE, size=dim),
                    sensitive_index, mask_sensitive)
-
-    def with_logits(self, logits):
-        return replace(self, logits=np.asarray(logits, dtype=np.float64))
 
 
 def probabilities(policy):

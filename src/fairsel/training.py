@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .metrics import GroupedOutcomes, balanced_accuracy
+from .metrics import balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                    forward, layer_outputs, reduce_classes)
 from .selector import (SelectorPolicy, log_pi_grad, probabilities,
@@ -189,7 +189,8 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     grad = (coeff[:, None] * log_pi_grad(p, S)).mean(axis=0)
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
-    return policy.with_logits(policy.logits + alpha_theta * grad), pair
+    return SelectorPolicy(policy.logits + alpha_theta * grad, policy.sensitive_index,
+                          policy.mask_sensitive), pair
 
 
 def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
@@ -307,8 +308,7 @@ def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
 def _validation_score(net, policy, config, val_data, epoch):
     probs = _predict_probs(net, policy, config, val_data.features,
                            [config.seed, 1, epoch])
-    return balanced_accuracy(GroupedOutcomes(
-        val_data.labels.argmax(axis=1), probs.argmax(axis=1), val_data.group_tags))
+    return balanced_accuracy(val_data.outcomes(probs.argmax(axis=1)))
 
 
 def train(train_data, val_data, config):
@@ -323,7 +323,7 @@ def train(train_data, val_data, config):
     Validation is scored by `metrics.balanced_accuracy`, so a
     validation split that lacks a class raises DegenerateGroupError.
     """
-    X, Y = train_data.features, train_data.labels
+    X, Y = train_data.features, np.eye(2)[train_data.labels]
     k = train_data.sensitive_index
     n, d = X.shape
 

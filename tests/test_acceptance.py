@@ -18,9 +18,8 @@ from fairsel.baseline import predict_logistic_batch, train_logistic
 from fairsel.cli import derive_seed, main
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DegenerateGroupError, FairselError
-from fairsel.metrics import (GroupedOutcomes, accuracy, average_odds_diff,
-                             balanced_accuracy, equal_opportunity_diff,
-                             theil_index)
+from fairsel.metrics import (accuracy, average_odds_diff, balanced_accuracy,
+                             equal_opportunity_diff, theil_index)
 from fairsel.report import strip_wall_clock
 from fairsel.selector import probabilities
 from fairsel.training import TrainConfig, predict, train
@@ -140,11 +139,11 @@ def test_criterion_6_end_to_end_fairness():
                           inference_policy="threshold05")
         model = train(tr, va, cfg)
         y_adv, _ = predict(model, te.features)
-        out_adv = GroupedOutcomes(te.label_indices(), y_adv, te.group_tags)
+        out_adv = te.outcomes(y_adv)
 
         base = train_logistic(tr, va, epochs=400, lr=0.5)
         y_base, _ = predict_logistic_batch(base, te.features)
-        out_base = GroupedOutcomes(te.label_indices(), y_base, te.group_tags)
+        out_base = te.outcomes(y_base)
 
         eod_a = equal_opportunity_diff(out_adv)
         eod_b = equal_opportunity_diff(out_base)

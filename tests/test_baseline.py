@@ -3,18 +3,23 @@ import pytest
 
 from fairsel.baseline import (LogisticModel, logistic_loss_and_grad,
                               predict_logistic_batch, train_logistic)
-from fairsel.data import Dataset, synth_proxy, split
+from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder, Predicate,
+                          split, synth_proxy)
 from fairsel.errors import DimensionError
 from fairsel.diagnostics import relative_error
 
 
-def toy_dataset(X, y, k=0):
-    n = len(y)
-    labels = np.zeros((n, 2))
-    labels[np.arange(n), y] = 1.0
-    return Dataset(np.asarray(X, dtype=float), labels, k,
-                   np.asarray(X)[:, k] > 0.5,
-                   [f"f{i}" for i in range(np.asarray(X).shape[1])])
+def toy_dataset(X, y):
+    """Numeric columns f0, f1, ... holding X, after a 0/1 sensitive column
+    "group" that is 1 where f0 > 0.5; labels y."""
+    X = np.asarray(X, dtype=float)
+    names = [f"f{i}" for i in range(X.shape[1])]
+    spec = DatasetSpec([ColumnSpec(c, "numeric") for c in ["group"] + names],
+                       "y", "1", "group", Predicate(op="eq", value=1))
+    layout = [{"name": "group", "role": "sensitive"}] + [
+        {"name": c, "role": "numeric", "min": 0.0, "max": 1.0} for c in names]
+    features = np.column_stack([X[:, 0] > 0.5, X])
+    return Dataset(features, y, Encoder(spec, layout, ["0", "1"]))
 
 
 def separable():
@@ -32,7 +37,7 @@ class TestTrainLogistic:
         ds = separable()
         model = train_logistic(ds, ds, epochs=500, lr=1.0)
         labels, _ = predict_logistic_batch(model, ds.features)
-        assert (labels == ds.label_indices()).mean() == 1.0
+        assert (labels == ds.labels).mean() == 1.0
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_fewer_than_one_epoch_is_rejected(self, epochs):
@@ -64,15 +69,13 @@ class TestTrainLogistic:
         rng = np.random.default_rng(3)
         X = rng.random((60, 4))
         y = (rng.random(60) < 0.5).astype(int)
-        ds = toy_dataset(X, y)
-        yv = ds.labels[:, 1]
         w = np.zeros(4)
         b = 0.0
-        initial, _, _ = logistic_loss_and_grad(w, b, X, yv)
+        initial, _, _ = logistic_loss_and_grad(w, b, X, y)
         for _ in range(200):
-            _, gw, gb = logistic_loss_and_grad(w, b, X, yv)
+            _, gw, gb = logistic_loss_and_grad(w, b, X, y)
             w, b = w - 1e-3 * gw, b - 1e-3 * gb
-        final, _, _ = logistic_loss_and_grad(w, b, X, yv)
+        final, _, _ = logistic_loss_and_grad(w, b, X, y)
         assert final <= initial
 
 

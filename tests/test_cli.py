@@ -387,6 +387,38 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
                      "--spec", str(other_path)]) == 2
 
+    @pytest.mark.parametrize("edit,wrong", [
+        ({"sensitive": {"column": "proxy", "privileged": {"op": "ge", "value": 0.5}}},
+         "sensitive"),
+        ({"sensitive": {"column": "sens", "privileged": {"op": "gt", "value": 0.5}}},
+         "sensitive"),
+        ({"label": {"column": "label", "favorable": "no"}}, "label"),
+        ({"label": {"column": "outcome", "favorable": "yes"}}, "label"),
+        ({"label": {"column": "label", "favorable": "no"},
+          "columns": TOY_SPEC["columns"][::-1]}, "columns and label"),
+    ])
+    def test_spec_must_match_all_but_its_name(self, tmp_path, capsys, edit, wrong):
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        other_path = tmp_path / "other.json"
+        other_path.write_text(json.dumps({**TOY_SPEC, "name": "renamed"}))
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
+                     "--spec", str(other_path)]) == 0
+        other_path.write_text(json.dumps({**TOY_SPEC, **edit}))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
+                     "--spec", str(other_path)]) == 2
+        assert capsys.readouterr().err.endswith(f"encoder in its {wrong}\n")
+
+    def test_out_in_missing_directory_is_usage_error_before_any_file(self, tmp_path,
+                                                                       capsys):
+        missing = str(tmp_path / "nope")
+        for out in (tmp_path / "dir" / "missing" / "r.json", tmp_path):
+            assert main(["evaluate", "--checkpoint", missing, "--data", missing,
+                         "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and f"--out {out}" in err
+
 
 class TestCompareCommand:
     def test_side_by_side_report(self, tmp_path, capsys):
@@ -587,6 +619,21 @@ class TestInvalidValues:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare", "tune"])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_a_file_is_usage_error_before_any_file(
+            self, tmp_path, capsys, command, under):
+        # --data names no file, so reading it first would exit 2
+        spec = write_toy(tmp_path)[1]
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        assert main([command, "--data", str(tmp_path / "nope.csv"), "--spec", spec,
+                     *fast_flags(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == ""
+
     def test_tune_takes_weights_from_grid_only(self, tmp_path, capsys):
         data, spec = write_toy(tmp_path)
         out = tmp_path / "t"
@@ -618,3 +665,31 @@ class TestInvalidValues:
                      *fast_flags(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "row 7" in err and "'credit_amount'" in err
+
+
+class TestSpecShape:
+    """A spec file of the wrong JSON shape is a data error naming the
+    field, from every command that reads one."""
+
+    SHAPES = {
+        "not-an-object": ([], "dataset spec must be an object, got []"),
+        "label-string": ({**TOY_SPEC, "label": "label"},
+                         "dataset spec field 'label' must be an object, got 'label'"),
+        "column-string": ({**TOY_SPEC, "columns": ["sens", *TOY_SPEC["columns"][1:]]},
+                          "dataset spec field 'columns[0]' must be an object, "
+                          "got 'sens'"),
+    }
+
+    @pytest.mark.parametrize("command", ["train", "compare", "tune", "evaluate"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_wrong_shape_is_two(self, tmp_path, capsys, command, shape):
+        data, _ = write_toy(tmp_path)
+        body, message = self.SHAPES[shape]
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(body))
+        out = tmp_path / "o"
+        flags = (["--checkpoint", str(DATA_DIR / "v2_toy_checkpoint.json")]
+                 if command == "evaluate" else fast_flags(out))
+        assert main([command, "--data", data, "--spec", str(spec), *flags]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()

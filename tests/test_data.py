@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder,
                           Predicate, load_csv, prepare_splits, split,
                           split_indices, synth_proxy)
-from fairsel.errors import DataError
+from fairsel.errors import DataError, DimensionError
 
 
 def encode_and_normalize(raw, spec):
@@ -214,10 +215,10 @@ class TestEncode:
         assert enc.to_payload() == fitted.to_payload()
         assert set(enc.to_payload()) == {"spec", "layout", "labels"}
 
-    def test_labels_one_hot_favorable_is_class_one(self, tiny_csv):
+    def test_labels_are_one_for_the_favorable_value(self, tiny_csv):
         ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
-        assert np.array_equal(ds.labels.argmax(axis=1), [1, 0, 1])
-        assert np.allclose(ds.labels.sum(axis=1), 1.0)
+        assert ds.labels.shape == (3,)
+        assert np.array_equal(ds.labels, [1, 0, 1])
 
     def test_round_trip_denormalize(self, german_csv, german_spec_path):
         spec = DatasetSpec.from_json(german_spec_path)
@@ -303,7 +304,7 @@ class TestSynthProxy:
         ds = synth_proxy(300, 0.8, seed=2)
         assert ds.features.shape == (300, 5)
         assert ((ds.features >= 0) & (ds.features <= 1)).all()
-        assert np.allclose(ds.labels.sum(axis=1), 1.0)
+        assert set(ds.labels.tolist()) == {0, 1}
         assert ds.sensitive_index == 0
         assert np.array_equal(ds.group_tags, ds.features[:, 0] == 1.0)
 
@@ -318,6 +319,45 @@ class TestSynthProxy:
         b = synth_proxy(150, 0.4, seed=9)
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
+
+
+def _from_each_constructor(tiny_csv):
+    ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
+    proxy = synth_proxy(200, 0.5, seed=0)
+    return [ds, ds.subset([2, 0]), proxy, split(proxy, seed=1)[1]]
+
+
+class TestDataset:
+    def test_facts_are_read_off_features_and_encoder(self, tiny_csv):
+        for ds in _from_each_constructor(tiny_csv):
+            k = ds.encoder.sensitive_index
+            assert (ds.sensitive_index, ds.column_names) == (
+                k, ds.encoder.column_names)
+            assert np.array_equal(ds.group_tags, ds.features[:, k] == 1.0)
+
+    def test_outcomes_pair_labels_and_groups_with_predictions(self, tiny_csv):
+        ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
+        out = ds.outcomes(np.array([0, 0, 1]))
+        assert np.array_equal(out.y_true, [1, 0, 1])
+        assert np.array_equal(out.y_pred, [0, 0, 1])
+        assert np.array_equal(out.privileged, [True, False, True])
+
+    @pytest.mark.parametrize("labels", [[1, 0, 2], [1.0, 0.5, 0.0], [[0, 1], [1, 0], [0, 1]],
+                                        [1, 0]])
+    def test_labels_must_be_one_zero_or_one_per_row(self, tiny_csv, labels):
+        ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
+        with pytest.raises(DataError, match="labels"):
+            Dataset(ds.features, np.array(labels), ds.encoder)
+
+    def test_width_must_match_the_encoder(self, tiny_csv):
+        ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
+        with pytest.raises(DimensionError):
+            Dataset(ds.features[:, :3], ds.labels, ds.encoder)
+
+    def test_features_outside_unit_interval_rejected(self):
+        ds = synth_proxy(100, 0.5, seed=0)
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            Dataset(ds.features * 2, ds.labels, ds.encoder)
 
 
 class TestSpecValidation:
@@ -377,6 +417,52 @@ class TestSpecValidation:
                 "columns": [{"name": "sex", "kind": "numeric"}],
                 "label": {"column": "label", "favorable": "yes"},
                 "sensitive": {"column": "sex", "privileged": privileged}})
+
+    def test_in_predicate_values_must_be_a_list(self, tmp_path):
+        # a string would be read as its characters: "MX" as "M" or "X"
+        rows = [["MF"[i % 2], str(i), "yes" if i % 3 else "no"] for i in range(40)]
+        path = write_csv(tmp_path / "sex.csv", ["sex", "x", "label"], rows)
+        spec = {"columns": [{"name": "sex", "kind": "categorical"},
+                            {"name": "x", "kind": "numeric"}],
+                "label": {"column": "label", "favorable": "yes"},
+                "sensitive": {"column": "sex",
+                              "privileged": {"op": "in", "values": ["MX"]}}}
+        ds = encode_and_normalize(load_csv(path, DatasetSpec.from_dict(spec)),
+                                  DatasetSpec.from_dict(spec))
+        assert not ds.group_tags.any()
+        spec["sensitive"]["privileged"]["values"] = "MX"
+        with pytest.raises(DataError, match=r"'sensitive.privileged.values' must be "
+                                            r"a list, got 'MX'"):
+            DatasetSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("drop", ["junk", ["junk", 3]])
+    def test_drop_must_be_a_list_of_names(self, drop):
+        spec = {"columns": [{"name": "x", "kind": "numeric"}],
+                "label": {"column": "label", "favorable": "yes"},
+                "sensitive": {"column": "x", "privileged": {"op": "ge", "value": 1}},
+                "drop": drop}
+        with pytest.raises(DataError, match="'drop' must"):
+            DatasetSpec.from_dict(spec)
+        spec["drop"] = ["junk"]
+        assert DatasetSpec.from_dict(spec).drop_columns == ("junk",)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d.pop("sensitive"), "is missing field 'sensitive'"),
+        (lambda d: d["label"].pop("favorable"), "is missing field 'label.favorable'"),
+        (lambda d: d["label"].update(favorable=["yes"]),
+         "'label.favorable' must be a string or a number"),
+        (lambda d: d["columns"][0].update(kind=None), "'columns[0].kind' must be a string"),
+        (lambda d: d["sensitive"].update(privileged="ge"),
+         "'sensitive.privileged' must be an object"),
+        (lambda d: d.update(name=7), "'name' must be a string"),
+    ])
+    def test_field_of_wrong_shape_is_named(self, edit, message):
+        spec = {"columns": [{"name": "x", "kind": "numeric"}],
+                "label": {"column": "label", "favorable": "yes"},
+                "sensitive": {"column": "x", "privileged": {"op": "ge", "value": 1}}}
+        edit(spec)
+        with pytest.raises(DataError, match=re.escape(message)):
+            DatasetSpec.from_dict(spec)
 
     def test_predicate_ops(self):
         assert Predicate(op="ge", value=25).matches("30")

@@ -392,7 +392,7 @@ class TestAdversarialSigns:
         net, policy, x = self._instance()
         value, grad = enumerate_sensitivity(net, policy, x)
         assert np.linalg.norm(grad) > 1e-8
-        stepped = policy.with_logits(policy.logits + 1e-4 * grad)
+        stepped = SelectorPolicy(policy.logits + 1e-4 * grad, policy.sensitive_index)
         value2, _ = enumerate_sensitivity(net, stepped, x)
         assert value2 > value
 
@@ -538,7 +538,7 @@ class TestTrain:
 
     def test_one_class_validation_split_is_a_data_error(self):
         tr, va, _ = self._data()
-        one_class = va.subset(va.label_indices() == 0)
+        one_class = va.subset(va.labels == 0)
         with pytest.raises(DegenerateGroupError):
             train(tr, one_class, self._config(max_epochs=1))
 

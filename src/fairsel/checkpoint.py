@@ -3,11 +3,12 @@
 A checkpoint stores each fact needed to reproduce predictions on new
 data once: network parameters or logistic coefficients, selector logits,
 the fitted encoder (layout and label vocabulary) and the training
-config. A net is its layer sizes and its flat parameter vector `theta`
-(laid out by `nets`) as one base64 blob of little-endian float64.
-Version 3 is written; version 2 is read the same way, its copies of
-derived facts ignored. Every float64 survives the round trip bit-exactly:
-the blob holds the raw bits, and the JSON numbers are shortest reprs.
+config. A net is its flat parameter vector `theta` (laid out by `nets`)
+as one base64 blob of little-endian float64, at the sizes (encoder
+width, *config.hidden_sizes, label count). Version 4 is written;
+versions 2 and 3 are read the same way, their copies of derived facts
+ignored. Every float64 survives the round trip bit-exactly: the blob
+holds the raw bits, and the JSON numbers are shortest reprs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import binascii
 import dataclasses
 import json
+import reprlib
 
 import numpy as np
 
@@ -25,8 +27,8 @@ from .nets import DenseNet, require_finite
 from .selector import SelectorPolicy
 from .training import TrainConfig, TrainedModel
 
-CHECKPOINT_VERSION = 3
-READABLE_VERSIONS = (2, 3)
+CHECKPOINT_VERSION = 4
+READABLE_VERSIONS = (2, 3, 4)
 
 KIND_ADVERSARIAL = "adversarial-selection"
 KIND_LOGISTIC = "logistic"
@@ -39,8 +41,7 @@ def save_model(path, model, encoder):
             "version": CHECKPOINT_VERSION,
             "kind": KIND_ADVERSARIAL,
             "config": dataclasses.asdict(model.config),
-            "net": {"sizes": list(model.net.sizes),
-                    "theta": _encode_theta(model.net.theta)},
+            "net": {"theta": _encode_theta(model.net.theta)},
             "selector": {"logits": model.policy.logits.tolist()},
             "encoder": encoder.to_payload(),
         }
@@ -62,19 +63,27 @@ def _encode_theta(theta):
     return binascii.b2a_base64(theta.astype("<f8").tobytes(), newline=False).decode("ascii")
 
 
-def _decode_net(net):
-    """The DenseNet of a checkpoint's "net" entry; raises on any defect."""
-    text = net["theta"]
+def _decode_net(text, config, encoder):
+    """The DenseNet of a checkpoint's net.theta at the sizes its encoder and
+    config give (a stored net.sizes is not read); raises on any defect."""
+    sizes = (encoder.dim, *config.hidden_sizes, len(encoder.labels))
     blob = binascii.a2b_base64(text)
     # a2b_base64 skips stray characters: only the canonical text is accepted
     if binascii.b2a_base64(blob, newline=False).decode("ascii") != text:
         raise ValueError("net.theta is not canonical base64")
-    sizes = net["sizes"]
-    if not (isinstance(sizes, list) and all(type(s) is int for s in sizes)):
-        raise ValueError(f"net.sizes must be a list of integers, got {sizes!r}")
     out = DenseNet(sizes, np.frombuffer(blob, dtype="<f8").astype(np.float64))
     require_finite(out, out.theta, "value")
     return out
+
+
+def _numbers(value, field, ndim):
+    """A JSON number (ndim 0) or list of numbers (ndim 1) as float64; np.array
+    would also read the string "1.5" as 1.5 and true as 1.0."""
+    items = value if ndim else [value]
+    if not (isinstance(items, list) and all(type(v) in (int, float) for v in items)):
+        kind = "a list of JSON numbers" if ndim else "a JSON number"
+        raise ValueError(f"{field} must be {kind}, got {reprlib.repr(value)}")
+    return np.array(value, dtype=np.float64)
 
 
 def load_model(path):
@@ -90,33 +99,34 @@ def load_model(path):
     version = body.get("version")
     if version not in READABLE_VERSIONS:
         raise DataError(f"unsupported checkpoint version {version!r} (this build "
-                        f"reads versions {' and '.join(map(str, READABLE_VERSIONS))})")
+                        f"reads versions {', '.join(map(str, READABLE_VERSIONS))})")
     kind = body.get("kind")
     if kind not in (KIND_ADVERSARIAL, KIND_LOGISTIC):
         raise DataError(f"unknown checkpoint kind {kind!r}")
     try:
         encoder = Encoder.from_payload(body["encoder"])
         if kind == KIND_ADVERSARIAL:
-            config = TrainConfig(**body["config"])
+            fields = {**body["config"]}
+            # versions 2 and 3 wrote the mask flag, which may only be on
+            if fields.pop(key := "mask_sensitive", True) is not True:
+                raise ValueError(f"{key} must be true")
+            config = TrainConfig(**fields)
             model = TrainedModel(
-                net=_decode_net(body["net"]),
-                policy=SelectorPolicy(np.array(body["selector"]["logits"],
-                                               dtype=np.float64),
-                                      encoder.sensitive_index, config.mask_sensitive),
+                net=_decode_net(body["net"]["theta"], config, encoder),
+                policy=SelectorPolicy(_numbers(body["selector"]["logits"],
+                                               "selector.logits", 1),
+                                      encoder.sensitive_index),
                 config=config,
             )
-            what = "net input and selector logit widths"
-            widths = (model.net.input_dim, model.policy.logits.shape[0])
-            expected = (encoder.dim, encoder.dim)
+            what, shape = "selector logits shape", model.policy.logits.shape
         else:
-            model = LogisticModel(np.array(body["weights"], dtype=np.float64),
-                                  float(body["bias"]))
-            what = "logistic weights shape"
-            widths, expected = model.weights.shape, (encoder.dim,)
+            model = LogisticModel(_numbers(body["weights"], "weights", 1),
+                                  float(_numbers(body["bias"], "bias", 0)))
+            what, shape = "logistic weights shape", model.weights.shape
         # each width must be the encoder's, or scoring fails far from here
-        if widths != expected:
-            raise DimensionError(what, expected, widths)
-    except (KeyError, TypeError, ValueError, DataError, DimensionError,
-            NumericalError) as exc:
+        if shape != (encoder.dim,):
+            raise DimensionError(what, (encoder.dim,), shape)
+    except (KeyError, TypeError, ValueError, OverflowError, DataError,
+            DimensionError, NumericalError) as exc:
         raise DataError(f"malformed checkpoint {path}: {exc}") from None
     return kind, model, encoder

@@ -23,7 +23,6 @@ import argparse
 import concurrent.futures
 import dataclasses
 import functools
-import json
 import math
 import os
 import sys
@@ -144,8 +143,6 @@ def _add_train_flags(p, lambda_flag=True):
                    help="predictor learning rate")
     p.add_argument("--hidden", default="200,200,200,200",
                    help="comma-separated hidden layer sizes")
-    p.add_argument("--no-mask", action="store_true",
-                   help="ablation: let the selector sample the sensitive feature")
     p.add_argument("--score-baseline", action="store_true",
                    help="variance-reduction baseline for the selector updates")
 
@@ -234,7 +231,6 @@ def _config_from_args(args, weight):
             inference_policy=args.inference_policy,
             mc_samples=args.mc_samples,
             hidden_sizes=_parse_hidden(args.hidden),
-            mask_sensitive=not args.no_mask,
             score_baseline=args.score_baseline,
         )
     except ValueError as exc:
@@ -379,10 +375,7 @@ def cmd_evaluate(args):
         rpt.write_report(report, args.out, args.report_format)
         print(f"report written to {args.out}")
     else:
-        rpt.validate_report(report)
-        text = (json.dumps(report, indent=2) if args.report_format == "json"
-                else rpt.flatten_csv(report))
-        print(text)
+        print(rpt.render_report(report, args.report_format))
     return EXIT_OK
 
 

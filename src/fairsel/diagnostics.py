@@ -171,16 +171,16 @@ def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
 
 
 def check_pi_normalization(n_policies=50, seed=4, tolerance=1e-9, max_dim=10):
-    """Selection probabilities must sum to one over all 2^d vectors."""
+    """Selection probabilities must sum to one over all 2^d vectors, or
+    over the 2^(d-1) the selector allows when it masks a feature."""
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(n_policies):
         d = int(rng.integers(2, max_dim + 1))
         logits = rng.normal(0, 2, size=d)
-        policy = SelectorPolicy(logits, int(rng.integers(0, d)),
-                                mask_sensitive=bool(rng.integers(0, 2)))
-        p = probabilities(policy)
-        masked = policy.sensitive_index if policy.mask_sensitive else None
+        k = int(rng.integers(0, d))
+        masked = k if rng.integers(0, 2) else None   # the selector, or plain gates
+        p = sigmoid(logits) if masked is None else probabilities(SelectorPolicy(logits, k))
         # Python's sequential sum; numpy's pairwise sum changes the error
         total = sum(pi_prob(p, enumerate_selections(d, masked)))
         errors.append(abs(total - 1.0))
@@ -211,8 +211,7 @@ def enumerate_sensitivity(net, policy, x):
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[0]
     p = probabilities(policy)
-    masked = policy.sensitive_index if policy.mask_sensitive else None
-    S_all = enumerate_selections(d, masked_index=masked)
+    S_all = enumerate_selections(d, masked_index=policy.sensitive_index)
     pi = pi_prob(p, S_all)
     X_rep = np.broadcast_to(x, (S_all.shape[0], d))
     norms = sensitivity_pair(net, X_rep, S_all, policy.sensitive_index).norms
@@ -243,7 +242,7 @@ def estimator_instance(d=6):
     w2[0, 0] = 2.0
     b2 = np.array([3.4, 0.0])
     net = DenseNet.from_layers([w1, w2], [b1, b2])
-    policy = SelectorPolicy(np.zeros(d), k, mask_sensitive=True)
+    policy = SelectorPolicy(np.zeros(d), k)
     x = np.linspace(1.0, 0.85, d)
     return net, policy, x
 

@@ -129,7 +129,8 @@ class DenseNet:
         blocks = _layout(self.sizes)
         self.theta = np.asarray(theta, dtype=np.float64)
         if self.theta.shape != (blocks[-1][2],):
-            raise DimensionError("parameter vector", (blocks[-1][2],), self.theta.shape)
+            raise DimensionError(f"parameter vector of sizes {self.sizes}",
+                                 (blocks[-1][2],), self.theta.shape)
         views = [self.theta[lo:hi].reshape(shape) for _, lo, hi, shape in blocks]
         self.weights, self.biases = views[0::2], views[1::2]
 

@@ -183,14 +183,16 @@ def base_report(command, config_echo, master_seed):
     }
 
 
-def write_report(report, path, fmt="json"):
+def render_report(report, fmt="json"):
+    """A report, validated, as JSON or CSV text."""
     validate_report(report)
-    if fmt == "json":
-        text = json.dumps(report, indent=2)
-    elif fmt == "csv":
-        text = flatten_csv(report)
-    else:
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown report format {fmt!r}")
+    return json.dumps(report, indent=2) if fmt == "json" else flatten_csv(report)
+
+
+def write_report(report, path, fmt="json"):
+    text = render_report(report, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 

@@ -2,7 +2,7 @@
 
 A single global logit vector defines independent per-feature Bernoulli
 selection probabilities through a sigmoid. The sensitive feature is
-masked out of sampling by default, so no sampled selection ever carries
+always masked out of sampling, so no sampled selection ever carries
 it. The score-function gradient of the log selection probability is
 what drives the selector's training updates.
 """
@@ -38,7 +38,6 @@ class SelectorPolicy:
 
     logits: np.ndarray
     sensitive_index: int
-    mask_sensitive: bool = True
 
     def __post_init__(self):
         self.logits = np.asarray(self.logits, dtype=np.float64)
@@ -51,18 +50,16 @@ class SelectorPolicy:
                 f"sensitive index {self.sensitive_index} outside [0, {self.logits.shape[0]})")
 
     @classmethod
-    def initialize(cls, dim, sensitive_index, rng, mask_sensitive=True):
+    def initialize(cls, dim, sensitive_index, rng):
         """Small random logits, so initial selection probabilities sit
         near 1/2 without being exactly symmetric."""
-        return cls(rng.normal(0.0, INIT_LOGIT_SCALE, size=dim),
-                   sensitive_index, mask_sensitive)
+        return cls(rng.normal(0.0, INIT_LOGIT_SCALE, size=dim), sensitive_index)
 
 
 def probabilities(policy):
     """Selection probability per feature; exactly 0 at the masked index."""
     p = sigmoid(np.clip(policy.logits, -LOGIT_LIMIT, LOGIT_LIMIT))
-    if policy.mask_sensitive:
-        p[policy.sensitive_index] = 0.0
+    p[policy.sensitive_index] = 0.0
     return p
 
 

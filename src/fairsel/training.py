@@ -1,17 +1,17 @@
 """Adversarial training of the selector/predictor pair.
 
 Each mini-batch plays one round of the game around one paired forward
-pass: sample a selection vector per example, run the predictor on the
-selected input and, where adding the sensitive feature changes it, on
-the selected input plus that feature (`sensitivity_pair`), and read both
-players' updates off that pair. The selector pushes its logits up the
-score-function gradient of the pair's sensitivity norms; the predictor
-takes an Adam step down the gradient of (sensitivity_weight *
-sensitivity + cross-entropy) computed from the same pair
-(`pair_loss_and_grads`). The selector maximizes sensitivity, the
-predictor minimizes it while keeping classification accuracy, so at
-convergence the chosen features carry little information the sensitive
-feature could add.
+pass: sample a selection vector per example (the sensitive feature is
+always masked out of it), run the predictor on the selected input and,
+where adding the sensitive feature changes it, on the selected input
+plus that feature (`sensitivity_pair`), and read both players' updates
+off that pair. The selector pushes its logits up the score-function
+gradient of the pair's sensitivity norms; the predictor takes an Adam
+step down the gradient of (sensitivity_weight * sensitivity +
+cross-entropy) computed from the same pair (`pair_loss_and_grads`).
+The selector maximizes sensitivity, the predictor minimizes it while
+keeping classification accuracy, so at convergence the chosen features
+carry little information the sensitive feature could add.
 
 Training is deterministic given the config seed: identical runs produce
 bit-identical logs and parameters.
@@ -55,7 +55,8 @@ class TrainConfig:
 
     patience is clamped to max_epochs so the invariant
     patience <= max_epochs always holds. Field order is the checkpoint's
-    key order (`dataclasses.asdict`).
+    key order (`dataclasses.asdict`); hidden_sizes is a checkpoint's only
+    record of the net's hidden widths.
     """
 
     alpha_theta: float = 1e-4
@@ -68,20 +69,23 @@ class TrainConfig:
     inference_policy: str = "threshold05"
     mc_samples: int = 32
     hidden_sizes: tuple = (200, 200, 200, 200)
-    mask_sensitive: bool = True
     score_baseline: bool = False
 
     def __post_init__(self):
         # a checkpoint's config arrives as JSON: a float or a bool must
-        # not pass for a count, nor a string for a flag
+        # not pass for a count, nor a string for a flag or the widths
         for name in ("batch_size", "max_epochs", "patience", "mc_samples", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("mask_sensitive", "score_baseline"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, "
-                                 f"got {getattr(self, name)!r}")
+        if not isinstance(self.score_baseline, bool):
+            raise ValueError(f"score_baseline must be true or false, "
+                             f"got {self.score_baseline!r}")
+        if not (isinstance(self.hidden_sizes, (list, tuple)) and self.hidden_sizes
+                and all(type(h) is int and h >= 1 for h in self.hidden_sizes)):
+            raise ValueError(f"hidden_sizes must be a nonempty list of integers "
+                             f"of at least 1, got {self.hidden_sizes!r}")
+        self.hidden_sizes = tuple(self.hidden_sizes)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         # written so that NaN fails every comparison
@@ -100,9 +104,6 @@ class TrainConfig:
         if self.inference_policy not in INFERENCE_POLICIES:
             raise ValueError(f"inference_policy must be one of {INFERENCE_POLICIES}, "
                              f"got {self.inference_policy!r}")
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise ValueError("hidden_sizes must be a nonempty tuple of positive ints")
         self.patience = min(int(self.patience), self.max_epochs)
 
 
@@ -189,8 +190,7 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     grad = (coeff[:, None] * log_pi_grad(p, S)).mean(axis=0)
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
-    return SelectorPolicy(policy.logits + alpha_theta * grad, policy.sensitive_index,
-                          policy.mask_sensitive), pair
+    return SelectorPolicy(policy.logits + alpha_theta * grad, policy.sensitive_index), pair
 
 
 def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
@@ -251,11 +251,8 @@ def _predict_probs(net, policy, config, X, rng):
     Generator or the seed of one; only mc-average draws, so only it
     builds the generator."""
     p = probabilities(policy)
-    k = policy.sensitive_index
     if config.inference_policy == "threshold05":
-        s_det = (p >= 0.5).astype(np.float64)
-        s_det[k] = 0.0
-        return forward(net, X * s_det)
+        return forward(net, X * (p >= 0.5))
     if config.inference_policy == "expected-input":
         return forward(net, X * p)
     # mc-average
@@ -329,8 +326,7 @@ def train(train_data, val_data, config):
 
     rng = np.random.default_rng(config.seed)
     net = DenseNet.initialize(d, config.hidden_sizes, Y.shape[1], rng)
-    policy = SelectorPolicy.initialize(d, k, rng,
-                                       mask_sensitive=config.mask_sensitive)
+    policy = SelectorPolicy.initialize(d, k, rng)
     adam = AdamState.for_net(net)
 
     log = []

@@ -39,10 +39,10 @@ class TestRoundTrip:
         assert loaded.policy.sensitive_index == model.policy.sensitive_index
         assert loaded.config == model.config
         assert enc2.to_payload() == encoder.to_payload()
-        # version 3: sizes, and theta as one base64 blob of little-endian float64
+        # version 4: theta alone, one base64 blob of little-endian float64
         body = json.loads(path.read_text())
-        assert body["version"] == 3
-        assert body["net"]["sizes"] == list(model.net.sizes)
+        assert body["version"] == 4
+        assert set(body["net"]) == {"theta"}
         blob = base64.b64decode(body["net"]["theta"], validate=True)
         assert blob == model.net.theta.astype("<f8").tobytes()
         assert body["encoder"]["labels"] == encoder.labels == ["0", "1"]
@@ -54,16 +54,18 @@ class TestRoundTrip:
 
     def test_each_fact_stored_once(self, trained, tmp_path):
         # the seed is the config's, the sensitive index and the column
-        # names are the encoder layout's, the mask flag is the config's
+        # names are the encoder layout's, the hidden widths the config's
         model, _, encoder = trained
         path = tmp_path / "adv.json"
         save_model(path, model, encoder)
         body = json.loads(path.read_text())
         assert "seed" not in body and set(body["selector"]) == {"logits"}
         assert set(body["encoder"]) == {"spec", "layout", "labels"}
+        assert set(body["net"]) == {"theta"} and "mask_sensitive" not in body["config"]
         _, loaded, enc2 = load_model(path)
         assert loaded.policy.sensitive_index == enc2.sensitive_index == 0
-        assert loaded.policy.mask_sensitive is model.config.mask_sensitive is True
+        assert loaded.net.sizes == (enc2.dim, *body["config"]["hidden_sizes"],
+                                    len(enc2.labels))
 
     def test_logistic_bit_exact(self, trained, tmp_path):
         _, baseline, encoder = trained
@@ -106,11 +108,10 @@ class TestValidation:
         with pytest.raises(DataError) as exc:
             load_model(path)
         assert "version 99" in str(exc.value)
-        assert "reads versions 2 and 3" in str(exc.value)
+        assert "reads versions 2, 3, 4" in str(exc.value)
 
     @pytest.mark.parametrize("corrupt", ["not-base64", "short-blob", "nan-blob",
-                                         "inf-blob", "sizes-vs-encoder",
-                                         "missing-sizes", "float-sizes"])
+                                         "inf-blob", "sizes-vs-encoder"])
     def test_corrupt_v2_net(self, trained, tmp_path, corrupt):
         model, _, encoder = trained
         path = tmp_path / "c.json"
@@ -125,20 +126,40 @@ class TestValidation:
         elif corrupt in ("nan-blob", "inf-blob"):
             theta[-1] = np.nan if corrupt == "nan-blob" else -np.inf
             net["theta"] = blob(theta)
-        elif corrupt == "sizes-vs-encoder":
-            # a well-formed net that reads one input more than the encoder writes
+        else:
+            # a well-formed net that reads one input more than the encoder
+            # writes, stored with its sizes, which are not read
             wide = DenseNet.initialize(encoder.dim + 1, (6, 5), 2, np.random.default_rng(0))
             net["sizes"], net["theta"] = list(wide.sizes), blob(wide.theta)
-        elif corrupt == "missing-sizes":
-            del net["sizes"]
-        else:
-            net["sizes"] = [s + 0.5 for s in net["sizes"]]   # int() would truncate
         path.write_text(json.dumps(body))
         with pytest.raises(DataError) as exc:
             load_model(path)
         assert "malformed checkpoint" in str(exc.value)
         if corrupt in ("nan-blob", "inf-blob"):
             assert "layer2.bias" in str(exc.value)
+
+    # test_cli's test_v2_edit_is_two has string logits and a true logit
+    @pytest.mark.parametrize("field,value", [
+        ("selector.logits", [None, 0.1, 0.2, 0.3]),
+        ("selector.logits", "0.5"),
+        ("weights", ["0.5", 0.1, 0.2, 0.3]),
+        ("weights", [0.5, 0.1, [0.2], 0.3]),
+        ("bias", "1.5"),
+        ("bias", True),
+        ("bias", [1.5]),
+        ("bias", None),
+    ])
+    def test_numbers_must_be_json_numbers(self, trained, tmp_path, field, value):
+        # np.array and float() would read "1.5" as 1.5 and true as 1.0
+        model, baseline, encoder = trained
+        path = tmp_path / "n.json"
+        section, _, key = field.rpartition(".")
+        save_model(path, model if section else baseline, encoder)
+        body = json.loads(path.read_text())
+        (body[section] if section else body)[key] = value
+        path.write_text(json.dumps(body))
+        with pytest.raises(DataError, match=f"malformed checkpoint .*: {field} must be a"):
+            load_model(path)
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.json"

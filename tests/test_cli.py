@@ -8,7 +8,7 @@ import pytest
 
 from conftest import GERMAN_HEADER, write_german_csv
 from fairsel.checkpoint import save_model
-from fairsel.cli import derive_seed, main
+from fairsel.cli import _config_from_args, build_parser, derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
 from fairsel.nets import DenseNet
 from fairsel.report import strip_wall_clock
@@ -137,6 +137,12 @@ class TestTrainCommand:
         assert rep["best_epoch"] == -1
         assert 0.0 <= rep["metrics"]["accuracy"] <= 1.0
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        # each training default is written twice: in the parser and in
+        # TrainConfig
+        args = build_parser().parse_args(["train", "--data", "x", "--spec", "y"])
+        assert _config_from_args(args, args.sensitivity_weight) == TrainConfig()
+
     def test_csv_report_format(self, tmp_path, capsys):
         data, spec = write_toy(tmp_path)
         out = tmp_path / "csvr"
@@ -156,9 +162,11 @@ class TestEvaluateCommand:
         spec = DatasetSpec.from_json(spec_path)
         raw = load_csv(data, spec)
         encoder = Encoder.fit(raw, spec)
+        # one SELU unit, of the sign of info - 1/2, and a head that reads
+        # that sign: sizes [4, 1, 2], as the config's hidden width says
         a = 30.0
-        net = DenseNet.from_layers([np.array([[0, 0, -a, 0.0], [0, 0, a, 0.0]])],
-                                   [np.array([a / 2, -a / 2])])
+        net = DenseNet.from_layers([np.array([[0, 0, a, 0.0]]), np.array([[-1.0], [1.0]])],
+                                   [np.array([-a / 2]), np.zeros(2)])
         policy = SelectorPolicy(np.full(4, 5.0), encoder.sensitive_index)
         cfg = TrainConfig(max_epochs=0, patience=0, hidden_sizes=(1,))
         path = tmp_path / "memorizer.json"
@@ -207,22 +215,22 @@ class TestEvaluateCommand:
         data, spec_path = write_toy(tmp_path)
         ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
         body = json.loads(Path(ckpt).read_text())
-        net = body["net"]   # sizes [4, 2]: one (2, 4) weight and a bias
+        # sizes [4, 1, 2]: W0 (1, 4), b0, W1 (2, 1), b1
+        net = body["net"]
         theta = np.frombuffer(base64.b64decode(net["theta"]), "<f8").copy()
         blob = lambda t: base64.b64encode(t.astype("<f8").tobytes()).decode()
         if corrupt == "layer-shapes":
-            # a second layer that reads 3 inputs after a 2-unit layer
-            net["sizes"] = [4, 2, 3]
-            net["theta"] = blob(np.concatenate([theta, np.eye(3).ravel(), np.zeros(3)]))
+            # a third layer of 3 units after the head, its sizes stored too
+            net["sizes"] = [4, 1, 2, 3]
+            net["theta"] = blob(np.concatenate([theta, np.ones((3, 2)).ravel(), np.zeros(3)]))
         elif corrupt == "nan-weight":
-            theta[1 * 4 + 2] = float("nan")   # weight row 1, column 2
+            theta[2] = float("nan")   # W0 row 0, column 2
             net["theta"] = blob(theta)
         elif corrupt == "inf-logit":
             body["selector"]["logits"][0] = float("inf")
         elif corrupt == "narrow-input":
             # the encoder writes 4 columns, the net reads 3
-            w, b = theta[:8].reshape(2, 4), theta[8:]
-            net["sizes"], net["theta"] = [3, 2], blob(np.concatenate([w[:, :3].ravel(), b]))
+            net["sizes"], net["theta"] = [3, 1, 2], blob(np.delete(theta, 3))
         elif corrupt == "short-logits":
             body["selector"]["logits"] = body["selector"]["logits"][:3]
         else:
@@ -338,12 +346,14 @@ class TestEvaluateCommand:
         ckpt = tmp_path / "v1.json"
         ckpt.write_text(json.dumps(dict(body, version=1)))
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
-        assert "reads versions 2 and 3" in capsys.readouterr().err
+        assert "reads versions 2, 3, 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [
-        ("mask_sensitive", "no"), ("score_baseline", "yes"), ("mc_samples", 4.0),
+        ("mask_sensitive", "no"), ("mask_sensitive", False), ("score_baseline", "yes"),
+        ("mc_samples", 4.0),
         ("seed", -3), ("seed", 1.5), ("batch_size", True), ("max_epochs", 20.0),
-        ("patience", False)])
+        ("patience", False), ("hidden_sizes", "86"), ("hidden_sizes", [8.9, 6]),
+        ("hidden_sizes", [True, 6])])
     def test_config_field_of_wrong_type_is_two(self, tmp_path, capsys, field, value):
         data, _ = write_toy(tmp_path)
         body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
@@ -354,6 +364,34 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
         assert f"malformed checkpoint {ckpt}: {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["one-class-head", "three-class-head",
+                                      "hidden-vs-net", "string-logits", "true-logit"])
+    def test_v2_edit_is_two(self, tmp_path, capsys, edit):
+        # each of these evaluated with exit 0 while the stored sizes were
+        # read and np.array converted the logits
+        data, _ = write_toy(tmp_path)
+        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
+        if edit.endswith("-head"):
+            # a well-formed theta for another head, stored with its sizes
+            net = DenseNet.initialize(4, (8, 6), 1 if edit == "one-class-head" else 3,
+                                      np.random.default_rng(0))
+            body["net"] = {"sizes": list(net.sizes), "theta": base64.b64encode(
+                net.theta.astype("<f8").tobytes()).decode()}
+        elif edit == "hidden-vs-net":
+            body["config"]["hidden_sizes"] = [6, 8]   # the net is [4, 8, 6, 2]
+        elif edit == "string-logits":
+            body["selector"]["logits"] = [str(v) for v in body["selector"]["logits"]]
+        else:
+            body["selector"]["logits"][1] = True
+        ckpt = tmp_path / "edited.json"
+        ckpt.write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed checkpoint {ckpt}: " in err
+        if edit in ("string-logits", "true-logit"):
+            assert "selector.logits must be a list of JSON numbers" in err
 
     @staticmethod
     def _evaluate_v2_fixture(tmp_path, capsys, edit):

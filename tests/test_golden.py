@@ -19,7 +19,7 @@ from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
 
 TRAIN_SHA256 = "1c32091ea8522643d94d45008562685d1efe431c250158f288051d2d864079a1"
-COMPARE_SHA256 = "2fbe9de579790d5ae90da81088bba39a12029ea0810fb809460f5de57578d737"
+COMPARE_SHA256 = "4d869058b96641418ec7fad53c5c35e2e674b8618bfae8e6f98c61326f9c9d70"
 
 
 def test_short_training_run_keeps_its_bits():

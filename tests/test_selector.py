@@ -46,14 +46,15 @@ class TestProbabilities:
         assert probabilities(policy)[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_matches_high_precision_sigmoid(self):
-        policy = SelectorPolicy(np.array([0.3, -0.7]), 0, mask_sensitive=False)
+        policy = SelectorPolicy(np.array([0.3, -0.7, 0.0]), 2)
         p = probabilities(policy)
         assert p[0] == pytest.approx(SIGMOID_0P3, rel=1e-14)
         assert p[1] == pytest.approx(SIGMOID_M0P7, rel=1e-14)
 
-    def test_unmasked_keeps_sensitive(self):
-        policy = SelectorPolicy(np.zeros(3), 1, mask_sensitive=False)
-        assert probabilities(policy)[1] == 0.5
+    def test_sensitive_zero_at_any_logit(self):
+        for logit in (-30.0, 0.0, 30.0):
+            policy = SelectorPolicy(np.array([0.2, logit, -0.4]), 1)
+            assert probabilities(policy)[1] == 0.0
 
     def test_clamped_logits_stay_interior(self):
         policy = SelectorPolicy(np.array([500.0, -500.0, 0.0]), 2)

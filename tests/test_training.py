@@ -74,7 +74,7 @@ class TestSensitivityLoss:
     def test_k_already_selected_is_zero(self):
         net = make_net(0, d=3, hidden=(4,), c=2)
         x = np.array([0.5, 0.2, 0.9])
-        s = np.array([1, 1, 0])  # k = 1 already in s (mask disabled upstream)
+        s = np.array([1, 1, 0])  # k = 1 already in s (the selector never samples it)
         assert sensitivity_norm(net, x, s, 1) == 0.0
 
     def test_dead_sensitive_column_is_zero(self):
@@ -356,12 +356,10 @@ class TestSkippedRows:
         assert sens == pytest.approx(ref_norms.mean(), rel=1e-12, abs=1e-15)
         np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-15)
 
-    @pytest.mark.parametrize("mask", [True, False])
     @pytest.mark.parametrize("binary", [True, False])
-    def test_mean_sensitivity_matches_full_pair(self, mask, binary):
+    def test_mean_sensitivity_matches_full_pair(self, binary):
         net = make_net(6, d=6, hidden=(8,), c=2)
-        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4]), 2,
-                                mask_sensitive=mask)
+        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4]), 2)
         rng = np.random.default_rng(7)
         X = rng.random((300, 6))
         if binary:
@@ -505,13 +503,6 @@ class TestTrain:
             "training aborted during epoch 1, batch 2: "
             "non-finite gradient in parameter block layer2.bias")
         assert len(model.training_log) == 1
-
-    def test_unmasked_ablation_can_select_sensitive(self, monkeypatch):
-        tr, va, _ = self._data()
-        seen = recorded_selections(monkeypatch)
-        train(tr, va, self._config(mask_sensitive=False))
-        total = sum(int(S[:, tr.sensitive_index].sum()) for S in seen)
-        assert total > 0
 
     def test_one_paired_forward_per_batch(self, monkeypatch):
         # both players read one stacked pass per batch (layer_outputs);
@@ -687,6 +678,16 @@ class TestTrainConfig:
     def test_non_finite_or_negative_value_is_rejected(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", ["32", (8.9, 6), (True, 6), (), [8, 0], (-1,),
+                                       None, 32])
+    def test_hidden_sizes_must_be_positive_ints(self, value):
+        # int() would read "32" as (3, 2), 8.9 as 8 and True as 1
+        with pytest.raises(ValueError, match="hidden_sizes must be"):
+            TrainConfig(hidden_sizes=value)
+
+    def test_hidden_sizes_list_becomes_tuple(self):
+        assert TrainConfig(hidden_sizes=[16, 8]).hidden_sizes == (16, 8)
 
 
 class TestBatchesOnly:

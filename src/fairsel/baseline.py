@@ -27,6 +27,7 @@ class LogisticModel:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
             raise NumericalError("non-finite logistic parameters")
+        self.bias = float(self.bias)
 
 
 def logistic_loss_and_grad(weights, bias, X, y, l2=0.0):

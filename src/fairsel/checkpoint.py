@@ -30,6 +30,12 @@ from .training import TrainConfig, TrainedModel
 CHECKPOINT_VERSION = 4
 READABLE_VERSIONS = (2, 3, 4)
 
+# config keys of retired options, each with the one value it may hold:
+# versions 2 and 3 wrote the mask flag, versions 2-4 the inference
+# policy; mc_samples, which only a retired policy read, is dropped unread
+RETIRED_KEYS = {"mask_sensitive": True, "inference_policy": "threshold05",
+                "mc_samples": None}
+
 KIND_ADVERSARIAL = "adversarial-selection"
 KIND_LOGISTIC = "logistic"
 
@@ -55,8 +61,11 @@ def save_model(path, model, encoder):
         }
     else:
         raise TypeError(f"cannot checkpoint a {type(model).__name__}")
+    # encoded before the file is opened, so a body json cannot encode
+    # leaves no file; dumps runs the C encoder, dump does not
+    text = json.dumps(body)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(body))   # dumps runs the C encoder, dump does not
+        fh.write(text)
 
 
 def _encode_theta(theta):
@@ -107,9 +116,11 @@ def load_model(path):
         encoder = Encoder.from_payload(body["encoder"])
         if kind == KIND_ADVERSARIAL:
             fields = {**body["config"]}
-            # versions 2 and 3 wrote the mask flag, which may only be on
-            if fields.pop(key := "mask_sensitive", True) is not True:
-                raise ValueError(f"{key} must be true")
+            for key, only in RETIRED_KEYS.items():
+                value = fields.pop(key, only)
+                if only is not None and json.dumps(value) != json.dumps(only):
+                    raise ValueError(f"{key} must be {json.dumps(only)}, "
+                                     f"got {reprlib.repr(value)}")
             config = TrainConfig(**fields)
             model = TrainedModel(
                 net=_decode_net(body["net"]["theta"], config, encoder),

@@ -39,7 +39,7 @@ from .data import DatasetSpec, load_csv, prepare_splits
 from .diagnostics import run_all
 from .errors import DataError, FairselError, NumericalError
 from .metrics import balanced_accuracy
-from .training import INFERENCE_POLICIES, TrainConfig, predict, train
+from .training import TrainConfig, predict, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,10 +133,6 @@ def _add_train_flags(p, lambda_flag=True):
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--inference-policy", choices=INFERENCE_POLICIES,
-                   default="threshold05")
-    p.add_argument("--mc-samples", type=int, default=32,
-                   help="draws per input for the mc-average policy")
     p.add_argument("--alpha-theta", type=float, default=1e-4,
                    help="selector learning rate")
     p.add_argument("--alpha-phi", type=float, default=1e-4,
@@ -228,8 +224,6 @@ def _config_from_args(args, weight):
             patience=args.patience,
             sensitivity_weight=weight,
             seed=args.seed,
-            inference_policy=args.inference_policy,
-            mc_samples=args.mc_samples,
             hidden_sizes=_parse_hidden(args.hidden),
             score_baseline=args.score_baseline,
         )

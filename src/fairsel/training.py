@@ -20,6 +20,7 @@ bit-identical logs and parameters.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,8 +32,6 @@ from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                    forward, layer_outputs, reduce_classes)
 from .selector import (SelectorPolicy, log_pi_grad, probabilities,
                        sample_selection_batch)
-
-INFERENCE_POLICIES = ("threshold05", "expected-input", "mc-average")
 
 # sensitivity norms below this are treated as exactly zero (the norm is
 # not differentiable there; zero is a valid subgradient)
@@ -66,18 +65,23 @@ class TrainConfig:
     patience: int = 20
     sensitivity_weight: float = 1.0
     seed: int = 0
-    inference_policy: str = "threshold05"
-    mc_samples: int = 32
     hidden_sizes: tuple = (200, 200, 200, 200)
     score_baseline: bool = False
 
     def __post_init__(self):
-        # a checkpoint's config arrives as JSON: a float or a bool must
-        # not pass for a count, nor a string for a flag or the widths
-        for name in ("batch_size", "max_epochs", "patience", "mc_samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # a checkpoint's config arrives as JSON and a caller's may hold
+        # numpy scalars: a bool must not pass for a number, nor a float
+        # for a count, and each is stored as the builtin json encodes
+        for names, cast, kind, what in (
+                (("batch_size", "max_epochs", "patience", "seed"),
+                 int, numbers.Integral, "an integer"),
+                (("alpha_theta", "alpha_phi", "sensitivity_weight"),
+                 float, numbers.Real, "a number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
+                setattr(self, name, cast(value))
         if not isinstance(self.score_baseline, bool):
             raise ValueError(f"score_baseline must be true or false, "
                              f"got {self.score_baseline!r}")
@@ -99,12 +103,7 @@ class TrainConfig:
             raise ValueError("patience must be nonnegative")
         if not 0 <= self.sensitivity_weight < math.inf:
             raise ValueError("sensitivity_weight must be nonnegative and finite")
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be at least 1")
-        if self.inference_policy not in INFERENCE_POLICIES:
-            raise ValueError(f"inference_policy must be one of {INFERENCE_POLICIES}, "
-                             f"got {self.inference_policy!r}")
-        self.patience = min(int(self.patience), self.max_epochs)
+        self.patience = min(self.patience, self.max_epochs)
 
 
 @dataclass
@@ -246,38 +245,20 @@ def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
     return net, adam_state, ce_mean, sens_mean
 
 
-def _predict_probs(net, policy, config, X, rng):
-    """Probability rows under the config's inference policy. rng is a
-    Generator or the seed of one; only mc-average draws, so only it
-    builds the generator."""
-    p = probabilities(policy)
-    if config.inference_policy == "threshold05":
-        return forward(net, X * (p >= 0.5))
-    if config.inference_policy == "expected-input":
-        return forward(net, X * p)
-    # mc-average
-    rng = np.random.default_rng(rng)
-    acc = np.zeros((X.shape[0], net.num_classes))
-    for _ in range(config.mc_samples):
-        S = sample_selection_batch(p, X.shape[0], rng)
-        acc += forward(net, X * S)
-    return acc / config.mc_samples
+def _predict_probs(net, policy, X):
+    """Probability rows of the net on the input rows X (n, d) reduced to
+    the features the selector keeps with probability at least 1/2; the
+    sensitive feature, whose probability is 0, is never among them."""
+    return forward(net, X * (probabilities(policy) >= 0.5))
 
 
-def predict(model, X, rng=None):
+def predict(model, X):
     """Predicted classes (n,) and probability rows (n, c) for a batch of
-    input rows X (n, d) under the model's inference policy.
-
-    Ties break toward the lower class index. For the mc-average policy
-    an rng may be passed; otherwise a generator derived from the config
-    seed is used, so repeated calls give identical output.
-    """
+    input rows X (n, d). Ties break toward the lower class index."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.net.input_dim:
         raise DimensionError("input", f"(n, {model.net.input_dim})", X.shape)
-    if rng is None:
-        rng = [model.config.seed, 0x9E3779B9]
-    probs = _predict_probs(model.net, model.policy, model.config, X, rng)
+    probs = _predict_probs(model.net, model.policy, X)
     return probs.argmax(axis=1), probs
 
 
@@ -302,9 +283,8 @@ def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     return total / n_samples
 
 
-def _validation_score(net, policy, config, val_data, epoch):
-    probs = _predict_probs(net, policy, config, val_data.features,
-                           [config.seed, 1, epoch])
+def _validation_score(net, policy, val_data):
+    probs = _predict_probs(net, policy, val_data.features)
     return balanced_accuracy(val_data.outcomes(probs.argmax(axis=1)))
 
 
@@ -357,7 +337,7 @@ def train(train_data, val_data, config):
             diagnostics = f"training aborted during epoch {epoch}, batch {batch}: {exc}"
             break
 
-        val_score = _validation_score(net, policy, config, val_data, epoch)
+        val_score = _validation_score(net, policy, val_data)
         log.append(EpochRecord(ce_sum / n, sens_sum / n, val_score))
         if best is None or val_score > best[0]:
             best = (val_score, epoch, net, policy)

@@ -135,8 +135,7 @@ def test_criterion_6_end_to_end_fairness():
         cfg = TrainConfig(alpha_theta=1.5, alpha_phi=1e-3, batch_size=128,
                           max_epochs=80, patience=80, seed=seed,
                           sensitivity_weight=1.0, hidden_sizes=(32, 32),
-                          score_baseline=True,
-                          inference_policy="threshold05")
+                          score_baseline=True)
         model = train(tr, va, cfg)
         y_adv, _ = predict(model, te.features)
         out_adv = te.outcomes(y_adv)

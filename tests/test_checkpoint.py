@@ -1,8 +1,12 @@
 import base64
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsel.baseline import LogisticModel, train_logistic
 from fairsel.checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
@@ -10,7 +14,9 @@ from fairsel.checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DataError
 from fairsel.nets import DenseNet, forward
-from fairsel.training import TrainConfig, train
+from fairsel.training import TrainConfig, TrainedModel, train
+
+V2_FIXTURE = Path(__file__).parent / "data" / "v2_toy_checkpoint.json"
 
 
 def bits(a):
@@ -188,3 +194,82 @@ class TestValidation:
     def test_wrong_type_rejected(self, tmp_path, trained):
         with pytest.raises(TypeError):
             save_model(tmp_path / "t.json", object(), trained[2])
+
+
+class TestSave:
+    @pytest.mark.parametrize("field,value", [("max_epochs", np.int64(1)),
+                                             ("alpha_phi", np.float32(1e-3))])
+    def test_numpy_scalar_config_saves_and_loads(self, tmp_path, field, value):
+        # json encodes neither scalar: the config stores the builtin
+        tr, va, _ = split(synth_proxy(200, 0.9, seed=0), 1)
+        fields = dict(max_epochs=1, patience=1, batch_size=64, hidden_sizes=(4,))
+        model = train(tr, va, TrainConfig(**{**fields, field: value}))
+        assert type(getattr(model.config, field)) is type(value.item())
+        path = tmp_path / "numpy.json"
+        save_model(path, model, tr.encoder)
+        _, loaded, _ = load_model(path)
+        assert loaded.config == model.config
+        assert getattr(loaded.config, field) == value.item()
+
+    def test_numpy_scalar_logistic_bias_saves_and_loads(self, trained, tmp_path):
+        encoder = trained[2]
+        model = LogisticModel(np.zeros(encoder.dim), np.float32(0.5))
+        path = tmp_path / "numpy-bias.json"
+        save_model(path, model, encoder)
+        _, loaded, _ = load_model(path)
+        assert type(loaded.bias) is float and loaded.bias == 0.5
+
+    def test_failed_encoding_leaves_no_file(self, trained, tmp_path):
+        model, _, encoder = trained
+        # assignment skips TrainConfig's checks: a numpy scalar gets in
+        config = dataclasses.replace(model.config)
+        config.seed = np.int64(4)
+        unencodable = TrainedModel(model.net, model.policy, config)
+        path = tmp_path / "never.json"
+        with pytest.raises(TypeError):
+            save_model(path, unencodable, encoder)
+        assert not path.exists()
+        # and an earlier checkpoint at the path is left as it was
+        save_model(path, model, encoder)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_model(path, unencodable, encoder)
+        assert path.read_bytes() == before
+
+
+_V2_BODY = json.loads(V2_FIXTURE.read_text())
+_CONFIG_KEYS = sorted({*_V2_BODY["config"], "inference_policy", "mc_samples",
+                       "mask_sensitive"})
+_DELETE = object()
+# values a config holds, so that edits also load, and integers past
+# float range
+_CONFIG_VALUES = st.sampled_from(["threshold05", "mc-average", "expected-input",
+                                  True, 0.5, 32, [8, 6], 2**64, 10**400])
+# any JSON value; json.load reads NaN and Infinity, so floats include them
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+class TestConfigEditProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(_CONFIG_KEYS) | st.text(max_size=12),
+           value=_CONFIG_VALUES | _ANY_JSON | st.just(_DELETE))
+    def test_one_config_edit_loads_or_is_a_data_error(self, tmp_path_factory,
+                                                      key, value):
+        # replace one entry with any JSON value, delete it, or add an
+        # unknown key: the loader returns a model or raises DataError
+        body = json.loads(json.dumps(_V2_BODY))
+        if value is _DELETE:
+            body["config"].pop(key, None)
+        else:
+            body["config"][key] = value
+        path = tmp_path_factory.getbasetemp() / "config_edit.json"
+        path.write_text(json.dumps(body))
+        try:
+            kind, model, _ = load_model(path)
+        except DataError:
+            return
+        assert kind == KIND_ADVERSARIAL and isinstance(model, TrainedModel)

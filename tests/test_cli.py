@@ -1,6 +1,8 @@
+import argparse
 import base64
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +342,31 @@ class TestEvaluateCommand:
         report = self._evaluate_v2_fixture(tmp_path, capsys, edit)
         assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
 
+    @pytest.mark.parametrize("mc_samples", [32, 0, -1, 2.5, "many", None])
+    def test_v2_threshold05_policy_keys_are_read_as_the_one_rule(self, tmp_path,
+                                                                 capsys, mc_samples):
+        # the fixture names threshold05; mc_samples, which only a retired
+        # policy read, is dropped whatever it holds
+        def edit(body):
+            assert body["config"]["inference_policy"] == "threshold05"
+            body["config"]["mc_samples"] = mc_samples
+        report = self._evaluate_v2_fixture(tmp_path, capsys, edit)
+        assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
+
+    @pytest.mark.parametrize("policy", ["mc-average", "expected-input"])
+    def test_retired_inference_policy_is_two(self, tmp_path, capsys, policy):
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        body = json.loads(Path(ckpt).read_text())
+        assert body["version"] == 4
+        body["config"].update(inference_policy=policy, mc_samples=32)
+        Path(ckpt).write_text(json.dumps(body))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert f"malformed checkpoint {ckpt}: inference_policy must be" in err
+        assert repr(policy) in err
+
     def test_v1_checkpoint_is_two(self, tmp_path, capsys):
         data, _ = write_toy(tmp_path)
         body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
@@ -350,15 +377,14 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("field,value", [
         ("mask_sensitive", "no"), ("mask_sensitive", False), ("score_baseline", "yes"),
-        ("mc_samples", 4.0),
+        ("alpha_theta", "1e-3"),
         ("seed", -3), ("seed", 1.5), ("batch_size", True), ("max_epochs", 20.0),
         ("patience", False), ("hidden_sizes", "86"), ("hidden_sizes", [8.9, 6]),
         ("hidden_sizes", [True, 6])])
     def test_config_field_of_wrong_type_is_two(self, tmp_path, capsys, field, value):
         data, _ = write_toy(tmp_path)
         body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
-        # mc-average is the policy that reads mc_samples and the seed
-        body["config"].update({field: value, "inference_policy": "mc-average"})
+        body["config"][field] = value
         ckpt = tmp_path / "typed.json"
         ckpt.write_text(json.dumps(body))
         capsys.readouterr()
@@ -731,3 +757,18 @@ class TestSpecShape:
         assert main([command, "--data", data, "--spec", str(spec), *flags]) == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
         assert not out.exists()
+
+
+class TestReadmeFlags:
+    def test_readme_cli_section_names_every_flag_and_no_other(self):
+        # a removed flag left in the docs, or a new one left out, fails
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {opt for sub in subparsers.choices.values()
+                   for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--")} - {"--help"}
+        assert documented == options

@@ -30,8 +30,8 @@ def cross_entropy(net, x, s, y):
     return loss
 
 
-def predict_row(model, x, rng=None):
-    labels, probs = predict(model, x[None, :], rng=rng)
+def predict_row(model, x):
+    labels, probs = predict(model, x[None, :])
     return int(labels[0]), probs[0]
 
 
@@ -535,12 +535,10 @@ class TestTrain:
 
 
 class TestPredict:
-    def _model(self, logits, seed=0, policy="threshold05", mc=16):
+    def _model(self, logits, seed=0):
         net = make_net(seed, d=4, hidden=(6,), c=2)
         pol = SelectorPolicy(np.asarray(logits, dtype=float), 1)
-        cfg = TrainConfig(max_epochs=0, patience=0, seed=3,
-                          inference_policy=policy, mc_samples=mc,
-                          hidden_sizes=(6,))
+        cfg = TrainConfig(max_epochs=0, patience=0, seed=3, hidden_sizes=(6,))
         return training.TrainedModel(net, pol, cfg)
 
     def test_threshold_all_ones_equals_forward_with_k_zeroed(self):
@@ -559,31 +557,6 @@ class TestPredict:
         out2 = predict_row(model, x)
         assert out1[0] == out2[0]
         assert np.array_equal(out1[1], out2[1])
-
-    def test_expected_input_policy(self):
-        model = self._model([0.5, 2.0, -0.3, 0.1], policy="expected-input")
-        x = np.random.default_rng(3).random(4)
-        p = probabilities(model.policy)
-        _, probs = predict_row(model, x)
-        assert np.allclose(probs, forward_row(model.net, x * p))
-
-    def test_mc_average_converges_to_enumeration(self):
-        model = self._model([0.4, 1.0, -0.6, 0.2], policy="mc-average",
-                            mc=40_000)
-        x = np.random.default_rng(4).random(4)
-        p = probabilities(model.policy)
-        S_all = enumerate_selections(4, masked_index=1)
-        pi = pi_prob(p, S_all)
-        exact = sum(w * forward_row(model.net, x * s) for w, s in zip(pi, S_all))
-        _, probs = predict_row(model, x, rng=np.random.default_rng(9))
-        assert np.all(np.abs(probs - exact) / exact < 0.01)
-
-    def test_mc_average_default_rng_is_deterministic(self):
-        model = self._model([0.4, 1.0, -0.6, 0.2], policy="mc-average", mc=32)
-        x = np.random.default_rng(5).random(4)
-        _, p1 = predict_row(model, x)
-        _, p2 = predict_row(model, x)
-        assert np.array_equal(p1, p2)
 
     def test_tie_breaks_toward_lower_class(self):
         net = DenseNet.from_layers([np.zeros((3, 2))], [np.zeros(3)])
@@ -659,9 +632,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(alpha_phi=-1e-4)
 
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            TrainConfig(inference_policy="magic")
+    def test_retired_inference_options_are_not_fields(self):
+        # threshold05 is the one inference rule: a caller that still
+        # names a policy or a draw count fails instead of being ignored
+        assert len(dataclasses.fields(TrainConfig)) == 9
+        for retired in ("inference_policy", "mc_samples"):
+            with pytest.raises(TypeError, match=retired):
+                TrainConfig(**{retired: 1})
 
     def test_negative_sensitivity_weight(self):
         with pytest.raises(ValueError):

@@ -30,22 +30,20 @@ class LogisticModel:
         self.bias = float(self.bias)
 
 
-def logistic_loss_and_grad(weights, bias, X, y, l2=0.0):
+def logistic_loss_and_grad(weights, bias, X, y):
     """Mean binary cross-entropy and its exact gradient."""
     z = X @ weights + bias
     p = sigmoid(z)
     eps = 1e-12
     loss = float(-np.mean(y * np.log(np.maximum(p, eps))
                           + (1 - y) * np.log(np.maximum(1 - p, eps))))
-    if l2 > 0:
-        loss += 0.5 * l2 * float(weights @ weights)
     resid = p - y
-    grad_w = X.T @ resid / X.shape[0] + l2 * weights
+    grad_w = X.T @ resid / X.shape[0]
     grad_b = float(resid.mean())
     return loss, grad_w, grad_b
 
 
-def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
+def train_logistic(train_data, val_data, *, epochs, lr):
     """Fit by full-batch gradient descent; keep the best-validation
     parameters. Deterministic (zero initialization, convex loss)."""
     # written so that NaN fails every comparison
@@ -53,8 +51,6 @@ def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
         raise ValueError("epochs must be at least 1")
     if not 0 < lr < np.inf:
         raise ValueError("lr must be positive and finite")
-    if not 0 <= l2 < np.inf:
-        raise ValueError("l2 must be nonnegative and finite")
     X = train_data.features
     y = train_data.labels
     w = np.zeros(X.shape[1])
@@ -62,7 +58,7 @@ def train_logistic(train_data, val_data, epochs=500, lr=0.1, l2=0.0):
 
     best = (-np.inf, w.copy(), b)
     for _ in range(epochs):
-        loss, gw, gb = logistic_loss_and_grad(w, b, X, y, l2)
+        loss, gw, gb = logistic_loss_and_grad(w, b, X, y)
         if not (np.isfinite(loss) and np.isfinite(gw).all() and np.isfinite(gb)):
             raise NumericalError(
                 f"logistic training diverged (loss={loss}); lower the learning rate")

@@ -36,7 +36,7 @@ from .baseline import train_logistic
 from .checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
                          save_model)
 from .data import DatasetSpec, load_csv, prepare_splits
-from .diagnostics import run_all
+from .diagnostics import ESTIMATE_SAMPLES, run_all
 from .errors import DataError, FairselError, NumericalError
 from .metrics import balanced_accuracy
 from .training import TrainConfig, predict, train
@@ -75,8 +75,6 @@ def _checked(kind, ok, rule):
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "nonnegative")  # SeedSequence entropy
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
-_NONNEGATIVE = _checked(float, lambda v: 0 <= v < math.inf,
-                        "nonnegative and finite")
 
 
 def derive_seed(master_seed, rep_index):
@@ -128,16 +126,17 @@ def _add_train_flags(p, lambda_flag=True):
     p.add_argument("--reps", type=_AT_LEAST_ONE, default=5,
                    help="independent repetitions with distinct splits")
     if lambda_flag:  # tune takes its weights from --grid
-        p.add_argument("--lambda", dest="sensitivity_weight", type=float, default=1.0,
+        p.add_argument("--lambda", dest="sensitivity_weight", type=float,
+                       default=TrainConfig.sensitivity_weight,
                        help="weight of the sensitivity term in the predictor loss")
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--alpha-theta", type=float, default=1e-4,
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--alpha-theta", type=float, default=TrainConfig.alpha_theta,
                    help="selector learning rate")
-    p.add_argument("--alpha-phi", type=float, default=1e-4,
+    p.add_argument("--alpha-phi", type=float, default=TrainConfig.alpha_phi,
                    help="predictor learning rate")
-    p.add_argument("--hidden", default="200,200,200,200",
+    p.add_argument("--hidden", default=",".join(map(str, TrainConfig.hidden_sizes)),
                    help="comma-separated hidden layer sizes")
     p.add_argument("--score-baseline", action="store_true",
                    help="variance-reduction baseline for the selector updates")
@@ -146,7 +145,6 @@ def _add_train_flags(p, lambda_flag=True):
 def _add_out_flags(p, default_out):
     p.add_argument("--out", default=default_out,
                    help="output directory for checkpoints and the report")
-    p.add_argument("--report-format", choices=("json", "csv"), default="json")
 
 
 def build_parser():
@@ -167,7 +165,6 @@ def build_parser():
                    help="optional spec JSON, checked against the checkpoint")
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
-    p.add_argument("--report-format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("compare",
                        help="train adversarial model and logistic baseline "
@@ -176,8 +173,6 @@ def build_parser():
     _add_train_flags(p)
     p.add_argument("--baseline-epochs", type=_AT_LEAST_ONE, default=500)
     p.add_argument("--baseline-lr", type=_POSITIVE, default=0.1)
-    p.add_argument("--baseline-l2", type=_NONNEGATIVE, default=0.0,
-                   help="optional L2 weight for the logistic baseline")
     _add_out_flags(p, "fairsel-compare")
 
     p = sub.add_parser("tune", help="grid search over the sensitivity weight")
@@ -195,10 +190,8 @@ def build_parser():
     # the estimator instance needs 3 features; 2^8 selections bound the cost
     p.add_argument("--dims", type=_checked(int, lambda v: 3 <= v <= 8, "in 3..8"),
                    default=None,
-                   help="also run the enumeration unbiasedness check at this "
-                        "feature count (3 to 8)")
-    p.add_argument("--samples", type=_AT_LEAST_ONE, default=200_000,
-                   help="draws for the unbiasedness check")
+                   help=f"also run the enumeration unbiasedness check, on "
+                        f"{ESTIMATE_SAMPLES:,} draws, at this feature count (3 to 8)")
     p.add_argument("--inject-fault", choices=("sen-grad-sign",), default=None,
                    help="deliberately corrupt a gradient (checker self-test)")
     return parser
@@ -263,7 +256,7 @@ def _train_one_rep(task, args, raw, spec):
     else:
         baseline_model = train_logistic(train_ds, val_ds,
                                         epochs=args.baseline_epochs,
-                                        lr=args.baseline_lr, l2=args.baseline_l2)
+                                        lr=args.baseline_lr)
         entry["adversarial"] = adv_metrics
         entry["baseline"] = rpt.evaluate_model(
             KIND_LOGISTIC, baseline_model, test_ds, sensitivity_seed=seed)
@@ -314,8 +307,8 @@ def _write_report(args, fields, t0, summary):
     report = rpt.base_report(args.command, _echo_config(args), args.seed)
     report.update(fields)
     report["wall_clock_seconds"] = time.perf_counter() - t0
-    report_path = Path(args.out) / f"report.{args.report_format}"
-    rpt.write_report(report, report_path, args.report_format)
+    report_path = Path(args.out) / "report.json"
+    rpt.write_report(report, report_path)
     for line in summary:
         print(line)
     print(f"report written to {report_path}")
@@ -366,10 +359,10 @@ def cmd_evaluate(args):
     report["metrics"] = metrics
 
     if args.out is not None:
-        rpt.write_report(report, args.out, args.report_format)
+        rpt.write_report(report, args.out)
         print(f"report written to {args.out}")
     else:
-        print(rpt.render_report(report, args.report_format))
+        print(rpt.render_report(report))
     return EXIT_OK
 
 
@@ -384,8 +377,6 @@ def _parse_grid(text):
 
 
 def cmd_tune(args):
-    if args.report_format != "json":
-        raise UsageError("tune writes its report as JSON only")
     grid = sorted(set(_parse_grid(args.grid)))
     rows, t0 = _run_tasks(args, grid)
 
@@ -413,8 +404,7 @@ def cmd_tune(args):
 
 def cmd_gradcheck(args):
     results = run_all(seed=args.seed, instances=args.instances,
-                      dims=args.dims, samples=args.samples,
-                      fault=args.inject_fault)
+                      dims=args.dims, fault=args.inject_fault)
     failed = False
     for res in results:
         print(res.line())

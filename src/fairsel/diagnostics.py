@@ -21,7 +21,10 @@ from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sigmoid)
 from .training import pair_loss_and_grads, selector_step, sensitivity_pair
 
-# draws per selector_step in check_estimator_unbiasedness (bounds its memory)
+# draws in check_estimator_unbiasedness, the count its tolerance is
+# calibrated for, taken ESTIMATE_CHUNK per selector_step (a divisor of it
+# that bounds the step's memory)
+ESTIMATE_SAMPLES = 200_000
 ESTIMATE_CHUNK = 20000
 
 
@@ -247,38 +250,35 @@ def estimator_instance(d=6):
     return net, policy, x
 
 
-def check_estimator_unbiasedness(d=6, n_samples=200_000, seed=22,
-                                 rel_tolerance=0.02):
+def check_estimator_unbiasedness(d=6, seed=22, rel_tolerance=0.02):
     """The selector's training update vs exhaustive enumeration.
 
-    Runs `selector_step` on n_samples draws, ESTIMATE_CHUNK per step; at
-    the instance's zero logits a unit step moves them by exactly its
-    estimate. The draw-weighted mean move is compared with the exact
+    Runs `selector_step` on ESTIMATE_SAMPLES draws, ESTIMATE_CHUNK per
+    step; at the instance's zero logits a unit step moves them by exactly
+    its estimate. The draw-weighted mean move is compared with the exact
     gradient per coordinate (the masked one, zero on both sides, is
-    skipped). The tolerance is calibrated for the default sample count;
-    small seed-to-seed excursions near it are sampling noise, not bias.
+    skipped). The tolerance is calibrated for that draw count; small
+    seed-to-seed excursions near it are sampling noise, not bias.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
     net, policy, x = estimator_instance(d=d)
     _, exact = enumerate_sensitivity(net, policy, x)
     rng = np.random.default_rng([seed, 7])
     total = np.zeros(d)
-    for lo in range(0, n_samples, ESTIMATE_CHUNK):
-        m = min(ESTIMATE_CHUNK, n_samples - lo)
+    rows = np.broadcast_to(x, (ESTIMATE_CHUNK, d))
+    for _ in range(ESTIMATE_SAMPLES // ESTIMATE_CHUNK):
         try:
-            stepped, _ = selector_step(policy, np.broadcast_to(x, (m, d)), net, 1.0, rng)
+            stepped, _ = selector_step(policy, rows, net, 1.0, rng)
         except NumericalError:   # a non-finite estimate fails the gate
             total[:] = np.nan
             break
-        total += m * (stepped.logits - policy.logits)
-    estimate = total / n_samples
-    return _gate(f"score-function estimator (d={d}, {n_samples} draws)",
+        total += ESTIMATE_CHUNK * (stepped.logits - policy.logits)
+    estimate = total / ESTIMATE_SAMPLES
+    return _gate(f"score-function estimator (d={d}, {ESTIMATE_SAMPLES} draws)",
                  [abs(estimate[j] - exact[j]) / abs(exact[j])
                   for j in range(d) if j != policy.sensitive_index], rel_tolerance)
 
 
-def run_all(seed=0, instances=100, dims=None, samples=200_000, fault=None):
+def run_all(seed=0, instances=100, dims=None, fault=None):
     """The full check suite; `dims` enables the enumeration-based
     estimator check at that feature count."""
     results = [
@@ -290,5 +290,5 @@ def run_all(seed=0, instances=100, dims=None, samples=200_000, fault=None):
         check_log_pi_gradient(50, seed + 5),
     ]
     if dims is not None:
-        results.append(check_estimator_unbiasedness(d=dims, n_samples=samples))
+        results.append(check_estimator_unbiasedness(d=dims))
     return results

@@ -183,53 +183,16 @@ def base_report(command, config_echo, master_seed):
     }
 
 
-def render_report(report, fmt="json"):
-    """A report, validated, as JSON or CSV text."""
+def render_report(report):
+    """A report, validated, as JSON text."""
     validate_report(report)
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown report format {fmt!r}")
-    return json.dumps(report, indent=2) if fmt == "json" else flatten_csv(report)
+    return json.dumps(report, indent=2)
 
 
-def write_report(report, path, fmt="json"):
-    text = render_report(report, fmt)
+def write_report(report, path):
+    text = render_report(report)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def _metric_rows(tag, entries, aggregates):
-    rows = []
-    for i, m in enumerate(entries):
-        rows.append([tag, f"rep{i}"] + [_cell(m[name]) for name in METRIC_NAMES])
-    for stat in ("mean", "std"):
-        rows.append([tag, stat]
-                    + [_cell(aggregates[name][stat]) for name in METRIC_NAMES])
-    return rows
-
-
-def _cell(v):
-    return "" if v is None else repr(float(v))
-
-
-def flatten_csv(report):
-    """Long-form CSV view of a train/compare/evaluate report."""
-    header = ["model", "row", *METRIC_NAMES]
-    rows = []
-    if report["command"] == "compare":
-        for tag in ("adversarial", "baseline"):
-            entries = [rep[tag] for rep in report["repetitions"]]
-            rows.extend(_metric_rows(tag, entries, report["aggregate"][tag]))
-    elif report["command"] == "train":
-        entries = [rep["metrics"] for rep in report["repetitions"]]
-        rows.extend(_metric_rows("adversarial", entries, report["aggregate"]))
-    elif report["command"] == "evaluate":
-        rows.append([report["model_kind"], "test"]
-                    + [_cell(report["metrics"][name]) for name in METRIC_NAMES])
-    else:
-        raise ValueError(f"no CSV flattening for command {report['command']!r}")
-    lines = [",".join(header)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
-    return "\n".join(lines)
 
 
 def strip_wall_clock(obj):

@@ -81,15 +81,19 @@ class TrainConfig:
                 value = getattr(self, name)
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
-                setattr(self, name, cast(value))
+                try:
+                    setattr(self, name, cast(value))
+                except OverflowError:  # an integer past float range
+                    raise ValueError(f"{name} must be finite") from None
         if not isinstance(self.score_baseline, bool):
             raise ValueError(f"score_baseline must be true or false, "
                              f"got {self.score_baseline!r}")
         if not (isinstance(self.hidden_sizes, (list, tuple)) and self.hidden_sizes
-                and all(type(h) is int and h >= 1 for h in self.hidden_sizes)):
+                and all(isinstance(h, numbers.Integral) and not isinstance(h, bool)
+                        and h >= 1 for h in self.hidden_sizes)):
             raise ValueError(f"hidden_sizes must be a nonempty list of integers "
                              f"of at least 1, got {self.hidden_sizes!r}")
-        self.hidden_sizes = tuple(self.hidden_sizes)
+        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         # written so that NaN fails every comparison

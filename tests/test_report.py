@@ -4,7 +4,7 @@ import pytest
 from jsonschema.exceptions import ValidationError
 
 from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, aggregate, base_report,
-                            flatten_csv, strip_wall_clock, validate_report)
+                            strip_wall_clock, validate_report)
 
 
 def fake_metrics(x):
@@ -80,39 +80,6 @@ class TestSchema:
             jsonschema.validate(rep, REPORT_SCHEMA)
         assert ours.value.message == reference.value.message
         assert ours.value.path == reference.value.path
-
-
-class TestFlattenCsv:
-    def test_train_layout(self):
-        rep = base_report("train", {}, 0)
-        rep["repetitions"] = [
-            {"metrics": fake_metrics(0.5)}, {"metrics": fake_metrics(0.7)}]
-        rep["aggregate"] = aggregate([fake_metrics(0.5), fake_metrics(0.7)])
-        lines = flatten_csv(rep).splitlines()
-        assert lines[0].split(",")[:2] == ["model", "row"]
-        assert len(lines) == 1 + 2 + 2  # header, 2 reps, mean, std
-        assert lines[1].startswith("adversarial,rep0")
-
-    def test_compare_layout_has_both_models(self):
-        rep = base_report("compare", {}, 0)
-        rep["repetitions"] = [{"adversarial": fake_metrics(0.6),
-                               "baseline": fake_metrics(0.5)}]
-        rep["aggregate"] = {
-            "adversarial": aggregate([fake_metrics(0.6)]),
-            "baseline": aggregate([fake_metrics(0.5)]),
-        }
-        lines = flatten_csv(rep).splitlines()
-        models = {line.split(",")[0] for line in lines[1:]}
-        assert models == {"adversarial", "baseline"}
-
-    def test_none_becomes_empty_cell(self):
-        rep = base_report("evaluate", {}, 0)
-        m = fake_metrics(0.5)
-        m["mean_sensitivity"] = None
-        rep["model_kind"] = "logistic"
-        rep["metrics"] = m
-        lines = flatten_csv(rep).splitlines()
-        assert lines[1].endswith(",")
 
 
 class TestStripWallClock:

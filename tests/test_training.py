@@ -651,7 +651,11 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("alpha_theta", math.nan), ("alpha_phi", math.inf),
         ("sensitivity_weight", math.nan), ("sensitivity_weight", math.inf),
-        ("patience", -1)])
+        ("patience", -1),
+        # an integer past float range is no OverflowError
+        pytest.param("alpha_theta", 10**400, id="alpha_theta-int-past-float"),
+        pytest.param("sensitivity_weight", -10**400,
+                     id="sensitivity_weight-int-past-float")])
     def test_non_finite_or_negative_value_is_rejected(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
@@ -665,6 +669,12 @@ class TestTrainConfig:
 
     def test_hidden_sizes_list_becomes_tuple(self):
         assert TrainConfig(hidden_sizes=[16, 8]).hidden_sizes == (16, 8)
+
+    def test_numpy_hidden_sizes_are_stored_as_ints(self):
+        # as the counts are: a checkpoint must json-encode them
+        cfg = TrainConfig(hidden_sizes=tuple(np.array([32, 32])))
+        assert cfg.hidden_sizes == (32, 32)
+        assert all(type(h) is int for h in cfg.hidden_sizes)
 
 
 class TestBatchesOnly:

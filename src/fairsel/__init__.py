@@ -13,9 +13,8 @@ from .data import (Dataset, DatasetSpec, Encoder, load_csv, prepare_splits,
                    split, synth_proxy)
 from .errors import (DataError, DegenerateGroupError, DimensionError,
                      FairselError, NumericalError)
-from .metrics import (ConfusionCounts, GroupedOutcomes, accuracy,
-                      average_odds_diff, balanced_accuracy,
-                      equal_opportunity_diff, theil_index)
+from .metrics import (GroupedOutcomes, accuracy, average_odds_diff,
+                      balanced_accuracy, equal_opportunity_diff, theil_index)
 from .nets import (AdamState, DenseNet, adam_step, backward, forward,
                    layer_outputs, selu)
 from .selector import SelectorPolicy, log_pi_grad, pi_prob, probabilities

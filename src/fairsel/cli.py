@@ -192,8 +192,6 @@ def build_parser():
                    default=None,
                    help=f"also run the enumeration unbiasedness check, on "
                         f"{ESTIMATE_SAMPLES:,} draws, at this feature count (3 to 8)")
-    p.add_argument("--inject-fault", choices=("sen-grad-sign",), default=None,
-                   help="deliberately corrupt a gradient (checker self-test)")
     return parser
 
 
@@ -403,8 +401,7 @@ def cmd_tune(args):
 
 
 def cmd_gradcheck(args):
-    results = run_all(seed=args.seed, instances=args.instances,
-                      dims=args.dims, fault=args.inject_fault)
+    results = run_all(seed=args.seed, instances=args.instances, dims=args.dims)
     failed = False
     for res in results:
         print(res.line())

@@ -39,13 +39,16 @@ def _strings(v):
     return isinstance(v, list) and all(isinstance(x, str) for x in v)
 
 
+_SCALAR = (str, int, float)
+
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
-               (str, int, float): "a string or a number"}
+               _SCALAR: "a string or a number"}
 
 
 def _typed(value, kinds, what):
-    """value, if it is of type kinds; a DataError naming what otherwise."""
-    if not isinstance(value, kinds):
+    """value, if it is of type kinds (never a JSON true or false, though
+    bool is an int); a DataError naming what otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise DataError(f"{what} must be {_JSON_TYPES[kinds]}, "
                         f"got {reprlib.repr(value)}")
     return value
@@ -62,8 +65,8 @@ def _field(obj, path, kinds, default=None):
 
 
 def _layout_entry_fits(item, name, role):
-    """item is the layout entry of column name in that role: a numeric
-    entry holds finite min <= max, a categorical one a list of strings."""
+    """item is the layout entry of column name in that role: a numeric entry
+    holds finite min <= max, a categorical one a list of distinct strings."""
     if not (isinstance(item, dict) and item.get("name") == name
             and item.get("role") == role):
         return False
@@ -71,7 +74,8 @@ def _layout_entry_fits(item, name, role):
         lo, hi = item.get("min"), item.get("max")
         return (all(type(v) in (int, float) and math.isfinite(v) for v in (lo, hi))
                 and lo <= hi)
-    return role == "sensitive" or _strings(item.get("categories"))
+    cats = item.get("categories")
+    return role == "sensitive" or (_strings(cats) and len(set(cats)) == len(cats))
 
 
 @dataclass
@@ -90,7 +94,8 @@ class Predicate:
             raise DataError(f"unknown predicate op {self.op!r}")
         if self.op == "in":
             if not self.values:
-                raise DataError("'in' predicate needs a nonempty values list")
+                raise DataError("dataset spec field 'sensitive.privileged.values' "
+                                "must be a nonempty list for op 'in'")
             self.values = tuple(str(v) for v in self.values)
         elif self.value is None:
             raise DataError(f"predicate op {self.op!r} needs a value")
@@ -118,8 +123,13 @@ class Predicate:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(op=d.get("op"), value=d.get("value"),
-                   values=tuple(_field(d, "sensitive.privileged.values", list, [])))
+        """A predicate from its spec JSON; value and values hold strings or numbers."""
+        if d.get("value") is not None:
+            _field(d, "sensitive.privileged.value", _SCALAR)
+        values = _field(d, "sensitive.privileged.values", list, [])
+        for i, v in enumerate(values):
+            _typed(v, _SCALAR, f"dataset spec field 'sensitive.privileged.values[{i}]'")
+        return cls(op=d.get("op"), value=d.get("value"), values=tuple(values))
 
 
 @dataclass
@@ -141,7 +151,6 @@ class DatasetSpec:
     favorable_value: str
     sensitive_column: str
     privileged: Predicate
-    drop_columns: tuple = ()
     name: str = ""
 
     def __post_init__(self):
@@ -154,9 +163,6 @@ class DatasetSpec:
         if self.label_column in names:
             raise DataError(f"label column {self.label_column!r} must not be "
                             "listed as a feature column")
-        overlap = set(self.drop_columns) & (set(names) | {self.label_column})
-        if overlap:
-            raise DataError(f"drop columns overlap used columns: {sorted(overlap)}")
         kind = next(c.kind for c in self.columns if c.name == self.sensitive_column)
         pred = self.privileged
         if pred.op in ("ge", "gt", "le", "lt") and kind != "numeric":
@@ -178,18 +184,13 @@ class DatasetSpec:
             columns.append(ColumnSpec(_field(c, f"columns[{i}].name", str),
                                       _field(c, f"columns[{i}].kind", str)))
         label, sensitive = _field(d, "label", dict), _field(d, "sensitive", dict)
-        drop = d.get("drop", [])
-        if not _strings(drop):
-            raise DataError(f"dataset spec field 'drop' must be a list of strings, "
-                            f"got {reprlib.repr(drop)}")
         return cls(
             columns=columns,
             label_column=_field(label, "label.column", str),
-            favorable_value=str(_field(label, "label.favorable", (str, int, float))),
+            favorable_value=str(_field(label, "label.favorable", _SCALAR)),
             sensitive_column=_field(sensitive, "sensitive.column", str),
             privileged=Predicate.from_dict(
                 _field(sensitive, "sensitive.privileged", dict)),
-            drop_columns=tuple(drop),
             name=_field(d, "name", str, ""),
         )
 
@@ -208,7 +209,6 @@ class DatasetSpec:
             "label": {"column": self.label_column, "favorable": self.favorable_value},
             "sensitive": {"column": self.sensitive_column,
                           "privileged": self.privileged.to_dict()},
-            "drop": list(self.drop_columns),
         }
 
 
@@ -216,7 +216,6 @@ class DatasetSpec:
 class RawTable:
     """Typed column-major view of one CSV file."""
 
-    spec: DatasetSpec
     feature_values: dict           # column name -> list (float or str)
     label_values: list             # raw label strings
     data_rows: list                # CSV data row of each kept row (1-based)
@@ -290,7 +289,7 @@ def load_csv(path, spec):
                 feature_values[c.name].append(cell)
             label_values.append(cells[spec.label_column])
             data_rows.append(row_no)
-    return RawTable(spec, feature_values, label_values, data_rows, n_rejected)
+    return RawTable(feature_values, label_values, data_rows, n_rejected)
 
 
 @dataclass

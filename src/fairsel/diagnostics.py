@@ -115,8 +115,7 @@ def random_instance(rng, batch=3):
     return net, X, Y, S, k
 
 
-def _check_pair_gradients(name, n_instances, seed, tolerance, weights,
-                          fault=None):
+def _check_pair_gradients(name, n_instances, seed, tolerance, weights):
     """Worst finite-difference error of `pair_loss_and_grads` over seeded
     instances, at the (sensitivity_weight, ce_weight) that
     `weights(rng)` gives for each instance."""
@@ -129,7 +128,7 @@ def _check_pair_gradients(name, n_instances, seed, tolerance, weights,
         def lag(net_):
             pair = sensitivity_pair(net_, X, S, k)
             loss, grads, _, _ = pair_loss_and_grads(
-                net_, pair, Y, sensitivity_weight, ce_weight, fault=fault)
+                net_, pair, Y, sensitivity_weight, ce_weight)
             return loss, grads
         errors.extend(net_gradient_errors(net, lag))
     return _gate(name, errors, tolerance)
@@ -141,19 +140,17 @@ def check_prediction_gradients(n_instances=100, seed=0, tolerance=1e-4):
                                  seed, tolerance, lambda rng: (0.0, 1.0))
 
 
-def check_sensitivity_gradients(n_instances=100, seed=1, tolerance=1e-4,
-                                fault=None):
+def check_sensitivity_gradients(n_instances=100, seed=1, tolerance=1e-4):
     """Sensitivity-norm parameter gradients vs central differences."""
     return _check_pair_gradients("sensitivity-loss gradient", n_instances,
-                                 seed, tolerance, lambda rng: (1.0, 0.0), fault)
+                                 seed, tolerance, lambda rng: (1.0, 0.0))
 
 
-def check_composite_gradients(n_instances=100, seed=2, tolerance=1e-4,
-                              fault=None):
+def check_composite_gradients(n_instances=100, seed=2, tolerance=1e-4):
     """Combined training-loss gradients vs central differences."""
     return _check_pair_gradients(
         "composite-loss gradient", n_instances, seed, tolerance,
-        lambda rng: (float(rng.uniform(0.2, 1.5)), 1.0), fault)
+        lambda rng: (float(rng.uniform(0.2, 1.5)), 1.0))
 
 
 def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
@@ -278,13 +275,13 @@ def check_estimator_unbiasedness(d=6, seed=22, rel_tolerance=0.02):
                   for j in range(d) if j != policy.sensitive_index], rel_tolerance)
 
 
-def run_all(seed=0, instances=100, dims=None, fault=None):
+def run_all(seed=0, instances=100, dims=None):
     """The full check suite; `dims` enables the enumeration-based
     estimator check at that feature count."""
     results = [
         check_prediction_gradients(instances, seed),
-        check_sensitivity_gradients(instances, seed + 1, fault=fault),
-        check_composite_gradients(instances, seed + 2, fault=fault),
+        check_sensitivity_gradients(instances, seed + 1),
+        check_composite_gradients(instances, seed + 2),
         check_logistic_gradient(instances, seed + 3),
         check_pi_normalization(50, seed + 4),
         check_log_pi_gradient(50, seed + 5),

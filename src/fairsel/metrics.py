@@ -45,42 +45,21 @@ class GroupedOutcomes:
         return self.y_true.shape[0]
 
 
-@dataclass
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def tpr(self, group_name="population"):
-        if self.tp + self.fn == 0:
-            raise DegenerateGroupError(
-                f"{group_name} has no positive (label 1) examples")
-        return self.tp / (self.tp + self.fn)
-
-    def tnr(self, group_name="population"):
-        if self.tn + self.fp == 0:
-            raise DegenerateGroupError(
-                f"{group_name} has no negative (label 0) examples")
-        return self.tn / (self.tn + self.fp)
-
-
-def confusion_counts(outcomes, privileged=None):
-    """Confusion counts, optionally restricted to one group.
-
-    privileged=None uses all records; True / False restricts to the
-    corresponding group.
-    """
-    t, p = outcomes.y_true, outcomes.y_pred
+def _rate(outcomes, label, privileged=None):
+    """The TPR (label 1) or TNR (label 0) over all records, or with
+    privileged True / False over that group alone."""
+    t, p, group = outcomes.y_true, outcomes.y_pred, "population"
     if privileged is not None:
         mask = outcomes.privileged == privileged
         t, p = t[mask], p[mask]
-    return ConfusionCounts(
-        tp=int(((t == 1) & (p == 1)).sum()),
-        fp=int(((t == 0) & (p == 1)).sum()),
-        tn=int(((t == 0) & (p == 0)).sum()),
-        fn=int(((t == 1) & (p == 0)).sum()),
-    )
+        group = "privileged group" if privileged else "unprivileged group"
+    actual = t == label
+    n = int(actual.sum())
+    if n == 0:
+        raise DegenerateGroupError(
+            f"{group} has no {'positive' if label else 'negative'} "
+            f"(label {label}) examples")
+    return int((actual & (p == label)).sum()) / n
 
 
 def _require_nonempty(outcomes):
@@ -105,26 +84,21 @@ def accuracy(outcomes):
 def balanced_accuracy(outcomes):
     """Average of true positive rate and true negative rate."""
     _require_nonempty(outcomes)
-    c = confusion_counts(outcomes)
-    return 0.5 * (c.tpr() + c.tnr())
+    return 0.5 * (_rate(outcomes, 1) + _rate(outcomes, 0))
 
 
 def equal_opportunity_diff(outcomes):
     """Absolute gap in true positive rate between the groups."""
     _require_groups(outcomes)
-    priv = confusion_counts(outcomes, privileged=True)
-    unpriv = confusion_counts(outcomes, privileged=False)
-    return abs(priv.tpr("privileged group") - unpriv.tpr("unprivileged group"))
+    return abs(_rate(outcomes, 1, True) - _rate(outcomes, 1, False))
 
 
 def average_odds_diff(outcomes):
     """Absolute average-odds gap between the groups: the absolute
     difference in per-group balanced accuracy."""
     _require_groups(outcomes)
-    priv = confusion_counts(outcomes, privileged=True)
-    unpriv = confusion_counts(outcomes, privileged=False)
-    tpr_p, tpr_u = priv.tpr("privileged group"), unpriv.tpr("unprivileged group")
-    tnr_p, tnr_u = priv.tnr("privileged group"), unpriv.tnr("unprivileged group")
+    tpr_p, tpr_u = _rate(outcomes, 1, True), _rate(outcomes, 1, False)
+    tnr_p, tnr_u = _rate(outcomes, 0, True), _rate(outcomes, 0, False)
     return abs(0.5 * (tpr_p + tnr_p) - 0.5 * (tpr_u + tnr_u))
 
 

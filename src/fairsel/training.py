@@ -196,8 +196,7 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     return SelectorPolicy(policy.logits + alpha_theta * grad, policy.sensitive_index), pair
 
 
-def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
-                        fault=None):
+def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
     """Batch-mean predictor loss and its exact parameter gradients, read
     off a pair that `sensitivity_pair` computed on `net`.
 
@@ -211,9 +210,6 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
 
     Returns (loss, gradient laid out like net.theta, mean cross-entropy,
     mean sensitivity norm).
-
-    fault is a test hook for the gradient checker; "sen-grad-sign" flips
-    the sign of the sensitivity gradient term without touching the loss.
     """
     p_sel, diff, norms = pair.p_sel, pair.diff, pair.norms
     if np.shape(Y) != p_sel.shape:
@@ -227,8 +223,6 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0,
 
     unit = np.divide(diff, norms[:, None], out=np.zeros_like(diff),
                      where=(norms > NORM_EPS)[:, None])
-    if fault == "sen-grad-sign":
-        unit = -unit
 
     grad_with = (sensitivity_weight / n) * unit[pair.changed]
     grad_sel = (-(sensitivity_weight / n) * unit

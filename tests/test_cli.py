@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import GERMAN_HEADER, write_german_csv
+from fairsel import diagnostics
 from fairsel.checkpoint import save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
@@ -29,7 +30,6 @@ TOY_SPEC = {
     ],
     "label": {"column": "label", "favorable": "yes"},
     "sensitive": {"column": "sens", "privileged": {"op": "ge", "value": 0.5}},
-    "drop": [],
 }
 
 
@@ -77,11 +77,22 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "PASS" in out
 
-    def test_gradcheck_fault_injection_is_three(self, capsys):
-        assert main(["gradcheck", "--instances", "3",
-                     "--inject-fault", "sen-grad-sign"]) == 3
+    def test_gradcheck_wrong_sensitivity_gradient_is_three(self, capsys, monkeypatch):
+        exact = diagnostics.pair_loss_and_grads
+
+        def flipped(net, pair, Y, sensitivity_weight, ce_weight=1.0):
+            # the gradient is linear in the two weights, so subtracting twice
+            # the sensitivity-only gradient flips that term's sign alone
+            loss, grad, ce, sens = exact(net, pair, Y, sensitivity_weight, ce_weight)
+            sens_grad = exact(net, pair, Y, sensitivity_weight, 0.0)[1]
+            return loss, grad - 2 * sens_grad, ce, sens
+
+        monkeypatch.setattr(diagnostics, "pair_loss_and_grads", flipped)
+        assert main(["gradcheck", "--instances", "3"]) == 3
         out = capsys.readouterr().out
-        assert "FAIL" in out
+        assert "PASS prediction-loss gradient:" in out
+        assert "FAIL sensitivity-loss gradient:" in out
+        assert "FAIL composite-loss gradient:" in out
 
     def test_gradcheck_dims_runs_estimator_check(self, capsys):
         assert main(["gradcheck", "--instances", "2", "--dims", "4"]) == 0
@@ -234,7 +245,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("defect", [
         "layout-not-list", "short-layout", "wrong-name", "wrong-role", "bogus-role",
         "text-min", "missing-max", "infinite-max", "inverted-range",
-        "no-categories", "int-categories",
+        "no-categories", "int-categories", "repeated-categories",
         "labels-null", "labels-not-strings", "labels-without-favorable"])
     def test_encoder_defect_is_two(self, tmp_path, capsys, german_spec_path, defect):
         data, ckpt = self._german_baseline_checkpoint(tmp_path, german_spec_path)
@@ -264,6 +275,12 @@ class TestEvaluateCommand:
             del entry["categorical"]["categories"]
         elif defect == "int-categories":
             entry["categorical"]["categories"] = list(range(4))
+        elif defect == "repeated-categories":
+            # two one-hot columns of one name, the first always 0; one
+            # more weight keeps the widths equal, so only the repeat is wrong
+            cats = entry["categorical"]["categories"]
+            cats.insert(0, cats[0])
+            body["weights"].append(0.0)
         elif defect == "labels-null":
             enc["labels"] = None
         elif defect == "labels-not-strings":

@@ -388,6 +388,15 @@ class TestSpecValidation:
             spec = DatasetSpec.from_json(str(files("fairsel") / "specs" / f"{name}.json"))
             assert spec.name == name
 
+    @pytest.mark.parametrize("name", ["german", "compas", "bank"])
+    def test_bundled_spec_holds_no_ignored_key(self, name):
+        # a key the loader ignores, such as a drop list, reads as if obeyed
+        from importlib.resources import files
+        path = str(files("fairsel") / "specs" / f"{name}.json")
+        with open(path, encoding="utf-8") as fh:
+            shipped = json.load(fh)
+        assert shipped == DatasetSpec.from_json(path).to_dict()
+
     def test_json_round_trip(self, tmp_path, german_spec_path):
         spec = DatasetSpec.from_json(german_spec_path)
         path = tmp_path / "copy.json"
@@ -435,16 +444,21 @@ class TestSpecValidation:
                                             r"a list, got 'MX'"):
             DatasetSpec.from_dict(spec)
 
-    @pytest.mark.parametrize("drop", ["junk", ["junk", 3]])
-    def test_drop_must_be_a_list_of_names(self, drop):
-        spec = {"columns": [{"name": "x", "kind": "numeric"}],
+    @pytest.mark.parametrize("privileged,field", [
+        ({"op": "eq", "value": ["Female"]}, "'sensitive.privileged.value'"),
+        ({"op": "eq", "value": {"a": 1}}, "'sensitive.privileged.value'"),
+        ({"op": "eq", "value": True}, "'sensitive.privileged.value'"),
+        ({"op": "in", "values": [1, None, ["x"]]}, "'sensitive.privileged.values[1]'"),
+        ({"op": "in", "values": [["A91"], ["A93"]]}, "'sensitive.privileged.values[0]'"),
+        ({"op": "in", "values": ["A91", False]}, "'sensitive.privileged.values[1]'"),
+    ])
+    def test_privileged_value_must_be_a_string_or_number(self, privileged, field):
+        # str() of a list, an object, null or a bool matches no cell as written
+        with pytest.raises(DataError, match=re.escape(field)):
+            DatasetSpec.from_dict({
+                "columns": [{"name": "sex", "kind": "categorical"}],
                 "label": {"column": "label", "favorable": "yes"},
-                "sensitive": {"column": "x", "privileged": {"op": "ge", "value": 1}},
-                "drop": drop}
-        with pytest.raises(DataError, match="'drop' must"):
-            DatasetSpec.from_dict(spec)
-        spec["drop"] = ["junk"]
-        assert DatasetSpec.from_dict(spec).drop_columns == ("junk",)
+                "sensitive": {"column": "sex", "privileged": privileged}})
 
     @pytest.mark.parametrize("edit,message", [
         (lambda d: d.pop("sensitive"), "is missing field 'sensitive'"),
@@ -455,6 +469,10 @@ class TestSpecValidation:
         (lambda d: d["sensitive"].update(privileged="ge"),
          "'sensitive.privileged' must be an object"),
         (lambda d: d.update(name=7), "'name' must be a string"),
+        (lambda d: d["label"].update(favorable=True),   # was read as "True"
+         "'label.favorable' must be a string or a number, got True"),
+        (lambda d: d["sensitive"].update(privileged={"op": "in", "values": []}),
+         "'sensitive.privileged.values' must be a nonempty list"),
     ])
     def test_field_of_wrong_shape_is_named(self, edit, message):
         spec = {"columns": [{"name": "x", "kind": "numeric"}],

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from conftest import (brute_force_metrics, outcomes_from_records,
                       random_nondegenerate)
 from fairsel.errors import DataError, DegenerateGroupError
-from fairsel.metrics import (ConfusionCounts, GroupedOutcomes, accuracy,
-                             average_odds_diff, balanced_accuracy,
-                             confusion_counts, equal_opportunity_diff,
+from fairsel.metrics import (GroupedOutcomes, accuracy, average_odds_diff,
+                             balanced_accuracy, equal_opportunity_diff,
                              theil_index)
 
 
@@ -171,22 +170,6 @@ class TestOracleEquivalence:
 
 
 class TestConfusionCounts:
-    def test_totals(self):
-        rng = np.random.default_rng(4)
-        recs = random_nondegenerate(rng)
-        out = outcomes_from_records(recs)
-        both = confusion_counts(out)
-        priv = confusion_counts(out, privileged=True)
-        unpriv = confusion_counts(out, privileged=False)
-        total = lambda c: c.tp + c.fp + c.tn + c.fn
-        assert total(both) == len(recs)
-        assert total(priv) + total(unpriv) == len(recs)
-
-    def test_rates_in_unit_interval(self):
-        c = ConfusionCounts(tp=3, fp=1, tn=4, fn=2)
-        assert 0 <= c.tpr() <= 1
-        assert 0 <= c.tnr() <= 1
-
     def test_label_validation(self):
         with pytest.raises(DataError):
             GroupedOutcomes(np.array([0, 2]), np.array([0, 1]),

@@ -247,33 +247,24 @@ def _train_one_rep(task, args, raw, spec):
                                      sensitivity_seed=seed)
     if args.command == "tune":
         return _tune_point(model, val_ds), adv_metrics
-    entry = {"index": rep, "seed": seed}
-    if args.command == "train":
-        entry["metrics"] = adv_metrics
-        saved = {"checkpoint": model}
-    else:
-        baseline_model = train_logistic(train_ds, val_ds,
-                                        epochs=args.baseline_epochs,
-                                        lr=args.baseline_lr)
-        entry["adversarial"] = adv_metrics
+    entry = {"index": rep, "seed": seed, "adversarial": adv_metrics}
+    saved = {"adversarial": model}
+    if args.command == "compare":
+        saved["baseline"] = train_logistic(
+            train_ds, val_ds, epochs=args.baseline_epochs, lr=args.baseline_lr)
         entry["baseline"] = rpt.evaluate_model(
-            KIND_LOGISTIC, baseline_model, test_ds, sensitivity_seed=seed)
-        saved = {"adversarial": model, "baseline": baseline_model}
+            KIND_LOGISTIC, saved["baseline"], test_ds, sensitivity_seed=seed)
     entry["selection_probabilities"] = {
         name: float(p) for name, p in
         zip(test_ds.column_names, model.selection_probabilities)}
     entry["best_epoch"] = model.best_epoch
     entry["epochs_run"] = len(model.training_log)
     entry["diagnostics"] = model.diagnostics
-    names = {tag: f"{tag}_rep{rep}.json" for tag in saved}
-    for tag, saved_model in saved.items():
-        save_model(Path(args.out) / names[tag], saved_model, train_ds.encoder)
     # reports stay byte-identical across runs: file names only, the
     # checkpoints live next to the report
-    if args.command == "train":
-        entry["checkpoint"] = names["checkpoint"]
-    else:
-        entry["checkpoints"] = names
+    entry["checkpoints"] = {tag: f"{tag}_rep{rep}.json" for tag in saved}
+    for tag, name in entry["checkpoints"].items():
+        save_model(Path(args.out) / name, saved[tag], train_ds.encoder)
     entry["wall_clock_seconds"] = time.perf_counter() - t0
     return entry
 
@@ -323,13 +314,9 @@ def cmd_train(args):
     """train, and compare: train plus the logistic baseline on the same
     splits."""
     reps, t0 = _run_tasks(args, [args.sensitivity_weight])
-    if args.command == "train":
-        aggregate = rpt.aggregate([r["metrics"] for r in reps])
-        summary = [_aggregate_line("adversarial", aggregate)]
-    else:
-        aggregate = {tag: rpt.aggregate([r[tag] for r in reps])
-                     for tag in ("adversarial", "baseline")}
-        summary = [_aggregate_line(tag, agg) for tag, agg in aggregate.items()]
+    aggregate = {tag: rpt.aggregate([r[tag] for r in reps])
+                 for tag in reps[0]["checkpoints"]}
+    summary = [_aggregate_line(tag, agg) for tag, agg in aggregate.items()]
     return _write_report(args, {"repetitions": reps, "aggregate": aggregate},
                          t0, summary)
 

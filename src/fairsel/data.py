@@ -129,7 +129,12 @@ class Predicate:
         values = _field(d, "sensitive.privileged.values", list, [])
         for i, v in enumerate(values):
             _typed(v, _SCALAR, f"dataset spec field 'sensitive.privileged.values[{i}]'")
-        return cls(op=d.get("op"), value=d.get("value"), values=tuple(values))
+        pred = cls(op=d.get("op"), value=d.get("value"), values=tuple(values))
+        unread = "value" if pred.op == "in" else "values"
+        if unread in d:
+            raise DataError(f"dataset spec field 'sensitive.privileged.{unread}' "
+                            f"is not read by op {pred.op!r}")
+        return pred
 
 
 @dataclass
@@ -232,8 +237,8 @@ def load_csv(path, spec):
     Rows with missing cells in any used column are rejected (counted in
     the result, never imputed). Numeric cells that do not parse as a
     finite number (including nan and inf) raise a DataError naming the
-    data row (1-based, header excluded) and column; so does a used
-    column that the header names twice.
+    data row (1-based, header excluded) and column; so do a row with more
+    cells than the header and a used column that the header names twice.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -263,6 +268,9 @@ def load_csv(path, spec):
         for row_no, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if len(row) > len(header):
+                raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
+                                f"more than the header's {len(header)}")
             cells = {}
             skip = False
             for name in used:

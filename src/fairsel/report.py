@@ -20,7 +20,7 @@ from .checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
 from .errors import DataError
 from .training import mean_sensitivity, predict
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 METRIC_NAMES = ("accuracy", "balanced_accuracy", "equal_opportunity_diff",
                 "average_odds_diff", "theil_index", "mean_sensitivity")
@@ -58,40 +58,32 @@ REPORT_SCHEMA = {
     "required": ["schema_version", "command", "config", "master_seed"],
     "allOf": [
         {
-            "if": {"properties": {"command": {"const": "train"}}},
-            "then": {
-                "required": ["repetitions", "aggregate"],
-                "properties": {
-                    "repetitions": {"type": "array", "items": {
-                        "type": "object",
-                        "required": ["index", "seed", "metrics",
-                                     "selection_probabilities", "checkpoint"],
-                        "properties": {"metrics": _METRICS_SCHEMA},
-                    }},
-                    "aggregate": _AGGREGATE_SCHEMA,
-                },
-            },
-        },
-        {
-            "if": {"properties": {"command": {"const": "compare"}}},
+            # compare is train plus the baseline
+            "if": {"properties": {"command": {"enum": ["train", "compare"]}}},
             "then": {
                 "required": ["repetitions", "aggregate"],
                 "properties": {
                     "repetitions": {"type": "array", "items": {
                         "type": "object",
                         "required": ["index", "seed", "adversarial",
-                                     "baseline"],
+                                     "selection_probabilities", "checkpoints"],
                         "properties": {"adversarial": _METRICS_SCHEMA,
                                        "baseline": _METRICS_SCHEMA},
                     }},
                     "aggregate": {
                         "type": "object",
-                        "required": ["adversarial", "baseline"],
+                        "required": ["adversarial"],
                         "properties": {"adversarial": _AGGREGATE_SCHEMA,
                                        "baseline": _AGGREGATE_SCHEMA},
                     },
                 },
             },
+        },
+        {
+            "if": {"properties": {"command": {"const": "compare"}}},
+            "then": {"properties": {
+                "repetitions": {"items": {"required": ["baseline"]}},
+                "aggregate": {"required": ["baseline"]}}},
         },
         {
             "if": {"properties": {"command": {"const": "evaluate"}}},

@@ -14,7 +14,7 @@ from fairsel.checkpoint import save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
 from fairsel.nets import DenseNet
-from fairsel.report import strip_wall_clock
+from fairsel.report import REPORT_SCHEMA_VERSION, strip_wall_clock
 from fairsel.selector import SelectorPolicy
 from fairsel.training import TrainConfig, TrainedModel
 
@@ -106,15 +106,19 @@ class TestTrainCommand:
         assert main(["train", "--data", data, "--spec", spec,
                      "--seed", "3", *fast_flags(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert len(report["repetitions"]) == 2
         for rep in report["repetitions"]:
-            assert set(rep["metrics"]) == {
+            assert set(rep["adversarial"]) == {
                 "accuracy", "balanced_accuracy", "equal_opportunity_diff",
                 "average_odds_diff", "theil_index", "mean_sensitivity"}
-            assert (out / f"checkpoint_rep{rep['index']}.json").exists()
+            name = f"adversarial_rep{rep['index']}.json"
+            assert rep["checkpoints"] == {"adversarial": name}
+            assert (out / name).exists()
+            assert "baseline" not in rep
             assert rep["selection_probabilities"]["sens"] == 0.0
-        assert report["aggregate"]["accuracy"]["std"] is not None
+        assert list(report["aggregate"]) == ["adversarial"]
+        assert report["aggregate"]["adversarial"]["accuracy"]["std"] is not None
 
     def test_deterministic_reports(self, tmp_path, capsys):
         data, spec = write_toy(tmp_path)
@@ -147,7 +151,7 @@ class TestTrainCommand:
         rep = report["repetitions"][0]
         assert rep["epochs_run"] == 0
         assert rep["best_epoch"] == -1
-        assert 0.0 <= rep["metrics"]["accuracy"] <= 1.0
+        assert 0.0 <= rep["adversarial"]["accuracy"] <= 1.0
 
     def test_flag_defaults_are_the_config_defaults(self):
         # the parser reads each training default from TrainConfig
@@ -506,6 +510,28 @@ class TestCompareCommand:
         assert agg["adversarial"]["accuracy"]["mean"] is not None
         assert agg["baseline"]["accuracy"]["mean"] is not None
 
+    def test_train_report_is_compare_report_without_baseline(self, tmp_path, capsys):
+        data, spec = write_toy(tmp_path)
+        reports, summaries = {}, {}
+        for command in ("train", "compare"):
+            out = tmp_path / command
+            assert main([command, "--data", data, "--spec", spec, "--seed", "4",
+                         *fast_flags(out)]) == 0
+            summaries[command] = capsys.readouterr().out.splitlines()
+            report = strip_wall_clock(json.loads((out / "report.json").read_text()))
+            del report["command"], report["config"]
+            reports[command] = report
+        train, compare = reports["train"], reports["compare"]
+        del compare["aggregate"]["baseline"]
+        for rep in compare["repetitions"]:
+            del rep["baseline"], rep["checkpoints"]["baseline"]
+            name = rep["checkpoints"]["adversarial"]
+            assert ((tmp_path / "train" / name).read_bytes()
+                    == (tmp_path / "compare" / name).read_bytes())
+        assert train == compare
+        assert summaries["train"][0] == summaries["compare"][0]
+        assert summaries["compare"][1].startswith("baseline: accuracy=")
+
 
 class TestTuneCommand:
     def test_grid_mechanics_and_argmax(self, tmp_path, capsys):
@@ -780,3 +806,8 @@ class TestReadmeFlags:
                    for action in sub._actions for opt in action.option_strings
                    if opt.startswith("--")} - {"--help"}
         assert documented == options
+
+    def test_readme_names_the_report_schema_version(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert re.findall(r"schema version (\d+)", readme, re.IGNORECASE) == [
+            str(REPORT_SCHEMA_VERSION)]

@@ -111,6 +111,19 @@ class TestLoadCsv:
         assert "repeats" in msg and "'size'" in msg
         assert "color" not in msg and "group" not in msg
 
+    def test_row_longer_than_header_names_it(self, tmp_path):
+        # the extra cell used to be dropped and the row kept
+        path = write_csv(tmp_path / "long.csv",
+                         ["color", "size", "group", "label"],
+                         [["red", "2", "a", "yes"],
+                          ["blue", "", "b", "no"],
+                          ["red", "2", "F", "no", "EXTRA"],
+                          ["blue", "4", "b", "no"],
+                          ["red", "6", "a", "yes"]])
+        with pytest.raises(DataError, match=re.escape(
+                "row 3 has 5 cells, more than the header's 4")):
+            load_csv(path, tiny_spec())
+
     def test_unparseable_numeric_names_coordinates(self, tmp_path):
         path = write_csv(tmp_path / "p.csv",
                          ["color", "size", "group", "label"],
@@ -455,6 +468,20 @@ class TestSpecValidation:
     def test_privileged_value_must_be_a_string_or_number(self, privileged, field):
         # str() of a list, an object, null or a bool matches no cell as written
         with pytest.raises(DataError, match=re.escape(field)):
+            DatasetSpec.from_dict({
+                "columns": [{"name": "sex", "kind": "categorical"}],
+                "label": {"column": "label", "favorable": "yes"},
+                "sensitive": {"column": "sex", "privileged": privileged}})
+
+    @pytest.mark.parametrize("privileged,field", [
+        ({"op": "eq", "value": "F", "values": ["M"]}, "values"),
+        ({"op": "in", "value": "F", "values": ["M"]}, "value"),
+    ])
+    def test_privileged_field_its_op_does_not_read_is_rejected(self, privileged,
+                                                              field):
+        # it used to load, and the group matched one of the two fields only
+        with pytest.raises(DataError, match=re.escape(
+                f"'sensitive.privileged.{field}' is not read by op")):
             DatasetSpec.from_dict({
                 "columns": [{"name": "sex", "kind": "categorical"}],
                 "label": {"column": "label", "favorable": "yes"},

@@ -19,7 +19,7 @@ from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
 
 TRAIN_SHA256 = "1c32091ea8522643d94d45008562685d1efe431c250158f288051d2d864079a1"
-COMPARE_SHA256 = "dd70efed0702aabb805f691da980c1f832b0fa4b6a4313b855108f26f05109e3"
+COMPARE_SHA256 = "33786c54e4f49f097e5cd9c2a728e3c5b88ecdca79e145a497d5cb4b5229bbb9"
 
 
 def test_short_training_run_keeps_its_bits():

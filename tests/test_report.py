@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 from jsonschema.exceptions import ValidationError
 
-from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, aggregate, base_report,
-                            strip_wall_clock, validate_report)
+from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
+                            aggregate, base_report, strip_wall_clock,
+                            validate_report)
 
 
 def fake_metrics(x):
@@ -32,27 +33,39 @@ class TestAggregate:
 
 
 class TestSchema:
-    def _train_report(self):
-        rep = base_report("train", {"seed": 0}, 0)
+    def _train_report(self, command="train"):
+        rep = base_report(command, {"seed": 0}, 0)
+        tags = ("adversarial", "baseline") if command == "compare" else ("adversarial",)
         rep["repetitions"] = [{
-            "index": 0, "seed": 1, "metrics": fake_metrics(0.5),
-            "selection_probabilities": {"a": 0.5}, "checkpoint": "c.json",
+            "index": 0, "seed": 1, **{tag: fake_metrics(0.5) for tag in tags},
+            "selection_probabilities": {"a": 0.5},
+            "checkpoints": {tag: f"{tag}_rep0.json" for tag in tags},
         }]
-        rep["aggregate"] = aggregate([fake_metrics(0.5)])
+        rep["aggregate"] = {tag: aggregate([fake_metrics(0.5)]) for tag in tags}
         return rep
 
     def test_valid_train_report(self):
         validate_report(self._train_report())
 
+    def test_valid_compare_report(self):
+        validate_report(self._train_report("compare"))
+
+    @pytest.mark.parametrize("where", ["entry", "aggregate"])
+    def test_compare_without_baseline_rejected(self, where):
+        rep = self._train_report("compare")
+        del (rep["repetitions"][0] if where == "entry" else rep["aggregate"])["baseline"]
+        with pytest.raises(ValidationError, match="'baseline' is a required property"):
+            validate_report(rep)
+
     def test_missing_metric_rejected(self):
         rep = self._train_report()
-        del rep["repetitions"][0]["metrics"]["theil_index"]
-        with pytest.raises(ValidationError):
+        del rep["repetitions"][0]["adversarial"]["theil_index"]
+        with pytest.raises(ValidationError, match="'theil_index' is a required"):
             validate_report(rep)
 
     def test_wrong_schema_version_rejected(self):
         rep = self._train_report()
-        rep["schema_version"] = 2
+        rep["schema_version"] = REPORT_SCHEMA_VERSION - 1
         with pytest.raises(ValidationError):
             validate_report(rep)
 
@@ -68,10 +81,11 @@ class TestSchema:
     @pytest.mark.parametrize("breakage", ["missing-key", "wrong-type", "bad-enum"])
     def test_same_error_as_jsonschema_validate(self, breakage):
         rep = self._train_report()
+        validate_report(rep)  # only the breakage below makes it invalid
         if breakage == "missing-key":
-            del rep["repetitions"][0]["metrics"]["theil_index"]
+            del rep["repetitions"][0]["adversarial"]["theil_index"]
         elif breakage == "wrong-type":
-            rep["aggregate"]["accuracy"]["mean"] = "high"
+            rep["aggregate"]["adversarial"]["accuracy"]["mean"] = "high"
         else:
             rep["command"] = "mystery"
         with pytest.raises(ValidationError) as ours:

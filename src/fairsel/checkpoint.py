@@ -4,11 +4,13 @@ A checkpoint stores each fact needed to reproduce predictions on new
 data once: network parameters or logistic coefficients, selector logits,
 the fitted encoder (layout and label vocabulary) and the training
 config. A net is its flat parameter vector `theta` (laid out by `nets`)
-as one base64 blob of little-endian float64, at the sizes (encoder
-width, *config.hidden_sizes, label count). Version 4 is written;
-versions 2 and 3 are read the same way, their copies of derived facts
-ignored. Every float64 survives the round trip bit-exactly: the blob
-holds the raw bits, and the JSON numbers are shortest reprs.
+as one base64 blob, at the sizes (encoder width, *config.hidden_sizes,
+label count). Version 5 is written, its blob little-endian float32, the
+dtype `train` steps (a float64 net is rounded to it). Versions 2-4 hold
+float64 blobs and load as float64 nets, so they score as they did when
+written; their copies of derived facts are ignored. Every parameter
+survives the round trip bit-exactly: the blob holds the raw bits, and
+the JSON numbers are shortest reprs.
 """
 
 from __future__ import annotations
@@ -27,8 +29,11 @@ from .nets import DenseNet, require_finite
 from .selector import SelectorPolicy
 from .training import TrainConfig, TrainedModel
 
-CHECKPOINT_VERSION = 4
-READABLE_VERSIONS = (2, 3, 4)
+CHECKPOINT_VERSION = 5
+READABLE_VERSIONS = (2, 3, 4, 5)
+
+# the dtype of net.theta's blob per version
+BLOB_DTYPES = {2: "<f8", 3: "<f8", 4: "<f8", 5: "<f4"}
 
 # config keys of retired options, each with the one value it may hold:
 # versions 2 and 3 wrote the mask flag, versions 2-4 the inference
@@ -69,18 +74,21 @@ def save_model(path, model, encoder):
 
 
 def _encode_theta(theta):
-    return binascii.b2a_base64(theta.astype("<f8").tobytes(), newline=False).decode("ascii")
+    blob = theta.astype(BLOB_DTYPES[CHECKPOINT_VERSION]).tobytes()
+    return binascii.b2a_base64(blob, newline=False).decode("ascii")
 
 
-def _decode_net(text, config, encoder):
-    """The DenseNet of a checkpoint's net.theta at the sizes its encoder and
-    config give (a stored net.sizes is not read); raises on any defect."""
+def _decode_net(text, dtype, config, encoder):
+    """The DenseNet of a checkpoint's net.theta, a blob of the given dtype,
+    at the sizes its encoder and config give (a stored net.sizes is not
+    read); raises on any defect."""
     sizes = (encoder.dim, *config.hidden_sizes, len(encoder.labels))
     blob = binascii.a2b_base64(text)
     # a2b_base64 skips stray characters: only the canonical text is accepted
     if binascii.b2a_base64(blob, newline=False).decode("ascii") != text:
         raise ValueError("net.theta is not canonical base64")
-    out = DenseNet(sizes, np.frombuffer(blob, dtype="<f8").astype(np.float64))
+    theta = np.frombuffer(blob, dtype=dtype)
+    out = DenseNet(sizes, theta.astype(theta.dtype.newbyteorder("=")))
     require_finite(out, out.theta, "value")
     return out
 
@@ -123,7 +131,8 @@ def load_model(path):
                                      f"got {reprlib.repr(value)}")
             config = TrainConfig(**fields)
             model = TrainedModel(
-                net=_decode_net(body["net"]["theta"], config, encoder),
+                net=_decode_net(body["net"]["theta"], BLOB_DTYPES[version],
+                                config, encoder),
                 policy=SelectorPolicy(_numbers(body["selector"]["logits"],
                                                "selector.logits", 1),
                                       encoder.sensitive_index),

@@ -12,7 +12,10 @@ A net's parameters are one flat vector, `theta`, and only this module
 knows its layout: the per-layer weights and biases are views into it,
 and `backward` and `adam_step` work on vectors laid out like it.
 
-All math is float64. Everything here is a pure function of its inputs;
+A net computes in the dtype of its `theta`, float32 or float64: inputs
+and output gradients are cast to it, and every intermediate keeps it
+(training steps a float32 net; the gradient oracles run float64 ones).
+Everything here is a pure function of its inputs;
 parameter updates return fresh arrays instead of mutating. The
 in-place ufuncs that keep the SELU layers lean on memory only ever
 write to arrays the function itself allocated.
@@ -31,7 +34,11 @@ from .errors import DimensionError, NumericalError
 SELU_SCALE = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
-# softmax outputs are floored at this value before any logarithm
+# softmax outputs are floored at this value before any logarithm. It is
+# a normal number in float32 as in float64 (float32's smallest is about
+# 1.2e-38), so the floor is exact in both; -log of it (27.6) and the
+# 1e12 of 1/floor in the cross-entropy gradient are far inside float32's
+# range, and that gradient only reaches backward multiplied by p <= 1
 PROB_FLOOR = 1e-12
 
 # Adam's moment decay rates and denominator guard
@@ -40,12 +47,19 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def _floats(x):
+    """x as an array of its own float32 or float64, anything else as
+    float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def selu(x):
     """Scaled exponential linear unit, elementwise:
     scale * max(x, 0) + scale * alpha * expm1(min(x, 0)), computed in two
-    buffers it allocates itself. expm1 never sees a positive value, and
-    x is never written."""
-    x = np.asarray(x, dtype=np.float64)
+    buffers it allocates itself, in x's dtype. expm1 never sees a
+    positive value, and x is never written."""
+    x = _floats(x)
     neg = np.minimum(x, 0.0, out=np.empty_like(x))
     np.expm1(neg, out=neg)
     neg *= SELU_SCALE * SELU_ALPHA
@@ -62,9 +76,11 @@ def selu_slope(a):
 
     Branch-free: min(a, 0) + c is c where a > 0, and subtracting the exact
     c - scale (Sterbenz) there leaves exactly scale, so the result equals
-    the np.where form bit for bit, without its unpredictable mask."""
-    c = SELU_SCALE * SELU_ALPHA
-    return np.minimum(a, 0.0) + c - (a > 0) * (c - SELU_SCALE)
+    the np.where form bit for bit, without its unpredictable mask. c and
+    scale are scalars of a's dtype: a Python float times the boolean mask
+    would be float64 and promote a float32 result."""
+    c, scale = a.dtype.type(SELU_SCALE * SELU_ALPHA), a.dtype.type(SELU_SCALE)
+    return np.minimum(a, 0.0) + c - (a > 0) * (c - scale)
 
 
 def reduce_classes(ufunc, a):
@@ -81,8 +97,9 @@ def reduce_classes(ufunc, a):
 
 
 def softmax(z):
-    """Row-wise softmax with max-subtraction for numerical stability."""
-    z = np.asarray(z, dtype=np.float64)
+    """Row-wise softmax with max-subtraction for numerical stability, in
+    z's dtype."""
+    z = _floats(z)
     e = z - reduce_classes(np.maximum, z)[..., None]
     np.exp(e, out=e)
     e /= reduce_classes(np.add, e)[..., None]
@@ -117,9 +134,10 @@ class DenseNet:
     """Fully-connected classifier: SELU hidden layers, softmax output.
 
     sizes is (input_dim, *hidden, num_classes) and theta the one flat
-    float64 parameter vector, laid out by `_layout`. weights[i] (out_i,
-    in_i) and biases[i] (out_i,) are views into theta; layer i consumes
-    the output of layer i-1.
+    parameter vector, laid out by `_layout`: float32 stays float32, any
+    other values are held as float64. weights[i] (out_i, in_i) and
+    biases[i] (out_i,) are views into theta; layer i consumes the output
+    of layer i-1.
     """
 
     def __init__(self, sizes, theta):
@@ -127,7 +145,7 @@ class DenseNet:
         if len(self.sizes) < 2 or min(self.sizes) < 1:
             raise ValueError(f"need at least two positive layer sizes, got {self.sizes}")
         blocks = _layout(self.sizes)
-        self.theta = np.asarray(theta, dtype=np.float64)
+        self.theta = _floats(theta)
         if self.theta.shape != (blocks[-1][2],):
             raise DimensionError(f"parameter vector of sizes {self.sizes}",
                                  (blocks[-1][2],), self.theta.shape)
@@ -177,7 +195,7 @@ class DenseNet:
 
 
 def _check_input(net, X):
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=net.theta.dtype)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError("input", f"(n, {net.input_dim})", X.shape)
     return X
@@ -218,7 +236,7 @@ def backward(net, X, outputs, output_grad):
     Linear in output_grad.
     """
     X = _check_input(net, X)
-    G = np.asarray(output_grad, dtype=np.float64)
+    G = np.asarray(output_grad, dtype=net.theta.dtype)
     if G.shape != (X.shape[0], net.num_classes):
         raise DimensionError("output_grad", (X.shape[0], net.num_classes), G.shape)
     if len(outputs) != net.num_layers or outputs[-1].shape != G.shape:

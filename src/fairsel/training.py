@@ -13,8 +13,11 @@ The selector maximizes sensitivity, the predictor minimizes it while
 keeping classification accuracy, so at convergence the chosen features
 carry little information the sensitive feature could add.
 
-Training is deterministic given the config seed: identical runs produce
-bit-identical logs and parameters.
+The predictor trains in float32 (`train` casts the net, the input rows
+and the one-hot labels once per run); the selector logits, its
+score-function gradient, the sensitivity means and every metric stay
+float64. Training is deterministic given the config seed: identical runs
+produce bit-identical logs and parameters.
 """
 
 from __future__ import annotations
@@ -34,17 +37,24 @@ from .selector import (SelectorPolicy, log_pi_grad, probabilities,
                        sample_selection_batch)
 
 # sensitivity norms below this are treated as exactly zero (the norm is
-# not differentiable there; zero is a valid subgradient)
+# not differentiable there; zero is a valid subgradient). It is absolute,
+# so float32's resolution near 1 (1.2e-7) does not bear on it: a float32
+# norm above 1e-12 is a sum of c squares, the largest at least 1e-24 / c,
+# a normal float32 number (the smallest is 1.2e-38), so the norm and
+# diff / norm keep full float32 precision
 NORM_EPS = 1e-12
 
-# rows per paired pass in mean_sensitivity: bounds the cached layer
+# rows per paired pass in mean_sensitivity for a float64 net, and twice
+# as many, the same bytes, for a float32 one: bounds the cached layer
 # outputs when a whole evaluation set is scored. The stacked pair of 128
-# rows (at most 256 with its changed rows) keeps a 4x200 net's four
-# activation blocks (at most 256x200, 1.6 MB) inside a 2 MB per-core L2
-# cache. mean_sensitivity(n_samples=16) over 5,000x51 bank-shaped rows
-# (14% run once), 4x200 net, one BLAS thread, 2-core Xeon, 3 runs each:
-# 64: 0.87-0.90 s, 128: 0.83-0.84 s, 192: 0.82-0.85 s, 256: 1.16-1.24 s,
-# 512: 1.23-1.35 s
+# float64 rows (at most 256 with its changed rows) keeps a 4x200 net's
+# four activation blocks (at most 256x200, 1.6 MB) inside a 2 MB
+# per-core L2 cache. mean_sensitivity(n_samples=16) over 5,000x51
+# bank-shaped rows, 4x200 net, one BLAS thread, 2-core Xeon, median of 5
+# runs with the sizes interleaved, by rows per block:
+# float64  64: 1.91 s, 128: 1.70 s, 192: 1.77 s, 256: 2.38 s, 512: 2.48 s
+# float32  64: 0.95 s, 128: 0.79 s, 192: 0.67 s, 256: 0.66 s, 384: 0.76 s,
+#          512: 0.98 s
 SENSITIVITY_BLOCK = 128
 
 
@@ -153,7 +163,7 @@ def sensitivity_pair(net, X, S, k):
 
     A row whose selection already holds feature k, or zeroes a feature
     value that is 0, has the same input in both halves; it runs once."""
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=net.theta.dtype)
     if X.ndim != 2 or np.shape(S) != X.shape:
         raise DimensionError("input and selection rows", "two (n, d) arrays",
                              (X.shape, np.shape(S)))
@@ -189,7 +199,8 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     pair = sensitivity_pair(net, X, S, policy.sensitive_index)
     if not np.isfinite(pair.norms).all():
         raise NumericalError("sensitivity estimate is non-finite; aborting epoch")
-    coeff = pair.norms - baseline if baseline is not None else pair.norms
+    norms = pair.norms.astype(np.float64, copy=False)
+    coeff = norms - baseline if baseline is not None else norms
     grad = (coeff[:, None] * log_pi_grad(p, S)).mean(axis=0)
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
@@ -251,9 +262,10 @@ def _predict_probs(net, policy, X):
 
 
 def predict(model, X):
-    """Predicted classes (n,) and probability rows (n, c) for a batch of
-    input rows X (n, d). Ties break toward the lower class index."""
-    X = np.asarray(X, dtype=np.float64)
+    """Predicted classes (n,) and probability rows (n, c), in the net's
+    dtype (float32 for a trained model), for a batch of input rows X
+    (n, d). Ties break toward the lower class index."""
+    X = np.asarray(X, dtype=model.net.theta.dtype)
     if X.ndim != 2 or X.shape[1] != model.net.input_dim:
         raise DimensionError("input", f"(n, {model.net.input_dim})", X.shape)
     probs = _predict_probs(model.net, model.policy, X)
@@ -263,21 +275,22 @@ def predict(model, X):
 def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
     """Monte-Carlo estimate of the expected sensitivity norm over the
     selection distribution, averaged over the rows of X (n, d); the pair
-    runs over blocks of SENSITIVITY_BLOCK rows."""
+    runs over blocks of SENSITIVITY_BLOCK rows (twice as many for a
+    float32 net)."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=net.theta.dtype)
+    block = SENSITIVITY_BLOCK * 8 // X.itemsize
     p = probabilities(policy)
     total = 0.0
     for _ in range(n_samples):
         S = sample_selection_batch(p, X.shape[0], rng)
-        norms = [sensitivity_pair(net, X[lo:lo + SENSITIVITY_BLOCK],
-                                  S[lo:lo + SENSITIVITY_BLOCK],
+        norms = [sensitivity_pair(net, X[lo:lo + block], S[lo:lo + block],
                                   policy.sensitive_index).norms
-                 for lo in range(0, X.shape[0], SENSITIVITY_BLOCK)]
-        total += np.concatenate(norms).mean()
+                 for lo in range(0, X.shape[0], block)]
+        total += float(np.concatenate(norms).mean(dtype=np.float64))
     return total / n_samples
 
 
@@ -298,12 +311,15 @@ def train(train_data, val_data, config):
     Validation is scored by `metrics.balanced_accuracy`, so a
     validation split that lacks a class raises DegenerateGroupError.
     """
-    X, Y = train_data.features, np.eye(2)[train_data.labels]
+    X = train_data.features.astype(np.float32)
+    Y = np.eye(2, dtype=np.float32)[train_data.labels]
     k = train_data.sensitive_index
     n, d = X.shape
 
     rng = np.random.default_rng(config.seed)
     net = DenseNet.initialize(d, config.hidden_sizes, Y.shape[1], rng)
+    # drawn in float64 and rounded, so the draws after it do not change
+    net = DenseNet(net.sizes, net.theta.astype(np.float32))
     policy = SelectorPolicy.initialize(d, k, rng)
     adam = AdamState.for_net(net)
 

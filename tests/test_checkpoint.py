@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairsel.baseline import LogisticModel, train_logistic
-from fairsel.checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
-                                save_model)
+from fairsel.checkpoint import (BLOB_DTYPES, KIND_ADVERSARIAL, KIND_LOGISTIC,
+                                load_model, save_model)
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DataError
 from fairsel.nets import DenseNet, forward
@@ -45,18 +45,35 @@ class TestRoundTrip:
         assert loaded.policy.sensitive_index == model.policy.sensitive_index
         assert loaded.config == model.config
         assert enc2.to_payload() == encoder.to_payload()
-        # version 4: theta alone, one base64 blob of little-endian float64
+        # version 5: theta alone, one base64 blob of little-endian float32,
+        # the dtype train steps
         body = json.loads(path.read_text())
-        assert body["version"] == 4
+        assert body["version"] == 5
         assert set(body["net"]) == {"theta"}
         blob = base64.b64decode(body["net"]["theta"], validate=True)
-        assert blob == model.net.theta.astype("<f8").tobytes()
+        assert model.net.theta.dtype == np.float32
+        assert blob == model.net.theta.astype("<f4").tobytes()
         assert body["encoder"]["labels"] == encoder.labels == ["0", "1"]
-        assert loaded.net.theta.flags.writeable and loaded.net.theta.dtype == np.float64
-        assert np.array_equal(bits(loaded.net.theta), bits(model.net.theta))
+        assert loaded.net.theta.flags.writeable and loaded.net.theta.dtype == np.float32
+        assert np.array_equal(loaded.net.theta.view(np.int32), model.net.theta.view(np.int32))
         assert np.array_equal(bits(loaded.policy.logits), bits(model.policy.logits))
         X = np.random.default_rng(0).random((50, encoder.dim))
-        assert np.array_equal(bits(forward(loaded.net, X)), bits(forward(model.net, X)))
+        assert np.array_equal(forward(loaded.net, X).view(np.int32),
+                              forward(model.net, X).view(np.int32))
+
+    def test_version_4_loads_as_float64(self, trained, tmp_path):
+        # versions 2-4 hold float64 blobs and score as they did when written
+        model, _, encoder = trained
+        path = tmp_path / "v4.json"
+        save_model(path, model, encoder)
+        body = json.loads(path.read_text())
+        theta = np.random.default_rng(1).normal(size=model.net.theta.size)
+        body["version"] = 4
+        body["net"]["theta"] = base64.b64encode(theta.astype("<f8").tobytes()).decode()
+        path.write_text(json.dumps(body))
+        _, loaded, _ = load_model(path)
+        assert loaded.net.theta.dtype == np.float64
+        assert np.array_equal(bits(loaded.net.theta), bits(theta))
 
     def test_each_fact_stored_once(self, trained, tmp_path):
         # the seed is the config's, the sensitive index and the column
@@ -124,7 +141,8 @@ class TestValidation:
         save_model(path, model, encoder)
         body = json.loads(path.read_text())
         net, theta = body["net"], model.net.theta.copy()
-        blob = lambda t: base64.b64encode(t.astype("<f8").tobytes()).decode()
+        dtype = BLOB_DTYPES[body["version"]]
+        blob = lambda t: base64.b64encode(t.astype(dtype).tobytes()).decode()
         if corrupt == "not-base64":
             net["theta"] = net["theta"][:40] + "!?" + net["theta"][40:]
         elif corrupt == "short-blob":
@@ -235,6 +253,38 @@ class TestSave:
         with pytest.raises(TypeError):
             save_model(path, unencodable, encoder)
         assert path.read_bytes() == before
+
+
+# the three ways a version-5 blob can be wrong: cut short, written as
+# float64, or holding a non-finite float32 word (exponent bits all ones)
+_BLOB_DEFECTS = st.one_of(
+    st.tuples(st.just("truncated"), st.integers(0, 10**6)),
+    st.tuples(st.just("float64"), st.just(0)),
+    st.tuples(st.just("non-finite"),
+              st.integers(0x7F800000, 0x7FFFFFFF) | st.integers(0xFF800000, 0xFFFFFFFF)))
+
+
+class TestBlobProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(defect=_BLOB_DEFECTS, where=st.integers(0, 10**6))
+    def test_blob_defect_is_a_data_error(self, trained, tmp_path_factory, defect, where):
+        model, _, encoder = trained
+        path = tmp_path_factory.getbasetemp() / "blob_defect.json"
+        save_model(path, model, encoder)
+        body = json.loads(path.read_text())
+        words = model.net.theta.astype("<f4")
+        kind, value = defect
+        if kind == "truncated":
+            raw = words.tobytes()[:value % (4 * words.size)]
+        elif kind == "float64":
+            raw = model.net.theta.astype("<f8").tobytes()
+        else:
+            words.view("<u4")[where % words.size] = value
+            raw = words.tobytes()
+        body["net"]["theta"] = base64.b64encode(raw).decode()
+        path.write_text(json.dumps(body))
+        with pytest.raises(DataError, match="malformed checkpoint"):
+            load_model(path)
 
 
 _V2_BODY = json.loads(V2_FIXTURE.read_text())

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import GERMAN_HEADER, write_german_csv
 from fairsel import diagnostics
-from fairsel.checkpoint import save_model
+from fairsel.checkpoint import BLOB_DTYPES, save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
 from fairsel.nets import DenseNet
@@ -221,8 +221,9 @@ class TestEvaluateCommand:
         body = json.loads(Path(ckpt).read_text())
         # sizes [4, 1, 2]: W0 (1, 4), b0, W1 (2, 1), b1
         net = body["net"]
-        theta = np.frombuffer(base64.b64decode(net["theta"]), "<f8").copy()
-        blob = lambda t: base64.b64encode(t.astype("<f8").tobytes()).decode()
+        dtype = BLOB_DTYPES[body["version"]]
+        theta = np.frombuffer(base64.b64decode(net["theta"]), dtype).copy()
+        blob = lambda t: base64.b64encode(t.astype(dtype).tobytes()).decode()
         if corrupt == "layer-shapes":
             # a third layer of 3 units after the head, its sizes stored too
             net["sizes"] = [4, 1, 2, 3]
@@ -366,7 +367,7 @@ class TestEvaluateCommand:
         data, spec_path = write_toy(tmp_path)
         ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
         body = json.loads(Path(ckpt).read_text())
-        assert body["version"] == 4
+        assert body["version"] == 5
         body["config"].update(inference_policy=policy, mc_samples=32)
         Path(ckpt).write_text(json.dumps(body))
         capsys.readouterr()

@@ -95,3 +95,10 @@ def test_difference_errors_one_per_coordinate():
     assert len(errors) == 3
     assert errors[0] < 1e-8 and errors[2] < 1e-8
     assert errors[1] == pytest.approx(1.0 / 3.0, rel=1e-6)
+
+
+def test_gates_run_float64_nets():
+    # training steps float32 nets; the finite-difference and enumeration
+    # oracles need float64, whatever train uses
+    net, *_ = diagnostics.random_instance(np.random.default_rng(0))
+    assert net.theta.dtype == diagnostics.estimator_instance()[0].theta.dtype == np.float64

@@ -18,8 +18,8 @@ from fairsel.data import split, synth_proxy
 from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
 
-TRAIN_SHA256 = "1c32091ea8522643d94d45008562685d1efe431c250158f288051d2d864079a1"
-COMPARE_SHA256 = "33786c54e4f49f097e5cd9c2a728e3c5b88ecdca79e145a497d5cb4b5229bbb9"
+TRAIN_SHA256 = "5041d130908c76925532353a5b1e741e65037b1d830933b21aae7517a9d6be73"
+COMPARE_SHA256 = "0f978152839f92afca2b2f54e116a1c409cc00c971fa6717cd5d3ac4da3555c5"
 
 
 def test_short_training_run_keeps_its_bits():

@@ -70,17 +70,32 @@ class TestSelu:
         assert np.array_equal(slope[z > 0], np.full((z > 0).sum(), 1.0507009873554805))
         assert slope[-4] == selu_deriv(0.0) and slope[-2] == selu_deriv(-1e-300)
 
-    def test_slope_bit_equal_to_where_formula(self):
-        # the grids above, as activations and as raw values, plus the
-        # non-finite values: signed zeros, infinities and NaNs must match too
-        grid = np.concatenate([np.linspace(-40, 40, 80001), np.linspace(-30, 30, 6001),
-                               [1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300,
-                                1e308, -1e308, 0.0, -0.0]])
-        a = np.concatenate([selu(grid), grid, [np.inf, -np.inf, np.nan, -np.nan]])
+    @staticmethod
+    def _slope_matches_where(grid, ints):
+        # the grid as activations and as raw values, plus the non-finite
+        # values: signed zeros, infinities and NaNs must match too, in the
+        # dtype of the activations
+        a = np.concatenate([selu(grid), grid,
+                            np.array([np.inf, -np.inf, np.nan, -np.nan], dtype=grid.dtype)])
         before = a.copy()
         out = selu_slope(a)
-        assert np.array_equal(a.view(np.int64), before.view(np.int64))
-        assert np.array_equal(out.view(np.int64), selu_slope_where(a).view(np.int64))
+        assert out.dtype == grid.dtype
+        assert np.array_equal(a.view(ints), before.view(ints))
+        assert np.array_equal(out.view(ints), selu_slope_where(a).view(ints))
+
+    def test_slope_bit_equal_to_where_formula(self):
+        # the grids above
+        self._slope_matches_where(np.concatenate([
+            np.linspace(-40, 40, 80001), np.linspace(-30, 30, 6001),
+            [1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300, 1e308, -1e308,
+             0.0, -0.0]]), np.int64)
+
+    def test_slope_bit_equal_to_where_formula_float32(self):
+        # the same grids in float32, with its own tiny, subnormal and huge values
+        self._slope_matches_where(np.concatenate([
+            np.linspace(-40, 40, 80001), np.linspace(-30, 30, 6001),
+            [1e-38, -1e-38, 1e-45, -1e-45, 1e30, -1e30, 3e38, -3e38,
+             0.0, -0.0]]).astype(np.float32), np.int32)
 
 
 class TestForward:
@@ -371,6 +386,48 @@ class TestAdam:
         _, s2 = adam_step(net, np.zeros(2), state, 0.1)
         assert (np.abs(s2.first) < 1.0).all()
         assert (np.abs(s2.second) < 1.0).all()
+
+
+class TestFloat32:
+    """A float32 net computes in float32 end to end: a float64 scalar or
+    array anywhere on the path would promote its results."""
+
+    def test_every_function_keeps_float32(self):
+        net = make_net(0, d=4, hidden=(6, 5), c=2)
+        net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
+        X = np.random.default_rng(1).normal(size=(7, 4))   # float64 rows
+        outputs = layer_outputs(net32, X)
+        assert [o.dtype for o in outputs] == [np.float32] * 3
+        assert forward(net32, X).dtype == np.float32
+        grad = backward(net32, X, outputs, np.ones((7, 2)))
+        assert grad.dtype == np.float32
+        state = AdamState.for_net(net32)
+        stepped, state = adam_step(net32, grad, state, 1e-3)
+        assert stepped.theta.dtype == state.first.dtype == state.second.dtype == np.float32
+        assert softmax(outputs[0]).dtype == selu(outputs[0]).dtype == np.float32
+
+    @pytest.mark.parametrize("shape", [(5, (32, 32)), (55, (200, 200, 200, 200))])
+    def test_pair_gradients_match_float64(self, shape):
+        # the training path in float32 against the same nets and batches
+        # in float64: the relative gradient error stays within 1e-5
+        d, hidden = shape
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            net = DenseNet.initialize(d, hidden, 2, rng)
+            net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
+            net = DenseNet(net.sizes, net32.theta.astype(np.float64))
+            X = rng.random((64, d))
+            X[:, 0] = X[:, 0] < 0.5
+            S = (rng.random((64, d)) < 0.5).astype(np.int8)
+            S[:, 0] = 0
+            Y = np.eye(2)[rng.integers(0, 2, size=64)]
+            grads = [training.pair_loss_and_grads(
+                         n, training.sensitivity_pair(n, X, S, 0),
+                         Y.astype(n.theta.dtype), 1.0)[1]
+                     for n in (net32, net)]
+            assert grads[0].dtype == np.float32
+            error = np.linalg.norm(grads[0] - grads[1]) / np.linalg.norm(grads[1])
+            assert error <= 1e-5
 
 
 class TestLayout:

@@ -432,7 +432,9 @@ class TestTrain:
         assert model.best_epoch == -1
         fresh = np.random.default_rng(5)
         expected = DenseNet.initialize(tr.features.shape[1], (8, 8), 2, fresh)
-        assert np.array_equal(model.net.weights[0], expected.weights[0])
+        # train draws in float64 and steps the float32 cast of the draw
+        assert model.net.theta.dtype == np.float32
+        assert np.array_equal(model.net.weights[0], expected.weights[0].astype(np.float32))
 
     def test_bit_identical_reruns(self):
         tr, va, _ = self._data()
@@ -612,6 +614,18 @@ class TestMeanSensitivity:
         blocked = mean_sensitivity(net, policy, X, n_samples=3,
                                    rng=np.random.default_rng(5))
         assert blocked == pytest.approx(unblocked, rel=1e-12, abs=0)
+
+    def test_float32_net_gives_a_float_near_float64(self):
+        # the float32 norms are averaged in float64 into a Python float
+        net = make_net(2, d=5, hidden=(6, 4), c=2)
+        net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
+        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1]), 2)
+        X = np.random.default_rng(3).random((300, 5))
+        est32, est64 = (mean_sensitivity(n, policy, X, n_samples=4,
+                                         rng=np.random.default_rng(1))
+                        for n in (net32, net))
+        assert type(est32) is float and type(est64) is float
+        assert est32 == pytest.approx(est64, rel=1e-5)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_is_an_error(self, n_samples):

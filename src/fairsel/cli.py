@@ -163,7 +163,8 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--spec", default=None,
                    help="optional spec JSON, checked against the checkpoint")
-    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--seed", type=_SEED, default=0,
+                   help="the report's master_seed; no metric depends on it")
     p.add_argument("--out", default=None, help="report file (default: stdout)")
 
     p = sub.add_parser("compare",
@@ -243,8 +244,7 @@ def _train_one_rep(task, args, raw, spec):
 
     t0 = time.perf_counter()
     model = train(train_ds, val_ds, config)
-    adv_metrics = rpt.evaluate_model(KIND_ADVERSARIAL, model, test_ds,
-                                     sensitivity_seed=seed)
+    adv_metrics = rpt.evaluate_model(KIND_ADVERSARIAL, model, test_ds)
     if args.command == "tune":
         return _tune_point(model, val_ds), adv_metrics
     entry = {"index": rep, "seed": seed, "adversarial": adv_metrics}
@@ -252,8 +252,7 @@ def _train_one_rep(task, args, raw, spec):
     if args.command == "compare":
         saved["baseline"] = train_logistic(
             train_ds, val_ds, epochs=args.baseline_epochs, lr=args.baseline_lr)
-        entry["baseline"] = rpt.evaluate_model(
-            KIND_LOGISTIC, saved["baseline"], test_ds, sensitivity_seed=seed)
+        entry["baseline"] = rpt.evaluate_model(KIND_LOGISTIC, saved["baseline"], test_ds)
     entry["selection_probabilities"] = {
         name: float(p) for name, p in
         zip(test_ds.column_names, model.selection_probabilities)}
@@ -306,7 +305,7 @@ def _write_report(args, fields, t0, summary):
 
 def _aggregate_line(tag, agg):
     parts = [f"{name}={agg[name]['mean']:.4f}+-{agg[name]['std']:.4f}"
-             for name in rpt.METRIC_NAMES if agg[name]["mean"] is not None]
+             for name in rpt.METRIC_NAMES]
     return f"{tag}: " + " ".join(parts)
 
 
@@ -335,8 +334,7 @@ def cmd_evaluate(args):
     raw = load_csv(args.data, encoder.spec)
     dataset = encoder.transform(raw)
 
-    metrics = rpt.evaluate_model(kind, model, dataset,
-                                 sensitivity_seed=args.seed)
+    metrics = rpt.evaluate_model(kind, model, dataset)
     report = rpt.base_report("evaluate", _echo_config(args), args.seed)
     report["model_kind"] = kind
     report["n_rows"] = dataset.n

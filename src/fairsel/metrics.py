@@ -94,12 +94,13 @@ def equal_opportunity_diff(outcomes):
 
 
 def average_odds_diff(outcomes):
-    """Absolute average-odds gap between the groups: the absolute
-    difference in per-group balanced accuracy."""
+    """Absolute average odds difference in its standard (AIF360) form,
+    |(TPR_p - TPR_u) + (FPR_p - FPR_u)| / 2: the gaps add up when one
+    group gets more favorable predictions on both labels."""
     _require_groups(outcomes)
     tpr_p, tpr_u = _rate(outcomes, 1, True), _rate(outcomes, 1, False)
-    tnr_p, tnr_u = _rate(outcomes, 0, True), _rate(outcomes, 0, False)
-    return abs(0.5 * (tpr_p + tnr_p) - 0.5 * (tpr_u + tnr_u))
+    fpr_p, fpr_u = 1 - _rate(outcomes, 0, True), 1 - _rate(outcomes, 0, False)
+    return 0.5 * abs((tpr_p - tpr_u) + (fpr_p - fpr_u))
 
 
 def theil_index(outcomes):

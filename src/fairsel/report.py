@@ -10,6 +10,7 @@ them first.
 from __future__ import annotations
 
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -18,21 +19,17 @@ from . import metrics as M
 from .baseline import predict_logistic_batch
 from .checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
 from .errors import DataError
+from .selector import sigmoid
 from .training import mean_sensitivity, predict
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 METRIC_NAMES = ("accuracy", "balanced_accuracy", "equal_opportunity_diff",
                 "average_odds_diff", "theil_index", "mean_sensitivity")
 
-# sampled selections per row when estimating the expected sensitivity
-SENSITIVITY_SAMPLES = 16
-
-_NULLABLE_NUMBER = {"type": ["number", "null"]}
-
 _METRICS_SCHEMA = {
     "type": "object",
-    "properties": {name: _NULLABLE_NUMBER for name in METRIC_NAMES},
+    "properties": {name: {"type": "number"} for name in METRIC_NAMES},
     "required": list(METRIC_NAMES),
 }
 
@@ -40,7 +37,7 @@ _AGGREGATE_SCHEMA = {
     "type": "object",
     "properties": {name: {
         "type": "object",
-        "properties": {"mean": _NULLABLE_NUMBER, "std": _NULLABLE_NUMBER},
+        "properties": {"mean": {"type": "number"}, "std": {"type": "number"}},
         "required": ["mean", "std"],
     } for name in METRIC_NAMES},
     "required": list(METRIC_NAMES),
@@ -117,23 +114,26 @@ def validate_report(report):
         raise error
 
 
-def evaluate_model(kind, model, dataset, sensitivity_seed=0):
+# sensitivity_seed is ignored: perfbench still passes it (ROADMAP item 7)
+def evaluate_model(kind, model, dataset, sensitivity_seed=None):
     """All report metrics for one model on one encoded dataset.
 
-    mean_sensitivity is None for the logistic baseline, which has no
-    selection distribution.
+    mean_sensitivity is the row mean of the norm of the change in the
+    model's probability row when the sensitive value is restored to the
+    input the model deploys; it is deterministic for both model kinds.
     """
     if dataset.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
+    X = dataset.features
     if kind == KIND_ADVERSARIAL:
-        y_pred, _ = predict(model, dataset.features)
-        sens = mean_sensitivity(
-            model.net, model.policy, dataset.features,
-            n_samples=SENSITIVITY_SAMPLES,
-            rng=np.random.default_rng([sensitivity_seed, 2]))
+        y_pred, _ = predict(model, X)
+        sens = mean_sensitivity(model.net, model.policy, X)
     elif kind == KIND_LOGISTIC:
-        y_pred, _ = predict_logistic_batch(model, dataset.features)
-        sens = None
+        y_pred, probs = predict_logistic_batch(model, X)
+        k = dataset.sensitive_index
+        # both entries of the row (1 - p, p) move by |p - p_zeroed|
+        zeroed = sigmoid(X @ model.weights + model.bias - model.weights[k] * X[:, k])
+        sens = math.sqrt(2) * float(np.abs(probs - zeroed).mean())
     else:
         raise ValueError(f"unknown model kind {kind!r}")
 
@@ -149,18 +149,10 @@ def evaluate_model(kind, model, dataset, sensitivity_seed=0):
 
 
 def aggregate(per_rep):
-    """Mean and sample standard deviation per metric across repetitions.
-
-    Metrics that are None in any repetition (e.g. mean_sensitivity for
-    the baseline) aggregate to None.
-    """
+    """Mean and sample standard deviation per metric across repetitions."""
     out = {}
     for name in METRIC_NAMES:
-        vals = [r[name] for r in per_rep]
-        if any(v is None for v in vals):
-            out[name] = {"mean": None, "std": None}
-            continue
-        arr = np.asarray(vals, dtype=np.float64)
+        arr = np.asarray([r[name] for r in per_rep], dtype=np.float64)
         std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
         out[name] = {"mean": float(arr.mean()), "std": std}
     return out

@@ -46,16 +46,17 @@ NORM_EPS = 1e-12
 
 # rows per paired pass in mean_sensitivity for a float64 net, and twice
 # as many, the same bytes, for a float32 one: bounds the cached layer
-# outputs when a whole evaluation set is scored. The stacked pair of 128
-# float64 rows (at most 256 with its changed rows) keeps a 4x200 net's
-# four activation blocks (at most 256x200, 1.6 MB) inside a 2 MB
-# per-core L2 cache. mean_sensitivity(n_samples=16) over 5,000x51
-# bank-shaped rows, 4x200 net, one BLAS thread, 2-core Xeon, median of 5
-# runs with the sizes interleaved, by rows per block:
-# float64  64: 1.91 s, 128: 1.70 s, 192: 1.77 s, 256: 2.38 s, 512: 2.48 s
-# float32  64: 0.95 s, 128: 0.79 s, 192: 0.67 s, 256: 0.66 s, 384: 0.76 s,
-#          512: 0.98 s
-SENSITIVITY_BLOCK = 128
+# outputs when a whole evaluation set is scored. One pass over 5,000x51
+# bank-shaped rows (86% of them change when the sensitive value is
+# restored, so the stack holds up to 1.86x the block), random 4x200 net,
+# one BLAS thread, 2-core Xeon (2 MB L2 per core), median of 15 runs
+# with the values interleaved, by SENSITIVITY_BLOCK:
+# float32  48: 61 ms, 64: 58 ms, 80: 57 ms, 96: 56 ms, 112: 79 ms, 128: 77 ms
+# float64  48: 120 ms, 64: 112 ms, 80: 113 ms, 96: 112 ms, 112: 162 ms,
+#          128: 163 ms
+# The step past 96 (about 400 stacked float32 rows) costs 40%; 64 stays
+# below it even when every row changes.
+SENSITIVITY_BLOCK = 64
 
 
 @dataclass
@@ -147,7 +148,7 @@ class SensitivityPair(NamedTuple):
     rows where adding the feature changes the input run a second time;
     every other row's sensitivity is exactly zero."""
 
-    S: np.ndarray        # (n, d) sampled selections
+    S: np.ndarray        # (n, d) selections
     changed: np.ndarray  # (m,) indices of the rows adding feature k changes
     rows: np.ndarray     # (n + m, d): X * S, then those m rows with k added
     outputs: list        # layer_outputs(net, rows)
@@ -254,11 +255,17 @@ def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
     return net, adam_state, ce_mean, sens_mean
 
 
+def _kept(policy):
+    """threshold05's selection (d,): the features the selector keeps with
+    probability at least 1/2; the sensitive feature, whose probability
+    is 0, is never among them."""
+    return probabilities(policy) >= 0.5
+
+
 def _predict_probs(net, policy, X):
     """Probability rows of the net on the input rows X (n, d) reduced to
-    the features the selector keeps with probability at least 1/2; the
-    sensitive feature, whose probability is 0, is never among them."""
-    return forward(net, X * (probabilities(policy) >= 0.5))
+    threshold05's selection."""
+    return forward(net, X * _kept(policy))
 
 
 def predict(model, X):
@@ -272,26 +279,20 @@ def predict(model, X):
     return probs.argmax(axis=1), probs
 
 
-def mean_sensitivity(net, policy, X, n_samples=16, rng=None):
-    """Monte-Carlo estimate of the expected sensitivity norm over the
-    selection distribution, averaged over the rows of X (n, d); the pair
-    runs over blocks of SENSITIVITY_BLOCK rows (twice as many for a
-    float32 net)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
+def mean_sensitivity(net, policy, X):
+    """Sensitivity of the deployed model: the mean over the rows of X
+    (n, d) of the norm of the change in the probability row when the
+    sensitive value is restored to threshold05's input, as a float64.
+    Deterministic; the pair runs over blocks of SENSITIVITY_BLOCK rows
+    (twice as many for a float32 net)."""
     X = np.asarray(X, dtype=net.theta.dtype)
     block = SENSITIVITY_BLOCK * 8 // X.itemsize
-    p = probabilities(policy)
-    total = 0.0
-    for _ in range(n_samples):
-        S = sample_selection_batch(p, X.shape[0], rng)
-        norms = [sensitivity_pair(net, X[lo:lo + block], S[lo:lo + block],
-                                  policy.sensitive_index).norms
-                 for lo in range(0, X.shape[0], block)]
-        total += float(np.concatenate(norms).mean(dtype=np.float64))
-    return total / n_samples
+    kept = _kept(policy)
+    S = np.broadcast_to(kept, (X.shape[0], kept.size))
+    norms = [sensitivity_pair(net, X[lo:lo + block], S[lo:lo + block],
+                              policy.sensitive_index).norms
+             for lo in range(0, X.shape[0], block)]
+    return float(np.concatenate(norms).mean(dtype=np.float64))
 
 
 def _validation_score(net, policy, val_data):

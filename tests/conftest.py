@@ -29,7 +29,8 @@ def brute_force_metrics(records):
     tpr_p, tnr_p = rates(priv)
     tpr_u, tnr_u = rates(unpriv)
     eod = abs(tpr_p - tpr_u)
-    aod = abs((tpr_p + tnr_p) / 2 - (tpr_u + tnr_u) / 2)
+    fpr_p, fpr_u = 1 - tnr_p, 1 - tnr_u
+    aod = abs((tpr_p - tpr_u) + (fpr_p - fpr_u)) / 2
 
     benefits = [p - t + 1 for t, p, _ in records]
     mu = sum(benefits) / len(benefits)

@@ -2,6 +2,7 @@ import argparse
 import base64
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -106,7 +107,7 @@ class TestTrainCommand:
         assert main(["train", "--data", data, "--spec", spec,
                      "--seed", "3", *fast_flags(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert len(report["repetitions"]) == 2
         for rep in report["repetitions"]:
             assert set(rep["adversarial"]) == {
@@ -210,7 +211,23 @@ class TestEvaluateCommand:
                      "--data", data]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["model_kind"] == "logistic"
-        assert report["metrics"]["mean_sensitivity"] is None
+        # zero weights: restoring the sensitive value moves no probability
+        assert report["metrics"]["mean_sensitivity"] == 0.0
+
+    def test_metrics_do_not_depend_on_seed(self, tmp_path, capsys):
+        data, spec = write_toy(tmp_path)
+        out = tmp_path / "run"
+        assert main(["train", "--data", data, "--spec", spec, *fast_flags(out)]) == 0
+        metrics = {}
+        for seed in ("0", "7"):
+            report = tmp_path / f"eval{seed}.json"
+            assert main(["evaluate", "--checkpoint", str(out / "adversarial_rep0.json"),
+                         "--data", data, "--seed", seed, "--out", str(report)]) == 0
+            report = json.loads(report.read_text())
+            assert report["master_seed"] == int(seed)
+            metrics[seed] = report["metrics"]
+        assert metrics["0"] == metrics["7"]
+        assert metrics["0"]["mean_sensitivity"] > 0.0
 
     @pytest.mark.parametrize("corrupt", ["layer-shapes", "nan-weight", "inf-logit",
                                          "narrow-input", "short-logits",
@@ -334,7 +351,9 @@ class TestEvaluateCommand:
 
     def test_v2_checkpoint_reproduces_its_recorded_metrics(self, tmp_path, capsys):
         # tests/data holds a version-2 checkpoint and the evaluate report of
-        # it on write_toy(tmp_path), both written by the version-2 writer
+        # it on write_toy(tmp_path), both written by the version-2 writer;
+        # its average_odds_diff and mean_sensitivity are those of report
+        # schema 3 (the AIF360 form and the deployed input)
         report = self._evaluate_v2_fixture(tmp_path, capsys, lambda body: None)
         assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
 
@@ -504,7 +523,7 @@ class TestCompareCommand:
         assert len(report["repetitions"]) == 2
         for rep in report["repetitions"]:
             assert "adversarial" in rep and "baseline" in rep
-            assert rep["baseline"]["mean_sensitivity"] is None
+            assert math.isfinite(rep["baseline"]["mean_sensitivity"])
             assert (out / f"adversarial_rep{rep['index']}.json").exists()
             assert (out / f"baseline_rep{rep['index']}.json").exists()
         agg = report["aggregate"]

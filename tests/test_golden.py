@@ -19,7 +19,7 @@ from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
 
 TRAIN_SHA256 = "5041d130908c76925532353a5b1e741e65037b1d830933b21aae7517a9d6be73"
-COMPARE_SHA256 = "0f978152839f92afca2b2f54e116a1c409cc00c971fa6717cd5d3ac4da3555c5"
+COMPARE_SHA256 = "2f9195105311573c7084ac362c97094d49c1380199df530474287f70e35aa6ea"
 
 
 def test_short_training_run_keeps_its_bits():

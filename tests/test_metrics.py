@@ -87,14 +87,27 @@ class TestAverageOdds:
                [(t, p, False) for t, p in block]
         assert average_odds_diff(outcomes_from_records(recs)) == 0.0
 
+    @staticmethod
+    def _records(tpr_p, fpr_p, tpr_u, fpr_u):
+        # ten positives and ten negatives per group at the given rates
+        recs = []
+        for group, tpr, fpr in ((True, tpr_p, fpr_p), (False, tpr_u, fpr_u)):
+            tp, fp = round(10 * tpr), round(10 * fpr)
+            recs += ([(1, 1, group)] * tp + [(1, 0, group)] * (10 - tp)
+                     + [(0, 1, group)] * fp + [(0, 0, group)] * (10 - fp))
+        return outcomes_from_records(recs)
+
     def test_constructed_gap(self):
-        # privileged TPR=0.9 TNR=0.7, unprivileged TPR=0.6 TNR=0.6
-        recs = ([(1, 1, True)] * 9 + [(1, 0, True)] * 1
-                + [(0, 0, True)] * 7 + [(0, 1, True)] * 3
-                + [(1, 1, False)] * 6 + [(1, 0, False)] * 4
-                + [(0, 0, False)] * 6 + [(0, 1, False)] * 4)
-        out = outcomes_from_records(recs)
-        assert average_odds_diff(out) == pytest.approx(0.2)
+        # privileged TPR=0.9 FPR=0.3, unprivileged TPR=0.6 FPR=0.4:
+        # |0.3 + (-0.1)| / 2
+        out = self._records(0.9, 0.3, 0.6, 0.4)
+        assert average_odds_diff(out) == pytest.approx(0.1)
+
+    def test_gaps_favoring_one_group_add_up(self):
+        # privileged TPR=0.9 FPR=0.4, unprivileged TPR=0.6 FPR=0.1: the
+        # balanced-accuracy gap |dTPR - dFPR| / 2 reads 0 here
+        out = self._records(0.9, 0.4, 0.6, 0.1)
+        assert average_odds_diff(out) == pytest.approx(0.3)
 
     def test_group_swap_invariant(self):
         rng = np.random.default_rng(2)

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 from jsonschema.exceptions import ValidationError
 
+from fairsel.baseline import LogisticModel, predict_logistic_batch
+from fairsel.checkpoint import KIND_LOGISTIC
+from fairsel.data import synth_proxy
 from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
-                            aggregate, base_report, strip_wall_clock,
-                            validate_report)
+                            aggregate, base_report, evaluate_model,
+                            strip_wall_clock, validate_report)
 
 
 def fake_metrics(x):
@@ -24,12 +27,26 @@ class TestAggregate:
         agg = aggregate([fake_metrics(0.5)])
         assert agg["accuracy"]["std"] == 0.0
 
-    def test_none_propagates(self):
-        a, b = fake_metrics(0.6), fake_metrics(0.8)
-        a["mean_sensitivity"] = None
-        agg = aggregate([a, b])
-        assert agg["mean_sensitivity"] == {"mean": None, "std": None}
-        assert agg["accuracy"]["mean"] is not None
+
+
+class TestLogisticSensitivity:
+    def test_closed_form_matches_two_predictions_per_row(self):
+        ds = synth_proxy(300, 0.9, 3)
+        rng = np.random.default_rng(4)
+        model = LogisticModel(rng.normal(0, 1.5, ds.features.shape[1]), 0.3)
+        k = ds.sensitive_index
+        norms = []
+        for x in ds.features:
+            zeroed = x.copy()
+            zeroed[k] = 0.0
+            (_, (p,)), (_, (p0,)) = (predict_logistic_batch(model, row[None, :])
+                                     for row in (x, zeroed))
+            # the two-class probability rows (1 - p, p) and (1 - p0, p0)
+            norms.append(np.hypot(p - p0, p0 - p))
+        want = float(np.mean(norms))
+        assert want > 0.01
+        got = evaluate_model(KIND_LOGISTIC, model, ds)["mean_sensitivity"]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestSchema:
@@ -61,6 +78,17 @@ class TestSchema:
         rep = self._train_report()
         del rep["repetitions"][0]["adversarial"]["theil_index"]
         with pytest.raises(ValidationError, match="'theil_index' is a required"):
+            validate_report(rep)
+
+    @pytest.mark.parametrize("where", ["entry", "aggregate"])
+    def test_null_metric_rejected(self, where):
+        # every metric is a number for every model kind
+        rep = self._train_report("compare")
+        if where == "entry":
+            rep["repetitions"][0]["baseline"]["mean_sensitivity"] = None
+        else:
+            rep["aggregate"]["baseline"]["mean_sensitivity"]["mean"] = None
+        with pytest.raises(ValidationError, match="None is not of type 'number'"):
             validate_report(rep)
 
     def test_wrong_schema_version_rejected(self):

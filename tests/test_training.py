@@ -9,9 +9,9 @@ from conftest import (forward_row, make_net, naive_forward, recorded_selections,
 from fairsel.data import synth_proxy, split
 from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
 from fairsel.nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
-                         layer_outputs)
+                         forward, layer_outputs)
 from fairsel.selector import (SelectorPolicy, enumerate_selections, pi_prob,
-                              probabilities, sample_selection_batch)
+                              probabilities)
 from fairsel import training
 from fairsel.diagnostics import enumerate_sensitivity
 from fairsel.training import (TrainConfig, mean_sensitivity,
@@ -364,16 +364,10 @@ class TestSkippedRows:
         X = rng.random((300, 6))
         if binary:
             X[:, 2] = rng.random(300) < 0.5
-        p = probabilities(policy)
-        rng = np.random.default_rng(8)
-        Y = np.zeros((300, 2))
-        expected = np.mean([
-            full_pair_reference(net, X, sample_selection_batch(p, 300, rng), Y,
-                                2, 1.0, 0.0)[2].mean()
-            for _ in range(3)])
-        assert mean_sensitivity(net, policy, X, n_samples=3,
-                                rng=np.random.default_rng(8)) == \
-            pytest.approx(expected, rel=1e-12)
+        S = np.tile(probabilities(policy) >= 0.5, (300, 1))
+        expected = full_pair_reference(net, X, S, np.zeros((300, 2)),
+                                       2, 1.0, 0.0)[2].mean()
+        assert mean_sensitivity(net, policy, X) == pytest.approx(expected, rel=1e-12)
 
 
 class TestAdversarialSigns:
@@ -580,59 +574,78 @@ class TestPredict:
             assert np.allclose(pi, probs[i], rtol=1e-10, atol=1e-14)
 
 
+def deployed_sensitivity_oracle(net, policy, X):
+    """Two `forward` calls per row of X: threshold05's input with the
+    sensitive value zeroed and present; the float64 row mean of the
+    norms of the difference of the probability rows."""
+    k = policy.sensitive_index
+    kept = probabilities(policy) >= 0.5
+    norms = []
+    for x in X:
+        zeroed = x * kept
+        present = zeroed.copy()
+        present[k] = x[k]
+        diff = (forward(net, present[None, :])[0].astype(np.float64)
+                - forward(net, zeroed[None, :])[0].astype(np.float64))
+        norms.append(math.sqrt(float(diff @ diff)))
+    return math.fsum(norms) / len(norms)
+
+
 class TestMeanSensitivity:
+    """The deployed model's sensitivity: one deterministic paired pass
+    over threshold05's input."""
+
+    @staticmethod
+    def _instance(seed, n=300):
+        net = make_net(seed, d=7, hidden=(9, 6), c=2)
+        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1, 0.4, -0.7]), 2)
+        rng = np.random.default_rng(seed + 1)
+        X = rng.random((n, 7))
+        X[:, 2] = rng.random(n) < 0.6  # the 0/1 sensitive column
+        return net, policy, X
+
+    def test_matches_two_forward_oracle_float64(self):
+        net, policy, X = self._instance(4)
+        assert mean_sensitivity(net, policy, X) == \
+            pytest.approx(deployed_sensitivity_oracle(net, policy, X), rel=1e-12)
+
+    def test_matches_two_forward_oracle_float32(self):
+        # the batched pair and the one-row calls sum the float32 matmuls in
+        # different orders: with a random 4x200 float32 net on 5,000
+        # bank-shaped rows, row norms (up to 0.15) differed by at most
+        # 7.6e-7 and their means by 3.1e-9; 1e-6 bounds even one row
+        net, policy, X = self._instance(5)
+        net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
+        got, want = (mean_sensitivity(net32, policy, X),
+                     deployed_sensitivity_oracle(net32, policy, X))
+        assert want > 1e-3
+        assert got == pytest.approx(want, abs=1e-6)
+
     def test_dead_column_gives_zero(self):
         net = make_net(0, d=3, hidden=(4,), c=2)
         net.weights[0][:, 0] = 0.0
         policy = SelectorPolicy(np.zeros(3), 0)
         X = np.random.default_rng(0).random((10, 3))
-        assert mean_sensitivity(net, policy, X, n_samples=4,
-                                rng=np.random.default_rng(1)) == \
-            pytest.approx(0.0, abs=1e-15)
-
-    def test_matches_enumeration_on_single_row(self):
-        from fairsel.diagnostics import estimator_instance
-        net, policy, x = estimator_instance(d=5)
-        exact, _ = enumerate_sensitivity(net, policy, x)
-        est = mean_sensitivity(net, policy, x[None, :], n_samples=4000,
-                               rng=np.random.default_rng(2))
-        assert est == pytest.approx(exact, rel=0.05)
+        assert mean_sensitivity(net, policy, X) == pytest.approx(0.0, abs=1e-15)
 
     def test_blocks_match_one_unblocked_pair(self):
         # 600 rows run as 600 // SENSITIVITY_BLOCK full blocks and a short
         # final block of 600 % SENSITIVITY_BLOCK rows
         assert training.SENSITIVITY_BLOCK < 600
         assert 600 % training.SENSITIVITY_BLOCK != 0
-        net = make_net(3, d=5, hidden=(6, 4), c=2)
-        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1]), 2)
-        X = np.random.default_rng(4).random((600, 5))
-        rng = np.random.default_rng(5)
-        p = probabilities(policy)
-        unblocked = np.mean([
-            sensitivity_pair(net, X, sample_selection_batch(p, 600, rng), 2).norms.mean()
-            for _ in range(3)])
-        blocked = mean_sensitivity(net, policy, X, n_samples=3,
-                                   rng=np.random.default_rng(5))
-        assert blocked == pytest.approx(unblocked, rel=1e-12, abs=0)
+        net, policy, X = self._instance(3, n=600)
+        S = np.tile(probabilities(policy) >= 0.5, (600, 1))
+        unblocked = sensitivity_pair(net, X, S, 2).norms.mean()
+        assert mean_sensitivity(net, policy, X) == \
+            pytest.approx(unblocked, rel=1e-12, abs=0)
 
     def test_float32_net_gives_a_float_near_float64(self):
         # the float32 norms are averaged in float64 into a Python float
-        net = make_net(2, d=5, hidden=(6, 4), c=2)
+        net, policy, X = self._instance(2)
         net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
-        policy = SelectorPolicy(np.array([0.3, -0.5, 0.2, 0.9, -0.1]), 2)
-        X = np.random.default_rng(3).random((300, 5))
-        est32, est64 = (mean_sensitivity(n, policy, X, n_samples=4,
-                                         rng=np.random.default_rng(1))
-                        for n in (net32, net))
+        est32, est64 = (mean_sensitivity(n, policy, X) for n in (net32, net))
         assert type(est32) is float and type(est64) is float
         assert est32 == pytest.approx(est64, rel=1e-5)
-
-    @pytest.mark.parametrize("n_samples", [0, -3])
-    def test_no_samples_is_an_error(self, n_samples):
-        net = make_net(0, d=3, hidden=(4,), c=2)
-        policy = SelectorPolicy(np.zeros(3), 0)
-        with pytest.raises(ValueError, match="n_samples"):
-            mean_sensitivity(net, policy, np.ones((2, 3)), n_samples=n_samples)
 
 
 class TestTrainConfig:
@@ -705,7 +718,7 @@ class TestBatchesOnly:
                  lambda: sensitivity_pair(net, x, s, 1),
                  lambda: selector_step(policy, x, net, 0.1, rng),
                  lambda: pair_loss_and_grads(net, pair, np.array([0.0, 1.0]), 1.0),
-                 lambda: mean_sensitivity(net, policy, x, rng=rng)]
+                 lambda: mean_sensitivity(net, policy, x)]
         for call in calls:
             with pytest.raises(DimensionError):
                 call()

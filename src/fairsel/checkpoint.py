@@ -108,7 +108,7 @@ def load_model(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             body = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from None
     if not isinstance(body, dict):
         raise DataError(f"malformed checkpoint {path}: not a JSON object")

@@ -18,6 +18,7 @@ those, and `Dataset.outcomes` gives every score its GroupedOutcomes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import reprlib
@@ -66,14 +67,15 @@ def _field(obj, path, kinds, default=None):
 
 def _layout_entry_fits(item, name, role):
     """item is the layout entry of column name in that role: a numeric entry
-    holds finite min <= max, a categorical one a list of distinct strings."""
+    holds finite min <= max a finite span apart (min-max scaling divides
+    by it), a categorical one a list of distinct strings."""
     if not (isinstance(item, dict) and item.get("name") == name
             and item.get("role") == role):
         return False
     if role == "numeric":
         lo, hi = item.get("min"), item.get("max")
         return (all(type(v) in (int, float) and math.isfinite(v) for v in (lo, hi))
-                and lo <= hi)
+                and 0 <= hi - lo < math.inf)
     cats = item.get("categories")
     return role == "sensitive" or (_strings(cats) and len(set(cats)) == len(cats))
 
@@ -204,7 +206,7 @@ class DatasetSpec:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read dataset spec {path}: {exc}") from None
 
     def to_dict(self):
@@ -239,13 +241,21 @@ def load_csv(path, spec):
     finite number (including nan and inf) raise a DataError naming the
     data row (1-based, header excluded) and column; so do a row with more
     cells than the header and a used column that the header names twice.
+    Bytes that are not UTF-8 (a leading byte-order mark is dropped) and
+    text the csv module rejects raise a DataError naming the file line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
+    try:   # decoded whole, an error's offset gives its line; parsed in chunks
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line} is not UTF-8: {exc}") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
+    try:
         try:
             header = next(reader)
         except StopIteration:
@@ -297,6 +307,8 @@ def load_csv(path, spec):
                 feature_values[c.name].append(cell)
             label_values.append(cells[spec.label_column])
             data_rows.append(row_no)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return RawTable(feature_values, label_values, data_rows, n_rejected)
 
 

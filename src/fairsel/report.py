@@ -20,7 +20,7 @@ from .baseline import predict_logistic_batch
 from .checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
 from .errors import DataError
 from .selector import sigmoid
-from .training import mean_sensitivity, predict
+from .training import mean_sensitivity, predict  # perfbench patches predict here
 
 REPORT_SCHEMA_VERSION = 3
 
@@ -126,8 +126,8 @@ def evaluate_model(kind, model, dataset, sensitivity_seed=None):
         raise DataError("cannot evaluate on an empty dataset")
     X = dataset.features
     if kind == KIND_ADVERSARIAL:
-        y_pred, _ = predict(model, X)
-        sens = mean_sensitivity(model.net, model.policy, X)
+        sens, probs = mean_sensitivity(model.net, model.policy, X)
+        y_pred = probs.argmax(axis=1)  # predict's labels: ties go to class 0
     elif kind == KIND_LOGISTIC:
         y_pred, probs = predict_logistic_batch(model, X)
         k = dataset.sensitive_index

@@ -44,9 +44,11 @@ from .selector import (SelectorPolicy, log_pi_grad, probabilities,
 # diff / norm keep full float32 precision
 NORM_EPS = 1e-12
 
-# rows per paired pass in mean_sensitivity for a float64 net, and twice
-# as many, the same bytes, for a float32 one: bounds the cached layer
-# outputs when a whole evaluation set is scored. One pass over 5,000x51
+# rows per paired pass in mean_sensitivity (which also gives the scored
+# rows' labels) for a float64 net, and twice as many, the same bytes, for
+# a float32 one: bounds the cached layer outputs when a whole evaluation
+# set is scored. The labels' bits depend on it, not on the rows alone
+# (README, Metrics). One pass over 5,000x51
 # bank-shaped rows (86% of them change when the sensitive value is
 # restored, so the stack holds up to 1.86x the block), random 4x200 net,
 # one BLAS thread, 2-core Xeon (2 MB L2 per core), median of 15 runs
@@ -280,19 +282,21 @@ def predict(model, X):
 
 
 def mean_sensitivity(net, policy, X):
-    """Sensitivity of the deployed model: the mean over the rows of X
-    (n, d) of the norm of the change in the probability row when the
-    sensitive value is restored to threshold05's input, as a float64.
-    Deterministic; the pair runs over blocks of SENSITIVITY_BLOCK rows
-    (twice as many for a float32 net)."""
+    """The deployed model's sensitivity and probability rows, from one
+    paired pass over threshold05's input: the float64 mean over the rows
+    of X (n, d) of the norm of the change in the probability row when the
+    sensitive value is restored, and the rows (n, c) in the net's dtype,
+    run in blocks of SENSITIVITY_BLOCK rows (twice that for float32)."""
     X = np.asarray(X, dtype=net.theta.dtype)
+    if X.shape[0] == 0:
+        raise ValueError("empty batch")
     block = SENSITIVITY_BLOCK * 8 // X.itemsize
-    kept = _kept(policy)
-    S = np.broadcast_to(kept, (X.shape[0], kept.size))
-    norms = [sensitivity_pair(net, X[lo:lo + block], S[lo:lo + block],
-                              policy.sensitive_index).norms
-             for lo in range(0, X.shape[0], block)]
-    return float(np.concatenate(norms).mean(dtype=np.float64))
+    S = np.broadcast_to(_kept(policy), (X.shape[0], policy.logits.size))
+    pairs = (sensitivity_pair(net, X[lo:lo + block], S[lo:lo + block],
+                              policy.sensitive_index)
+             for lo in range(0, X.shape[0], block))
+    norms, probs = zip(*((pair.norms, pair.p_sel) for pair in pairs))
+    return float(np.concatenate(norms).mean(dtype=np.float64)), np.concatenate(probs)
 
 
 def _validation_score(net, policy, val_data):

@@ -200,6 +200,51 @@ class TestEvaluateCommand:
         report = json.loads(out.read_text())
         assert report["metrics"]["accuracy"] == 1.0
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, capsys):
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(data).read_bytes())
+        reports = []
+        for path in (data, marked):
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", ckpt, "--data", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            del reports[-1]["config"]["data"]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("case", ["bad-byte", "long-field"])
+    def test_unreadable_csv_line_is_two(self, tmp_path, capsys, case):
+        data, spec_path = write_toy(tmp_path, n=400)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        lines = Path(data).read_bytes().splitlines(keepends=True)
+        # line 300 of 401 lies past the first 8 KB that a buffered text
+        # reader decodes
+        assert sum(map(len, lines[:299])) > 8192
+        if case == "bad-byte":
+            lines[299] = b"\xff" + lines[299]
+        else:
+            cells = lines[299].split(b",")
+            lines[299] = b",".join([b'"' + b"1" * 200_000 + b'"', *cells[1:]])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 300" in err
+        assert ("is not UTF-8" if case == "bad-byte" else "field larger") in err
+
+    @pytest.mark.parametrize("target", ["dataset spec", "checkpoint"])
+    def test_json_file_not_utf8_is_two(self, tmp_path, capsys, target):
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        bad = Path(spec_path if target == "dataset spec" else ckpt)
+        bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xff', 1))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
+                     "--spec", spec_path]) == 2
+        assert f"cannot read {target} {bad}: " in capsys.readouterr().err
+
     def test_baseline_checkpoint_dispatch(self, tmp_path, capsys):
         from fairsel.baseline import LogisticModel
         data, spec_path = write_toy(tmp_path)

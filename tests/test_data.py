@@ -4,9 +4,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import GERMAN_CATEGORIES, GERMAN_HEADER, GERMAN_NUMERIC
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder,
-                          Predicate, load_csv, prepare_splits, split,
+                          Predicate, RawTable, load_csv, prepare_splits, split,
                           split_indices, synth_proxy)
 from fairsel.errors import DataError, DimensionError
 
@@ -160,11 +163,80 @@ class TestLoadCsv:
         assert raw.n_rows == 2
 
 
+def _german_cell(name):
+    if name in GERMAN_CATEGORIES:
+        return st.sampled_from(GERMAN_CATEGORIES[name])
+    if name in GERMAN_NUMERIC:
+        return st.integers(*GERMAN_NUMERIC[name]).map(str)
+    return st.sampled_from(["1", "2"])   # credit_risk
+
+
+# what breaks a CSV or its cells: quotes, separators, line ends, NUL, a
+# byte that is not UTF-8, a byte-order mark, the missing tokens, non-ASCII
+# text, numbers at and past float range, and a field past the csv
+# module's 131,072-character limit
+_TOKENS = st.sampled_from([
+    '"', ",", "\n", "\r\n", "\r", "\x00", b"\xff", "\ufeff", "", "?", "NA",
+    " ", "é", "名前", "nan", "1e308", "-1e308", "1e999", "9" * 131_073])
+_GARBAGE = st.lists(_TOKENS, min_size=1, max_size=4).map(
+    lambda ts: b"".join(t if isinstance(t, bytes) else t.encode() for t in ts))
+# a valid German row, cut short or run long by `extra` cells, with one
+# cell (if `splice` is given) prefixed by garbage
+_ROW = st.tuples(st.tuples(*map(_german_cell, GERMAN_HEADER)),
+                 st.just(0) | st.integers(-len(GERMAN_HEADER), 3),
+                 st.none() | st.tuples(st.integers(0, 23), _GARBAGE))
+
+
+def _row_bytes(row):
+    cells, extra, splice = row
+    cells = [c.encode() for c in cells]
+    cells = cells[:len(cells) + extra] if extra < 0 else cells + [b"1"] * extra
+    if splice is not None and splice[0] < len(cells):
+        cells[splice[0]] = splice[1] + cells[splice[0]]
+    return b",".join(cells) + b"\n"
+
+
+_BODY = st.lists(st.one_of(_ROW.map(_row_bytes), _ROW.map(_row_bytes), _GARBAGE),
+                 max_size=12).map(b"".join)
+
+
+@pytest.fixture(scope="module")
+def ingest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ingest") / "german.csv"
+
+
+class TestIngestProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(body=_BODY)
+    def test_bytes_give_a_dataset_or_a_data_error(self, ingest_path,
+                                                   german_spec_path, body):
+        spec = DatasetSpec.from_json(german_spec_path)
+        ingest_path.write_bytes(",".join(GERMAN_HEADER).encode() + b"\n" + body)
+        try:
+            raw = load_csv(ingest_path, spec)
+            dataset = Encoder.fit(raw, spec).transform(raw)
+        except DataError:
+            return
+        assert isinstance(raw, RawTable) and isinstance(dataset, Dataset)
+        assert dataset.n == raw.n_rows
+        assert np.isfinite(dataset.features).all()
+        assert ((0 <= dataset.features) & (dataset.features <= 1)).all()
+
+
 class TestEncode:
     def test_min_max_endpoints(self, tiny_csv):
         ds = encode_and_normalize(load_csv(tiny_csv, tiny_spec()), tiny_spec())
         size_col = ds.column_names.index("size")
         assert np.allclose(ds.features[:, size_col], [0.0, 0.5, 1.0])
+
+    def test_range_wider_than_float_is_a_data_error(self, tmp_path):
+        # each end is finite, but max - min overflows: scaling would give NaN
+        path = write_csv(tmp_path / "wide.csv",
+                         ["color", "size", "group", "label"],
+                         [["red", "1e308", "a", "yes"],
+                          ["blue", "-1e308", "b", "no"]])
+        with pytest.raises(DataError, match="numeric column 'size'"):
+            encode_and_normalize(load_csv(path, tiny_spec()), tiny_spec())
 
     def test_constant_column_maps_to_zero(self, tmp_path):
         path = write_csv(tmp_path / "c.csv",

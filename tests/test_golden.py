@@ -2,12 +2,14 @@
 
 Reruns are bit-identical, and a change that only makes the code faster
 must keep every bit of what it computes. These tests pin the sha256 of
-a short training run's parameters and of one stripped `compare` report.
+a short training run's parameters, of one stripped `compare` report
+and of one stripped `evaluate` report.
 A change that moves a bit on purpose (a new summation order, say) must
 recompute the pins and say so in CHANGES.md.
 
-The pins hold for a given numpy and BLAS build: a BLAS with other
-kernels may sum a matmul in another order.
+The pins hold for a given numpy and BLAS build and a given split of
+the rows into matmul calls: a BLAS with other kernels, or the same rows
+in other batches, may sum a matmul in another order.
 """
 
 import hashlib
@@ -20,6 +22,7 @@ from fairsel.training import TrainConfig, train
 
 TRAIN_SHA256 = "5041d130908c76925532353a5b1e741e65037b1d830933b21aae7517a9d6be73"
 COMPARE_SHA256 = "2f9195105311573c7084ac362c97094d49c1380199df530474287f70e35aa6ea"
+EVALUATE_SHA256 = "82176d75dd61c47619ab8673f562a9d91711e8b76b09cf715fb302f1409d3fbe"
 
 
 def test_short_training_run_keeps_its_bits():
@@ -48,3 +51,22 @@ def test_compare_report_keeps_its_bits(tmp_path, german_csv, german_spec_path):
         del report["config"][path]
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == COMPARE_SHA256
+
+
+def test_evaluate_report_keeps_its_bits(tmp_path, capsys, german_csv, german_spec_path):
+    # a float32 16x16 checkpoint scored on the 1,000-row German file: the
+    # sensitivity pass runs seven full blocks of 128 rows and a last one
+    # of 104
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(german_csv), "--spec", german_spec_path,
+                 "--seed", "13", "--reps", "1", "--max-epochs", "3",
+                 "--patience", "3", "--hidden", "16,16", "--alpha-phi", "1e-3",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", str(out / "adversarial_rep0.json"),
+                 "--data", str(german_csv)]) == 0
+    report = strip_wall_clock(json.loads(capsys.readouterr().out))
+    for path in ("checkpoint", "data"):
+        del report["config"][path]
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == EVALUATE_SHA256

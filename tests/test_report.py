@@ -1,14 +1,19 @@
+import math
+
 import jsonschema
 import numpy as np
 import pytest
 from jsonschema.exceptions import ValidationError
 
+from fairsel import training
 from fairsel.baseline import LogisticModel, predict_logistic_batch
-from fairsel.checkpoint import KIND_LOGISTIC
-from fairsel.data import synth_proxy
+from fairsel.checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
+from fairsel.data import (Dataset, DatasetSpec, load_csv, prepare_splits, split,
+                          synth_proxy)
 from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
                             aggregate, base_report, evaluate_model,
                             strip_wall_clock, validate_report)
+from fairsel.training import TrainConfig, predict, train
 
 
 def fake_metrics(x):
@@ -47,6 +52,53 @@ class TestLogisticSensitivity:
         assert want > 0.01
         got = evaluate_model(KIND_LOGISTIC, model, ds)["mean_sensitivity"]
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture(scope="module", params=["proxy", "german"])
+def scored(request, german_csv, german_spec_path):
+    """A trained float32 model and the rows to score: 700 synthetic proxy
+    rows (five 128-row sensitivity blocks and one of 60), or the 1,000-row
+    German file (seven blocks and one of 104)."""
+    config = TrainConfig(alpha_theta=0.5, alpha_phi=1e-3, batch_size=64,
+                         max_epochs=3, patience=3, seed=5, hidden_sizes=(16, 16))
+    if request.param == "proxy":
+        tr, va, _ = split(synth_proxy(600, 0.9, 2), 3)
+        return train(tr, va, config), synth_proxy(700, 0.9, 9)
+    spec = DatasetSpec.from_json(german_spec_path)
+    raw = load_csv(german_csv, spec)
+    tr, va, _ = prepare_splits(raw, spec, 13)
+    return train(tr, va, config), tr.encoder.transform(raw)
+
+
+class TestAdversarialScoring:
+    """The labels and the sensitivity come from one blocked paired pass."""
+
+    def test_one_paired_pass_and_no_forward(self, scored, monkeypatch):
+        # n rows run once, and the m rows whose sensitive value is not 0
+        # run again with it restored
+        model, ds = scored
+        rows, forwards = [], []
+        real = training.layer_outputs
+        monkeypatch.setattr(training, "layer_outputs",
+                            lambda net, X: rows.append(len(X)) or real(net, X))
+        monkeypatch.setattr(training, "forward", lambda *a: forwards.append(a))
+        evaluate_model(KIND_ADVERSARIAL, model, ds)
+        m = np.count_nonzero(ds.features[:, ds.sensitive_index])
+        assert 0 < m < ds.n
+        assert sum(rows) == ds.n + m
+        assert len(rows) == math.ceil(ds.n / 128)
+        assert forwards == []
+
+    def test_labels_are_predicts(self, scored, monkeypatch):
+        model, ds = scored
+        seen = []
+        real = Dataset.outcomes
+        monkeypatch.setattr(Dataset, "outcomes",
+                            lambda self, y: seen.append(y) or real(self, y))
+        evaluate_model(KIND_ADVERSARIAL, model, ds)
+        labels, _ = predict(model, ds.features)
+        assert 0 < labels.sum() < ds.n
+        assert len(seen) == 1 and np.array_equal(seen[0], labels)
 
 
 class TestSchema:

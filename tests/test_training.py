@@ -367,7 +367,7 @@ class TestSkippedRows:
         S = np.tile(probabilities(policy) >= 0.5, (300, 1))
         expected = full_pair_reference(net, X, S, np.zeros((300, 2)),
                                        2, 1.0, 0.0)[2].mean()
-        assert mean_sensitivity(net, policy, X) == pytest.approx(expected, rel=1e-12)
+        assert mean_sensitivity(net, policy, X)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestAdversarialSigns:
@@ -606,7 +606,7 @@ class TestMeanSensitivity:
 
     def test_matches_two_forward_oracle_float64(self):
         net, policy, X = self._instance(4)
-        assert mean_sensitivity(net, policy, X) == \
+        assert mean_sensitivity(net, policy, X)[0] == \
             pytest.approx(deployed_sensitivity_oracle(net, policy, X), rel=1e-12)
 
     def test_matches_two_forward_oracle_float32(self):
@@ -616,7 +616,7 @@ class TestMeanSensitivity:
         # 7.6e-7 and their means by 3.1e-9; 1e-6 bounds even one row
         net, policy, X = self._instance(5)
         net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
-        got, want = (mean_sensitivity(net32, policy, X),
+        got, want = (mean_sensitivity(net32, policy, X)[0],
                      deployed_sensitivity_oracle(net32, policy, X))
         assert want > 1e-3
         assert got == pytest.approx(want, abs=1e-6)
@@ -626,7 +626,7 @@ class TestMeanSensitivity:
         net.weights[0][:, 0] = 0.0
         policy = SelectorPolicy(np.zeros(3), 0)
         X = np.random.default_rng(0).random((10, 3))
-        assert mean_sensitivity(net, policy, X) == pytest.approx(0.0, abs=1e-15)
+        assert mean_sensitivity(net, policy, X)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_blocks_match_one_unblocked_pair(self):
         # 600 rows run as 600 // SENSITIVITY_BLOCK full blocks and a short
@@ -635,17 +635,40 @@ class TestMeanSensitivity:
         assert 600 % training.SENSITIVITY_BLOCK != 0
         net, policy, X = self._instance(3, n=600)
         S = np.tile(probabilities(policy) >= 0.5, (600, 1))
-        unblocked = sensitivity_pair(net, X, S, 2).norms.mean()
-        assert mean_sensitivity(net, policy, X) == \
-            pytest.approx(unblocked, rel=1e-12, abs=0)
+        unblocked = sensitivity_pair(net, X, S, 2)
+        sens, probs = mean_sensitivity(net, policy, X)
+        assert sens == pytest.approx(unblocked.norms.mean(), rel=1e-12, abs=0)
+        np.testing.assert_allclose(probs, unblocked.p_sel, rtol=1e-12, atol=0)
 
     def test_float32_net_gives_a_float_near_float64(self):
         # the float32 norms are averaged in float64 into a Python float
         net, policy, X = self._instance(2)
         net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
-        est32, est64 = (mean_sensitivity(n, policy, X) for n in (net32, net))
+        (est32, probs32), (est64, probs64) = (mean_sensitivity(n, policy, X)
+                                              for n in (net32, net))
         assert type(est32) is float and type(est64) is float
         assert est32 == pytest.approx(est64, rel=1e-5)
+        assert (probs32.dtype, probs64.dtype) == (np.float32, np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_probability_rows_are_predicts(self, dtype):
+        # 600 rows: several blocks and a short last one; predict runs them
+        # in one call, so the bits may differ, but not the labels (249 of
+        # the rows are class 1; the closest is 4.5e-5 from a tie)
+        net, policy, X = self._instance(7, n=600)
+        net = DenseNet(net.sizes, net.theta.astype(dtype))
+        model = training.TrainedModel(net, policy, TrainConfig(hidden_sizes=(9, 6)))
+        labels, want = predict(model, X)
+        probs = mean_sensitivity(net, policy, X)[1]
+        assert probs.shape == (600, 2) and probs.dtype == dtype
+        np.testing.assert_allclose(probs, want, rtol=1e-12 if dtype is np.float64 else 1e-6)
+        assert 0 < labels.sum() < 600
+        assert np.array_equal(probs.argmax(axis=1), labels)
+
+    def test_no_rows_is_an_empty_batch(self):
+        net, policy, X = self._instance(0)
+        with pytest.raises(ValueError, match="empty batch"):
+            mean_sensitivity(net, policy, X[:0])
 
 
 class TestTrainConfig:

@@ -6,11 +6,10 @@ the fitted encoder (layout and label vocabulary) and the training
 config. A net is its flat parameter vector `theta` (laid out by `nets`)
 as one base64 blob, at the sizes (encoder width, *config.hidden_sizes,
 label count). Version 5 is written, its blob little-endian float32, the
-dtype `train` steps (a float64 net is rounded to it). Versions 2-4 hold
-float64 blobs and load as float64 nets, so they score as they did when
-written; their copies of derived facts are ignored. Every parameter
-survives the round trip bit-exactly: the blob holds the raw bits, and
-the JSON numbers are shortest reprs.
+dtype `train` steps (a float64 net is rounded to it), and only the
+written version is read. Every parameter survives the round trip
+bit-exactly: the blob holds the raw bits, and the JSON numbers are
+shortest reprs.
 """
 
 from __future__ import annotations
@@ -30,16 +29,7 @@ from .selector import SelectorPolicy
 from .training import TrainConfig, TrainedModel
 
 CHECKPOINT_VERSION = 5
-READABLE_VERSIONS = (2, 3, 4, 5)
-
-# the dtype of net.theta's blob per version
-BLOB_DTYPES = {2: "<f8", 3: "<f8", 4: "<f8", 5: "<f4"}
-
-# config keys of retired options, each with the one value it may hold:
-# versions 2 and 3 wrote the mask flag, versions 2-4 the inference
-# policy; mc_samples, which only a retired policy read, is dropped unread
-RETIRED_KEYS = {"mask_sensitive": True, "inference_policy": "threshold05",
-                "mc_samples": None}
+BLOB_DTYPE = "<f4"   # net.theta's blob
 
 KIND_ADVERSARIAL = "adversarial-selection"
 KIND_LOGISTIC = "logistic"
@@ -74,21 +64,20 @@ def save_model(path, model, encoder):
 
 
 def _encode_theta(theta):
-    blob = theta.astype(BLOB_DTYPES[CHECKPOINT_VERSION]).tobytes()
+    blob = theta.astype(BLOB_DTYPE).tobytes()
     return binascii.b2a_base64(blob, newline=False).decode("ascii")
 
 
-def _decode_net(text, dtype, config, encoder):
-    """The DenseNet of a checkpoint's net.theta, a blob of the given dtype,
-    at the sizes its encoder and config give (a stored net.sizes is not
-    read); raises on any defect."""
+def _decode_net(text, config, encoder):
+    """The DenseNet of a checkpoint's net.theta at the sizes its encoder
+    and config give; raises on any defect."""
     sizes = (encoder.dim, *config.hidden_sizes, len(encoder.labels))
     blob = binascii.a2b_base64(text)
     # a2b_base64 skips stray characters: only the canonical text is accepted
     if binascii.b2a_base64(blob, newline=False).decode("ascii") != text:
         raise ValueError("net.theta is not canonical base64")
-    theta = np.frombuffer(blob, dtype=dtype)
-    out = DenseNet(sizes, theta.astype(theta.dtype.newbyteorder("=")))
+    theta = np.frombuffer(blob, dtype=BLOB_DTYPE)
+    out = DenseNet(sizes, theta.astype(np.float32))
     require_finite(out, out.theta, "value")
     return out
 
@@ -114,25 +103,18 @@ def load_model(path):
         raise DataError(f"malformed checkpoint {path}: not a JSON object")
 
     version = body.get("version")
-    if version not in READABLE_VERSIONS:
+    if version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version!r} (this build "
-                        f"reads versions {', '.join(map(str, READABLE_VERSIONS))})")
+                        f"reads version {CHECKPOINT_VERSION})")
     kind = body.get("kind")
     if kind not in (KIND_ADVERSARIAL, KIND_LOGISTIC):
         raise DataError(f"unknown checkpoint kind {kind!r}")
     try:
         encoder = Encoder.from_payload(body["encoder"])
         if kind == KIND_ADVERSARIAL:
-            fields = {**body["config"]}
-            for key, only in RETIRED_KEYS.items():
-                value = fields.pop(key, only)
-                if only is not None and json.dumps(value) != json.dumps(only):
-                    raise ValueError(f"{key} must be {json.dumps(only)}, "
-                                     f"got {reprlib.repr(value)}")
-            config = TrainConfig(**fields)
+            config = TrainConfig(**body["config"])
             model = TrainedModel(
-                net=_decode_net(body["net"]["theta"], BLOB_DTYPES[version],
-                                config, encoder),
+                net=_decode_net(body["net"]["theta"], config, encoder),
                 policy=SelectorPolicy(_numbers(body["selector"]["logits"],
                                                "selector.logits", 1),
                                       encoder.sensitive_index),

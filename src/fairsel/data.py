@@ -65,6 +65,14 @@ def _field(obj, path, kinds, default=None):
     return _typed(obj.get(key, default), kinds, f"dataset spec field {path!r}")
 
 
+def _finite(v):
+    """v (a number or a string) parses to a finite float."""
+    try:
+        return math.isfinite(float(v))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _layout_entry_fits(item, name, role):
     """item is the layout entry of column name in that role: a numeric entry
     holds finite min <= max a finite span apart (min-max scaling divides
@@ -174,11 +182,13 @@ class DatasetSpec:
         pred = self.privileged
         if pred.op in ("ge", "gt", "le", "lt") and kind != "numeric":
             raise DataError("numeric predicate on a categorical sensitive column")
-        try:   # matches compares a numeric column's cells as numbers
-            [float(v) for v in pred.values or (pred.value,) if kind == "numeric"]
-        except (TypeError, ValueError):
-            raise DataError(f"privileged value on numeric column "
-                            f"{self.sensitive_column!r} is not a number") from None
+        # matches compares a numeric column's cells as numbers
+        bad = [v for v in pred.values or (pred.value,) if not _finite(v)]
+        if kind == "numeric" and bad:
+            field = "values" if pred.op == "in" else "value"
+            raise DataError(f"dataset spec field 'sensitive.privileged.{field}' "
+                            f"on numeric column {self.sensitive_column!r} is not "
+                            f"a number or not finite, got {reprlib.repr(bad[0])}")
 
     @classmethod
     def from_dict(cls, d):

@@ -1,10 +1,53 @@
+import copy
 import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from fairsel.nets import DenseNet, forward
+
+# every run of the suite replays the same examples, so a commit's verdict
+# does not depend on the run; no example database is read or written
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+# any JSON value; json.load reads NaN and Infinity, so floats include them
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def json_edits(draw, body, values):
+    """A copy of the parsed JSON body after one or two edits: replace the
+    value at a path with one of values, delete it, or append one of
+    values to the list there. A path walks down from the root, stopping
+    at each level below the first with even odds, so a shallow field
+    such as a version or a bias is edited often; a drawn value is
+    copied, as a sampled list must not be edited in place."""
+    body = copy.deepcopy(body)
+    for _ in range(draw(st.integers(1, 2))):
+        holder, key = None, None
+        node = body
+        while isinstance(node, (dict, list)) and node and (
+                holder is None or draw(st.booleans())):
+            holder = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            node = node[key]
+        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        if action == "delete":
+            del holder[key]
+        elif action == "append" and isinstance(node, list):
+            node.append(copy.deepcopy(draw(values)))
+        else:
+            holder[key] = copy.deepcopy(draw(values))
+    return body
 
 
 def brute_force_metrics(records):

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ANY_JSON, json_edits
 from fairsel.baseline import LogisticModel, train_logistic
-from fairsel.checkpoint import (BLOB_DTYPES, KIND_ADVERSARIAL, KIND_LOGISTIC,
+from fairsel.checkpoint import (BLOB_DTYPE, KIND_ADVERSARIAL, KIND_LOGISTIC,
                                 load_model, save_model)
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DataError
 from fairsel.nets import DenseNet, forward
 from fairsel.training import TrainConfig, TrainedModel, train
 
-V2_FIXTURE = Path(__file__).parent / "data" / "v2_toy_checkpoint.json"
+V5_FIXTURE = Path(__file__).parent / "data" / "v5_toy_checkpoint.json"
 
 
 def bits(a):
@@ -60,20 +61,6 @@ class TestRoundTrip:
         X = np.random.default_rng(0).random((50, encoder.dim))
         assert np.array_equal(forward(loaded.net, X).view(np.int32),
                               forward(model.net, X).view(np.int32))
-
-    def test_version_4_loads_as_float64(self, trained, tmp_path):
-        # versions 2-4 hold float64 blobs and score as they did when written
-        model, _, encoder = trained
-        path = tmp_path / "v4.json"
-        save_model(path, model, encoder)
-        body = json.loads(path.read_text())
-        theta = np.random.default_rng(1).normal(size=model.net.theta.size)
-        body["version"] = 4
-        body["net"]["theta"] = base64.b64encode(theta.astype("<f8").tobytes()).decode()
-        path.write_text(json.dumps(body))
-        _, loaded, _ = load_model(path)
-        assert loaded.net.theta.dtype == np.float64
-        assert np.array_equal(bits(loaded.net.theta), bits(theta))
 
     def test_each_fact_stored_once(self, trained, tmp_path):
         # the seed is the config's, the sensitive index and the column
@@ -121,18 +108,6 @@ class TestValidation:
         with pytest.raises(DataError):
             load_model(path)
 
-    def test_version_mismatch(self, trained, tmp_path):
-        model, _, encoder = trained
-        path = tmp_path / "v.json"
-        save_model(path, model, encoder)
-        body = json.loads(path.read_text())
-        body["version"] = 99
-        path.write_text(json.dumps(body))
-        with pytest.raises(DataError) as exc:
-            load_model(path)
-        assert "version 99" in str(exc.value)
-        assert "reads versions 2, 3, 4" in str(exc.value)
-
     @pytest.mark.parametrize("corrupt", ["not-base64", "short-blob", "nan-blob",
                                          "inf-blob", "sizes-vs-encoder"])
     def test_corrupt_v2_net(self, trained, tmp_path, corrupt):
@@ -141,8 +116,7 @@ class TestValidation:
         save_model(path, model, encoder)
         body = json.loads(path.read_text())
         net, theta = body["net"], model.net.theta.copy()
-        dtype = BLOB_DTYPES[body["version"]]
-        blob = lambda t: base64.b64encode(t.astype(dtype).tobytes()).decode()
+        blob = lambda t: base64.b64encode(t.astype(BLOB_DTYPE).tobytes()).decode()
         if corrupt == "not-base64":
             net["theta"] = net["theta"][:40] + "!?" + net["theta"][40:]
         elif corrupt == "short-blob":
@@ -151,10 +125,9 @@ class TestValidation:
             theta[-1] = np.nan if corrupt == "nan-blob" else -np.inf
             net["theta"] = blob(theta)
         else:
-            # a well-formed net that reads one input more than the encoder
-            # writes, stored with its sizes, which are not read
+            # a well-formed net that reads one input more than the encoder writes
             wide = DenseNet.initialize(encoder.dim + 1, (6, 5), 2, np.random.default_rng(0))
-            net["sizes"], net["theta"] = list(wide.sizes), blob(wide.theta)
+            net["theta"] = blob(wide.theta)
         path.write_text(json.dumps(body))
         with pytest.raises(DataError) as exc:
             load_model(path)
@@ -287,31 +260,26 @@ class TestBlobProperty:
             load_model(path)
 
 
-_V2_BODY = json.loads(V2_FIXTURE.read_text())
-_CONFIG_KEYS = sorted({*_V2_BODY["config"], "inference_policy", "mc_samples",
+_V5_BODY = json.loads(V5_FIXTURE.read_text())
+# the config's keys and the three retired ones, which are now unknown
+_CONFIG_KEYS = sorted({*_V5_BODY["config"], "inference_policy", "mc_samples",
                        "mask_sensitive"})
 _DELETE = object()
 # values a config holds, so that edits also load, and integers past
 # float range
 _CONFIG_VALUES = st.sampled_from(["threshold05", "mc-average", "expected-input",
                                   True, 0.5, 32, [8, 6], 2**64, 10**400])
-# any JSON value; json.load reads NaN and Infinity, so floats include them
-_ANY_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6)
 
 
 class TestConfigEditProperty:
     @settings(max_examples=300, deadline=None)
     @given(key=st.sampled_from(_CONFIG_KEYS) | st.text(max_size=12),
-           value=_CONFIG_VALUES | _ANY_JSON | st.just(_DELETE))
+           value=_CONFIG_VALUES | ANY_JSON | st.just(_DELETE))
     def test_one_config_edit_loads_or_is_a_data_error(self, tmp_path_factory,
                                                       key, value):
         # replace one entry with any JSON value, delete it, or add an
         # unknown key: the loader returns a model or raises DataError
-        body = json.loads(json.dumps(_V2_BODY))
+        body = json.loads(json.dumps(_V5_BODY))
         if value is _DELETE:
             body["config"].pop(key, None)
         else:
@@ -323,3 +291,43 @@ class TestConfigEditProperty:
         except DataError:
             return
         assert kind == KIND_ADVERSARIAL and isinstance(model, TrainedModel)
+
+
+# values a checkpoint body holds elsewhere (versions, kinds, layout roles,
+# base64 blobs), so that edits also load, beside the config's
+_BODY_VALUES = (st.sampled_from([5, "5", 4, 6, KIND_ADVERSARIAL, KIND_LOGISTIC,
+                                 "numeric", "categorical", "sensitive", "1", 0.0])
+                | st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode())
+                | _CONFIG_VALUES | ANY_JSON)
+
+
+@pytest.fixture(scope="module")
+def bodies(tmp_path_factory):
+    """The v5 fixture's body and a logistic body on its encoder, as the
+    writer writes them."""
+    path = tmp_path_factory.mktemp("bodies") / "logistic.json"
+    _, _, encoder = load_model(V5_FIXTURE)
+    save_model(path, LogisticModel(np.array([0.5, -0.25, 0.0, 1.0]), 0.1), encoder)
+    return {KIND_ADVERSARIAL: _V5_BODY, KIND_LOGISTIC: json.loads(path.read_text())}
+
+
+class TestBodyEditProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(kind=st.sampled_from([KIND_ADVERSARIAL, KIND_LOGISTIC]), data=st.data())
+    def test_body_edits_load_or_are_a_data_error(self, bodies, tmp_path_factory,
+                                                 kind, data):
+        # one or two edits anywhere: version, kind, encoder, selector, net,
+        # config, weights or bias
+        body = data.draw(json_edits(bodies[kind], _BODY_VALUES))
+        path = tmp_path_factory.getbasetemp() / "body_edit.json"
+        path.write_text(json.dumps(body))
+        try:
+            loaded_kind, model, encoder = load_model(path)
+        except DataError:
+            return
+        if loaded_kind == KIND_ADVERSARIAL:
+            assert isinstance(model, TrainedModel)
+            assert model.net.sizes[0] == model.policy.logits.size == encoder.dim
+        else:
+            assert isinstance(model, LogisticModel)
+            assert model.weights.shape == (encoder.dim,)

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from conftest import GERMAN_HEADER, write_german_csv
 from fairsel import diagnostics
-from fairsel.checkpoint import BLOB_DTYPES, save_model
+from fairsel.checkpoint import BLOB_DTYPE, CHECKPOINT_VERSION, save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
 from fairsel.nets import DenseNet
@@ -20,6 +21,7 @@ from fairsel.selector import SelectorPolicy
 from fairsel.training import TrainConfig, TrainedModel
 
 DATA_DIR = Path(__file__).parent / "data"
+FIXTURE = DATA_DIR / "v5_toy_checkpoint.json"
 
 TOY_SPEC = {
     "name": "toy",
@@ -283,12 +285,10 @@ class TestEvaluateCommand:
         body = json.loads(Path(ckpt).read_text())
         # sizes [4, 1, 2]: W0 (1, 4), b0, W1 (2, 1), b1
         net = body["net"]
-        dtype = BLOB_DTYPES[body["version"]]
-        theta = np.frombuffer(base64.b64decode(net["theta"]), dtype).copy()
-        blob = lambda t: base64.b64encode(t.astype(dtype).tobytes()).decode()
+        theta = np.frombuffer(base64.b64decode(net["theta"]), BLOB_DTYPE).copy()
+        blob = lambda t: base64.b64encode(t.astype(BLOB_DTYPE).tobytes()).decode()
         if corrupt == "layer-shapes":
-            # a third layer of 3 units after the head, its sizes stored too
-            net["sizes"] = [4, 1, 2, 3]
+            # a third layer of 3 units after the head
             net["theta"] = blob(np.concatenate([theta, np.ones((3, 2)).ravel(), np.zeros(3)]))
         elif corrupt == "nan-weight":
             theta[2] = float("nan")   # W0 row 0, column 2
@@ -297,7 +297,7 @@ class TestEvaluateCommand:
             body["selector"]["logits"][0] = float("inf")
         elif corrupt == "narrow-input":
             # the encoder writes 4 columns, the net reads 3
-            net["sizes"], net["theta"] = [3, 1, 2], blob(np.delete(theta, 3))
+            net["theta"] = blob(np.delete(theta, 3))
         elif corrupt == "short-logits":
             body["selector"]["logits"] = body["selector"]["logits"][:3]
         else:
@@ -395,68 +395,57 @@ class TestEvaluateCommand:
         assert "row 7," in err and "'purpose'" in err and "'A4X'" in err
 
     def test_v2_checkpoint_reproduces_its_recorded_metrics(self, tmp_path, capsys):
-        # tests/data holds a version-2 checkpoint and the evaluate report of
-        # it on write_toy(tmp_path), both written by the version-2 writer;
-        # its average_odds_diff and mean_sensitivity are those of report
-        # schema 3 (the AIF360 form and the deployed input)
-        report = self._evaluate_v2_fixture(tmp_path, capsys, lambda body: None)
-        assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
-
-    @pytest.mark.parametrize("copy", ["selector.sensitive_index",
-                                      "encoder.sensitive_index",
-                                      "selector.mask_sensitive",
-                                      "encoder.column_names", "seed"])
-    def test_v2_copies_of_derived_facts_are_ignored(self, tmp_path, capsys, copy):
-        # the copies disagree with the layout and the config; none is read
-        section, _, key = copy.rpartition(".")
-        wrong = {"sensitive_index": 2, "mask_sensitive": False,
-                 "column_names": ["a", "b", "c", "d"], "seed": 1}[key]
-        edit = lambda body: (body[section] if section else body).__setitem__(key, wrong)
-        report = self._evaluate_v2_fixture(tmp_path, capsys, edit)
-        assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
-
-    @pytest.mark.parametrize("mc_samples", [32, 0, -1, 2.5, "many", None])
-    def test_v2_threshold05_policy_keys_are_read_as_the_one_rule(self, tmp_path,
-                                                                 capsys, mc_samples):
-        # the fixture names threshold05; mc_samples, which only a retired
-        # policy read, is dropped whatever it holds
-        def edit(body):
-            assert body["config"]["inference_policy"] == "threshold05"
-            body["config"]["mc_samples"] = mc_samples
-        report = self._evaluate_v2_fixture(tmp_path, capsys, edit)
-        assert report == json.loads((DATA_DIR / "v2_toy_evaluate.json").read_text())
-
-    @pytest.mark.parametrize("policy", ["mc-average", "expected-input"])
-    def test_retired_inference_policy_is_two(self, tmp_path, capsys, policy):
-        data, spec_path = write_toy(tmp_path)
-        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
-        body = json.loads(Path(ckpt).read_text())
-        assert body["version"] == 5
-        body["config"].update(inference_policy=policy, mc_samples=32)
-        Path(ckpt).write_text(json.dumps(body))
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", ckpt, "--data", data]) == 2
-        err = capsys.readouterr().err
-        assert f"malformed checkpoint {ckpt}: inference_policy must be" in err
-        assert repr(policy) in err
-
-    def test_v1_checkpoint_is_two(self, tmp_path, capsys):
+        # tests/data holds a version-5 checkpoint (a model first saved as
+        # version 2, re-saved by the version-5 writer) and its evaluate
+        # report on write_toy(tmp_path), recorded when it was re-saved; the
+        # net is fixed, so a scoring change that moves a bit shows here
         data, _ = write_toy(tmp_path)
-        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
-        ckpt = tmp_path / "v1.json"
-        ckpt.write_text(json.dumps(dict(body, version=1)))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(FIXTURE), "--data", data]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report = {k: report[k] for k in ("model_kind", "n_rows", "rejected_rows", "metrics")}
+        assert report == json.loads((DATA_DIR / "v5_toy_evaluate.json").read_text())
+
+    @pytest.mark.parametrize("key,value", [
+        ("inference_policy", "threshold05"), ("inference_policy", "mc-average"),
+        ("inference_policy", "expected-input"), ("mc_samples", 32),
+        ("mask_sensitive", True), ("mask_sensitive", "no"), ("mask_sensitive", False),
+        ("dropout", 0.5), ("", None)])
+    def test_unknown_config_key_is_two(self, tmp_path, capsys, key, value):
+        # a key TrainConfig does not define, a retired option's or any other
+        data, _ = write_toy(tmp_path)
+        body = json.loads(FIXTURE.read_text())
+        body["config"][key] = value
+        ckpt = tmp_path / "unknown.json"
+        ckpt.write_text(json.dumps(body))
+        capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
-        assert "reads versions 2, 3, 4" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"malformed checkpoint {ckpt}: " in err
+        assert f"unexpected keyword argument '{key}'" in err
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6, "5"], ids=repr)
+    def test_other_version_is_two(self, tmp_path, capsys, version):
+        data, _ = write_toy(tmp_path)
+        body = json.loads(FIXTURE.read_text())
+        assert body["version"] == CHECKPOINT_VERSION == 5
+        ckpt = tmp_path / "other.json"
+        ckpt.write_text(json.dumps(dict(body, version=version)))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: unsupported checkpoint version {version!r} "
+            f"(this build reads version 5)\n")
 
     @pytest.mark.parametrize("field,value", [
-        ("mask_sensitive", "no"), ("mask_sensitive", False), ("score_baseline", "yes"),
-        ("alpha_theta", "1e-3"),
+        ("score_baseline", "yes"), ("alpha_theta", "1e-3"),
         ("seed", -3), ("seed", 1.5), ("batch_size", True), ("max_epochs", 20.0),
-        ("patience", False), ("hidden_sizes", "86"), ("hidden_sizes", [8.9, 6]),
+        ("patience", False), ("alpha_phi", None), ("sensitivity_weight", "1"),
+        ("hidden_sizes", "86"), ("hidden_sizes", [8.9, 6]),
         ("hidden_sizes", [True, 6])])
     def test_config_field_of_wrong_type_is_two(self, tmp_path, capsys, field, value):
         data, _ = write_toy(tmp_path)
-        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
+        body = json.loads(FIXTURE.read_text())
         body["config"][field] = value
         ckpt = tmp_path / "typed.json"
         ckpt.write_text(json.dumps(body))
@@ -467,16 +456,16 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("edit", ["one-class-head", "three-class-head",
                                       "hidden-vs-net", "string-logits", "true-logit"])
     def test_v2_edit_is_two(self, tmp_path, capsys, edit):
-        # each of these evaluated with exit 0 while the stored sizes were
-        # read and np.array converted the logits
+        # the net's sizes are the encoder's and the config's, and the
+        # logits must be JSON numbers
         data, _ = write_toy(tmp_path)
-        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
+        body = json.loads(FIXTURE.read_text())
         if edit.endswith("-head"):
-            # a well-formed theta for another head, stored with its sizes
+            # a well-formed theta for another head
             net = DenseNet.initialize(4, (8, 6), 1 if edit == "one-class-head" else 3,
                                       np.random.default_rng(0))
-            body["net"] = {"sizes": list(net.sizes), "theta": base64.b64encode(
-                net.theta.astype("<f8").tobytes()).decode()}
+            body["net"] = {"theta": base64.b64encode(
+                net.theta.astype(BLOB_DTYPE).tobytes()).decode()}
         elif edit == "hidden-vs-net":
             body["config"]["hidden_sizes"] = [6, 8]   # the net is [4, 8, 6, 2]
         elif edit == "string-logits":
@@ -491,20 +480,6 @@ class TestEvaluateCommand:
         assert f"malformed checkpoint {ckpt}: " in err
         if edit in ("string-logits", "true-logit"):
             assert "selector.logits must be a list of JSON numbers" in err
-
-    @staticmethod
-    def _evaluate_v2_fixture(tmp_path, capsys, edit):
-        """The evaluate report of the v2 fixture, after edit(body), on the
-        toy data, without its echoed flags and wall-clock fields."""
-        data, _ = write_toy(tmp_path)
-        body = json.loads((DATA_DIR / "v2_toy_checkpoint.json").read_text())
-        edit(body)
-        ckpt = tmp_path / "v2.json"
-        ckpt.write_text(json.dumps(body))
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 0
-        report = json.loads(capsys.readouterr().out)
-        return {k: report[k] for k in ("model_kind", "n_rows", "rejected_rows", "metrics")}
 
     def test_empty_data_file_is_two(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)
@@ -851,10 +826,32 @@ class TestSpecShape:
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(body))
         out = tmp_path / "o"
-        flags = (["--checkpoint", str(DATA_DIR / "v2_toy_checkpoint.json")]
+        flags = (["--checkpoint", str(FIXTURE)]
                  if command == "evaluate" else fast_flags(out))
         assert main([command, "--data", data, "--spec", str(spec), *flags]) == 2
         assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("privileged,field", [
+        ('{"op": "ge", "value": 1%s}' % ("0" * 400), "value"),
+        ('{"op": "ge", "value": 1e999}', "value"),
+        ('{"op": "ge", "value": NaN}', "value"),
+        ('{"op": "ge", "value": -Infinity}', "value"),
+        ('{"op": "ge", "value": "nan"}', "value"),
+        ('{"op": "in", "values": ["1e999"]}', "values")],
+        ids=["401-digits", "1e999", "NaN", "-Infinity", "nan-string", "in-1e999"])
+    def test_non_finite_privileged_value_is_two(self, tmp_path, capsys, privileged, field):
+        # the bank spec's sensitive column (age) is numeric
+        data, _ = write_toy(tmp_path)
+        text = (files("fairsel") / "specs" / "bank.json").read_text()
+        spec = tmp_path / "bank.json"
+        spec.write_text(text.replace('{"op": "ge", "value": 25}', privileged))
+        assert spec.read_text() != text
+        out = tmp_path / "o"
+        assert main(["train", "--data", data, "--spec", str(spec), *fast_flags(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: dataset spec field 'sensitive.privileged.{field}' "
+                              f"on numeric column 'age' is not a number or not finite")
         assert not out.exists()
 
 
@@ -876,3 +873,8 @@ class TestReadmeFlags:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         assert re.findall(r"schema version (\d+)", readme, re.IGNORECASE) == [
             str(REPORT_SCHEMA_VERSION)]
+
+    def test_readme_names_the_checkpoint_version(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        assert re.findall(r"Version (\d+) is written", readme) == [
+            str(CHECKPOINT_VERSION)]

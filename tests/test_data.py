@@ -1,13 +1,15 @@
 import csv
 import json
 import re
+from importlib.resources import files
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GERMAN_CATEGORIES, GERMAN_HEADER, GERMAN_NUMERIC
+from conftest import (ANY_JSON, GERMAN_CATEGORIES, GERMAN_HEADER, GERMAN_NUMERIC,
+                      json_edits, write_german_csv)
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder,
                           Predicate, RawTable, load_csv, prepare_splits, split,
                           split_indices, synth_proxy)
@@ -443,6 +445,45 @@ class TestDataset:
         ds = synth_proxy(100, 0.5, seed=0)
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             Dataset(ds.features * 2, ds.labels, ds.encoder)
+
+
+_SPECS = {name: json.loads((files("fairsel") / "specs" / f"{name}.json").read_text())
+          for name in ("german", "compas", "bank")}
+# values a spec holds, so that edits also load, integers past float
+# range, non-finite numbers and their spellings, and any JSON value
+_SPEC_VALUES = (st.sampled_from([
+    "numeric", "categorical", "eq", "in", "ge", "lt", "age", "sex",
+    "personal_status_sex", "credit_risk", "A91", "1", 25, ["A91", "A93"],
+    {"name": "age", "kind": "numeric"}, 10**400, float("nan"), float("inf"),
+    float("-inf"), "nan", "1e999"]) | ANY_JSON)
+
+
+@pytest.fixture(scope="module")
+def small_german_csv(tmp_path_factory):
+    return write_german_csv(tmp_path_factory.mktemp("spec_edit") / "german.csv",
+                            n=60, seed=3)
+
+
+class TestSpecEditProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(edited=st.sampled_from(sorted(_SPECS)).flatmap(
+        lambda name: st.tuples(st.just(name), json_edits(_SPECS[name], _SPEC_VALUES))))
+    # an integer past float range as the privileged value, which the
+    # derandomized examples do not reach
+    @example(edited=("bank", {**_SPECS["bank"], "sensitive": {
+        "column": "age", "privileged": {"op": "ge", "value": 10**400}}}))
+    def test_spec_edits_load_or_are_a_data_error(self, small_german_csv, edited):
+        # one or two edits anywhere in a shipped spec; the German one also
+        # loads and splits a German-shaped file
+        name, body = edited
+        try:
+            spec = DatasetSpec.from_dict(body)
+            splits = (prepare_splits(load_csv(small_german_csv, spec), spec, 0)
+                      if name == "german" else ())
+        except DataError:
+            return
+        assert isinstance(spec, DatasetSpec)
+        assert all(isinstance(part, Dataset) for part in splits)
 
 
 class TestSpecValidation:

@@ -43,7 +43,7 @@ def logistic_loss_and_grad(weights, bias, X, y):
     return loss, grad_w, grad_b
 
 
-def train_logistic(train_data, val_data, *, epochs, lr):
+def train_logistic(train_data, val_data, *, epochs=500, lr=0.1):
     """Fit by full-batch gradient descent; keep the best-validation
     parameters. Deterministic (zero initialization, convex loss)."""
     # written so that NaN fails every comparison

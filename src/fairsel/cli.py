@@ -23,7 +23,6 @@ import argparse
 import concurrent.futures
 import dataclasses
 import functools
-import math
 import os
 import sys
 import time
@@ -74,7 +73,6 @@ def _checked(kind, ok, rule):
 
 _AT_LEAST_ONE = _checked(int, lambda v: v >= 1, "at least 1")
 _SEED = _checked(int, lambda v: v >= 0, "nonnegative")  # SeedSequence entropy
-_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
 def derive_seed(master_seed, rep_index):
@@ -172,8 +170,6 @@ def build_parser():
                             "on identical splits")
     _add_data_flags(p)
     _add_train_flags(p)
-    p.add_argument("--baseline-epochs", type=_AT_LEAST_ONE, default=500)
-    p.add_argument("--baseline-lr", type=_POSITIVE, default=0.1)
     _add_out_flags(p, "fairsel-compare")
 
     p = sub.add_parser("tune", help="grid search over the sensitivity weight")
@@ -196,12 +192,12 @@ def build_parser():
     return parser
 
 
-def _parse_hidden(text):
+def _parse_list(flag, kind, what, text):
+    """The values of a comma-separated list flag; blank items are skipped."""
     try:
-        sizes = tuple(int(t) for t in text.split(",") if t.strip())
+        return [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise UsageError(f"--hidden expects comma-separated integers, got {text!r}")
-    return sizes
+        raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
 
 def _config_from_args(args, weight):
@@ -216,7 +212,7 @@ def _config_from_args(args, weight):
             patience=args.patience,
             sensitivity_weight=weight,
             seed=args.seed,
-            hidden_sizes=_parse_hidden(args.hidden),
+            hidden_sizes=_parse_list("--hidden", int, "integers", args.hidden),
             score_baseline=args.score_baseline,
         )
     except ValueError as exc:
@@ -250,8 +246,7 @@ def _train_one_rep(task, args, raw, spec):
     entry = {"index": rep, "seed": seed, "adversarial": adv_metrics}
     saved = {"adversarial": model}
     if args.command == "compare":
-        saved["baseline"] = train_logistic(
-            train_ds, val_ds, epochs=args.baseline_epochs, lr=args.baseline_lr)
+        saved["baseline"] = train_logistic(train_ds, val_ds)
         entry["baseline"] = rpt.evaluate_model(KIND_LOGISTIC, saved["baseline"], test_ds)
     entry["selection_probabilities"] = {
         name: float(p) for name, p in
@@ -349,18 +344,10 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def _parse_grid(text):
-    try:
-        grid = [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise UsageError(f"--grid expects comma-separated numbers, got {text!r}")
+def cmd_tune(args):
+    grid = sorted(set(_parse_list("--grid", float, "numbers", args.grid)))
     if not grid:
         raise UsageError("--grid must contain at least one value")
-    return grid
-
-
-def cmd_tune(args):
-    grid = sorted(set(_parse_grid(args.grid)))
     rows, t0 = _run_tasks(args, grid)
 
     entries = []

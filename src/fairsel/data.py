@@ -521,16 +521,16 @@ def _synth_encoder():
     return Encoder(spec, layout, ["0", "1"])
 
 
-def synth_proxy(n, proxy_correlation, seed, label_shift=1.5, signal=4.0):
+def synth_proxy(n, proxy_correlation, seed):
     """Synthetic binary dataset with a controllable sensitive proxy.
 
     Columns: a sensitive bit (privileged = 1), a proxy equal to the
     sensitive bit with probability proxy_correlation (otherwise a fresh
     fair coin), one informative feature that drives the label, and two
-    pure-noise features. The label leans on the sensitive bit
-    (label_shift) on top of the informative signal, so a classifier
-    trained on all features shows a true-positive-rate gap between the
-    groups.
+    pure-noise features. The label's logit is 4.0 * (informative - 0.5)
+    + 1.5 * (sensitive - 0.5): it leans on the sensitive bit on top of
+    the informative signal, so a classifier trained on all features
+    shows a true-positive-rate gap between the groups.
     """
     if n < 100:
         raise DataError(f"synthetic dataset needs n >= 100, got {n}")
@@ -543,7 +543,7 @@ def synth_proxy(n, proxy_correlation, seed, label_shift=1.5, signal=4.0):
     info = rng.random(n)
     noise = rng.random((n, 2))
 
-    logits = signal * (info - 0.5) + label_shift * (a - 0.5)
+    logits = 4.0 * (info - 0.5) + 1.5 * (a - 0.5)
     p_pos = 1.0 / (1.0 + np.exp(-logits))
     y = (rng.random(n) < p_pos).astype(int)
 

@@ -45,20 +45,17 @@ from .selector import (SelectorPolicy, log_pi_grad, probabilities,
 NORM_EPS = 1e-12
 
 # rows per paired pass in mean_sensitivity (which also gives the scored
-# rows' labels) for a float64 net, and twice as many, the same bytes, for
-# a float32 one: bounds the cached layer outputs when a whole evaluation
+# rows' labels): bounds the cached layer outputs when a whole evaluation
 # set is scored. The labels' bits depend on it, not on the rows alone
 # (README, Metrics). One pass over 5,000x51
 # bank-shaped rows (86% of them change when the sensitive value is
-# restored, so the stack holds up to 1.86x the block), random 4x200 net,
-# one BLAS thread, 2-core Xeon (2 MB L2 per core), median of 15 runs
-# with the values interleaved, by SENSITIVITY_BLOCK:
-# float32  48: 61 ms, 64: 58 ms, 80: 57 ms, 96: 56 ms, 112: 79 ms, 128: 77 ms
-# float64  48: 120 ms, 64: 112 ms, 80: 113 ms, 96: 112 ms, 112: 162 ms,
-#          128: 163 ms
-# The step past 96 (about 400 stacked float32 rows) costs 40%; 64 stays
-# below it even when every row changes.
-SENSITIVITY_BLOCK = 64
+# restored, so the stack holds up to 1.86x the block), random float32
+# 4x200 net, one BLAS thread, 2-core Xeon (2 MB L2 per core), median of
+# 15 runs with the values interleaved, by SENSITIVITY_BLOCK:
+# 96: 61 ms, 128: 58 ms, 160: 57 ms, 192: 56 ms, 224: 79 ms, 256: 77 ms
+# The step past 192 (about 400 stacked rows) costs 40%; 128 stays below
+# it even when every row changes.
+SENSITIVITY_BLOCK = 128
 
 
 @dataclass
@@ -150,7 +147,6 @@ class SensitivityPair(NamedTuple):
     rows where adding the feature changes the input run a second time;
     every other row's sensitivity is exactly zero."""
 
-    S: np.ndarray        # (n, d) selections
     changed: np.ndarray  # (m,) indices of the rows adding feature k changes
     rows: np.ndarray     # (n + m, d): X * S, then those m rows with k added
     outputs: list        # layer_outputs(net, rows)
@@ -182,7 +178,7 @@ def sensitivity_pair(net, X, S, k):
     diff = np.zeros_like(p_sel)
     diff[changed] = outputs[-1][n:] - p_sel[changed]
     # np.linalg.norm(diff, axis=1), the same bits
-    return SensitivityPair(S, changed, rows, outputs, p_sel, diff,
+    return SensitivityPair(changed, rows, outputs, p_sel, diff,
                            np.sqrt(reduce_classes(np.add, diff * diff)))
 
 
@@ -286,15 +282,14 @@ def mean_sensitivity(net, policy, X):
     paired pass over threshold05's input: the float64 mean over the rows
     of X (n, d) of the norm of the change in the probability row when the
     sensitive value is restored, and the rows (n, c) in the net's dtype,
-    run in blocks of SENSITIVITY_BLOCK rows (twice that for float32)."""
+    run in blocks of SENSITIVITY_BLOCK rows."""
     X = np.asarray(X, dtype=net.theta.dtype)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    block = SENSITIVITY_BLOCK * 8 // X.itemsize
     S = np.broadcast_to(_kept(policy), (X.shape[0], policy.logits.size))
-    pairs = (sensitivity_pair(net, X[lo:lo + block], S[lo:lo + block],
-                              policy.sensitive_index)
-             for lo in range(0, X.shape[0], block))
+    pairs = (sensitivity_pair(net, X[lo:lo + SENSITIVITY_BLOCK],
+                              S[lo:lo + SENSITIVITY_BLOCK], policy.sensitive_index)
+             for lo in range(0, X.shape[0], SENSITIVITY_BLOCK))
     norms, probs = zip(*((pair.norms, pair.p_sel) for pair in pairs))
     return float(np.concatenate(norms).mean(dtype=np.float64)), np.concatenate(probs)
 

@@ -1,3 +1,4 @@
+import base64
 import copy
 import csv
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from fairsel.checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
 from fairsel.nets import DenseNet, forward
 
 # every run of the suite replays the same examples, so a commit's verdict
@@ -20,6 +22,17 @@ ANY_JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6)
+
+# values a checkpoint config holds, so that edits also load, and integers
+# past float range
+CONFIG_VALUES = st.sampled_from(["threshold05", "mc-average", "expected-input",
+                                 True, 0.5, 32, [8, 6], 2**64, 10**400])
+# values a checkpoint body holds elsewhere (versions, kinds, layout roles,
+# base64 blobs), beside the config's and any JSON value
+BODY_VALUES = (st.sampled_from([5, "5", 4, 6, KIND_ADVERSARIAL, KIND_LOGISTIC,
+                                "numeric", "categorical", "sensitive", "1", 0.0])
+               | st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode())
+               | CONFIG_VALUES | ANY_JSON)
 
 
 @st.composite

@@ -164,8 +164,7 @@ def test_criterion_7_protocol_fidelity_german(tmp_path, german_spec_path):
     t0 = time.perf_counter()
     flags = ["compare", "--data", data, "--spec", german_spec_path,
              "--seed", "13", "--reps", "5", "--max-epochs", "30",
-             "--patience", "8", "--alpha-phi", "1e-3",
-             "--baseline-epochs", "300", "--baseline-lr", "0.5"]
+             "--patience", "8", "--alpha-phi", "1e-3"]
     assert main([*flags, "--out", str(tmp_path / "run1")]) == 0
     assert main([*flags, "--out", str(tmp_path / "run2")]) == 0
     elapsed = time.perf_counter() - t0

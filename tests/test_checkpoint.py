@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_JSON, json_edits
+from conftest import ANY_JSON, BODY_VALUES, CONFIG_VALUES, json_edits
 from fairsel.baseline import LogisticModel, train_logistic
 from fairsel.checkpoint import (BLOB_DTYPE, KIND_ADVERSARIAL, KIND_LOGISTIC,
                                 load_model, save_model)
@@ -265,16 +265,12 @@ _V5_BODY = json.loads(V5_FIXTURE.read_text())
 _CONFIG_KEYS = sorted({*_V5_BODY["config"], "inference_policy", "mc_samples",
                        "mask_sensitive"})
 _DELETE = object()
-# values a config holds, so that edits also load, and integers past
-# float range
-_CONFIG_VALUES = st.sampled_from(["threshold05", "mc-average", "expected-input",
-                                  True, 0.5, 32, [8, 6], 2**64, 10**400])
 
 
 class TestConfigEditProperty:
     @settings(max_examples=300, deadline=None)
     @given(key=st.sampled_from(_CONFIG_KEYS) | st.text(max_size=12),
-           value=_CONFIG_VALUES | ANY_JSON | st.just(_DELETE))
+           value=CONFIG_VALUES | ANY_JSON | st.just(_DELETE))
     def test_one_config_edit_loads_or_is_a_data_error(self, tmp_path_factory,
                                                       key, value):
         # replace one entry with any JSON value, delete it, or add an
@@ -291,14 +287,6 @@ class TestConfigEditProperty:
         except DataError:
             return
         assert kind == KIND_ADVERSARIAL and isinstance(model, TrainedModel)
-
-
-# values a checkpoint body holds elsewhere (versions, kinds, layout roles,
-# base64 blobs), so that edits also load, beside the config's
-_BODY_VALUES = (st.sampled_from([5, "5", 4, 6, KIND_ADVERSARIAL, KIND_LOGISTIC,
-                                 "numeric", "categorical", "sensitive", "1", 0.0])
-                | st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode())
-                | _CONFIG_VALUES | ANY_JSON)
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +306,7 @@ class TestBodyEditProperty:
                                                  kind, data):
         # one or two edits anywhere: version, kind, encoder, selector, net,
         # config, weights or bias
-        body = data.draw(json_edits(bodies[kind], _BODY_VALUES))
+        body = data.draw(json_edits(bodies[kind], BODY_VALUES))
         path = tmp_path_factory.getbasetemp() / "body_edit.json"
         path.write_text(json.dumps(body))
         try:

@@ -1,6 +1,8 @@
 import argparse
 import base64
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import GERMAN_HEADER, write_german_csv
+from conftest import BODY_VALUES, GERMAN_HEADER, json_edits, write_german_csv
 from fairsel import diagnostics
 from fairsel.checkpoint import BLOB_DTYPE, CHECKPOINT_VERSION, save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
@@ -532,12 +536,33 @@ class TestEvaluateCommand:
             assert err.count("\n") == 1 and f"--out {out}" in err
 
 
+@pytest.fixture(scope="module")
+def toy_data(tmp_path_factory):
+    return write_toy(tmp_path_factory.mktemp("toy"))[0]
+
+
+class TestEvaluateEditProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_edited_checkpoint_scores_or_is_a_data_error(self, toy_data,
+                                                         tmp_path_factory, data):
+        # one or two edits anywhere in the v5 fixture, evaluated through
+        # the CLI: a report, or exit 2 with a data error, never a traceback
+        body = data.draw(json_edits(json.loads(FIXTURE.read_text()), BODY_VALUES))
+        path = tmp_path_factory.getbasetemp() / "evaluate_edit.json"
+        path.write_text(json.dumps(body))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--checkpoint", str(path), "--data", toy_data])
+        assert (code, err.getvalue()) == (0, "") or (
+            code == 2 and err.getvalue().startswith("data error: "))
+
+
 class TestCompareCommand:
     def test_side_by_side_report(self, tmp_path, capsys):
         data, spec = write_toy(tmp_path)
         out = tmp_path / "cmp"
         assert main(["compare", "--data", data, "--spec", spec,
-                     "--baseline-epochs", "50", "--baseline-lr", "0.5",
                      "--lambda", "0", *fast_flags(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert len(report["repetitions"]) == 2
@@ -629,7 +654,7 @@ class TestParallelReps:
         data, spec = write_toy(tmp_path)
         commands = {
             "train": ["train"],
-            "compare": ["compare", "--baseline-epochs", "20"],
+            "compare": ["compare"],
             # one repetition per weight: the grid points are the parallel tasks
             "tune": ["tune", "--grid", "0,0.5,1"],
         }
@@ -712,10 +737,10 @@ class TestInvalidValues:
         ("compare", ["--lambda", "inf"]),
         ("train", ["--patience", "-1"]),
         ("train", ["--hidden", "abc"]),
-        ("compare", ["--baseline-epochs", "0"]),
-        ("compare", ["--baseline-lr", "0"]),
-        ("compare", ["--baseline-lr", "nan"]),
-        ("compare", ["--baseline-lr", "inf"]),
+        ("train", ["--hidden", ","]),
+        ("train", ["--hidden", "8.5"]),
+        ("tune", ["--grid", ","]),
+        ("tune", ["--grid", "0,x"]),
         ("tune", ["--grid", "0,nan"]),
         ("tune", ["--grid", "0,inf"]),
         ("tune", ["--grid", "0,-1"]),
@@ -771,6 +796,18 @@ class TestInvalidValues:
         report = json.loads((out / "report.json").read_text())
         assert "sensitivity_weight" not in report["config"]
 
+    @pytest.mark.parametrize("command,flags,message", [
+        ("train", ["--hidden", "8,x"],
+         "--hidden expects comma-separated integers, got '8,x'"),
+        ("tune", ["--grid", "0,x"], "--grid expects comma-separated numbers, got '0,x'"),
+        ("tune", ["--grid", ", ,"], "--grid must contain at least one value")])
+    def test_list_flag_error_names_the_flag(self, tmp_path, capsys, command, flags,
+                                            message):
+        data, spec = write_toy(tmp_path)
+        assert main([command, "--data", data, "--spec", spec,
+                     *fast_flags(tmp_path / "o"), *flags]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("flags", [
         ["--instances", "0"], ["--dims", "x"], ["--dims", "2"], ["--dims", "9"]])
     def test_gradcheck_range_is_usage_error(self, capsys, flags):
@@ -780,10 +817,13 @@ class TestInvalidValues:
     @pytest.mark.parametrize("command,flag,value", [
         ("train", "--report-format", "json"),
         ("compare", "--baseline-l2", "0"),
+        ("compare", "--baseline-epochs", "500"),
+        ("compare", "--baseline-lr", "0.1"),
         ("gradcheck", "--samples", "200000")])
     def test_deleted_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
-        # reports are JSON only, the baseline is unregularized and the
-        # estimator check draws the count its tolerance is calibrated for
+        # reports are JSON only, the baseline is unregularized and runs 500
+        # epochs at learning rate 0.1, and the estimator check draws the
+        # count its tolerance is calibrated for
         data, spec = write_toy(tmp_path)
         flags = (["--dims", "4"] if command == "gradcheck" else
                  ["--data", data, "--spec", spec, *fast_flags(tmp_path / "o")])

@@ -21,7 +21,7 @@ from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
 
 TRAIN_SHA256 = "5041d130908c76925532353a5b1e741e65037b1d830933b21aae7517a9d6be73"
-COMPARE_SHA256 = "2f9195105311573c7084ac362c97094d49c1380199df530474287f70e35aa6ea"
+COMPARE_SHA256 = "cf645fbb8e535892b126f033ce09c33619ba6e2dd4bc5e1086da59e153fb2c52"
 EVALUATE_SHA256 = "82176d75dd61c47619ab8673f562a9d91711e8b76b09cf715fb302f1409d3fbe"
 
 
@@ -44,7 +44,6 @@ def test_compare_report_keeps_its_bits(tmp_path, german_csv, german_spec_path):
     assert main(["compare", "--data", str(german_csv), "--spec", german_spec_path,
                  "--seed", "13", "--reps", "1", "--max-epochs", "3",
                  "--patience", "3", "--hidden", "16,16", "--alpha-phi", "1e-3",
-                 "--baseline-epochs", "50", "--baseline-lr", "0.5",
                  "--out", str(out)]) == 0
     report = strip_wall_clock(json.loads((out / "report.json").read_text()))
     for path in ("data", "spec", "out"):

@@ -132,14 +132,16 @@ class TestSelectorStep:
         assert np.array_equal(new_policy.logits, policy.logits)
         assert np.all(pair.norms == pytest.approx(0.0, abs=1e-15))
 
-    def test_masked_coordinate_never_moves(self):
+    def test_masked_coordinate_never_moves(self, monkeypatch):
         net = make_net(2, d=5, hidden=(6,), c=2)
         policy = SelectorPolicy.initialize(5, 3, np.random.default_rng(3))
         X = np.random.default_rng(4).random((16, 5))
         rng = np.random.default_rng(5)
+        seen = recorded_selections(monkeypatch)
         for _ in range(50):
-            policy, pair = selector_step(policy, X, net, 0.7, rng)
-            assert np.all(pair.S[:, 3] == 0)
+            policy, _ = selector_step(policy, X, net, 0.7, rng)
+        assert len(seen) == 50
+        assert all(np.all(S[:, 3] == 0) for S in seen)
         assert policy.logits[3] == SelectorPolicy.initialize(
             5, 3, np.random.default_rng(3)).logits[3]
 

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import operator
 import reprlib
 from dataclasses import dataclass
 
@@ -110,21 +111,15 @@ class Predicate:
         elif self.value is None:
             raise DataError(f"predicate op {self.op!r} needs a value")
 
-    def matches(self, cell):
+    def mask(self, cells):
+        """Which cells of a RawTable column are privileged, as a bool array."""
         if self.op in ("eq", "in"):
             wanted = self.values if self.op == "in" else (str(self.value),)
-            if isinstance(cell, float):
-                return any(cell == float(v) for v in wanted)
-            return str(cell) in wanted
-        x = float(cell)
-        ref = float(self.value)
-        if self.op == "ge":
-            return x >= ref
-        if self.op == "gt":
-            return x > ref
-        if self.op == "le":
-            return x <= ref
-        return x < ref
+            # a float cell equals only the floats, a string cell only the strings
+            hits = {*wanted, *(float(v) for v in wanted if _finite(v))}
+            return np.fromiter(map(hits.__contains__, cells), bool, len(cells))
+        return getattr(operator, self.op)(np.asarray(cells, dtype=np.float64),
+                                          float(self.value))
 
     def to_dict(self):
         if self.op == "in":
@@ -182,7 +177,7 @@ class DatasetSpec:
         pred = self.privileged
         if pred.op in ("ge", "gt", "le", "lt") and kind != "numeric":
             raise DataError("numeric predicate on a categorical sensitive column")
-        # matches compares a numeric column's cells as numbers
+        # mask compares a numeric column's cells as numbers
         bad = [v for v in pred.values or (pred.value,) if not _finite(v)]
         if kind == "numeric" and bad:
             field = "values" if pred.op == "in" else "value"
@@ -243,83 +238,107 @@ class RawTable:
         return len(self.label_values)
 
 
+def _numbers(cells):
+    """cells (stripped strings) as builtin floats, or None if one is not a
+    finite number written in plain ASCII: float also reads 1_000 and
+    full-width or Arabic-Indic digits, which a CSV number never holds."""
+    joined = "".join(cells)
+    if "_" in joined or not joined.isascii():
+        return None
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
 def load_csv(path, spec):
     """Parse a headered RFC-4180 CSV against a DatasetSpec.
 
     Rows with missing cells in any used column are rejected (counted in
     the result, never imputed). Numeric cells that do not parse as a
-    finite number (including nan and inf) raise a DataError naming the
-    data row (1-based, header excluded) and column; so do a row with more
-    cells than the header and a used column that the header names twice.
-    Bytes that are not UTF-8 (a leading byte-order mark is dropped) and
-    text the csv module rejects raise a DataError naming the file line.
+    finite number in plain ASCII (nan, inf, 1_000 and non-ASCII digits
+    included) raise a DataError naming the data row (1-based, header
+    excluded) and column; so do a row with more cells than the header and
+    a used column that the header names twice. Bytes that are not UTF-8
+    (a leading byte-order mark is dropped) and text the csv module rejects
+    raise a DataError naming the file line. Of several faults, the one at
+    the earliest data row is raised.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from None
-    try:   # decoded whole, an error's offset gives its line; parsed in chunks
-        data.decode("utf-8-sig")
+    try:
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {line} is not UTF-8: {exc}") from None
-    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, fault = [], None
     try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        col_index = {name: i for i, name in enumerate(header)}
+        rows.extend(reader)
+    except csv.Error as exc:   # raised unless a row read before it has a fault
+        fault = DataError(f"{path}: line {reader.line_num}: {exc}")
+    if not rows:
+        raise fault or DataError(f"{path}: empty file")
+    header = [h.strip() for h in rows.pop(0)]
+    col_index = {name: i for i, name in enumerate(header)}
+    used = [c.name for c in spec.columns] + [spec.label_column]
+    missing = [name for name in used if name not in col_index]
+    if missing:
+        raise DataError(f"{path}: header is missing column(s) {missing}")
+    repeated = [name for name in used if header.count(name) > 1]
+    if repeated:
+        raise DataError(f"{path}: header repeats column(s) {repeated}")
 
-        used = [c.name for c in spec.columns] + [spec.label_column]
-        missing = [name for name in used if name not in col_index]
-        if missing:
-            raise DataError(f"{path}: header is missing column(s) {missing}")
-        repeated = [name for name in used if header.count(name) > 1]
-        if repeated:
-            raise DataError(f"{path}: header repeats column(s) {repeated}")
+    width = len(header)
+    lengths = list(map(len, rows))
+    if rows and max(lengths) > width:   # rows after the long one are never read
+        at = next(i for i, n in enumerate(lengths) if n > width)
+        fault = DataError(f"{path}: row {at + 1} has {lengths[at]} cells, "
+                          f"more than the header's {width}")
+        del rows[at:], lengths[at:]
+    if rows and min(lengths) < width:   # drop blank rows, pad short ones as missing
+        data_rows = [i for i, n in enumerate(lengths, start=1) if n]
+        rows = [row + [""] * (width - len(row)) for row in rows if row]
+    else:
+        data_rows = list(range(1, len(rows) + 1))
+    columns = list(zip(*rows)) or [()] * width
+    del rows
 
-        feature_values = {c.name: [] for c in spec.columns}
-        label_values = []
-        data_rows = []
-        n_rejected = 0
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) > len(header):
-                raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
-                                f"more than the header's {len(header)}")
-            cells = {}
-            skip = False
-            for name in used:
-                i = col_index[name]
-                cell = row[i].strip() if i < len(row) else ""
-                if cell in MISSING_TOKENS:
-                    skip = True
-                    break
-                cells[name] = cell
-            if skip:
-                n_rejected += 1
-                continue
-            for c in spec.columns:
-                cell = cells[c.name]
-                if c.kind == "numeric":
-                    try:
-                        cell = float(cell)
-                    except ValueError:
-                        cell = math.nan
-                    if not math.isfinite(cell):
-                        raise DataError(
-                            f"{path}: row {row_no}, column {c.name!r}: "
-                            f"cannot parse {cells[c.name]!r} as a finite number")
-                feature_values[c.name].append(cell)
-            label_values.append(cells[spec.label_column])
-            data_rows.append(row_no)
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    return RawTable(feature_values, label_values, data_rows, n_rejected)
+    cells = {}
+    rejected = set()
+    for name in used:
+        col = list(map(str.strip, columns[col_index[name]]))
+        if not MISSING_TOKENS.isdisjoint(col):
+            rejected.update(j for j, cell in enumerate(col) if cell in MISSING_TOKENS)
+        cells[name] = col
+    del columns
+    if rejected:
+        kept = [j for j in range(len(data_rows)) if j not in rejected]
+        data_rows = [data_rows[j] for j in kept]
+        cells = {name: [col[j] for j in kept] for name, col in cells.items()}
+
+    bad = None   # (data row, column, cell) of the earliest cell not a number
+    for c in spec.columns:
+        if c.kind == "numeric":
+            values = _numbers(cells[c.name])
+            if values is None:
+                j = next(j for j, cell in enumerate(cells[c.name])
+                         if _numbers([cell]) is None)
+                if bad is None or data_rows[j] < bad[0]:
+                    bad = (data_rows[j], c.name, cells[c.name][j])
+            cells[c.name] = values
+    if bad is not None:
+        row_no, name, cell = bad
+        raise DataError(f"{path}: row {row_no}, column {name!r}: "
+                        f"cannot parse {cell!r} as a finite number")
+    if fault is not None:
+        raise fault
+    return RawTable({c.name: cells[c.name] for c in spec.columns},
+                    cells[spec.label_column], data_rows, len(rejected))
 
 
 @dataclass
@@ -434,8 +453,7 @@ class Encoder:
         for item in self.layout:
             cells = raw.feature_values[item["name"]]
             if item["role"] == "sensitive":
-                features[:, pos] = [1.0 if spec.privileged.matches(v) else 0.0
-                                    for v in cells]
+                features[:, pos] = spec.privileged.mask(cells)
                 pos += 1
             elif item["role"] == "numeric":
                 lo, hi = item["min"], item["max"]
@@ -470,7 +488,7 @@ def _codes(raw, cells, values, column):
     outside values is a DataError naming its CSV data row."""
     lookup = {v: j for j, v in enumerate(values)}
     try:
-        return np.array([lookup[v] for v in cells])
+        return np.fromiter(map(lookup.__getitem__, cells), np.intp, len(cells))
     except KeyError as exc:
         raise DataError(f"row {raw.data_rows[cells.index(exc.args[0])]}, column "
                         f"{column!r}: {exc.args[0]!r} is not one of the values the "

@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import re
 from importlib.resources import files
 
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (ANY_JSON, GERMAN_CATEGORIES, GERMAN_HEADER, GERMAN_NUMERIC,
                       json_edits, write_german_csv)
-from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder,
-                          Predicate, RawTable, load_csv, prepare_splits, split,
-                          split_indices, synth_proxy)
+from fairsel.data import (MISSING_TOKENS, ColumnSpec, Dataset, DatasetSpec,
+                          Encoder, Predicate, RawTable, load_csv, prepare_splits,
+                          split, split_indices, synth_proxy)
 from fairsel.errors import DataError, DimensionError
 
 
@@ -156,6 +158,16 @@ class TestLoadCsv:
         msg = str(exc.value)
         assert "row 3" in msg and "'age'" in msg and cell in msg
 
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11\uff12", "\u0661\u0662"])
+    def test_numeric_cell_must_be_plain_ascii(self, tmp_path, cell):
+        # float reads 1_000, full-width and Arabic-Indic digits (1000.0,
+        # 12.0, 12.0), so these cells used to load without a word
+        path = write_csv(tmp_path / "u.csv", ["color", "size", "group", "label"],
+                         [["red", "2", "a", "yes"], ["blue", cell, "b", "no"]])
+        with pytest.raises(DataError, match=re.escape(
+                f"row 2, column 'size': cannot parse {cell!r} as a finite number")):
+            load_csv(path, tiny_spec())
+
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(tmp_path / "x.csv",
                          ["junk", "color", "size", "group", "label"],
@@ -202,6 +214,100 @@ _BODY = st.lists(st.one_of(_ROW.map(_row_bytes), _ROW.map(_row_bytes), _GARBAGE)
                  max_size=12).map(b"".join)
 
 
+def reference_load_csv(path, spec):
+    """load_csv as it was written row by row, the oracle for the
+    column-at-a-time one. Unlike that original, a numeric cell must be
+    plain ASCII without "_", as load_csv now requires."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from None
+    try:   # decoded whole, an error's offset gives its line; parsed in chunks
+        data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line} is not UTF-8: {exc}") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), "utf-8-sig", newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        col_index = {name: i for i, name in enumerate(header)}
+
+        used = [c.name for c in spec.columns] + [spec.label_column]
+        missing = [name for name in used if name not in col_index]
+        if missing:
+            raise DataError(f"{path}: header is missing column(s) {missing}")
+        repeated = [name for name in used if header.count(name) > 1]
+        if repeated:
+            raise DataError(f"{path}: header repeats column(s) {repeated}")
+
+        feature_values = {c.name: [] for c in spec.columns}
+        label_values = []
+        data_rows = []
+        n_rejected = 0
+        for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) > len(header):
+                raise DataError(f"{path}: row {row_no} has {len(row)} cells, "
+                                f"more than the header's {len(header)}")
+            cells = {}
+            skip = False
+            for name in used:
+                i = col_index[name]
+                cell = row[i].strip() if i < len(row) else ""
+                if cell in MISSING_TOKENS:
+                    skip = True
+                    break
+                cells[name] = cell
+            if skip:
+                n_rejected += 1
+                continue
+            for c in spec.columns:
+                cell = cells[c.name]
+                if c.kind == "numeric":
+                    try:
+                        cell = float(cell)
+                    except ValueError:
+                        cell = math.nan
+                    if not (cells[c.name].isascii() and "_" not in cells[c.name]):
+                        cell = math.nan   # the plain-ASCII rule
+                    if not math.isfinite(cell):
+                        raise DataError(
+                            f"{path}: row {row_no}, column {c.name!r}: "
+                            f"cannot parse {cells[c.name]!r} as a finite number")
+                feature_values[c.name].append(cell)
+            label_values.append(cells[spec.label_column])
+            data_rows.append(row_no)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    return RawTable(feature_values, label_values, data_rows, n_rejected)
+
+
+def _loaded(load, path, spec):
+    """What load gives for the file: its RawTable or its DataError's text."""
+    try:
+        return load(path, spec)
+    except DataError as exc:
+        return str(exc)
+
+
+def _german_row(extra=b"", **cells):
+    """A valid German data row, with cells replaced and extra appended."""
+    row = {name: GERMAN_CATEGORIES.get(name, ["1"])[0] for name in GERMAN_HEADER}
+    row.update({name: str(GERMAN_NUMERIC[name][0]) for name in GERMAN_NUMERIC})
+    row.update(cells)
+    return ",".join(row.values()).encode() + extra + b"\n"
+
+
+_LONG = _german_row(extra=b",1")
+_FIELD_PAST_LIMIT = b"9" * 131_073 + b"\n"
+
+
 @pytest.fixture(scope="module")
 def ingest_path(tmp_path_factory):
     return tmp_path_factory.mktemp("ingest") / "german.csv"
@@ -223,6 +329,27 @@ class TestIngestProperty:
         assert dataset.n == raw.n_rows
         assert np.isfinite(dataset.features).all()
         assert ((0 <= dataset.features) & (dataset.features <= 1)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=_BODY)
+    @example(body=_german_row() + _german_row(age="x") + _german_row() + _LONG)
+    @example(body=_german_row() + _LONG + _german_row() + _german_row(age="x"))
+    @example(body=_german_row(age="x") + _german_row() + _FIELD_PAST_LIMIT)
+    @example(body=_german_row(age="x") + _german_row(duration_months="y"))
+    @example(body=_german_row() + _german_row(age="x", housing="?"))
+    @example(body=b"\n" + _german_row() + b"\r\n\n" + _german_row(job="?")
+             + _german_row())
+    def test_load_csv_matches_the_row_by_row_reference(self, ingest_path,
+                                                        german_spec_path, body):
+        spec = DatasetSpec.from_json(german_spec_path)
+        ingest_path.write_bytes(",".join(GERMAN_HEADER).encode() + b"\n" + body)
+        raw = _loaded(load_csv, ingest_path, spec)
+        assert raw == _loaded(reference_load_csv, ingest_path, spec)
+        if isinstance(raw, RawTable):
+            for c in spec.columns:
+                kind = float if c.kind == "numeric" else str
+                assert all(type(v) is kind for v in raw.feature_values[c.name])
+            assert all(type(v) is str for v in raw.label_values)
 
 
 class TestEncode:
@@ -265,9 +392,9 @@ class TestEncode:
     def test_group_tags_match_predicate(self, tiny_csv):
         raw = load_csv(tiny_csv, tiny_spec())
         ds = encode_and_normalize(raw, tiny_spec())
-        expected = [tiny_spec().privileged.matches(v)
-                    for v in raw.feature_values["group"]]
+        expected = tiny_spec().privileged.mask(raw.feature_values["group"])
         assert np.array_equal(ds.group_tags, expected)
+        assert list(expected) == [v == "a" for v in raw.feature_values["group"]]
 
     @pytest.mark.parametrize("labels", [["yes", "no", "YES", "no"],
                                         ["no", "NO", "no", "no"],
@@ -623,9 +750,27 @@ class TestSpecValidation:
             DatasetSpec.from_dict(spec)
 
     def test_predicate_ops(self):
-        assert Predicate(op="ge", value=25).matches("30")
-        assert not Predicate(op="ge", value=25).matches("20")
-        assert Predicate(op="in", values=["a", "b"]).matches("a")
-        assert Predicate(op="lt", value=5).matches("4.5")
+        assert list(Predicate(op="ge", value=25).mask([30.0, 20.0, 25.0])) == [
+            True, False, True]
+        assert list(Predicate(op="in", values=["a", "b"]).mask(["a", "c"])) == [
+            True, False]
+        assert list(Predicate(op="lt", value=5).mask([4.5, 5.0])) == [True, False]
         with pytest.raises(DataError):
             Predicate(op="between", value=1)
+
+    @pytest.mark.parametrize("predicate,cells,expected", [
+        # a numeric column's float cells compare as numbers, so -0.0 is 0.0
+        (Predicate(op="eq", value=0), [-0.0, 0.0, 1.0], [True, True, False]),
+        (Predicate(op="eq", value=-0.0), [0.0, -0.0], [True, True]),
+        (Predicate(op="in", values=[-0.0, 3]), [0.0, -0.0, 3.0, 2.0],
+         [True, True, True, False]),
+        (Predicate(op="eq", value="25"), [25.0, 250.0], [True, False]),
+        # a categorical column's cells compare as written
+        (Predicate(op="eq", value=25), ["25", "25.0"], [True, False]),
+        (Predicate(op="in", values=[1, "F", 2.5]), ["1", "F", "2.5", "1.0", "M"],
+         [True, True, True, False, False]),
+    ])
+    def test_predicate_mask_compares_numbers_and_strings(self, predicate, cells,
+                                                          expected):
+        mask = predicate.mask(cells)
+        assert mask.dtype == bool and list(mask) == expected

@@ -66,12 +66,15 @@ def _field(obj, path, kinds, default=None):
     return _typed(obj.get(key, default), kinds, f"dataset spec field {path!r}")
 
 
-def _finite(v):
-    """v (a number or a string) parses to a finite float."""
+def _number(v):
+    """v, a spec value, as a builtin float if it is a finite number, and
+    if a string, written as a CSV number cell must be (`_numbers`); else
+    None."""
     try:
-        return math.isfinite(float(v))
+        values = _numbers([v]) if isinstance(v, str) else [float(v)]
     except (TypeError, ValueError, OverflowError):
-        return False
+        return None
+    return values[0] if values and math.isfinite(values[0]) else None
 
 
 def _layout_entry_fits(item, name, role):
@@ -116,10 +119,10 @@ class Predicate:
         if self.op in ("eq", "in"):
             wanted = self.values if self.op == "in" else (str(self.value),)
             # a float cell equals only the floats, a string cell only the strings
-            hits = {*wanted, *(float(v) for v in wanted if _finite(v))}
+            hits = {*wanted, *(x for x in map(_number, wanted) if x is not None)}
             return np.fromiter(map(hits.__contains__, cells), bool, len(cells))
         return getattr(operator, self.op)(np.asarray(cells, dtype=np.float64),
-                                          float(self.value))
+                                          _number(self.value))
 
     def to_dict(self):
         if self.op == "in":
@@ -178,7 +181,7 @@ class DatasetSpec:
         if pred.op in ("ge", "gt", "le", "lt") and kind != "numeric":
             raise DataError("numeric predicate on a categorical sensitive column")
         # mask compares a numeric column's cells as numbers
-        bad = [v for v in pred.values or (pred.value,) if not _finite(v)]
+        bad = [v for v in pred.values or (pred.value,) if _number(v) is None]
         if kind == "numeric" and bad:
             field = "values" if pred.op == "in" else "value"
             raise DataError(f"dataset spec field 'sensitive.privileged.{field}' "

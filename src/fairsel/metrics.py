@@ -45,21 +45,25 @@ class GroupedOutcomes:
         return self.y_true.shape[0]
 
 
-def _rate(outcomes, label, privileged=None):
-    """The TPR (label 1) or TNR (label 0) over all records, or with
-    privileged True / False over that group alone."""
-    t, p, group = outcomes.y_true, outcomes.y_pred, "population"
-    if privileged is not None:
-        mask = outcomes.privileged == privileged
-        t, p = t[mask], p[mask]
-        group = "privileged group" if privileged else "unprivileged group"
-    actual = t == label
-    n = int(actual.sum())
+def _rates(y_true, y_pred, label, group):
+    """The TPR (label 1) or TNR (label 0) of each row of 0/1 predicted
+    labels y_pred (m, n) against the labels y_true (n,) of group's
+    records, as (m,) float64."""
+    actual = y_true == label
+    n = int(np.count_nonzero(actual))
     if n == 0:
         raise DegenerateGroupError(
             f"{group} has no {'positive' if label else 'negative'} "
             f"(label {label}) examples")
-    return int((actual & (p == label)).sum()) / n
+    return np.count_nonzero(y_pred[:, actual] == label, axis=1) / n
+
+
+def _rate(outcomes, label, privileged):
+    """The TPR (label 1) or TNR (label 0) of the privileged (True) or
+    unprivileged (False) group."""
+    mask = outcomes.privileged == privileged
+    group = "privileged group" if privileged else "unprivileged group"
+    return float(_rates(outcomes.y_true[mask], outcomes.y_pred[None, mask], label, group)[0])
 
 
 def _require_nonempty(outcomes):
@@ -81,10 +85,21 @@ def accuracy(outcomes):
     return float((outcomes.y_true == outcomes.y_pred).mean())
 
 
+def balanced_accuracies(y_true, y_pred):
+    """Balanced accuracy, the mean of the true positive and true negative
+    rates, of each row of 0/1 predicted labels y_pred (m, n) against the
+    0/1 labels y_true (n,), as (m,) float64. Labels that lack a class
+    raise DegenerateGroupError, even when y_pred has no rows."""
+    y_true, y_pred = np.asarray(y_true), np.asarray(y_pred)
+    if y_true.shape[0] == 0:
+        raise DataError("metric requires at least one outcome record")
+    return 0.5 * (_rates(y_true, y_pred, 1, "population")
+                  + _rates(y_true, y_pred, 0, "population"))
+
+
 def balanced_accuracy(outcomes):
     """Average of true positive rate and true negative rate."""
-    _require_nonempty(outcomes)
-    return 0.5 * (_rate(outcomes, 1) + _rate(outcomes, 0))
+    return float(balanced_accuracies(outcomes.y_true, outcomes.y_pred[None])[0])
 
 
 def equal_opportunity_diff(outcomes):

@@ -149,8 +149,20 @@ class DenseNet:
         if self.theta.shape != (blocks[-1][2],):
             raise DimensionError(f"parameter vector of sizes {self.sizes}",
                                  (blocks[-1][2],), self.theta.shape)
-        views = [self.theta[lo:hi].reshape(shape) for _, lo, hi, shape in blocks]
+        self._view()
+
+    def _view(self):
+        views = [self.theta[lo:hi].reshape(shape)
+                 for _, lo, hi, shape in _layout(self.sizes)]
         self.weights, self.biases = views[0::2], views[1::2]
+        return self
+
+    def _like(self, theta):
+        """A net of these sizes around theta, a vector of this theta's
+        shape and dtype, so the checks of __init__ hold already."""
+        net = object.__new__(DenseNet)
+        net.sizes, net.theta = self.sizes, theta
+        return net._view()
 
     @property
     def input_dim(self):
@@ -248,7 +260,7 @@ def backward(net, X, outputs, output_grad):
     # softmax Jacobian-vector product: dz = p * (g - <g, p>)
     delta = probs * (G - reduce_classes(np.add, G * probs)[:, None])
 
-    grad = DenseNet(net.sizes, np.empty_like(net.theta))
+    grad = net._like(np.empty_like(net.theta))
     for i in range(net.num_layers - 1, -1, -1):
         np.matmul(delta.T, acts[i], out=grad.weights[i])
         delta.sum(axis=0, out=grad.biases[i])
@@ -302,4 +314,4 @@ def adam_step(net, grad, state, lr):
     step *= lr
     step /= tmp
     theta = np.subtract(net.theta, step, out=step)
-    return DenseNet(net.sizes, theta), AdamState(m, v, t)
+    return net._like(theta), AdamState(m, v, t)

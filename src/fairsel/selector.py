@@ -58,7 +58,8 @@ class SelectorPolicy:
 
 def probabilities(policy):
     """Selection probability per feature; exactly 0 at the masked index."""
-    p = sigmoid(np.clip(policy.logits, -LOGIT_LIMIT, LOGIT_LIMIT))
+    # np.clip's bits, without its wrapper
+    p = sigmoid(np.minimum(np.maximum(policy.logits, -LOGIT_LIMIT), LOGIT_LIMIT))
     p[policy.sensitive_index] = 0.0
     return p
 
@@ -76,8 +77,7 @@ def _validate_rows(p, S):
     S = np.asarray(S)
     if S.ndim != 2 or S.shape[1:] != p.shape:
         raise DimensionError("selection rows", f"(m, {p.size})", S.shape)
-    if any(np.count_nonzero(S[:, j])
-           for j, pj in enumerate(p.tolist()) if pj <= 0.0):
+    if S[:, p <= 0.0].any():
         raise FairselError("selection includes a masked (zero-probability) feature")
     return p, S
 

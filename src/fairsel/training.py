@@ -175,7 +175,7 @@ def sensitivity_pair(net, X, S, k):
     rows[n:, k] = X[changed, k]
     outputs = layer_outputs(net, rows)
     p_sel = outputs[-1][:n]
-    diff = np.zeros_like(p_sel)
+    diff = np.zeros(p_sel.shape, p_sel.dtype)
     diff[changed] = outputs[-1][n:] - p_sel[changed]
     # np.linalg.norm(diff, axis=1), the same bits
     return SensitivityPair(changed, rows, outputs, p_sel, diff,
@@ -200,7 +200,8 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
         raise NumericalError("sensitivity estimate is non-finite; aborting epoch")
     norms = pair.norms.astype(np.float64, copy=False)
     coeff = norms - baseline if baseline is not None else norms
-    grad = (coeff[:, None] * log_pi_grad(p, S)).mean(axis=0)
+    # sum(axis=0) / n is what mean(axis=0) computes, without its wrapper
+    grad = (coeff[:, None] * log_pi_grad(p, S)).sum(axis=0) / S.shape[0]
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
     return SelectorPolicy(policy.logits + alpha_theta * grad, policy.sensitive_index), pair
@@ -231,13 +232,13 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
     # sum() / n is what np.mean computes, without its Python wrapper
     loss = float((sensitivity_weight * norms + ce_weight * ce).sum() / n)
 
-    unit = np.divide(diff, norms[:, None], out=np.zeros_like(diff),
+    unit = np.divide(diff, norms[:, None], out=np.zeros(diff.shape, diff.dtype),
                      where=(norms > NORM_EPS)[:, None])
 
     grad_with = (sensitivity_weight / n) * unit[pair.changed]
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
-    grad = backward(net, pair.rows, pair.outputs, np.vstack([grad_sel, grad_with]))
+    grad = backward(net, pair.rows, pair.outputs, np.concatenate([grad_sel, grad_with]))
     return loss, grad, float(ce.sum() / n), float(norms.sum() / n)
 
 
@@ -331,21 +332,23 @@ def train(train_data, val_data, config):
     for epoch in range(config.max_epochs):
         epoch_start = (net, policy, adam)
         order = rng.permutation(n)
+        # gathered once per epoch: each batch is a slice view of these
+        X_epoch, Y_epoch = X[order], Y[order]
         ce_sum = sens_sum = 0.0
         try:
             for batch, lo in enumerate(range(0, n, config.batch_size)):
-                idx = order[lo:lo + config.batch_size]
+                X_batch = X_epoch[lo:lo + config.batch_size]
                 policy, pair = selector_step(
-                    policy, X[idx], net, config.alpha_theta, rng,
+                    policy, X_batch, net, config.alpha_theta, rng,
                     baseline=baseline if config.score_baseline else None)
                 net, adam, ce_mean, sens_mean = predictor_step(
-                    net, pair, Y[idx], adam,
+                    net, pair, Y_epoch[lo:lo + config.batch_size], adam,
                     config.alpha_phi, config.sensitivity_weight)
                 if config.score_baseline:
                     baseline = (sens_mean if baseline is None
                                 else 0.9 * baseline + 0.1 * sens_mean)
-                ce_sum += ce_mean * len(idx)
-                sens_sum += sens_mean * len(idx)
+                ce_sum += ce_mean * len(X_batch)
+                sens_sum += sens_mean * len(X_batch)
         except NumericalError as exc:
             net, policy, adam = epoch_start
             diagnostics = f"training aborted during epoch {epoch}, batch {batch}: {exc}"

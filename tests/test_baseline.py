@@ -1,12 +1,68 @@
+import math
+
 import numpy as np
 import pytest
 
-from fairsel.baseline import (LogisticModel, logistic_loss_and_grad,
+import fairsel.baseline as baseline
+import fairsel.data
+import fairsel.metrics
+from fairsel.baseline import (EPOCH_BLOCK, LogisticModel, logistic_loss_and_grad,
                               predict_logistic_batch, train_logistic)
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder, Predicate,
-                          split, synth_proxy)
-from fairsel.errors import DimensionError
+                          load_csv, prepare_splits, split, synth_proxy)
+from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
 from fairsel.diagnostics import relative_error
+from fairsel.selector import sigmoid
+
+
+def reference_trajectory(train_data, val_data, *, epochs, lr):
+    """(score, weights, bias) after each epoch of train_logistic's loop as
+    it was when every epoch built a LogisticModel and scored its labels
+    on its own, with the gradient and balanced accuracy written out."""
+    X, y = train_data.features, train_data.labels
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(epochs):
+        resid = sigmoid(X @ w + b) - y
+        gw, gb = X.T @ resid / X.shape[0], float(resid.mean())
+        if not (np.isfinite(gw).all() and np.isfinite(gb)):
+            raise NumericalError("logistic training diverged")
+        w = w - lr * gw
+        b = b - lr * gb
+        labels, _ = predict_logistic_batch(LogisticModel(w, b), val_data.features)
+        rates = []
+        for label in (1, 0):
+            actual = val_data.labels == label
+            n = int(actual.sum())
+            if n == 0:
+                raise DegenerateGroupError(
+                    f"population has no {'positive' if label else 'negative'} "
+                    f"(label {label}) examples")
+            rates.append(int((actual & (labels == label)).sum()) / n)
+        yield 0.5 * (rates[0] + rates[1]), w.copy(), b
+
+
+def reference_train_logistic(train_data, val_data, *, epochs, lr):
+    """The parameters of the first epoch with the best score."""
+    best = (-np.inf, None, None)
+    for score, w, b in reference_trajectory(train_data, val_data, epochs=epochs, lr=lr):
+        if score > best[0]:
+            best = (score, w, b)
+    return LogisticModel(best[1], best[2])
+
+
+def assert_same_fit(tr, va, epochs, lr):
+    want = reference_train_logistic(tr, va, epochs=epochs, lr=lr)
+    got = train_logistic(tr, va, epochs=epochs, lr=lr)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert math.copysign(1, got.bias) == math.copysign(1, want.bias)
+    assert got.bias == want.bias
+
+
+@pytest.fixture(scope="module")
+def german_splits(german_csv, german_spec_path):
+    spec = DatasetSpec.from_json(german_spec_path)
+    raw = load_csv(german_csv, spec)
+    return [prepare_splits(raw, spec, seed)[:2] for seed in range(3)]
 
 
 def toy_dataset(X, y):
@@ -71,6 +127,86 @@ class TestTrainLogistic:
             w, b = w - 1e-3 * gw, b - 1e-3 * gb
         final, _, _ = logistic_loss_and_grad(w, b, X, y)
         assert final <= initial
+
+
+class TestBlockScoredFit:
+    @pytest.mark.parametrize("n,corr,seed", [(300, 0.8, 1), (1000, 0.95, 2), (5000, 0.95, 3)])
+    @pytest.mark.parametrize("epochs", [1, EPOCH_BLOCK - 1, EPOCH_BLOCK, EPOCH_BLOCK + 1, 400])
+    def test_matches_the_per_epoch_loop_on_proxy_splits(self, n, corr, seed, epochs):
+        tr, va, _ = split(synth_proxy(n, corr, seed), seed)
+        assert_same_fit(tr, va, epochs, 0.5)
+
+    @pytest.mark.parametrize("rep", range(3))
+    def test_matches_the_per_epoch_loop_on_german_splits(self, german_splits, rep):
+        tr, va = german_splits[rep]
+        assert_same_fit(tr, va, 500, 0.1)
+
+    def test_the_first_of_tied_epochs_wins_across_blocks(self):
+        # the toy is separable, so validation (the training set itself)
+        # reaches its best score and keeps it in later blocks
+        ds = separable()
+        epochs = 4 * EPOCH_BLOCK
+        steps = list(reference_trajectory(ds, ds, epochs=epochs, lr=1.0))
+        scores = [score for score, _, _ in steps]
+        first = scores.index(max(scores))
+        tied = [e for e, score in enumerate(scores) if score == max(scores)]
+        assert first // EPOCH_BLOCK < tied[-1] // EPOCH_BLOCK
+        assert not np.array_equal(steps[first][1], steps[tied[-1]][1])
+        got = train_logistic(ds, ds, epochs=epochs, lr=1.0)
+        assert got.weights.tobytes() == steps[first][1].tobytes()
+        assert got.bias == steps[first][2]
+
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_validation_missing_a_class_fails_as_before(self, missing):
+        tr, va, _ = split(synth_proxy(400, 0.8, 4), 4)
+        va = va.subset(np.flatnonzero(va.labels != missing))
+        with pytest.raises(DegenerateGroupError) as want:
+            reference_train_logistic(tr, va, epochs=5, lr=0.5)
+        with pytest.raises(DegenerateGroupError) as got:
+            train_logistic(tr, va, epochs=5, lr=0.5)
+        assert str(got.value) == str(want.value)
+
+    def test_divergent_lr_fails_as_before(self):
+        # the step overflows float64 within 200 epochs on this split
+        tr, va, _ = split(synth_proxy(300, 0.8, 2), 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError):
+                reference_train_logistic(tr, va, epochs=200, lr=1.7e308)
+            with pytest.raises(NumericalError, match="diverged"):
+                train_logistic(tr, va, epochs=200, lr=1.7e308)
+
+    def test_non_finite_gradient_fails(self, monkeypatch):
+        real = baseline.logistic_grad
+
+        def nan_at_third_epoch(*args, calls=[]):
+            calls.append(None)
+            gw, gb, p = real(*args)
+            return (gw * np.nan, gb, p) if len(calls) == 3 else (gw, gb, p)
+
+        monkeypatch.setattr(baseline, "logistic_grad", nan_at_third_epoch)
+        tr, va, _ = split(synth_proxy(300, 0.8, 1), 1)
+        with pytest.raises(NumericalError, match="diverged"):
+            train_logistic(tr, va, epochs=10, lr=0.5)
+
+    @pytest.mark.parametrize("epochs", [1, 10, 400])
+    def test_per_epoch_metric_calls_do_not_grow_with_epochs(self, monkeypatch, epochs):
+        calls = {"balanced_accuracy": 0, "balanced_accuracies": 0, "GroupedOutcomes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (baseline, fairsel.metrics, fairsel.data):
+            for name in calls:
+                if name in vars(module):
+                    monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
+        tr, va, _ = split(synth_proxy(300, 0.8, 1), 1)
+        train_logistic(tr, va, epochs=epochs, lr=0.5)
+        # one up-front check of the validation labels, then one call per block
+        assert calls == {"balanced_accuracy": 0, "GroupedOutcomes": 0,
+                         "balanced_accuracies": 1 + math.ceil(epochs / EPOCH_BLOCK)}
 
 
 class TestGradient:

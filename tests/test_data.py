@@ -582,7 +582,8 @@ _SPEC_VALUES = (st.sampled_from([
     "numeric", "categorical", "eq", "in", "ge", "lt", "age", "sex",
     "personal_status_sex", "credit_risk", "A91", "1", 25, ["A91", "A93"],
     {"name": "age", "kind": "numeric"}, 10**400, float("nan"), float("inf"),
-    float("-inf"), "nan", "1e999"]) | ANY_JSON)
+    float("-inf"), "nan", "1e999", "1_000", "\uff12\uff15", "\u0662\u0665"])
+    | ANY_JSON)
 
 
 @pytest.fixture(scope="module")
@@ -611,6 +612,16 @@ class TestSpecEditProperty:
             return
         assert isinstance(spec, DatasetSpec)
         assert all(isinstance(part, Dataset) for part in splits)
+
+    @pytest.mark.parametrize("value", ["1_000", "\uff12\uff15", "\u0662\u0665"],
+                             ids=["underscore", "full-width", "arabic-indic"])
+    def test_numeric_privileged_value_is_read_as_a_csv_cell(self, value):
+        # float reads these as 1000, 25 and 25; load_csv rejects each of
+        # them in a numeric cell, so the spec must too
+        body = {**_SPECS["bank"], "sensitive": {
+            "column": "age", "privileged": {"op": "ge", "value": value}}}
+        with pytest.raises(DataError, match=r"'sensitive\.privileged\.value' on numeric"):
+            DatasetSpec.from_dict(body)
 
 
 class TestSpecValidation:

@@ -2,8 +2,8 @@
 
 Reruns are bit-identical, and a change that only makes the code faster
 must keep every bit of what it computes. These tests pin the sha256 of
-a short training run's parameters, of one stripped `compare` report
-and of one stripped `evaluate` report.
+a short training run's parameters, of one logistic baseline fit, of one
+stripped `compare` report and of one stripped `evaluate` report.
 A change that moves a bit on purpose (a new summation order, say) must
 recompute the pins and say so in CHANGES.md.
 
@@ -15,7 +15,10 @@ in other batches, may sum a matmul in another order.
 import hashlib
 import json
 
-from fairsel.cli import main
+import numpy as np
+
+from fairsel.baseline import train_logistic
+from fairsel.cli import derive_seed, main
 from fairsel.data import split, synth_proxy
 from fairsel.report import strip_wall_clock
 from fairsel.training import TrainConfig, train
@@ -23,6 +26,7 @@ from fairsel.training import TrainConfig, train
 TRAIN_SHA256 = "5041d130908c76925532353a5b1e741e65037b1d830933b21aae7517a9d6be73"
 COMPARE_SHA256 = "cf645fbb8e535892b126f033ce09c33619ba6e2dd4bc5e1086da59e153fb2c52"
 EVALUATE_SHA256 = "82176d75dd61c47619ab8673f562a9d91711e8b76b09cf715fb302f1409d3fbe"
+BASELINE_SHA256 = "b2ea8519e3d6840853a9c37ae5a031fe4d2e5604fa49d05e95ec78842c4444d2"
 
 
 def test_short_training_run_keeps_its_bits():
@@ -37,6 +41,17 @@ def test_short_training_run_keeps_its_bits():
     digest = hashlib.sha256(model.net.theta.astype("<f8").tobytes()
                             + model.policy.logits.astype("<f8").tobytes())
     assert digest.hexdigest() == TRAIN_SHA256
+
+
+def test_baseline_fit_keeps_its_bits():
+    # the logistic of criterion 6's first repetition, which proxy-train
+    # fits: 5,000 proxy rows, 400 epochs at lr 0.5
+    seed = derive_seed(0, 0)
+    tr, va, _ = split(synth_proxy(5000, 0.95, seed), seed)
+    model = train_logistic(tr, va, epochs=400, lr=0.5)
+    digest = hashlib.sha256(model.weights.astype("<f8").tobytes()
+                            + np.float64(model.bias).astype("<f8").tobytes())
+    assert digest.hexdigest() == BASELINE_SHA256
 
 
 def test_compare_report_keeps_its_bits(tmp_path, german_csv, german_spec_path):

@@ -8,7 +8,7 @@ predictor insensitive to it. Includes the group-fairness metric suite,
 a tabular data pipeline, a logistic baseline and a CLI.
 """
 
-from .baseline import LogisticModel, train_logistic
+from .baseline import train_logistic
 from .data import (Dataset, DatasetSpec, Encoder, load_csv, prepare_splits,
                    split, synth_proxy)
 from .errors import (DataError, DegenerateGroupError, DimensionError,

@@ -2,64 +2,59 @@
 
 The comparison baseline deliberately uses every feature, including the
 sensitive one, so fairness gaps of the adversarial model can be read
-against an unconstrained learner. Trained by full-batch gradient
-descent on binary cross-entropy; the parameters kept are those of the
-first epoch with the highest validation balanced accuracy, scored in
-blocks of EPOCH_BLOCK epochs.
+against an unconstrained learner. `fit_logistic` trains it in float64 by
+full-batch gradient descent on binary cross-entropy and keeps the
+parameters of the first epoch with the highest validation balanced
+accuracy, scored in blocks of EPOCH_BLOCK epochs. `train_logistic`
+deploys that fit as the model every other model is: a float32 `(d, 2)`
+softmax net with no hidden layer (`logistic_net`) that keeps every
+column, so it is predicted, scored and saved by the same code as the
+adversarial model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import NumericalError
 # perfbench/spans.py times calls made through this module's balanced_accuracy
 from .metrics import balanced_accuracies, balanced_accuracy  # noqa: F401
+from .nets import DenseNet
 from .selector import sigmoid
+from .training import TrainedModel
 
 # epochs whose validation labels are scored in one balanced-accuracy call
 EPOCH_BLOCK = 64
 
 
-@dataclass
-class LogisticModel:
-    weights: np.ndarray
-    bias: float
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias)):
-            raise NumericalError("non-finite logistic parameters")
-        self.bias = float(self.bias)
-
-
 def logistic_grad(weights, bias, X, y):
     """The exact gradient (grad_w, grad_b) of the mean binary
-    cross-entropy, and the probabilities it was read off."""
+    cross-entropy, and the probabilities it was read off. It is also the
+    gradient of `logistic_net(weights, bias)`'s mean softmax cross-entropy
+    in its class-1 row."""
     p = sigmoid(X @ weights + bias)
     resid = p - y
     # sum() / n is what np.mean computes, without its Python wrapper
     return X.T @ resid / X.shape[0], float(resid.sum() / X.shape[0]), p
 
 
-def logistic_loss_and_grad(weights, bias, X, y):
-    """Mean binary cross-entropy and its exact gradient."""
-    grad_w, grad_b, p = logistic_grad(weights, bias, X, y)
-    eps = 1e-12
-    loss = float(-np.mean(y * np.log(np.maximum(p, eps))
-                          + (1 - y) * np.log(np.maximum(1 - p, eps))))
-    return loss, grad_w, grad_b
+def logistic_net(weights, bias):
+    """The float64 `(d, 2)` softmax net of the logistic (weights, bias):
+    class 0's logit is 0 and class 1's is x @ weights + bias, so its
+    class-1 probability is the logistic's. theta is [0...0, w, 0, b]."""
+    d = len(weights)
+    return DenseNet((d, 2), np.concatenate([np.zeros(d), weights, [0.0, bias]]))
 
 
-def train_logistic(train_data, val_data, *, epochs=500, lr=0.1):
-    """Fit by full-batch gradient descent; keep the parameters of the
-    first epoch with the highest validation balanced accuracy, scoring
-    the labels of EPOCH_BLOCK epochs in one call. Deterministic (zero
-    initialization, convex loss). A validation split that lacks a class
-    raises DegenerateGroupError before the first epoch."""
+def fit_logistic(train_data, val_data, *, epochs, lr):
+    """Fit (w, b) in float64 by full-batch gradient descent; keep the
+    parameters of the first epoch with the highest validation balanced
+    accuracy, scoring the labels of EPOCH_BLOCK epochs in one call.
+    Deterministic (zero initialization, convex loss). A validation split
+    that lacks a class raises DegenerateGroupError before the first
+    epoch."""
     # written so that NaN fails every comparison
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -89,14 +84,11 @@ def train_logistic(train_data, val_data, *, epochs=500, lr=0.1):
             if scores[i] > best[0]:
                 best = (scores[i], params[i, :-1].copy(), float(params[i, -1]))
     _, w, b = best
-    return LogisticModel(w, b)
+    return w, b
 
 
-def predict_logistic_batch(model, X):
-    """(labels, probabilities) for a batch of inputs; probability 0.5
-    predicts the favorable label."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
-        raise DimensionError("input", f"(n, {model.weights.shape[0]})", X.shape)
-    probs = sigmoid(X @ model.weights + model.bias)
-    return (probs >= 0.5).astype(np.int64), probs
+def train_logistic(train_data, val_data, *, epochs=500, lr=0.1):
+    """`fit_logistic`'s (w, b) as a deployed model: `logistic_net`
+    rounded to float32, keeping every column."""
+    net = logistic_net(*fit_logistic(train_data, val_data, epochs=epochs, lr=lr))
+    return TrainedModel(DenseNet(net.sizes, net.theta.astype(np.float32)))

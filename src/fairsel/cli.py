@@ -7,11 +7,13 @@ counter scheme, so adding repetitions never reshuffles earlier ones.
 
 train, compare and tune share one repetition runner: compare is train
 plus the logistic baseline, and tune is train over a list of
-sensitivity weights. Each command checks every flag before it reads or
-writes a file, then maps all of its (repetition, config) tasks through
-one work list; FAIRSEL_THREADS=N (default 1, sequential) runs that list
-in one pool of N processes, each of which receives the loaded table
-once.
+sensitivity weights. Both models are a net and the columns it keeps,
+scored by one `report.evaluate_model` and saved by one
+`checkpoint.save_model`. Each command checks every flag before it reads
+or writes a file, then maps all of its (repetition, config) tasks
+through one work list; FAIRSEL_THREADS=N (default 1, sequential) runs
+that list in one pool of N processes, each of which receives the loaded
+table once.
 
 Exit status: 0 success, 1 usage error, 2 data error, 3 numerical
 failure.
@@ -32,8 +34,7 @@ import numpy as np
 
 from . import report as rpt
 from .baseline import train_logistic
-from .checkpoint import (KIND_ADVERSARIAL, KIND_LOGISTIC, load_model,
-                         save_model)
+from .checkpoint import load_model, save_model
 from .data import DatasetSpec, load_csv, prepare_splits
 from .diagnostics import ESTIMATE_SAMPLES, run_all
 from .errors import DataError, FairselError, NumericalError
@@ -240,14 +241,14 @@ def _train_one_rep(task, args, raw, spec):
 
     t0 = time.perf_counter()
     model = train(train_ds, val_ds, config)
-    adv_metrics = rpt.evaluate_model(KIND_ADVERSARIAL, model, test_ds)
+    adv_metrics = rpt.evaluate_model(None, model, test_ds)
     if args.command == "tune":
         return _tune_point(model, val_ds), adv_metrics
     entry = {"index": rep, "seed": seed, "adversarial": adv_metrics}
     saved = {"adversarial": model}
     if args.command == "compare":
         saved["baseline"] = train_logistic(train_ds, val_ds)
-        entry["baseline"] = rpt.evaluate_model(KIND_LOGISTIC, saved["baseline"], test_ds)
+        entry["baseline"] = rpt.evaluate_model(None, saved["baseline"], test_ds)
     entry["selection_probabilities"] = {
         name: float(p) for name, p in
         zip(test_ds.column_names, model.selection_probabilities)}
@@ -329,7 +330,7 @@ def cmd_evaluate(args):
     raw = load_csv(args.data, encoder.spec)
     dataset = encoder.transform(raw)
 
-    metrics = rpt.evaluate_model(kind, model, dataset)
+    metrics = rpt.evaluate_model(None, model, dataset)
     report = rpt.base_report("evaluate", _echo_config(args), args.seed)
     report["model_kind"] = kind
     report["n_rows"] = dataset.n

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import logistic_loss_and_grad
+from .baseline import logistic_grad, logistic_net
 from .errors import NumericalError
-from .nets import DenseNet
+from .nets import DenseNet, forward
 from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sigmoid)
 from .training import pair_loss_and_grads, selector_step, sensitivity_pair
@@ -154,19 +154,23 @@ def check_composite_gradients(n_instances=100, seed=2, tolerance=1e-4):
 
 
 def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
-    """Logistic-regression gradients vs central differences."""
+    """The gradient the logistic baseline trains on (`logistic_grad`) vs
+    central differences of the mean cross-entropy of the float64 `(d, 2)`
+    net it deploys as (`logistic_net`)."""
     rng = np.random.default_rng(seed)
     errors = []
     for _ in range(n_instances):
         n, d = 8, int(rng.integers(2, 6))
         X = rng.random((n, d))
-        y = (rng.random(n) < 0.5).astype(np.float64)
+        y = (rng.random(n) < 0.5).astype(np.int64)
         w = rng.normal(0, 1, size=d)
         b = float(rng.normal())
-        _, gw, gb = logistic_loss_and_grad(w, b, X, y)
-        errors.extend(difference_errors(
-            lambda theta: logistic_loss_and_grad(theta[:d], theta[d], X, y)[0],
-            np.append(w, b), np.append(gw, gb), h))
+        gw, gb, _ = logistic_grad(w, b, X, y)
+
+        def loss(theta):
+            p = forward(logistic_net(theta[:d], theta[d]), X)[np.arange(n), y]
+            return float(-np.log(p).mean())
+        errors.extend(difference_errors(loss, np.append(w, b), np.append(gw, gb), h))
     return _gate("logistic gradient", errors, tolerance)
 
 

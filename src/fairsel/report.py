@@ -1,5 +1,7 @@
 """Run reports: metric evaluation, aggregation and serialization.
 
+Every model, adversarial or baseline, is a net and the columns it keeps,
+and `evaluate_model` scores both by the same paired pass.
 Reports are dicts with a fixed field order and a schema version; bump
 REPORT_SCHEMA_VERSION whenever a field is added, removed or renamed.
 Wall-clock fields (any key starting with "wall_clock") are the only
@@ -10,16 +12,12 @@ them first.
 from __future__ import annotations
 
 import json
-import math
 
 import jsonschema
 import numpy as np
 
 from . import metrics as M
-from .baseline import predict_logistic_batch
-from .checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
 from .errors import DataError
-from .selector import sigmoid
 from .training import mean_sensitivity, predict  # perfbench patches predict here
 
 REPORT_SCHEMA_VERSION = 3
@@ -114,28 +112,22 @@ def validate_report(report):
         raise error
 
 
-# sensitivity_seed is ignored: perfbench still passes it (ROADMAP item 7)
+# kind and sensitivity_seed are ignored: perfbench still passes them
+# (ROADMAP item 7)
 def evaluate_model(kind, model, dataset, sensitivity_seed=None):
-    """All report metrics for one model on one encoded dataset.
+    """All report metrics for one deployed model (a net and the columns
+    it keeps) on one encoded dataset.
 
-    mean_sensitivity is the row mean of the norm of the change in the
-    model's probability row when the sensitive value is restored to the
-    input the model deploys; it is deterministic for both model kinds.
+    The labels and mean_sensitivity come from one paired pass: the row
+    mean of the norm of the change in the model's probability row when
+    the sensitive value is restored to the kept input, and the argmax of
+    each deployed probability row (ties go to class 0, as in `predict`).
     """
     if dataset.n == 0:
         raise DataError("cannot evaluate on an empty dataset")
-    X = dataset.features
-    if kind == KIND_ADVERSARIAL:
-        sens, probs = mean_sensitivity(model.net, model.policy, X)
-        y_pred = probs.argmax(axis=1)  # predict's labels: ties go to class 0
-    elif kind == KIND_LOGISTIC:
-        y_pred, probs = predict_logistic_batch(model, X)
-        k = dataset.sensitive_index
-        # both entries of the row (1 - p, p) move by |p - p_zeroed|
-        zeroed = sigmoid(X @ model.weights + model.bias - model.weights[k] * X[:, k])
-        sens = math.sqrt(2) * float(np.abs(probs - zeroed).mean())
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
+    sens, probs = mean_sensitivity(model.net, model.kept, dataset.sensitive_index,
+                                   dataset.features)
+    y_pred = probs.argmax(axis=1)
 
     outcomes = dataset.outcomes(y_pred)
     return {

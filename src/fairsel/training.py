@@ -65,7 +65,8 @@ class TrainConfig:
     patience is clamped to max_epochs so the invariant
     patience <= max_epochs always holds. Field order is the checkpoint's
     key order (`dataclasses.asdict`); hidden_sizes is a checkpoint's only
-    record of the net's hidden widths.
+    record of the net's hidden widths (a checkpoint without a config holds
+    a net with none).
     """
 
     alpha_theta: float = 1e-4
@@ -129,9 +130,13 @@ class EpochRecord:
 
 @dataclass
 class TrainedModel:
+    """A deployed model: a net and the columns it reads (`kept`). The
+    adversarial model also holds its selector and training config; a model
+    without them (the logistic baseline) reads every column."""
+
     net: DenseNet
-    policy: SelectorPolicy
-    config: TrainConfig
+    policy: SelectorPolicy = None
+    config: TrainConfig = None
     training_log: list = field(default_factory=list)
     best_epoch: int = -1
     diagnostics: str = None
@@ -139,6 +144,13 @@ class TrainedModel:
     @property
     def selection_probabilities(self):
         return probabilities(self.policy)
+
+    @property
+    def kept(self):
+        """The boolean column mask (d,) the model's input is reduced to."""
+        if self.policy is None:
+            return np.ones(self.net.input_dim, dtype=bool)
+        return _kept(self.policy)
 
 
 class SensitivityPair(NamedTuple):
@@ -261,42 +273,45 @@ def _kept(policy):
     return probabilities(policy) >= 0.5
 
 
-def _predict_probs(net, policy, X):
-    """Probability rows of the net on the input rows X (n, d) reduced to
-    threshold05's selection."""
-    return forward(net, X * _kept(policy))
-
-
 def predict(model, X):
     """Predicted classes (n,) and probability rows (n, c), in the net's
     dtype (float32 for a trained model), for a batch of input rows X
-    (n, d). Ties break toward the lower class index."""
+    (n, d) reduced to the model's kept columns. Ties break toward the
+    lower class index."""
     X = np.asarray(X, dtype=model.net.theta.dtype)
     if X.ndim != 2 or X.shape[1] != model.net.input_dim:
         raise DimensionError("input", f"(n, {model.net.input_dim})", X.shape)
-    probs = _predict_probs(model.net, model.policy, X)
+    probs = forward(model.net, X * model.kept)
     return probs.argmax(axis=1), probs
 
 
-def mean_sensitivity(net, policy, X):
+def mean_sensitivity(net, kept, k, X):
     """The deployed model's sensitivity and probability rows, from one
-    paired pass over threshold05's input: the float64 mean over the rows
-    of X (n, d) of the norm of the change in the probability row when the
-    sensitive value is restored, and the rows (n, c) in the net's dtype,
-    run in blocks of SENSITIVITY_BLOCK rows."""
+    paired pass over the input rows X (n, d) reduced to the columns kept
+    (d,) with the sensitive column k cleared: the float64 row mean of the
+    norm of the change in the probability row when the sensitive value is
+    restored, and the deployed rows (n, c) in the net's dtype, which are
+    the restored half where kept[k] holds. Run in blocks of
+    SENSITIVITY_BLOCK rows."""
     X = np.asarray(X, dtype=net.theta.dtype)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    S = np.broadcast_to(_kept(policy), (X.shape[0], policy.logits.size))
-    pairs = (sensitivity_pair(net, X[lo:lo + SENSITIVITY_BLOCK],
-                              S[lo:lo + SENSITIVITY_BLOCK], policy.sensitive_index)
-             for lo in range(0, X.shape[0], SENSITIVITY_BLOCK))
-    norms, probs = zip(*((pair.norms, pair.p_sel) for pair in pairs))
+    selected = np.array(kept, dtype=bool)
+    selected[k] = False
+    S = np.broadcast_to(selected, (X.shape[0], selected.size))
+    norms, probs = [], []
+    for lo in range(0, X.shape[0], SENSITIVITY_BLOCK):
+        pair = sensitivity_pair(net, X[lo:lo + SENSITIVITY_BLOCK],
+                                S[lo:lo + SENSITIVITY_BLOCK], k)
+        if kept[k]:  # deploy the restored half; the pair is not read again
+            pair.p_sel[pair.changed] = pair.outputs[-1][len(pair.p_sel):]
+        norms.append(pair.norms)
+        probs.append(pair.p_sel)
     return float(np.concatenate(norms).mean(dtype=np.float64)), np.concatenate(probs)
 
 
 def _validation_score(net, policy, val_data):
-    probs = _predict_probs(net, policy, val_data.features)
+    probs = forward(net, val_data.features * _kept(policy))
     return balanced_accuracy(val_data.outcomes(probs.argmax(axis=1)))
 
 

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from fairsel.checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
+from fairsel.baseline import logistic_net
 from fairsel.nets import DenseNet, forward
+from fairsel.training import TrainedModel
 
 # every run of the suite replays the same examples, so a commit's verdict
 # does not depend on the run; no example database is read or written
@@ -27,10 +28,10 @@ ANY_JSON = st.recursive(
 # past float range
 CONFIG_VALUES = st.sampled_from(["threshold05", "mc-average", "expected-input",
                                  True, 0.5, 32, [8, 6], 2**64, 10**400])
-# values a checkpoint body holds elsewhere (versions, kinds, layout roles,
-# base64 blobs), beside the config's and any JSON value
-BODY_VALUES = (st.sampled_from([5, "5", 4, 6, KIND_ADVERSARIAL, KIND_LOGISTIC,
-                                "numeric", "categorical", "sensitive", "1", 0.0])
+# values a checkpoint body holds elsewhere (versions, layout roles, base64
+# blobs), beside the config's and any JSON value
+BODY_VALUES = (st.sampled_from([6, "6", 5, 7, "numeric", "categorical",
+                                "sensitive", "1", 0.0])
                | st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode())
                | CONFIG_VALUES | ANY_JSON)
 
@@ -194,6 +195,13 @@ def make_net(seed, d=4, hidden=(6, 5), c=3, random_bias=True):
         net = DenseNet.from_layers(
             net.weights, [rng.normal(0, 0.3, size=b.shape) for b in net.biases])
     return net
+
+
+def logistic_model(weights, bias):
+    """A deployed logistic baseline of hand-picked (weights, bias): the
+    float32 `(d, 2)` net that `train_logistic` returns for that fit."""
+    net = logistic_net(np.asarray(weights, dtype=np.float64), bias)
+    return TrainedModel(DenseNet(net.sizes, net.theta.astype(np.float32)))
 
 
 GERMAN_CATEGORIES = {

@@ -14,7 +14,7 @@ from conftest import (brute_force_metrics, outcomes_from_records,
                       random_nondegenerate, recorded_selections,
                       write_german_csv)
 from fairsel import diagnostics
-from fairsel.baseline import predict_logistic_batch, train_logistic
+from fairsel.baseline import train_logistic
 from fairsel.cli import derive_seed, main
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DegenerateGroupError, FairselError
@@ -136,7 +136,7 @@ def test_criterion_6_end_to_end_fairness():
         out_adv = te.outcomes(y_adv)
 
         base = train_logistic(tr, va, epochs=400, lr=0.5)
-        y_base, _ = predict_logistic_batch(base, te.features)
+        y_base, _ = predict(base, te.features)
         out_base = te.outcomes(y_base)
 
         eod_a = equal_opportunity_diff(out_adv)

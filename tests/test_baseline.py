@@ -6,19 +6,29 @@ import pytest
 import fairsel.baseline as baseline
 import fairsel.data
 import fairsel.metrics
-from fairsel.baseline import (EPOCH_BLOCK, LogisticModel, logistic_loss_and_grad,
-                              predict_logistic_batch, train_logistic)
+from conftest import logistic_model
+from fairsel.baseline import (EPOCH_BLOCK, fit_logistic, logistic_grad,
+                              logistic_net, train_logistic)
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder, Predicate,
                           load_csv, prepare_splits, split, synth_proxy)
 from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
 from fairsel.diagnostics import relative_error
+from fairsel.nets import forward
+from fairsel.report import evaluate_model
 from fairsel.selector import sigmoid
+from fairsel.training import predict
+
+
+def cross_entropy(w, b, X, y):
+    """Mean cross-entropy of the float64 (d, 2) net of (w, b)."""
+    p = forward(logistic_net(w, b), X)[np.arange(len(y)), y]
+    return float(-np.log(p).mean())
 
 
 def reference_trajectory(train_data, val_data, *, epochs, lr):
-    """(score, weights, bias) after each epoch of train_logistic's loop as
-    it was when every epoch built a LogisticModel and scored its labels
-    on its own, with the gradient and balanced accuracy written out."""
+    """(score, weights, bias) after each epoch of fit_logistic's loop as
+    it was when every epoch scored its labels on its own, with the
+    gradient, the labels and balanced accuracy written out."""
     X, y = train_data.features, train_data.labels
     w, b = np.zeros(X.shape[1]), 0.0
     for _ in range(epochs):
@@ -28,7 +38,7 @@ def reference_trajectory(train_data, val_data, *, epochs, lr):
             raise NumericalError("logistic training diverged")
         w = w - lr * gw
         b = b - lr * gb
-        labels, _ = predict_logistic_batch(LogisticModel(w, b), val_data.features)
+        labels = (sigmoid(val_data.features @ w + b) >= 0.5).astype(np.int64)
         rates = []
         for label in (1, 0):
             actual = val_data.labels == label
@@ -42,20 +52,20 @@ def reference_trajectory(train_data, val_data, *, epochs, lr):
 
 
 def reference_train_logistic(train_data, val_data, *, epochs, lr):
-    """The parameters of the first epoch with the best score."""
+    """The (weights, bias) of the first epoch with the best score."""
     best = (-np.inf, None, None)
     for score, w, b in reference_trajectory(train_data, val_data, epochs=epochs, lr=lr):
         if score > best[0]:
             best = (score, w, b)
-    return LogisticModel(best[1], best[2])
+    return best[1], best[2]
 
 
 def assert_same_fit(tr, va, epochs, lr):
-    want = reference_train_logistic(tr, va, epochs=epochs, lr=lr)
-    got = train_logistic(tr, va, epochs=epochs, lr=lr)
-    assert got.weights.tobytes() == want.weights.tobytes()
-    assert math.copysign(1, got.bias) == math.copysign(1, want.bias)
-    assert got.bias == want.bias
+    want_w, want_b = reference_train_logistic(tr, va, epochs=epochs, lr=lr)
+    got_w, got_b = fit_logistic(tr, va, epochs=epochs, lr=lr)
+    assert got_w.tobytes() == want_w.tobytes()
+    assert math.copysign(1, got_b) == math.copysign(1, want_b)
+    assert got_b == want_b
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +102,22 @@ class TestTrainLogistic:
     def test_separable_toy_reaches_full_accuracy(self):
         ds = separable()
         model = train_logistic(ds, ds, epochs=500, lr=1.0)
-        labels, _ = predict_logistic_batch(model, ds.features)
+        labels, _ = predict(model, ds.features)
         assert (labels == ds.labels).mean() == 1.0
+
+    def test_deployed_net_is_the_fit_rounded_to_float32(self):
+        # a (d, 2) net with no hidden layer that reads every column: class
+        # 0's row and bias are zero, class 1's are the float64 fit's
+        tr, va, _ = split(synth_proxy(400, 0.8, seed=1), 2)
+        w, b = fit_logistic(tr, va, epochs=100, lr=0.3)
+        model = train_logistic(tr, va, epochs=100, lr=0.3)
+        d = tr.features.shape[1]
+        assert model.net.sizes == (d, 2)
+        want = np.concatenate([np.zeros(d), w, [0.0, b]]).astype(np.float32)
+        assert model.net.theta.dtype == np.float32
+        assert model.net.theta.tobytes() == want.tobytes()
+        assert model.policy is None and model.config is None
+        assert model.kept.dtype == bool and model.kept.all()
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_fewer_than_one_epoch_is_rejected(self, epochs):
@@ -112,8 +136,7 @@ class TestTrainLogistic:
         tr, va, _ = split(ds, 2)
         m1 = train_logistic(tr, va, epochs=100, lr=0.3)
         m2 = train_logistic(tr, va, epochs=100, lr=0.3)
-        assert np.array_equal(m1.weights, m2.weights)
-        assert m1.bias == m2.bias
+        assert m1.net.theta.tobytes() == m2.net.theta.tobytes()
 
     def test_loss_monotone_at_small_lr(self):
         rng = np.random.default_rng(3)
@@ -121,11 +144,11 @@ class TestTrainLogistic:
         y = (rng.random(60) < 0.5).astype(int)
         w = np.zeros(4)
         b = 0.0
-        initial, _, _ = logistic_loss_and_grad(w, b, X, y)
+        initial = cross_entropy(w, b, X, y)
         for _ in range(200):
-            _, gw, gb = logistic_loss_and_grad(w, b, X, y)
+            gw, gb, _ = logistic_grad(w, b, X, y)
             w, b = w - 1e-3 * gw, b - 1e-3 * gb
-        final, _, _ = logistic_loss_and_grad(w, b, X, y)
+        final = cross_entropy(w, b, X, y)
         assert final <= initial
 
 
@@ -152,9 +175,9 @@ class TestBlockScoredFit:
         tied = [e for e, score in enumerate(scores) if score == max(scores)]
         assert first // EPOCH_BLOCK < tied[-1] // EPOCH_BLOCK
         assert not np.array_equal(steps[first][1], steps[tied[-1]][1])
-        got = train_logistic(ds, ds, epochs=epochs, lr=1.0)
-        assert got.weights.tobytes() == steps[first][1].tobytes()
-        assert got.bias == steps[first][2]
+        got_w, got_b = fit_logistic(ds, ds, epochs=epochs, lr=1.0)
+        assert got_w.tobytes() == steps[first][1].tobytes()
+        assert got_b == steps[first][2]
 
     @pytest.mark.parametrize("missing", [0, 1])
     def test_validation_missing_a_class_fails_as_before(self, missing):
@@ -212,59 +235,70 @@ class TestBlockScoredFit:
 class TestGradient:
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_finite_differences(self, seed):
+        # the gradient the fit steps on, against the cross-entropy of the
+        # (d, 2) net the baseline deploys as
         rng = np.random.default_rng(seed)
         n, d = 12, 3
         X = rng.random((n, d))
-        y = (rng.random(n) < 0.5).astype(float)
+        y = (rng.random(n) < 0.5).astype(np.int64)
         w = rng.normal(0, 1, size=d)
         b = float(rng.normal())
-        _, gw, gb = logistic_loss_and_grad(w, b, X, y)
+        gw, gb, _ = logistic_grad(w, b, X, y)
         h = 1e-6
         for j in range(d):
             wp, wm = w.copy(), w.copy()
             wp[j] += h
             wm[j] -= h
-            lp, _, _ = logistic_loss_and_grad(wp, b, X, y)
-            lm, _, _ = logistic_loss_and_grad(wm, b, X, y)
+            lp, lm = cross_entropy(wp, b, X, y), cross_entropy(wm, b, X, y)
             assert relative_error(gw[j], (lp - lm) / (2 * h)) < 1e-6
-        lp, _, _ = logistic_loss_and_grad(w, b + h, X, y)
-        lm, _, _ = logistic_loss_and_grad(w, b - h, X, y)
+        lp, lm = cross_entropy(w, b + h, X, y), cross_entropy(w, b - h, X, y)
         assert relative_error(gb, (lp - lm) / (2 * h)) < 1e-6
 
 
 class TestPredictLogistic:
-    def test_zero_model_ties_to_favorable(self):
-        model = LogisticModel(np.zeros(3), 0.0)
-        labels, probs = predict_logistic_batch(model, np.ones((1, 3)))
-        assert probs[0] == 0.5
-        assert labels[0] == 1
+    def test_zero_model_ties_to_class_zero(self, monkeypatch):
+        # every row's two logits are equal: predict and evaluate_model give
+        # class 0, on the rows whose label comes from the first half of the
+        # pair (sensitive value 0) and from the restored half (value 1)
+        ds = toy_dataset(np.random.default_rng(2).random((40, 2)), np.arange(40) % 2)
+        model = logistic_model(np.zeros(3), 0.0)
+        labels, probs = predict(model, ds.features)
+        assert np.all(probs == 0.5) and not labels.any()
+        seen = []
+        real = Dataset.outcomes
+        monkeypatch.setattr(Dataset, "outcomes",
+                            lambda self, y: seen.append(y) or real(self, y))
+        evaluate_model(None, model, ds)
+        assert 0 < ds.features[:, ds.sensitive_index].sum() < ds.n
+        assert len(seen) == 1 and not seen[0].any()
 
     def test_large_bias_saturates(self):
-        model = LogisticModel(np.zeros(2), 40.0)
-        labels, probs = predict_logistic_batch(model, np.zeros((1, 2)))
+        model = logistic_model(np.zeros(2), 40.0)
+        labels, probs = predict(model, np.zeros((1, 2)))
         assert labels[0] == 1
-        assert probs[0] == pytest.approx(1.0, abs=1e-12)
+        assert probs[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_independent_sigmoid(self):
-        import math
         rng = np.random.default_rng(4)
-        model = LogisticModel(rng.normal(0, 1, 3), 0.3)
+        w = rng.normal(0, 1, 3)
+        model = logistic_model(w, 0.3)
         x = rng.random(3)
-        z = float(x @ model.weights + model.bias)
-        _, probs = predict_logistic_batch(model, x[None, :])
-        assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-12)
+        z = float(x @ w + 0.3)
+        _, probs = predict(model, x[None, :])
+        # the net is float32
+        assert probs[0, 1] == pytest.approx(1.0 / (1.0 + math.exp(-z)), rel=1e-6)
 
     def test_scaling_invariance_of_labels(self):
         rng = np.random.default_rng(5)
-        model = LogisticModel(rng.normal(0, 1, 4), -0.2)
-        scaled = LogisticModel(3.7 * model.weights, 3.7 * model.bias)
+        w = rng.normal(0, 1, 4)
+        model, scaled = logistic_model(w, -0.2), logistic_model(3.7 * w, 3.7 * -0.2)
         X = rng.random((50, 4))
-        l1, p1 = predict_logistic_batch(model, X)
-        l2, p2 = predict_logistic_batch(scaled, X)
+        l1, p1 = predict(model, X)
+        l2, p2 = predict(scaled, X)
         assert np.array_equal(l1, l2)
         assert not np.allclose(p1, p2)
 
     def test_dimension_mismatch(self):
-        model = LogisticModel(np.zeros(3), 0.0)
+        model = logistic_model(np.zeros(3), 0.0)
         with pytest.raises(DimensionError):
-            predict_logistic_batch(model, np.ones((1, 4)))
+            predict(model, np.ones((1, 4)))

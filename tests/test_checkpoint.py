@@ -8,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_JSON, BODY_VALUES, CONFIG_VALUES, json_edits
-from fairsel.baseline import LogisticModel, train_logistic
+from conftest import ANY_JSON, BODY_VALUES, CONFIG_VALUES, json_edits, logistic_model
+from fairsel.baseline import train_logistic
 from fairsel.checkpoint import (BLOB_DTYPE, KIND_ADVERSARIAL, KIND_LOGISTIC,
                                 load_model, save_model)
 from fairsel.data import split, synth_proxy
 from fairsel.errors import DataError
 from fairsel.nets import DenseNet, forward
+from fairsel.report import evaluate_model
 from fairsel.training import TrainConfig, TrainedModel, train
 
-V5_FIXTURE = Path(__file__).parent / "data" / "v5_toy_checkpoint.json"
+V6_FIXTURE = Path(__file__).parent / "data" / "v6_toy_checkpoint.json"
 
 
 def bits(a):
@@ -46,10 +47,10 @@ class TestRoundTrip:
         assert loaded.policy.sensitive_index == model.policy.sensitive_index
         assert loaded.config == model.config
         assert enc2.to_payload() == encoder.to_payload()
-        # version 5: theta alone, one base64 blob of little-endian float32,
+        # version 6: theta alone, one base64 blob of little-endian float32,
         # the dtype train steps
         body = json.loads(path.read_text())
-        assert body["version"] == 5
+        assert body["version"] == 6
         assert set(body["net"]) == {"theta"}
         blob = base64.b64decode(body["net"]["theta"], validate=True)
         assert model.net.theta.dtype == np.float32
@@ -78,19 +79,27 @@ class TestRoundTrip:
                                     len(enc2.labels))
 
     def test_logistic_bit_exact(self, trained, tmp_path):
+        # the same layout without the config/selector pair: a (d, 2) net
+        # with no hidden layer that keeps every column
         _, baseline, encoder = trained
         path = tmp_path / "base.json"
         save_model(path, baseline, encoder)
+        assert set(json.loads(path.read_text())) == {"version", "net", "encoder"}
         kind, loaded, _ = load_model(path)
         assert kind == KIND_LOGISTIC
-        assert np.array_equal(loaded.weights, baseline.weights)
-        assert loaded.bias == baseline.bias
+        assert loaded.policy is None and loaded.config is None
+        assert loaded.net.sizes == baseline.net.sizes == (encoder.dim, 2)
+        assert loaded.net.theta.dtype == np.float32
+        assert np.array_equal(loaded.net.theta.view(np.int32),
+                              baseline.net.theta.view(np.int32))
+        _, _, te = split(synth_proxy(300, 0.9, seed=0), 1)
+        assert evaluate_model(None, loaded, te) == evaluate_model(None, baseline, te)
 
     def test_reencoding_reproduces_features(self, trained, tmp_path):
         # the stored encoder must transform data exactly as the original
         _, _, encoder = trained
         path = tmp_path / "enc.json"
-        save_model(path, LogisticModel(np.zeros(encoder.dim), 0.0), encoder)
+        save_model(path, logistic_model(np.zeros(encoder.dim), 0.0), encoder)
         _, _, enc2 = load_model(path)
         assert enc2.layout == encoder.layout
         assert enc2.sensitive_index == encoder.sensitive_index
@@ -99,13 +108,26 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_unknown_kind(self, trained, tmp_path):
+        # version 6 has no kind field: the kind is read off the
+        # config/selector pair, and a field the layout lacks is named
         model, _, encoder = trained
         path = tmp_path / "x.json"
         save_model(path, model, encoder)
         body = json.loads(path.read_text())
         body["kind"] = "mystery"
         path.write_text(json.dumps(body))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="unknown field 'kind'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("missing", ["config", "selector"])
+    def test_half_of_the_pair_is_a_data_error(self, trained, tmp_path, missing):
+        model, _, encoder = trained
+        path = tmp_path / "half.json"
+        save_model(path, model, encoder)
+        body = json.loads(path.read_text())
+        del body[missing]
+        path.write_text(json.dumps(body))
+        with pytest.raises(DataError, match=f"malformed checkpoint .*: '{missing}'$"):
             load_model(path)
 
     @pytest.mark.parametrize("corrupt", ["not-base64", "short-blob", "nan-blob",
@@ -139,21 +161,15 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("selector.logits", [None, 0.1, 0.2, 0.3]),
         ("selector.logits", "0.5"),
-        ("weights", ["0.5", 0.1, 0.2, 0.3]),
-        ("weights", [0.5, 0.1, [0.2], 0.3]),
-        ("bias", "1.5"),
-        ("bias", True),
-        ("bias", [1.5]),
-        ("bias", None),
     ])
     def test_numbers_must_be_json_numbers(self, trained, tmp_path, field, value):
-        # np.array and float() would read "1.5" as 1.5 and true as 1.0
-        model, baseline, encoder = trained
+        # np.array would read "1.5" as 1.5 and true as 1.0
+        model, _, encoder = trained
         path = tmp_path / "n.json"
         section, _, key = field.rpartition(".")
-        save_model(path, model if section else baseline, encoder)
+        save_model(path, model, encoder)
         body = json.loads(path.read_text())
-        (body[section] if section else body)[key] = value
+        body[section][key] = value
         path.write_text(json.dumps(body))
         with pytest.raises(DataError, match=f"malformed checkpoint .*: {field} must be a"):
             load_model(path)
@@ -203,12 +219,14 @@ class TestSave:
         assert getattr(loaded.config, field) == value.item()
 
     def test_numpy_scalar_logistic_bias_saves_and_loads(self, trained, tmp_path):
+        # the bias is one float32 word of the blob, the last of theta
         encoder = trained[2]
-        model = LogisticModel(np.zeros(encoder.dim), np.float32(0.5))
+        model = logistic_model(np.zeros(encoder.dim), np.float32(0.5))
         path = tmp_path / "numpy-bias.json"
         save_model(path, model, encoder)
         _, loaded, _ = load_model(path)
-        assert type(loaded.bias) is float and loaded.bias == 0.5
+        assert loaded.net.theta.dtype == np.float32 and loaded.net.theta[-1] == 0.5
+        assert loaded.net.biases[0].tolist() == [0.0, 0.5]
 
     def test_failed_encoding_leaves_no_file(self, trained, tmp_path):
         model, _, encoder = trained
@@ -228,7 +246,7 @@ class TestSave:
         assert path.read_bytes() == before
 
 
-# the three ways a version-5 blob can be wrong: cut short, written as
+# the three ways a version-6 blob can be wrong: cut short, written as
 # float64, or holding a non-finite float32 word (exponent bits all ones)
 _BLOB_DEFECTS = st.one_of(
     st.tuples(st.just("truncated"), st.integers(0, 10**6)),
@@ -260,9 +278,9 @@ class TestBlobProperty:
             load_model(path)
 
 
-_V5_BODY = json.loads(V5_FIXTURE.read_text())
+_V6_BODY = json.loads(V6_FIXTURE.read_text())
 # the config's keys and the three retired ones, which are now unknown
-_CONFIG_KEYS = sorted({*_V5_BODY["config"], "inference_policy", "mc_samples",
+_CONFIG_KEYS = sorted({*_V6_BODY["config"], "inference_policy", "mc_samples",
                        "mask_sensitive"})
 _DELETE = object()
 
@@ -275,7 +293,7 @@ class TestConfigEditProperty:
                                                       key, value):
         # replace one entry with any JSON value, delete it, or add an
         # unknown key: the loader returns a model or raises DataError
-        body = json.loads(json.dumps(_V5_BODY))
+        body = json.loads(json.dumps(_V6_BODY))
         if value is _DELETE:
             body["config"].pop(key, None)
         else:
@@ -291,12 +309,12 @@ class TestConfigEditProperty:
 
 @pytest.fixture(scope="module")
 def bodies(tmp_path_factory):
-    """The v5 fixture's body and a logistic body on its encoder, as the
-    writer writes them."""
+    """The v6 fixture's body and a logistic body on its encoder, as the
+    writer writes them: the two shapes of the one layout."""
     path = tmp_path_factory.mktemp("bodies") / "logistic.json"
-    _, _, encoder = load_model(V5_FIXTURE)
-    save_model(path, LogisticModel(np.array([0.5, -0.25, 0.0, 1.0]), 0.1), encoder)
-    return {KIND_ADVERSARIAL: _V5_BODY, KIND_LOGISTIC: json.loads(path.read_text())}
+    _, _, encoder = load_model(V6_FIXTURE)
+    save_model(path, logistic_model([0.5, -0.25, 0.0, 1.0], 0.1), encoder)
+    return {KIND_ADVERSARIAL: _V6_BODY, KIND_LOGISTIC: json.loads(path.read_text())}
 
 
 class TestBodyEditProperty:
@@ -304,8 +322,8 @@ class TestBodyEditProperty:
     @given(kind=st.sampled_from([KIND_ADVERSARIAL, KIND_LOGISTIC]), data=st.data())
     def test_body_edits_load_or_are_a_data_error(self, bodies, tmp_path_factory,
                                                  kind, data):
-        # one or two edits anywhere: version, kind, encoder, selector, net,
-        # config, weights or bias
+        # one or two edits anywhere: version, encoder, net, and the
+        # config and selector where the body has them
         body = data.draw(json_edits(bodies[kind], BODY_VALUES))
         path = tmp_path_factory.getbasetemp() / "body_edit.json"
         path.write_text(json.dumps(body))
@@ -313,9 +331,9 @@ class TestBodyEditProperty:
             loaded_kind, model, encoder = load_model(path)
         except DataError:
             return
+        assert isinstance(model, TrainedModel)
+        assert model.net.input_dim == model.kept.size == encoder.dim
         if loaded_kind == KIND_ADVERSARIAL:
-            assert isinstance(model, TrainedModel)
-            assert model.net.sizes[0] == model.policy.logits.size == encoder.dim
+            assert model.policy.logits.size == encoder.dim
         else:
-            assert isinstance(model, LogisticModel)
-            assert model.weights.shape == (encoder.dim,)
+            assert model.policy is None and model.net.sizes == (encoder.dim, 2)

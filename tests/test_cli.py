@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BODY_VALUES, GERMAN_HEADER, json_edits, write_german_csv
+from conftest import (BODY_VALUES, GERMAN_HEADER, json_edits, logistic_model,
+                      write_german_csv)
 from fairsel import diagnostics
 from fairsel.checkpoint import BLOB_DTYPE, CHECKPOINT_VERSION, save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
@@ -25,7 +26,7 @@ from fairsel.selector import SelectorPolicy
 from fairsel.training import TrainConfig, TrainedModel
 
 DATA_DIR = Path(__file__).parent / "data"
-FIXTURE = DATA_DIR / "v5_toy_checkpoint.json"
+FIXTURE = DATA_DIR / "v6_toy_checkpoint.json"
 
 TOY_SPEC = {
     "name": "toy",
@@ -252,12 +253,11 @@ class TestEvaluateCommand:
         assert f"cannot read {target} {bad}: " in capsys.readouterr().err
 
     def test_baseline_checkpoint_dispatch(self, tmp_path, capsys):
-        from fairsel.baseline import LogisticModel
         data, spec_path = write_toy(tmp_path)
         spec = DatasetSpec.from_json(spec_path)
         encoder = Encoder.fit(load_csv(data, spec), spec)
         ckpt = tmp_path / "base.json"
-        save_model(ckpt, LogisticModel(np.zeros(4), 0.0), encoder)
+        save_model(ckpt, logistic_model(np.zeros(4), 0.0), encoder)
         assert main(["evaluate", "--checkpoint", str(ckpt),
                      "--data", data]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -305,8 +305,8 @@ class TestEvaluateCommand:
         elif corrupt == "short-logits":
             body["selector"]["logits"] = body["selector"]["logits"][:3]
         else:
-            body = {"version": body["version"], "kind": "logistic",
-                    "weights": [0.0, 0.0, 0.0], "bias": 0.0,
+            # a logistic body whose (d, 2) net reads 3 columns, not 4
+            body = {"version": body["version"], "net": {"theta": blob(np.zeros(8))},
                     "encoder": body["encoder"]}
         Path(ckpt).write_text(json.dumps(body))
         capsys.readouterr()
@@ -347,11 +347,14 @@ class TestEvaluateCommand:
         elif defect == "int-categories":
             entry["categorical"]["categories"] = list(range(4))
         elif defect == "repeated-categories":
-            # two one-hot columns of one name, the first always 0; one
-            # more weight keeps the widths equal, so only the repeat is wrong
+            # two one-hot columns of one name, the first always 0; a net one
+            # input wider ((d + 1, 2): 2 more parameters) keeps the widths
+            # equal, so only the repeat is wrong
             cats = entry["categorical"]["categories"]
             cats.insert(0, cats[0])
-            body["weights"].append(0.0)
+            size = len(base64.b64decode(body["net"]["theta"])) // 4 + 2
+            body["net"]["theta"] = base64.b64encode(
+                np.zeros(size, BLOB_DTYPE).tobytes()).decode()
         elif defect == "labels-null":
             enc["labels"] = None
         elif defect == "labels-not-strings":
@@ -378,12 +381,11 @@ class TestEvaluateCommand:
     def _german_baseline_checkpoint(tmp_path, spec_path):
         """A German-shaped CSV and a logistic checkpoint fitted on it, whose
         layout holds numeric, categorical and sensitive entries."""
-        from fairsel.baseline import LogisticModel
         data = write_german_csv(tmp_path / "german.csv", n=40, seed=1)
         spec = DatasetSpec.from_json(spec_path)
         encoder = Encoder.fit(load_csv(data, spec), spec)
         ckpt = tmp_path / "base.json"
-        save_model(ckpt, LogisticModel(np.zeros(encoder.dim), 0.0), encoder)
+        save_model(ckpt, logistic_model(np.zeros(encoder.dim), 0.0), encoder)
         return data, ckpt
 
     def test_unseen_category_is_two(self, tmp_path, capsys, german_spec_path):
@@ -399,16 +401,17 @@ class TestEvaluateCommand:
         assert "row 7," in err and "'purpose'" in err and "'A4X'" in err
 
     def test_v2_checkpoint_reproduces_its_recorded_metrics(self, tmp_path, capsys):
-        # tests/data holds a version-5 checkpoint (a model first saved as
-        # version 2, re-saved by the version-5 writer) and its evaluate
-        # report on write_toy(tmp_path), recorded when it was re-saved; the
-        # net is fixed, so a scoring change that moves a bit shows here
+        # tests/data holds a version-6 checkpoint (a model first saved as
+        # version 2, re-saved by the version-5 and version-6 writers) and
+        # its evaluate report on write_toy(tmp_path), recorded at the
+        # version-5 re-save and unchanged since; the net is fixed, so a
+        # scoring change that moves a bit shows here
         data, _ = write_toy(tmp_path)
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(FIXTURE), "--data", data]) == 0
         report = json.loads(capsys.readouterr().out)
         report = {k: report[k] for k in ("model_kind", "n_rows", "rejected_rows", "metrics")}
-        assert report == json.loads((DATA_DIR / "v5_toy_evaluate.json").read_text())
+        assert report == json.loads((DATA_DIR / "v6_toy_evaluate.json").read_text())
 
     @pytest.mark.parametrize("key,value", [
         ("inference_policy", "threshold05"), ("inference_policy", "mc-average"),
@@ -428,18 +431,18 @@ class TestEvaluateCommand:
         assert f"malformed checkpoint {ckpt}: " in err
         assert f"unexpected keyword argument '{key}'" in err
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6, "5"], ids=repr)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7, "5", "6"], ids=repr)
     def test_other_version_is_two(self, tmp_path, capsys, version):
         data, _ = write_toy(tmp_path)
         body = json.loads(FIXTURE.read_text())
-        assert body["version"] == CHECKPOINT_VERSION == 5
+        assert body["version"] == CHECKPOINT_VERSION == 6
         ckpt = tmp_path / "other.json"
         ckpt.write_text(json.dumps(dict(body, version=version)))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
         assert capsys.readouterr().err == (
             f"data error: unsupported checkpoint version {version!r} "
-            f"(this build reads version 5)\n")
+            f"(this build reads version 6)\n")
 
     @pytest.mark.parametrize("field,value", [
         ("score_baseline", "yes"), ("alpha_theta", "1e-3"),
@@ -546,7 +549,7 @@ class TestEvaluateEditProperty:
     @given(data=st.data())
     def test_edited_checkpoint_scores_or_is_a_data_error(self, toy_data,
                                                          tmp_path_factory, data):
-        # one or two edits anywhere in the v5 fixture, evaluated through
+        # one or two edits anywhere in the v6 fixture, evaluated through
         # the CLI: a report, or exit 2 with a data error, never a traceback
         body = data.draw(json_edits(json.loads(FIXTURE.read_text()), BODY_VALUES))
         path = tmp_path_factory.getbasetemp() / "evaluate_edit.json"

@@ -31,13 +31,13 @@ class TestWrongAnalyticGradientFails:
         assert np.isnan(res.worst_error) == (corruption == "nan")
 
     def test_logistic(self, monkeypatch, corruption):
-        corrupt, real = CORRUPTIONS[corruption], diagnostics.logistic_loss_and_grad
+        corrupt, real = CORRUPTIONS[corruption], diagnostics.logistic_grad
         assert diagnostics.check_logistic_gradient(n_instances=2).passed
 
         def patched(w, b, X, y):
-            loss, gw, gb = real(w, b, X, y)
-            return loss, corrupt(gw), float(corrupt(gb))
-        monkeypatch.setattr(diagnostics, "logistic_loss_and_grad", patched)
+            gw, gb, p = real(w, b, X, y)
+            return corrupt(gw), float(corrupt(gb)), p
+        monkeypatch.setattr(diagnostics, "logistic_grad", patched)
         res = diagnostics.check_logistic_gradient(n_instances=2)
         assert not res.passed
         assert np.isnan(res.worst_error) == (corruption == "nan")

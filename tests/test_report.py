@@ -6,14 +6,15 @@ import pytest
 from jsonschema.exceptions import ValidationError
 
 from fairsel import training
-from fairsel.baseline import LogisticModel, predict_logistic_batch
-from fairsel.checkpoint import KIND_ADVERSARIAL, KIND_LOGISTIC
+from fairsel.baseline import logistic_net, train_logistic
+from fairsel.checkpoint import KIND_ADVERSARIAL
 from fairsel.data import (Dataset, DatasetSpec, load_csv, prepare_splits, split,
                           synth_proxy)
+from fairsel.nets import forward
 from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
                             aggregate, base_report, evaluate_model,
                             strip_wall_clock, validate_report)
-from fairsel.training import TrainConfig, predict, train
+from fairsel.training import TrainConfig, TrainedModel, predict, train
 
 
 def fake_metrics(x):
@@ -36,42 +37,51 @@ class TestAggregate:
 
 class TestLogisticSensitivity:
     def test_closed_form_matches_two_predictions_per_row(self):
+        # the baseline reads every column: its sensitivity is the change of
+        # its probability row between the row with the sensitive value
+        # zeroed and the row itself, one forward call each (a float64 net,
+        # so the batched pass may differ only in the last bits)
         ds = synth_proxy(300, 0.9, 3)
         rng = np.random.default_rng(4)
-        model = LogisticModel(rng.normal(0, 1.5, ds.features.shape[1]), 0.3)
+        model = TrainedModel(logistic_net(rng.normal(0, 1.5, ds.features.shape[1]), 0.3))
         k = ds.sensitive_index
         norms = []
         for x in ds.features:
             zeroed = x.copy()
             zeroed[k] = 0.0
-            (_, (p,)), (_, (p0,)) = (predict_logistic_batch(model, row[None, :])
-                                     for row in (x, zeroed))
-            # the two-class probability rows (1 - p, p) and (1 - p0, p0)
-            norms.append(np.hypot(p - p0, p0 - p))
+            p, p0 = (forward(model.net, row[None, :])[0] for row in (x, zeroed))
+            norms.append(np.linalg.norm(p - p0))
         want = float(np.mean(norms))
         assert want > 0.01
-        got = evaluate_model(KIND_LOGISTIC, model, ds)["mean_sensitivity"]
+        got = evaluate_model(None, model, ds)["mean_sensitivity"]
         assert got == pytest.approx(want, rel=1e-12)
 
 
-@pytest.fixture(scope="module", params=["proxy", "german"])
+@pytest.fixture(scope="module", params=["proxy", "german", "proxy-baseline",
+                                        "german-baseline"])
 def scored(request, german_csv, german_spec_path):
-    """A trained float32 model and the rows to score: 700 synthetic proxy
-    rows (five 128-row sensitivity blocks and one of 60), or the 1,000-row
-    German file (seven blocks and one of 104)."""
+    """A trained float32 model, adversarial or the logistic baseline, and
+    the rows to score: 700 synthetic proxy rows (five 128-row sensitivity
+    blocks and one of 60), or the 1,000-row German file (seven blocks and
+    one of 104)."""
+    data, _, model = request.param.partition("-")
+    if data == "proxy":
+        (tr, va, _), rows = split(synth_proxy(600, 0.9, 2), 3), synth_proxy(700, 0.9, 9)
+    else:
+        spec = DatasetSpec.from_json(german_spec_path)
+        raw = load_csv(german_csv, spec)
+        tr, va, _ = prepare_splits(raw, spec, 13)
+        rows = tr.encoder.transform(raw)
+    if model == "baseline":
+        return train_logistic(tr, va, epochs=400, lr=0.5), rows
     config = TrainConfig(alpha_theta=0.5, alpha_phi=1e-3, batch_size=64,
                          max_epochs=3, patience=3, seed=5, hidden_sizes=(16, 16))
-    if request.param == "proxy":
-        tr, va, _ = split(synth_proxy(600, 0.9, 2), 3)
-        return train(tr, va, config), synth_proxy(700, 0.9, 9)
-    spec = DatasetSpec.from_json(german_spec_path)
-    raw = load_csv(german_csv, spec)
-    tr, va, _ = prepare_splits(raw, spec, 13)
-    return train(tr, va, config), tr.encoder.transform(raw)
+    return train(tr, va, config), rows
 
 
 class TestAdversarialScoring:
-    """The labels and the sensitivity come from one blocked paired pass."""
+    """The labels and the sensitivity come from one blocked paired pass,
+    for the adversarial model and for the baseline."""
 
     def test_one_paired_pass_and_no_forward(self, scored, monkeypatch):
         # n rows run once, and the m rows whose sensitive value is not 0

@@ -30,6 +30,12 @@ def cross_entropy(net, x, s, y):
     return loss
 
 
+def threshold05_sensitivity(net, policy, X):
+    """mean_sensitivity over threshold05's selection of the policy."""
+    kept = probabilities(policy) >= 0.5
+    return mean_sensitivity(net, kept, policy.sensitive_index, X)
+
+
 def predict_row(model, x):
     labels, probs = predict(model, x[None, :])
     return int(labels[0]), probs[0]
@@ -369,7 +375,7 @@ class TestSkippedRows:
         S = np.tile(probabilities(policy) >= 0.5, (300, 1))
         expected = full_pair_reference(net, X, S, np.zeros((300, 2)),
                                        2, 1.0, 0.0)[2].mean()
-        assert mean_sensitivity(net, policy, X)[0] == pytest.approx(expected, rel=1e-12)
+        assert threshold05_sensitivity(net, policy, X)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestAdversarialSigns:
@@ -608,7 +614,7 @@ class TestMeanSensitivity:
 
     def test_matches_two_forward_oracle_float64(self):
         net, policy, X = self._instance(4)
-        assert mean_sensitivity(net, policy, X)[0] == \
+        assert threshold05_sensitivity(net, policy, X)[0] == \
             pytest.approx(deployed_sensitivity_oracle(net, policy, X), rel=1e-12)
 
     def test_matches_two_forward_oracle_float32(self):
@@ -618,7 +624,7 @@ class TestMeanSensitivity:
         # 7.6e-7 and their means by 3.1e-9; 1e-6 bounds even one row
         net, policy, X = self._instance(5)
         net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
-        got, want = (mean_sensitivity(net32, policy, X)[0],
+        got, want = (threshold05_sensitivity(net32, policy, X)[0],
                      deployed_sensitivity_oracle(net32, policy, X))
         assert want > 1e-3
         assert got == pytest.approx(want, abs=1e-6)
@@ -628,7 +634,7 @@ class TestMeanSensitivity:
         net.weights[0][:, 0] = 0.0
         policy = SelectorPolicy(np.zeros(3), 0)
         X = np.random.default_rng(0).random((10, 3))
-        assert mean_sensitivity(net, policy, X)[0] == pytest.approx(0.0, abs=1e-15)
+        assert threshold05_sensitivity(net, policy, X)[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_blocks_match_one_unblocked_pair(self):
         # 600 rows run as 600 // SENSITIVITY_BLOCK full blocks and a short
@@ -638,7 +644,7 @@ class TestMeanSensitivity:
         net, policy, X = self._instance(3, n=600)
         S = np.tile(probabilities(policy) >= 0.5, (600, 1))
         unblocked = sensitivity_pair(net, X, S, 2)
-        sens, probs = mean_sensitivity(net, policy, X)
+        sens, probs = threshold05_sensitivity(net, policy, X)
         assert sens == pytest.approx(unblocked.norms.mean(), rel=1e-12, abs=0)
         np.testing.assert_allclose(probs, unblocked.p_sel, rtol=1e-12, atol=0)
 
@@ -646,7 +652,7 @@ class TestMeanSensitivity:
         # the float32 norms are averaged in float64 into a Python float
         net, policy, X = self._instance(2)
         net32 = DenseNet(net.sizes, net.theta.astype(np.float32))
-        (est32, probs32), (est64, probs64) = (mean_sensitivity(n, policy, X)
+        (est32, probs32), (est64, probs64) = (threshold05_sensitivity(n, policy, X)
                                               for n in (net32, net))
         assert type(est32) is float and type(est64) is float
         assert est32 == pytest.approx(est64, rel=1e-5)
@@ -661,7 +667,7 @@ class TestMeanSensitivity:
         net = DenseNet(net.sizes, net.theta.astype(dtype))
         model = training.TrainedModel(net, policy, TrainConfig(hidden_sizes=(9, 6)))
         labels, want = predict(model, X)
-        probs = mean_sensitivity(net, policy, X)[1]
+        probs = threshold05_sensitivity(net, policy, X)[1]
         assert probs.shape == (600, 2) and probs.dtype == dtype
         np.testing.assert_allclose(probs, want, rtol=1e-12 if dtype is np.float64 else 1e-6)
         assert 0 < labels.sum() < 600
@@ -670,7 +676,7 @@ class TestMeanSensitivity:
     def test_no_rows_is_an_empty_batch(self):
         net, policy, X = self._instance(0)
         with pytest.raises(ValueError, match="empty batch"):
-            mean_sensitivity(net, policy, X[:0])
+            threshold05_sensitivity(net, policy, X[:0])
 
 
 class TestTrainConfig:
@@ -743,7 +749,7 @@ class TestBatchesOnly:
                  lambda: sensitivity_pair(net, x, s, 1),
                  lambda: selector_step(policy, x, net, 0.1, rng),
                  lambda: pair_loss_and_grads(net, pair, np.array([0.0, 1.0]), 1.0),
-                 lambda: mean_sensitivity(net, policy, x)]
+                 lambda: threshold05_sensitivity(net, policy, x)]
         for call in calls:
             with pytest.raises(DimensionError):
                 call()

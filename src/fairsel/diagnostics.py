@@ -4,8 +4,8 @@ Each check runs the code that trains on seeded random instances (the
 estimator check drives `selector_step` itself), compares it against an
 independent oracle (central finite differences by `difference_errors`, or
 `enumerate_sensitivity`'s exhaustive enumeration), and reports the worst
-error seen (`worst_error`, so a NaN error fails the check). `gradcheck`
-runs these; the tests reuse them at the tolerances they were designed for.
+error seen (`worst_error`, so a NaN error fails the check) against a
+fixed tolerance. `gradcheck` runs these, and so do the tests.
 """
 
 from __future__ import annotations
@@ -88,13 +88,32 @@ def _gate(name, errors, tolerance):
     return CheckResult(name, worst <= tolerance, worst, tolerance)
 
 
-def random_instance(rng, batch=3):
-    """A small seeded net plus a batch of inputs, labels and selections.
+def _seeded_gate(name, n_instances, seed, tolerance, instance_errors):
+    """Gate the errors of n_instances instances, each drawn and checked
+    by instance_errors(rng) from one generator seeded with seed."""
+    rng = np.random.default_rng(seed)
+    errors = []
+    for _ in range(n_instances):
+        errors.extend(instance_errors(rng))
+    return _gate(name, errors, tolerance)
 
-    Biases are randomized: with the zero-bias initialization an
-    all-zero selected input would place every pre-activation exactly on
-    the SELU kink, where finite differences straddle the two branches
-    and cannot agree with any one-sided derivative.
+
+# random_instance redraws while a hidden activation of its pair lies within
+# this distance of 0. SELU's slope near 0 is at most 1.76, so each
+# pre-activation is then over 57 of net_gradient_errors' 1e-5 steps from
+# the kink, and one step on one parameter moves it by under 3 steps (2.6
+# at most over 300 draws): both sides of each difference stay on one branch.
+KINK_MARGIN = 1e-3
+
+
+def random_instance(rng):
+    """A small seeded net plus a batch of 3 inputs, labels and selections.
+
+    Finite differences across the SELU kink straddle its two branches
+    and cannot agree with any one-sided derivative. Biases are therefore
+    randomized (with zero biases an all-zero selected input would put
+    every pre-activation on the kink), and a draw with a hidden
+    activation within KINK_MARGIN of 0 is redrawn.
 
     The sensitive column is 0/1, as `Encoder` makes it, so some rows have
     the same input in both halves of the pair and run once.
@@ -106,22 +125,22 @@ def random_instance(rng, batch=3):
     net = DenseNet.from_layers(net.weights, [rng.normal(0.0, 0.3, size=b.shape)
                                              for b in net.biases])
     k = int(rng.integers(0, d))
-    X = rng.random((batch, d))
+    X = rng.random((3, d))
     X[:, k] = X[:, k] < 0.5
-    Y = np.zeros((batch, c))
-    Y[np.arange(batch), rng.integers(0, c, size=batch)] = 1.0
-    S = (rng.random((batch, d)) < 0.5).astype(np.int8)
+    Y = np.zeros((3, c))
+    Y[np.arange(3), rng.integers(0, c, size=3)] = 1.0
+    S = (rng.random((3, d)) < 0.5).astype(np.int8)
     S[:, k] = 0
+    acts = sensitivity_pair(net, X, S, k).outputs[:-1]
+    if min(np.abs(a).min() for a in acts) <= KINK_MARGIN:
+        return random_instance(rng)   # too near the kink: redraw
     return net, X, Y, S, k
 
 
-def _check_pair_gradients(name, n_instances, seed, tolerance, weights):
-    """Worst finite-difference error of `pair_loss_and_grads` over seeded
-    instances, at the (sensitivity_weight, ce_weight) that
-    `weights(rng)` gives for each instance."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_instances):
+def _pair_gate(name, n_instances, seed, weights):
+    """Gate `pair_loss_and_grads` on each `random_instance` at the
+    (sensitivity_weight, ce_weight) that weights(rng) then draws."""
+    def instance_errors(rng):
         net, X, Y, S, k = random_instance(rng)
         sensitivity_weight, ce_weight = weights(rng)
 
@@ -130,36 +149,31 @@ def _check_pair_gradients(name, n_instances, seed, tolerance, weights):
             loss, grads, _, _ = pair_loss_and_grads(
                 net_, pair, Y, sensitivity_weight, ce_weight)
             return loss, grads
-        errors.extend(net_gradient_errors(net, lag))
-    return _gate(name, errors, tolerance)
+        return net_gradient_errors(net, lag)
+    return _seeded_gate(name, n_instances, seed, 1e-4, instance_errors)
 
 
-def check_prediction_gradients(n_instances=100, seed=0, tolerance=1e-4):
+def check_prediction_gradients(n_instances=100, seed=0):
     """Cross-entropy parameter gradients vs central differences."""
-    return _check_pair_gradients("prediction-loss gradient", n_instances,
-                                 seed, tolerance, lambda rng: (0.0, 1.0))
+    return _pair_gate("prediction-loss gradient", n_instances, seed, lambda rng: (0.0, 1.0))
 
 
-def check_sensitivity_gradients(n_instances=100, seed=1, tolerance=1e-4):
+def check_sensitivity_gradients(n_instances=100, seed=1):
     """Sensitivity-norm parameter gradients vs central differences."""
-    return _check_pair_gradients("sensitivity-loss gradient", n_instances,
-                                 seed, tolerance, lambda rng: (1.0, 0.0))
+    return _pair_gate("sensitivity-loss gradient", n_instances, seed, lambda rng: (1.0, 0.0))
 
 
-def check_composite_gradients(n_instances=100, seed=2, tolerance=1e-4):
+def check_composite_gradients(n_instances=100, seed=2):
     """Combined training-loss gradients vs central differences."""
-    return _check_pair_gradients(
-        "composite-loss gradient", n_instances, seed, tolerance,
-        lambda rng: (float(rng.uniform(0.2, 1.5)), 1.0))
+    return _pair_gate("composite-loss gradient", n_instances, seed,
+                      lambda rng: (float(rng.uniform(0.2, 1.5)), 1.0))
 
 
-def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
+def check_logistic_gradient(n_instances=100, seed=3):
     """The gradient the logistic baseline trains on (`logistic_grad`) vs
     central differences of the mean cross-entropy of the float64 `(d, 2)`
     net it deploys as (`logistic_net`)."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_instances):
+    def instance_errors(rng):
         n, d = 8, int(rng.integers(2, 6))
         X = rng.random((n, d))
         y = (rng.random(n) < 0.5).astype(np.int64)
@@ -170,39 +184,35 @@ def check_logistic_gradient(n_instances=100, seed=3, tolerance=1e-6, h=1e-6):
         def loss(theta):
             p = forward(logistic_net(theta[:d], theta[d]), X)[np.arange(n), y]
             return float(-np.log(p).mean())
-        errors.extend(difference_errors(loss, np.append(w, b), np.append(gw, gb), h))
-    return _gate("logistic gradient", errors, tolerance)
+        return difference_errors(loss, np.append(w, b), np.append(gw, gb), 1e-6)
+    return _seeded_gate("logistic gradient", n_instances, seed, 1e-6, instance_errors)
 
 
-def check_pi_normalization(n_policies=50, seed=4, tolerance=1e-9, max_dim=10):
-    """Selection probabilities must sum to one over all 2^d vectors, or
-    over the 2^(d-1) the selector allows when it masks a feature."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_policies):
-        d = int(rng.integers(2, max_dim + 1))
+def check_pi_normalization(n_instances=50, seed=4):
+    """Selection probabilities (d <= 10) must sum to one over all 2^d
+    vectors, or over the 2^(d-1) the selector allows when it masks one."""
+    def instance_errors(rng):
+        d = int(rng.integers(2, 11))
         logits = rng.normal(0, 2, size=d)
         k = int(rng.integers(0, d))
         masked = k if rng.integers(0, 2) else None   # the selector, or plain gates
         p = sigmoid(logits) if masked is None else probabilities(SelectorPolicy(logits, k))
         # Python's sequential sum; numpy's pairwise sum changes the error
-        total = sum(pi_prob(p, enumerate_selections(d, masked)))
-        errors.append(abs(total - 1.0))
-    return _gate("selection-distribution normalization", errors, tolerance)
+        return [abs(sum(pi_prob(p, enumerate_selections(d, masked))) - 1.0)]
+    return _seeded_gate("selection-distribution normalization", n_instances,
+                        seed, 1e-9, instance_errors)
 
 
-def check_log_pi_gradient(n_policies=50, seed=5, tolerance=1e-6, h=1e-6):
+def check_log_pi_gradient(n_instances=50, seed=5):
     """`log_pi_grad` vs finite differences of log pi(sigmoid(logits))."""
-    rng = np.random.default_rng(seed)
-    errors = []
-    for _ in range(n_policies):
+    def instance_errors(rng):
         d = int(rng.integers(2, 8))
         logits = rng.normal(0, 1.5, size=d)
         S = (rng.random((1, d)) < 0.5).astype(np.int8)
-        errors.extend(difference_errors(
-            lambda theta: np.log(pi_prob(sigmoid(theta), S)[0]), logits,
-            log_pi_grad(sigmoid(logits), S)[0], h))
-    return _gate("log-selection-probability gradient", errors, tolerance)
+        return difference_errors(lambda theta: np.log(pi_prob(sigmoid(theta), S)[0]),
+                                 logits, log_pi_grad(sigmoid(logits), S)[0], 1e-6)
+    return _seeded_gate("log-selection-probability gradient", n_instances, seed,
+                        1e-6, instance_errors)
 
 
 def enumerate_sensitivity(net, policy, x):
@@ -251,19 +261,20 @@ def estimator_instance(d=6):
     return net, policy, x
 
 
-def check_estimator_unbiasedness(d=6, seed=22, rel_tolerance=0.02):
+def check_estimator_unbiasedness(d=6):
     """The selector's training update vs exhaustive enumeration.
 
     Runs `selector_step` on ESTIMATE_SAMPLES draws, ESTIMATE_CHUNK per
     step; at the instance's zero logits a unit step moves them by exactly
     its estimate. The draw-weighted mean move is compared with the exact
     gradient per coordinate (the masked one, zero on both sides, is
-    skipped). The tolerance is calibrated for that draw count; small
-    seed-to-seed excursions near it are sampling noise, not bias.
+    skipped). The relative tolerance 0.02 is calibrated for that draw
+    count at the fixed seed 22; small seed-to-seed excursions near it are
+    sampling noise, not bias.
     """
     net, policy, x = estimator_instance(d=d)
     _, exact = enumerate_sensitivity(net, policy, x)
-    rng = np.random.default_rng([seed, 7])
+    rng = np.random.default_rng([22, 7])
     total = np.zeros(d)
     rows = np.broadcast_to(x, (ESTIMATE_CHUNK, d))
     for _ in range(ESTIMATE_SAMPLES // ESTIMATE_CHUNK):
@@ -276,7 +287,7 @@ def check_estimator_unbiasedness(d=6, seed=22, rel_tolerance=0.02):
     estimate = total / ESTIMATE_SAMPLES
     return _gate(f"score-function estimator (d={d}, {ESTIMATE_SAMPLES} draws)",
                  [abs(estimate[j] - exact[j]) / abs(exact[j])
-                  for j in range(d) if j != policy.sensitive_index], rel_tolerance)
+                  for j in range(d) if j != policy.sensitive_index], 0.02)
 
 
 def run_all(seed=0, instances=100, dims=None):
@@ -287,8 +298,8 @@ def run_all(seed=0, instances=100, dims=None):
         check_sensitivity_gradients(instances, seed + 1),
         check_composite_gradients(instances, seed + 2),
         check_logistic_gradient(instances, seed + 3),
-        check_pi_normalization(50, seed + 4),
-        check_log_pi_gradient(50, seed + 5),
+        check_pi_normalization(instances, seed + 4),
+        check_log_pi_gradient(instances, seed + 5),
     ]
     if dims is not None:
         results.append(check_estimator_unbiasedness(d=dims))

@@ -56,8 +56,7 @@ def test_criterion_2_estimator_unbiasedness():
 
 
 def test_criterion_3_distribution_normalization():
-    res = diagnostics.check_pi_normalization(n_policies=50, tolerance=1e-9,
-                                             max_dim=10)
+    res = diagnostics.check_pi_normalization()
     report_line(3, "selection distribution normalization", res.passed,
                 f"worst |sum - 1| = {res.worst_error:.2e} <= 1e-9 "
                 f"over 50 random policies, d <= 10")

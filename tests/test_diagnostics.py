@@ -1,10 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_net
 from fairsel import diagnostics, training
-from fairsel.diagnostics import difference_errors
-from fairsel.nets import DenseNet
+from fairsel.diagnostics import KINK_MARGIN, difference_errors
+from fairsel.nets import DenseNet, layer_outputs
 
 # wrong analytic gradients: finite but off by one everywhere, or NaN
 CORRUPTIONS = {
@@ -44,10 +48,10 @@ class TestWrongAnalyticGradientFails:
 
     def test_log_selection_probability(self, monkeypatch, corruption):
         corrupt, real = CORRUPTIONS[corruption], diagnostics.log_pi_grad
-        assert diagnostics.check_log_pi_gradient(n_policies=2).passed
+        assert diagnostics.check_log_pi_gradient(n_instances=2).passed
         monkeypatch.setattr(diagnostics, "log_pi_grad",
                             lambda p, s: corrupt(real(p, s)))
-        res = diagnostics.check_log_pi_gradient(n_policies=2)
+        res = diagnostics.check_log_pi_gradient(n_instances=2)
         assert not res.passed
         assert np.isnan(res.worst_error) == (corruption == "nan")
 
@@ -102,3 +106,42 @@ def test_gates_run_float64_nets():
     # oracles need float64, whatever train uses
     net, *_ = diagnostics.random_instance(np.random.default_rng(0))
     assert net.theta.dtype == diagnostics.estimator_instance()[0].theta.dtype == np.float64
+
+
+@pytest.mark.parametrize("check, seed", [
+    (diagnostics.check_prediction_gradients, 9),
+    (diagnostics.check_sensitivity_gradients, 14),
+    (diagnostics.check_composite_gradients, 101)])
+def test_network_gates_pass_where_a_draw_once_sat_on_the_kink(check, seed):
+    # these seeds once drew a hidden pre-activation within one difference
+    # step of SELU's kink and failed correct gradients (worst errors 0.76,
+    # 0.16 and 0.32 against 1e-4)
+    res = check(50, seed)
+    assert res.passed, res.line()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_instance_keeps_every_hidden_activation_off_the_kink(seed):
+    # both halves of the pair, every row, through the plain forward pass
+    net, X, _, S, k = diagnostics.random_instance(np.random.default_rng(seed))
+    x_sel = X * S
+    x_with = x_sel.copy()
+    x_with[:, k] = X[:, k]
+    for rows in (x_sel, x_with):
+        for acts in layer_outputs(net, rows)[:-1]:
+            assert np.abs(acts).min() > KINK_MARGIN
+
+
+def test_instances_reach_every_randomized_gate(monkeypatch):
+    draws, real = Counter(), diagnostics._seeded_gate
+
+    def counting(name, n_instances, seed, tolerance, instance_errors):
+        def counted(rng):
+            draws[name] += 1
+            return instance_errors(rng)
+        return real(name, n_instances, seed, tolerance, counted)
+    monkeypatch.setattr(diagnostics, "_seeded_gate", counting)
+    results = diagnostics.run_all(seed=0, instances=3)
+    assert len(draws) == len(results) == 6
+    assert all(draws[r.name] == 3 for r in results)

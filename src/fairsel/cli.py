@@ -22,7 +22,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import os
@@ -105,10 +104,12 @@ def _run_task(task):
 
 def _map_reps(fn, tasks, workers):
     """fn over tasks, in order. A pool receives fn, which holds the
-    loaded table, once per worker through its initializer."""
+    loaded table, once per worker through its initializer. The pool's
+    module loads only here; tests and perfbench patch the class on it."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(t) for t in tasks]
+    import concurrent.futures
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_set_runner,
             initargs=(fn,)) as pool:

@@ -44,11 +44,17 @@ class CheckResult:
 # relative_error compares near-zero pairs absolutely at this scale
 RELATIVE_ERROR_FLOOR = 1e-6
 
+# the logistic gate trusts each float64 loss value to this many units in
+# its last place, so rounding alone moves a central difference of step h
+# by up to LOSS_ULPS * eps * (|L(theta + h)| + |L(theta - h)|) / (2 h)
+LOSS_ULPS = 2
 
-def relative_error(a, b):
-    """|a - b| relative to the larger magnitude, floored at
-    RELATIVE_ERROR_FLOOR."""
-    return abs(a - b) / max(abs(a), abs(b), RELATIVE_ERROR_FLOOR)
+
+def relative_error(a, b, rounding=0.0):
+    """|a - b| less `rounding`, never below 0, relative to the larger
+    magnitude, floored at RELATIVE_ERROR_FLOOR."""
+    excess = max(abs(a - b) - rounding, 0.0)   # a NaN first argument stays NaN
+    return excess / max(abs(a), abs(b), RELATIVE_ERROR_FLOOR)
 
 
 def worst_error(errors):
@@ -60,16 +66,20 @@ def worst_error(errors):
     return float(errors.max())
 
 
-def difference_errors(loss, theta, analytic, h):
+def difference_errors(loss, theta, analytic, h, loss_ulps=0):
     """Relative error of each coordinate of `analytic`, the claimed
     gradient of loss at the flat vector theta, against the central
-    difference of loss with step h."""
+    difference of loss with step h, less the rounding error of that
+    difference if each loss value is trusted to loss_ulps units in its
+    last place."""
     errors = []
     for j in range(theta.size):
         tp, tm = theta.copy(), theta.copy()
         tp[j] += h
         tm[j] -= h
-        errors.append(relative_error(analytic[j], (loss(tp) - loss(tm)) / (2 * h)))
+        lp, lm = loss(tp), loss(tm)
+        rounding = loss_ulps * np.finfo(np.float64).eps * (abs(lp) + abs(lm)) / (2 * h)
+        errors.append(relative_error(analytic[j], (lp - lm) / (2 * h), rounding))
     return errors
 
 
@@ -172,7 +182,9 @@ def check_composite_gradients(n_instances=100, seed=2):
 def check_logistic_gradient(n_instances=100, seed=3):
     """The gradient the logistic baseline trains on (`logistic_grad`) vs
     central differences of the mean cross-entropy of the float64 `(d, 2)`
-    net it deploys as (`logistic_net`)."""
+    net it deploys as (`logistic_net`), less their rounding (LOSS_ULPS):
+    about eps |L| / h = 1e-10, more than the tolerance on the gradient's
+    coordinates of 1e-5. The other gates need no such allowance."""
     def instance_errors(rng):
         n, d = 8, int(rng.integers(2, 6))
         X = rng.random((n, d))
@@ -184,7 +196,8 @@ def check_logistic_gradient(n_instances=100, seed=3):
         def loss(theta):
             p = forward(logistic_net(theta[:d], theta[d]), X)[np.arange(n), y]
             return float(-np.log(p).mean())
-        return difference_errors(loss, np.append(w, b), np.append(gw, gb), 1e-6)
+        return difference_errors(loss, np.append(w, b), np.append(gw, gb), 1e-6,
+                                 loss_ulps=LOSS_ULPS)
     return _seeded_gate("logistic gradient", n_instances, seed, 1e-6, instance_errors)
 
 

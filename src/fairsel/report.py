@@ -6,14 +6,14 @@ Reports are dicts with a fixed field order and a schema version; bump
 REPORT_SCHEMA_VERSION whenever a field is added, removed or renamed.
 Wall-clock fields (any key starting with "wall_clock") are the only
 nondeterministic content, so byte-level reproducibility checks strip
-them first.
+them first. jsonschema loads on the first report validation, not on import.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
-import jsonschema
 import numpy as np
 
 from . import metrics as M
@@ -102,12 +102,18 @@ REPORT_SCHEMA = {
 }
 
 
+@functools.cache
+def _validator():
+    import jsonschema
+    return jsonschema.Draft202012Validator(REPORT_SCHEMA)
+
+
 def validate_report(report):
     """Check a report against the published schema; raises the error
     jsonschema.validate would. The schema itself is checked by the tests,
     not on every call."""
-    validator = jsonschema.Draft202012Validator(REPORT_SCHEMA)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(report))
+    from jsonschema.exceptions import best_match
+    error = best_match(_validator().iter_errors(report))
     if error is not None:
         raise error
 
@@ -160,12 +166,14 @@ def base_report(command, config_echo, master_seed):
 
 
 def render_report(report):
-    """A report, validated, as JSON text."""
+    """A report, validated (which loads jsonschema on the first call), as
+    JSON text."""
     validate_report(report)
     return json.dumps(report, indent=2)
 
 
 def write_report(report, path):
+    """Validate a report, then write it; an invalid one writes no file."""
     text = render_report(report)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -56,6 +56,22 @@ class TestWrongAnalyticGradientFails:
         assert np.isnan(res.worst_error) == (corruption == "nan")
 
 
+@pytest.mark.parametrize("seed", [28, 62, 92])
+def test_logistic_gate_allows_for_rounding_of_the_difference(monkeypatch, seed):
+    # the logistic gates of `gradcheck --seed 25/59/89`: before the gate
+    # allowed for the rounding of its step-1e-6 central difference (about
+    # eps |L| / h = 1e-10), it failed correct gradient coordinates of about
+    # 1e-5 (worst errors 3.07e-6, 1.09e-6 and 1.59e-6 against 1e-6)
+    assert diagnostics.check_logistic_gradient(50, seed).passed
+    real = diagnostics.logistic_grad
+
+    def scaled(w, b, X, y):   # a 1e-4 relative fault still fails
+        gw, gb, p = real(w, b, X, y)
+        return gw * (1 + 1e-4), gb * (1 + 1e-4), p
+    monkeypatch.setattr(diagnostics, "logistic_grad", scaled)
+    assert not diagnostics.check_logistic_gradient(50, seed).passed
+
+
 def test_estimator_check_runs_the_training_update(monkeypatch):
     # the check drives selector_step, so a wrong score function in the
     # training module, and nowhere else, must fail it

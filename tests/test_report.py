@@ -13,7 +13,8 @@ from fairsel.data import (Dataset, DatasetSpec, load_csv, prepare_splits, split,
 from fairsel.nets import forward
 from fairsel.report import (METRIC_NAMES, REPORT_SCHEMA, REPORT_SCHEMA_VERSION,
                             aggregate, base_report, evaluate_model,
-                            strip_wall_clock, validate_report)
+                            render_report, strip_wall_clock, validate_report,
+                            write_report)
 from fairsel.training import TrainConfig, TrainedModel, predict, train
 
 
@@ -164,6 +165,22 @@ class TestSchema:
         rep["command"] = "mystery"
         with pytest.raises(ValidationError):
             validate_report(rep)
+
+    def test_render_validates(self):
+        rep = self._train_report()
+        assert render_report(rep).startswith('{\n  "schema_version": ')
+        del rep["aggregate"]
+        with pytest.raises(ValidationError, match="'aggregate' is a required property"):
+            render_report(rep)
+
+    def test_invalid_report_writes_no_file(self, tmp_path):
+        rep = self._train_report()
+        write_report(rep, tmp_path / "valid.json")
+        assert (tmp_path / "valid.json").read_text() == render_report(rep) + "\n"
+        del rep["aggregate"]
+        with pytest.raises(ValidationError, match="'aggregate' is a required property"):
+            write_report(rep, tmp_path / "invalid.json")
+        assert not (tmp_path / "invalid.json").exists()
 
     def test_schema_is_valid_draft_2020_12(self):
         jsonschema.Draft202012Validator.check_schema(REPORT_SCHEMA)

@@ -35,7 +35,7 @@ from . import report as rpt
 from .baseline import train_logistic
 from .checkpoint import load_model, save_model
 from .data import DatasetSpec, load_csv, prepare_splits
-from .diagnostics import ESTIMATE_SAMPLES, run_all
+from .diagnostics import run_all
 from .errors import DataError, FairselError, NumericalError
 from .metrics import balanced_accuracy
 from .training import TrainConfig, predict, train
@@ -186,11 +186,6 @@ def build_parser():
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--instances", type=_AT_LEAST_ONE, default=50,
                    help="random instances per gradient check")
-    # the estimator instance needs 3 features; 2^8 selections bound the cost
-    p.add_argument("--dims", type=_checked(int, lambda v: 3 <= v <= 8, "in 3..8"),
-                   default=None,
-                   help=f"also run the enumeration unbiasedness check, on "
-                        f"{ESTIMATE_SAMPLES:,} draws, at this feature count (3 to 8)")
     return parser
 
 
@@ -233,8 +228,8 @@ def _tune_point(model, val_ds):
 
 def _train_one_rep(task, args, raw, spec):
     """Split, train and score one (repetition index, config) task. tune
-    gets (validation score, test metrics); train and compare save their
-    checkpoints here and get the report entry."""
+    gets its validation score, test metrics and diagnostics; train and
+    compare save their checkpoints here and get the report entry."""
     rep, config = task
     seed = derive_seed(args.seed, rep)
     train_ds, val_ds, test_ds = prepare_splits(raw, spec, seed)
@@ -244,7 +239,8 @@ def _train_one_rep(task, args, raw, spec):
     model = train(train_ds, val_ds, config)
     adv_metrics = rpt.evaluate_model(None, model, test_ds)
     if args.command == "tune":
-        return _tune_point(model, val_ds), adv_metrics
+        return {"validation": _tune_point(model, val_ds), "test": adv_metrics,
+                "diagnostics": model.diagnostics}
     entry = {"index": rep, "seed": seed, "adversarial": adv_metrics}
     saved = {"adversarial": model}
     if args.command == "compare":
@@ -267,9 +263,9 @@ def _train_one_rep(task, args, raw, spec):
 
 def _run_tasks(args, weights):
     """Run every (repetition, config) task of a command, one config per
-    sensitivity weight, weight-major, through one pool; returns the
-    results in task order and the start time of the runs. Every flag is
-    checked before any file is read or made."""
+    sensitivity weight, weight-major, through one pool, naming each aborted
+    task on stderr; returns the results in task order and the start time
+    of the runs. Every flag is checked before any file is read or made."""
     workers = _worker_count()
     configs = [_config_from_args(args, w) for w in weights]
     out = Path(args.out)
@@ -285,7 +281,12 @@ def _run_tasks(args, weights):
     t0 = time.perf_counter()
     tasks = [(rep, config) for config in configs for rep in range(args.reps)]
     runner = functools.partial(_train_one_rep, args=args, raw=raw, spec=spec)
-    return _map_reps(runner, tasks, workers), t0
+    results = _map_reps(runner, tasks, workers)
+    for (rep, config), result in zip(tasks, results):
+        if result["diagnostics"] is not None:
+            print(f"warning: sensitivity weight {config.sensitivity_weight}, "
+                  f"repetition {rep}: {result['diagnostics']}", file=sys.stderr)
+    return results, t0
 
 
 def _write_report(args, fields, t0, summary):
@@ -356,11 +357,11 @@ def cmd_tune(args):
     best = None  # (score, weight)
     for i, weight in enumerate(grid):
         point = rows[i * args.reps:(i + 1) * args.reps]
-        mean_val = float(np.mean([r[0] for r in point]))
+        mean_val = float(np.mean([r["validation"] for r in point]))
         entries.append({
             "sensitivity_weight": weight,
             "validation_balanced_accuracy": mean_val,
-            "test": rpt.aggregate([r[1] for r in point]),
+            "test": rpt.aggregate([r["test"] for r in point]),
         })
         if best is None or mean_val > best[0]:
             best = (mean_val, weight)
@@ -375,12 +376,10 @@ def cmd_tune(args):
 
 
 def cmd_gradcheck(args):
-    results = run_all(seed=args.seed, instances=args.instances, dims=args.dims)
-    failed = False
+    results = run_all(args.seed, args.instances)
     for res in results:
         print(res.line())
-        failed = failed or not res.passed
-    if failed:
+    if not all(res.passed for res in results):
         print("gradcheck: FAILURES detected", file=sys.stderr)
         return EXIT_NUMERIC
     print("gradcheck: all checks passed")

@@ -21,9 +21,10 @@ from .selector import (SelectorPolicy, enumerate_selections, log_pi_grad,
                        pi_prob, probabilities, sigmoid)
 from .training import pair_loss_and_grads, selector_step, sensitivity_pair
 
-# draws in check_estimator_unbiasedness, the count its tolerance is
-# calibrated for, taken ESTIMATE_CHUNK per selector_step (a divisor of it
-# that bounds the step's memory)
+# the estimator gate's feature count and draws, the count its tolerance
+# is calibrated for, taken ESTIMATE_CHUNK per selector_step (a divisor of
+# it that bounds the step's memory)
+ESTIMATE_DIM = 6
 ESTIMATE_SAMPLES = 200_000
 ESTIMATE_CHUNK = 20000
 
@@ -247,8 +248,8 @@ def enumerate_sensitivity(net, policy, x):
     return expected, grad
 
 
-def estimator_instance(d=6):
-    """Fixed instance for the unbiasedness check.
+def estimator_instance():
+    """Fixed instance for the unbiasedness check, ESTIMATE_DIM features.
 
     A single SELU unit operating in its exponential region makes the
     sensitivity norm multiplicative in the selected features, so every
@@ -257,9 +258,7 @@ def estimator_instance(d=6):
     distinguish a biased estimator from an unbiased one at any feasible
     sample count.
     """
-    if not 3 <= d <= 8:
-        raise ValueError("estimator instance supports 3 <= d <= 8")
-    k = 0
+    d, k = ESTIMATE_DIM, 0
     alphas = np.linspace(0.85, 1.2, d)
     w1 = np.zeros((1, d))
     w1[0, :] = alphas
@@ -274,7 +273,7 @@ def estimator_instance(d=6):
     return net, policy, x
 
 
-def check_estimator_unbiasedness(d=6):
+def check_estimator_unbiasedness():
     """The selector's training update vs exhaustive enumeration.
 
     Runs `selector_step` on ESTIMATE_SAMPLES draws, ESTIMATE_CHUNK per
@@ -285,7 +284,8 @@ def check_estimator_unbiasedness(d=6):
     count at the fixed seed 22; small seed-to-seed excursions near it are
     sampling noise, not bias.
     """
-    net, policy, x = estimator_instance(d=d)
+    net, policy, x = estimator_instance()
+    d = ESTIMATE_DIM
     _, exact = enumerate_sensitivity(net, policy, x)
     rng = np.random.default_rng([22, 7])
     total = np.zeros(d)
@@ -303,17 +303,15 @@ def check_estimator_unbiasedness(d=6):
                   for j in range(d) if j != policy.sensitive_index], 0.02)
 
 
-def run_all(seed=0, instances=100, dims=None):
-    """The full check suite; `dims` enables the enumeration-based
-    estimator check at that feature count."""
-    results = [
+def run_all(seed, instances):
+    """The full check suite: six randomized gates of `instances` instances
+    each, seeded from `seed` up, then the fixed estimator gate."""
+    return [
         check_prediction_gradients(instances, seed),
         check_sensitivity_gradients(instances, seed + 1),
         check_composite_gradients(instances, seed + 2),
         check_logistic_gradient(instances, seed + 3),
         check_pi_normalization(instances, seed + 4),
         check_log_pi_gradient(instances, seed + 5),
+        check_estimator_unbiasedness(),
     ]
-    if dims is not None:
-        results.append(check_estimator_unbiasedness(d=dims))
-    return results

@@ -46,7 +46,7 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_estimator_unbiasedness():
     t0 = time.perf_counter()
-    res = diagnostics.check_estimator_unbiasedness(d=6)
+    res = diagnostics.check_estimator_unbiasedness()
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 300
     report_line(2, "score-function estimator unbiasedness", ok,

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import (BODY_VALUES, GERMAN_HEADER, json_edits, logistic_model,
                       write_german_csv)
-from fairsel import diagnostics
+from fairsel import diagnostics, training
 from fairsel.checkpoint import BLOB_DTYPE, CHECKPOINT_VERSION, save_model
 from fairsel.cli import _config_from_args, build_parser, derive_seed, main
 from fairsel.data import DatasetSpec, Encoder, load_csv
+from fairsel.errors import NumericalError
 from fairsel.nets import DenseNet
 from fairsel.report import REPORT_SCHEMA_VERSION, strip_wall_clock
 from fairsel.selector import SelectorPolicy
@@ -102,9 +103,11 @@ class TestExitCodes:
         assert "FAIL sensitivity-loss gradient:" in out
         assert "FAIL composite-loss gradient:" in out
 
-    def test_gradcheck_dims_runs_estimator_check(self, capsys):
-        assert main(["gradcheck", "--instances", "2", "--dims", "4"]) == 0
-        assert "estimator" in capsys.readouterr().out
+    def test_gradcheck_runs_estimator_check(self, capsys):
+        assert main(["gradcheck", "--instances", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8
+        assert lines[6].startswith("PASS score-function estimator (d=6, 200000 draws)")
 
 
 class TestTrainCommand:
@@ -634,6 +637,29 @@ class TestTuneCommand:
         assert report["best"]["sensitivity_weight"] == 0.0
 
 
+class TestAbortWarnings:
+    @pytest.mark.parametrize("command,flags,weights", [
+        ("train", [], [1.0]), ("tune", ["--grid", "0,1"], [0.0, 1.0])])
+    def test_each_aborted_task_names_itself_on_stderr(self, tmp_path, capsys,
+                                                      monkeypatch, command, flags,
+                                                      weights):
+        # the exit code stays 0; stderr names each (weight, repetition)
+        # whose training aborted, and nothing on a run that finished
+        data, spec = write_toy(tmp_path)
+        argv = [command, "--data", data, "--spec", spec, *flags]
+        assert main([*argv, *fast_flags(tmp_path / "ok")]) == 0
+        assert capsys.readouterr().err == ""
+
+        def poisoned(*args, **kw):
+            raise NumericalError("injected blow-up")
+        monkeypatch.setattr(training, "predictor_step", poisoned)
+        assert main([*argv, *fast_flags(tmp_path / "aborted")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: sensitivity weight {w}, repetition {rep}: training "
+            f"aborted during epoch 0, batch 0: injected blow-up"
+            for w in weights for rep in range(2)]
+
+
 class TestGridRuntime:
     def test_full_eleven_point_grid_on_credit_scale_data(self, tmp_path,
                                                          capsys,
@@ -811,8 +837,7 @@ class TestInvalidValues:
                      *fast_flags(tmp_path / "o"), *flags]) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
-    @pytest.mark.parametrize("flags", [
-        ["--instances", "0"], ["--dims", "x"], ["--dims", "2"], ["--dims", "9"]])
+    @pytest.mark.parametrize("flags", [["--instances", "0"]])
     def test_gradcheck_range_is_usage_error(self, capsys, flags):
         assert main(["gradcheck", *flags]) == 1
         assert flags[0] in capsys.readouterr().err
@@ -822,13 +847,14 @@ class TestInvalidValues:
         ("compare", "--baseline-l2", "0"),
         ("compare", "--baseline-epochs", "500"),
         ("compare", "--baseline-lr", "0.1"),
-        ("gradcheck", "--samples", "200000")])
+        ("gradcheck", "--samples", "200000"),
+        ("gradcheck", "--dims", "6")])
     def test_deleted_flag_is_usage_error(self, tmp_path, capsys, command, flag, value):
         # reports are JSON only, the baseline is unregularized and runs 500
         # epochs at learning rate 0.1, and the estimator check draws the
-        # count its tolerance is calibrated for
+        # count its tolerance is calibrated for, at its one feature count
         data, spec = write_toy(tmp_path)
-        flags = (["--dims", "4"] if command == "gradcheck" else
+        flags = ([] if command == "gradcheck" else
                  ["--data", data, "--spec", spec, *fast_flags(tmp_path / "o")])
         assert main([command, *flags, flag, value]) == 1
         assert flag in capsys.readouterr().err

@@ -89,9 +89,9 @@ def test_non_finite_estimate_fails_the_estimator_gate(monkeypatch, capsys):
     real = training.log_pi_grad
     monkeypatch.setattr(training, "log_pi_grad",
                         lambda p, S: CORRUPTIONS["nan"](real(p, S)))
-    res = diagnostics.check_estimator_unbiasedness(d=4)
+    res = diagnostics.check_estimator_unbiasedness()
     assert not res.passed and np.isnan(res.worst_error)
-    assert main(["gradcheck", "--instances", "2", "--dims", "4"]) == 3
+    assert main(["gradcheck", "--instances", "2"]) == 3
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert len(lines) == 7 and lines[-1].startswith("FAIL score-function estimator")
@@ -159,5 +159,6 @@ def test_instances_reach_every_randomized_gate(monkeypatch):
         return real(name, n_instances, seed, tolerance, counted)
     monkeypatch.setattr(diagnostics, "_seeded_gate", counting)
     results = diagnostics.run_all(seed=0, instances=3)
-    assert len(draws) == len(results) == 6
-    assert all(draws[r.name] == 3 for r in results)
+    # the estimator gate, last, draws from its own fixed seed
+    assert len(draws) == len(results) - 1 == 6
+    assert all(draws[r.name] == 3 for r in results[:-1])

@@ -162,11 +162,11 @@ class TestSelectorStep:
 
     def test_average_update_aligns_with_enumeration_gradient(self):
         from fairsel.diagnostics import estimator_instance
-        net, policy, x = estimator_instance(d=5)
+        net, policy, x = estimator_instance()
         _, exact = enumerate_sensitivity(net, policy, x)
         rng = np.random.default_rng(0)
         X = np.tile(x, (64, 1))
-        total = np.zeros(5)
+        total = np.zeros(x.size)
         for _ in range(1000):  # 64k draws in total
             stepped, _ = selector_step(policy, X, net, 1.0, rng)
             total += stepped.logits - policy.logits
@@ -175,11 +175,11 @@ class TestSelectorStep:
 
     def test_baseline_subtraction_keeps_expectation(self):
         from fairsel.diagnostics import estimator_instance
-        net, policy, x = estimator_instance(d=5)
+        net, policy, x = estimator_instance()
         _, exact = enumerate_sensitivity(net, policy, x)
         rng = np.random.default_rng(1)
         X = np.tile(x, (64, 1))
-        total = np.zeros(5)
+        total = np.zeros(x.size)
         for _ in range(1000):
             stepped, _ = selector_step(policy, X, net, 1.0, rng, baseline=0.1)
             total += stepped.logits - policy.logits

@@ -43,18 +43,18 @@ def logistic_grad(weights, bias, X, y):
 def logistic_net(weights, bias):
     """The float64 `(d, 2)` softmax net of the logistic (weights, bias):
     class 0's logit is 0 and class 1's is x @ weights + bias, so its
-    class-1 probability is the logistic's. theta is [0...0, w, 0, b]."""
-    d = len(weights)
-    return DenseNet((d, 2), np.concatenate([np.zeros(d), weights, [0.0, bias]]))
+    class-1 probability is the logistic's."""
+    return DenseNet.from_layers([np.stack([np.zeros(len(weights)), weights])],
+                                [np.array([0.0, bias])])
 
 
 def fit_logistic(train_data, val_data, *, epochs, lr):
     """Fit (w, b) in float64 by full-batch gradient descent; keep the
     parameters of the first epoch with the highest validation balanced
-    accuracy, scoring the labels of EPOCH_BLOCK epochs in one call.
-    Deterministic (zero initialization, convex loss). A validation split
-    that lacks a class raises DegenerateGroupError before the first
-    epoch."""
+    accuracy of the labels `x @ w + b > 0` (a tie is class 0, as in
+    `predict`), scoring EPOCH_BLOCK epochs in one call. Deterministic
+    (zero initialization, convex loss). A validation split that lacks a
+    class raises DegenerateGroupError before the first epoch."""
     # written so that NaN fails every comparison
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -76,7 +76,7 @@ def fit_logistic(train_data, val_data, *, epochs, lr):
         if not (np.isfinite(w).all() and math.isfinite(b)):
             raise NumericalError("logistic training diverged; lower the learning rate")
         slot = epoch % EPOCH_BLOCK
-        np.greater_equal(sigmoid(Xv @ w + b), 0.5, out=labels[slot])
+        np.greater(Xv @ w + b, 0.0, out=labels[slot])
         params[slot, :-1], params[slot, -1] = w, b
         if slot == labels.shape[0] - 1 or epoch == epochs - 1:
             scores = balanced_accuracies(yv, labels[:slot + 1])

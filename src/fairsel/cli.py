@@ -208,7 +208,6 @@ def _config_from_args(args, weight):
             max_epochs=args.max_epochs,
             patience=args.patience,
             sensitivity_weight=weight,
-            seed=args.seed,
             hidden_sizes=_parse_list("--hidden", int, "integers", args.hidden),
             score_baseline=args.score_baseline,
         )

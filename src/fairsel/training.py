@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .metrics import balanced_accuracy
+from .metrics import balanced_accuracies, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                    forward, layer_outputs, reduce_classes)
 from .selector import (SelectorPolicy, log_pi_grad, probabilities,
@@ -147,10 +147,10 @@ class TrainedModel:
 
     @property
     def kept(self):
-        """The boolean column mask (d,) the model's input is reduced to."""
+        """The columns (d,) the model reads: threshold05, selection probability >= 1/2."""
         if self.policy is None:
             return np.ones(self.net.input_dim, dtype=bool)
-        return _kept(self.policy)
+        return probabilities(self.policy) >= 0.5
 
 
 class SensitivityPair(NamedTuple):
@@ -266,13 +266,6 @@ def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
     return net, adam_state, ce_mean, sens_mean
 
 
-def _kept(policy):
-    """threshold05's selection (d,): the features the selector keeps with
-    probability at least 1/2; the sensitive feature, whose probability
-    is 0, is never among them."""
-    return probabilities(policy) >= 0.5
-
-
 def predict(model, X):
     """Predicted classes (n,) and probability rows (n, c), in the net's
     dtype (float32 for a trained model), for a batch of input rows X
@@ -310,11 +303,6 @@ def mean_sensitivity(net, kept, k, X):
     return float(np.concatenate(norms).mean(dtype=np.float64)), np.concatenate(probs)
 
 
-def _validation_score(net, policy, val_data):
-    probs = forward(net, val_data.features * _kept(policy))
-    return balanced_accuracy(val_data.outcomes(probs.argmax(axis=1)))
-
-
 def train(train_data, val_data, config):
     """Run the adversarial training loop and return the model from the
     best validation epoch.
@@ -324,9 +312,10 @@ def train(train_data, val_data, config):
     values, the run aborts, the parameters from the last finished epoch
     are returned, and the diagnostics field says why.
 
-    Validation is scored by `metrics.balanced_accuracy`, so a
-    validation split that lacks a class raises DegenerateGroupError.
+    Each epoch is scored by `predict`'s balanced accuracy on val_data; a
+    split that lacks a class raises DegenerateGroupError before epoch 0.
     """
+    balanced_accuracies(val_data.labels, np.empty((0, val_data.n)))  # checks the classes
     X = train_data.features.astype(np.float32)
     Y = np.eye(2, dtype=np.float32)[train_data.labels]
     k = train_data.sensitive_index
@@ -369,7 +358,8 @@ def train(train_data, val_data, config):
             diagnostics = f"training aborted during epoch {epoch}, batch {batch}: {exc}"
             break
 
-        val_score = _validation_score(net, policy, val_data)
+        val_score = balanced_accuracy(val_data.outcomes(
+            predict(TrainedModel(net, policy), val_data.features)[0]))
         log.append(EpochRecord(ce_sum / n, sens_sum / n, val_score))
         if best is None or val_score > best[0]:
             best = (val_score, epoch, net, policy)

@@ -38,7 +38,7 @@ def reference_trajectory(train_data, val_data, *, epochs, lr):
             raise NumericalError("logistic training diverged")
         w = w - lr * gw
         b = b - lr * gb
-        labels = (sigmoid(val_data.features @ w + b) >= 0.5).astype(np.int64)
+        labels = (val_data.features @ w + b > 0).astype(np.int64)
         rates = []
         for label in (1, 0):
             actual = val_data.labels == label
@@ -188,6 +188,22 @@ class TestBlockScoredFit:
         with pytest.raises(DegenerateGroupError) as got:
             train_logistic(tr, va, epochs=5, lr=0.5)
         assert str(got.value) == str(want.value)
+
+    def test_zero_logit_validation_row_is_class_zero(self, monkeypatch):
+        # balanced training labels leave b at 0 after the first step, so the
+        # all-zero validation row's logit is exactly 0: a tie, which is
+        # class 0 here as in predict and evaluate_model
+        rng = np.random.default_rng(7)
+        tr = toy_dataset(rng.random((40, 2)), np.arange(40) % 2)
+        va = toy_dataset(np.vstack([np.zeros(2), rng.random((9, 2))]), np.arange(10) % 2)
+        seen = []
+        real = baseline.balanced_accuracies
+        monkeypatch.setattr(baseline, "balanced_accuracies",
+                            lambda y, labels: seen.append(labels.copy()) or real(y, labels))
+        w, b = fit_logistic(tr, va, epochs=1, lr=0.5)
+        assert b == 0.0 and w.any() and not va.features[0].any()
+        assert [labels.shape for labels in seen] == [(0, 10), (1, 10)]
+        assert not seen[1][0, 0]
 
     def test_divergent_lr_fails_as_before(self):
         # the step overflows float64 within 200 epochs on this split

@@ -773,6 +773,9 @@ class TestInvalidValues:
         ("tune", ["--grid", "0,nan"]),
         ("tune", ["--grid", "0,inf"]),
         ("tune", ["--grid", "0,-1"]),
+        ("train", ["--batch-size", "0"]),
+        ("train", ["--max-epochs", "-1"]),
+        ("train", ["--hidden", "0"]),
     ])
     def test_bad_flag_is_usage_error_before_any_file(self, tmp_path, capsys,
                                                      command, flags):

@@ -13,6 +13,7 @@ from fairsel.nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
 from fairsel.selector import (SelectorPolicy, enumerate_selections, pi_prob,
                               probabilities)
 from fairsel import training
+from fairsel.cli import _tune_point
 from fairsel.diagnostics import enumerate_sensitivity
 from fairsel.training import (TrainConfig, mean_sensitivity,
                               pair_loss_and_grads, predict, predictor_step,
@@ -536,6 +537,27 @@ class TestTrain:
         one_class = va.subset(va.labels == 0)
         with pytest.raises(DegenerateGroupError):
             train(tr, one_class, self._config(max_epochs=1))
+
+    @pytest.mark.parametrize("max_epochs", [0, 1])
+    def test_one_class_validation_split_fails_before_training(self, monkeypatch,
+                                                              max_epochs):
+        tr, va, _ = self._data()
+        steps = []
+        monkeypatch.setattr(training, "selector_step",
+                            lambda *args, **kw: steps.append(None))
+        with pytest.raises(DegenerateGroupError,
+                           match=r"^population has no positive \(label 1\) examples$"):
+            train(tr, va.subset(va.labels == 0), self._config(max_epochs=max_epochs))
+        assert steps == []
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_logged_score_is_the_deployed_models(self, seed):
+        # each epoch is scored by predict, as tune scores the returned model
+        tr, va, _ = self._data()
+        model = train(tr, va, self._config(max_epochs=6, patience=6, seed=seed))
+        assert model.best_epoch >= 0
+        assert (model.training_log[model.best_epoch].val_balanced_accuracy
+                == _tune_point(model, va))
 
 
 class TestPredict:

@@ -77,6 +77,11 @@ def _number(v):
     return values[0] if values and math.isfinite(values[0]) else None
 
 
+# the keys of an encoder layout entry, by its role
+_LAYOUT_FIELDS = {"sensitive": ("name", "role"), "numeric": ("name", "role", "min", "max"),
+                  "categorical": ("name", "role", "categories")}
+
+
 def _layout_entry_fits(item, name, role):
     """item is the layout entry of column name in that role: a numeric entry
     holds finite min <= max a finite span apart (min-max scaling divides
@@ -113,6 +118,8 @@ class Predicate:
             self.values = tuple(str(v) for v in self.values)
         elif self.value is None:
             raise DataError(f"predicate op {self.op!r} needs a value")
+        if isinstance(self.value, np.generic):  # stored as the builtin json encodes
+            self.value = self.value.item()
 
     def mask(self, cells):
         """Which cells of a RawTable column are privileged, as a bool array."""
@@ -410,6 +417,10 @@ class Encoder:
             if not _layout_entry_fits(item, c.name, role):
                 raise DataError(f"encoder layout entry {reprlib.repr(item)} does not "
                                 f"fit the {role} column {c.name!r}")
+            unknown = [key for key in item if key not in _LAYOUT_FIELDS[role]]
+            if unknown:
+                raise DataError(f"encoder layout entry of the {role} column {c.name!r} "
+                                f"has unknown field {unknown[0]!r}")
             if role == "sensitive":
                 self.sensitive_index = len(self.column_names)
             if role == "categorical":

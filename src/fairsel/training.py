@@ -63,10 +63,7 @@ class TrainConfig:
     """Hyper-parameters of one training run.
 
     patience is clamped to max_epochs so the invariant
-    patience <= max_epochs always holds. Field order is the checkpoint's
-    key order (`dataclasses.asdict`); hidden_sizes is a checkpoint's only
-    record of the net's hidden widths (a checkpoint without a config holds
-    a net with none).
+    patience <= max_epochs always holds.
     """
 
     alpha_theta: float = 1e-4
@@ -80,9 +77,9 @@ class TrainConfig:
     score_baseline: bool = False
 
     def __post_init__(self):
-        # a checkpoint's config arrives as JSON and a caller's may hold
-        # numpy scalars: a bool must not pass for a number, nor a float
-        # for a count, and each is stored as the builtin json encodes
+        # a caller's config may hold numpy scalars: a bool must not pass
+        # for a number, nor a float for a count, and each is stored as its
+        # builtin
         for names, cast, kind, what in (
                 (("batch_size", "max_epochs", "patience", "seed"),
                  int, numbers.Integral, "an integer"),
@@ -131,12 +128,11 @@ class EpochRecord:
 @dataclass
 class TrainedModel:
     """A deployed model: a net and the columns it reads (`kept`). The
-    adversarial model also holds its selector and training config; a model
-    without them (the logistic baseline) reads every column."""
+    adversarial model also holds its selector; a model without one (the
+    logistic baseline) reads every column."""
 
     net: DenseNet
     policy: SelectorPolicy = None
-    config: TrainConfig = None
     training_log: list = field(default_factory=list)
     best_epoch: int = -1
     diagnostics: str = None
@@ -368,6 +364,6 @@ def train(train_data, val_data, config):
 
     if diagnostics is not None or best is None:
         # diverged (keep last finite parameters) or never trained
-        return TrainedModel(net, policy, config, log, -1, diagnostics)
+        return TrainedModel(net, policy, log, -1, diagnostics)
     _, best_epoch, best_net, best_policy = best
-    return TrainedModel(best_net, best_policy, config, log, best_epoch, None)
+    return TrainedModel(best_net, best_policy, log, best_epoch, None)

@@ -24,27 +24,32 @@ ANY_JSON = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6)
 
-# values a checkpoint config holds, so that edits also load, and integers
-# past float range
-CONFIG_VALUES = st.sampled_from(["threshold05", "mc-average", "expected-input",
-                                 True, 0.5, 32, [8, 6], 2**64, 10**400])
-# values a checkpoint body holds elsewhere (versions, layout roles, base64
-# blobs), beside the config's and any JSON value
-BODY_VALUES = (st.sampled_from([6, "6", 5, 7, "numeric", "categorical",
-                                "sensitive", "1", 0.0])
+# values a checkpoint body holds (versions, layout roles, hidden widths,
+# base64 blobs), near misses of them, integers past float range and any
+# JSON value
+BODY_VALUES = (st.sampled_from([7, "7", 6, 8, "numeric", "categorical", "sensitive",
+                                "1", 0.0, True, 0.5, 32, [8, 6], [], [6.0], 0, -1,
+                                2**64, 10**400])
                | st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode())
-               | CONFIG_VALUES | ANY_JSON)
+               | ANY_JSON)
+# the keys of a checkpoint body's objects, and keys no version defines or
+# a retired one held, for edits that insert a key
+BODY_KEYS = ["hidden", "theta", "logits", "spec", "layout", "labels", "name", "role",
+             "min", "max", "categories", "sizes", "sensitive_index", "config", "seed",
+             "junk"]
 
 
 @st.composite
-def json_edits(draw, body, values):
+def json_edits(draw, body, values, keys=()):
     """A copy of the parsed JSON body after one or two edits: replace the
-    value at a path with one of values, delete it, or append one of
-    values to the list there. A path walks down from the root, stopping
-    at each level below the first with even odds, so a shallow field
-    such as a version or a bias is edited often; a drawn value is
-    copied, as a sampled list must not be edited in place."""
+    value at a path with one of values, delete it, append one of values
+    to the list there or, given keys, set one of keys to one of values
+    in the object there. A path walks down from the root, stopping at
+    each level below the first with even odds, so a shallow field such
+    as a version or a bias is edited often; a drawn value is copied, as
+    a sampled list must not be edited in place."""
     body = copy.deepcopy(body)
+    actions = ["replace", "delete", "append", *(["insert"] if keys else [])]
     for _ in range(draw(st.integers(1, 2))):
         holder, key = None, None
         node = body
@@ -54,11 +59,13 @@ def json_edits(draw, body, values):
             key = draw(st.sampled_from(list(node) if isinstance(node, dict)
                                        else range(len(node))))
             node = node[key]
-        action = draw(st.sampled_from(["replace", "delete", "append"]))
+        action = draw(st.sampled_from(actions))
         if action == "delete":
             del holder[key]
         elif action == "append" and isinstance(node, list):
             node.append(copy.deepcopy(draw(values)))
+        elif action == "insert" and isinstance(node, dict):
+            node[draw(st.sampled_from(keys))] = copy.deepcopy(draw(values))
         else:
             holder[key] = copy.deepcopy(draw(values))
     return body

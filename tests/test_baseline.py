@@ -116,7 +116,7 @@ class TestTrainLogistic:
         want = np.concatenate([np.zeros(d), w, [0.0, b]]).astype(np.float32)
         assert model.net.theta.dtype == np.float32
         assert model.net.theta.tobytes() == want.tobytes()
-        assert model.policy is None and model.config is None
+        assert model.policy is None
         assert model.kept.dtype == bool and model.kept.all()
 
     @pytest.mark.parametrize("epochs", [0, -1])

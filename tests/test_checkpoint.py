@@ -1,4 +1,5 @@
 import base64
+import copy
 import dataclasses
 import json
 from pathlib import Path
@@ -8,17 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ANY_JSON, BODY_VALUES, CONFIG_VALUES, json_edits, logistic_model
+from conftest import BODY_KEYS, BODY_VALUES, json_edits, logistic_model
 from fairsel.baseline import train_logistic
 from fairsel.checkpoint import (BLOB_DTYPE, KIND_ADVERSARIAL, KIND_LOGISTIC,
                                 load_model, save_model)
-from fairsel.data import split, synth_proxy
+from fairsel.data import Dataset, Encoder, Predicate, split, synth_proxy
 from fairsel.errors import DataError
 from fairsel.nets import DenseNet, forward
 from fairsel.report import evaluate_model
 from fairsel.training import TrainConfig, TrainedModel, train
 
-V6_FIXTURE = Path(__file__).parent / "data" / "v6_toy_checkpoint.json"
+DATA_DIR = Path(__file__).parent / "data"
+V6_FIXTURE = DATA_DIR / "v6_toy_checkpoint.json"
+V7_FIXTURE = DATA_DIR / "v7_toy_checkpoint.json"
+# the keys of each object of a version-7 body, by its path (a layout
+# entry's by its role)
+BODY_FIELDS = {"": {"version", "net", "encoder", "selector"}, "net": {"hidden", "theta"},
+               "selector": {"logits"}, "encoder": {"spec", "layout", "labels"}}
+LAYOUT_FIELDS = {"sensitive": {"name", "role"}, "numeric": {"name", "role", "min", "max"},
+                 "categorical": {"name", "role", "categories"}}
 
 
 def bits(a):
@@ -45,13 +54,12 @@ class TestRoundTrip:
         assert kind == KIND_ADVERSARIAL
         assert loaded.net.sizes == model.net.sizes
         assert loaded.policy.sensitive_index == model.policy.sensitive_index
-        assert loaded.config == model.config
         assert enc2.to_payload() == encoder.to_payload()
-        # version 6: theta alone, one base64 blob of little-endian float32,
-        # the dtype train steps
+        # version 7: the hidden widths and theta, one base64 blob of
+        # little-endian float32, the dtype train steps
         body = json.loads(path.read_text())
-        assert body["version"] == 6
-        assert set(body["net"]) == {"theta"}
+        assert body["version"] == 7
+        assert body["net"]["hidden"] == [6, 5]
         blob = base64.b64decode(body["net"]["theta"], validate=True)
         assert model.net.theta.dtype == np.float32
         assert blob == model.net.theta.astype("<f4").tobytes()
@@ -64,30 +72,55 @@ class TestRoundTrip:
                               forward(model.net, X).view(np.int32))
 
     def test_each_fact_stored_once(self, trained, tmp_path):
-        # the seed is the config's, the sensitive index and the column
-        # names are the encoder layout's, the hidden widths the config's
+        # the sensitive index and the column names are the encoder
+        # layout's, the hidden widths the net's; nothing of the training
+        # run (its config, its seed) is stored
         model, _, encoder = trained
         path = tmp_path / "adv.json"
         save_model(path, model, encoder)
         body = json.loads(path.read_text())
-        assert "seed" not in body and set(body["selector"]) == {"logits"}
-        assert set(body["encoder"]) == {"spec", "layout", "labels"}
-        assert set(body["net"]) == {"theta"} and "mask_sensitive" not in body["config"]
+        for where, fields in BODY_FIELDS.items():
+            assert set(body[where] if where else body) == fields
+        assert "config" not in path.read_text() and "seed" not in path.read_text()
         _, loaded, enc2 = load_model(path)
         assert loaded.policy.sensitive_index == enc2.sensitive_index == 0
-        assert loaded.net.sizes == (enc2.dim, *body["config"]["hidden_sizes"],
-                                    len(enc2.labels))
+        assert loaded.net.sizes == (enc2.dim, *body["net"]["hidden"], len(enc2.labels))
+
+    @pytest.mark.parametrize("selector", [True, False], ids=["selector", "no-selector"])
+    @pytest.mark.parametrize("hidden", [(6, 5), (5,), ()], ids=repr)
+    def test_every_trained_model_round_trips(self, trained, tmp_path, hidden, selector):
+        # TrainedModel(net, policy), the model train scores each epoch,
+        # at any widths, with a selector or without: the net stores its
+        # own widths, so no other record of them can disagree with it
+        model, _, encoder = trained
+        net = model.net
+        if hidden != (6, 5):
+            net = DenseNet.initialize(encoder.dim, hidden, 2, np.random.default_rng(1))
+            net = DenseNet(net.sizes, net.theta.astype(np.float32))
+        policy = model.policy if selector else None
+        path = tmp_path / "any.json"
+        save_model(path, TrainedModel(net, policy), encoder)
+        assert json.loads(path.read_text())["net"]["hidden"] == list(hidden)
+        kind, loaded, _ = load_model(path)
+        assert kind == (KIND_ADVERSARIAL if selector else KIND_LOGISTIC)
+        assert loaded.net.sizes == net.sizes
+        assert loaded.net.theta.tobytes() == net.theta.tobytes()
+        if selector:
+            assert np.array_equal(bits(loaded.policy.logits), bits(policy.logits))
+        else:
+            assert loaded.policy is None and loaded.kept.all()
 
     def test_logistic_bit_exact(self, trained, tmp_path):
-        # the same layout without the config/selector pair: a (d, 2) net
-        # with no hidden layer that keeps every column
+        # the same layout without the selector: a (d, 2) net with no
+        # hidden layer that keeps every column
         _, baseline, encoder = trained
         path = tmp_path / "base.json"
         save_model(path, baseline, encoder)
-        assert set(json.loads(path.read_text())) == {"version", "net", "encoder"}
+        body = json.loads(path.read_text())
+        assert set(body) == {"version", "net", "encoder"} and body["net"]["hidden"] == []
         kind, loaded, _ = load_model(path)
         assert kind == KIND_LOGISTIC
-        assert loaded.policy is None and loaded.config is None
+        assert loaded.policy is None
         assert loaded.net.sizes == baseline.net.sizes == (encoder.dim, 2)
         assert loaded.net.theta.dtype == np.float32
         assert np.array_equal(loaded.net.theta.view(np.int32),
@@ -108,8 +141,8 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_unknown_kind(self, trained, tmp_path):
-        # version 6 has no kind field: the kind is read off the
-        # config/selector pair, and a field the layout lacks is named
+        # version 7 has no kind field: the kind is read off whether a
+        # selector is present, and a field the layout lacks is named
         model, _, encoder = trained
         path = tmp_path / "x.json"
         save_model(path, model, encoder)
@@ -119,16 +152,65 @@ class TestValidation:
         with pytest.raises(DataError, match="unknown field 'kind'"):
             load_model(path)
 
-    @pytest.mark.parametrize("missing", ["config", "selector"])
-    def test_half_of_the_pair_is_a_data_error(self, trained, tmp_path, missing):
-        model, _, encoder = trained
-        path = tmp_path / "half.json"
-        save_model(path, model, encoder)
-        body = json.loads(path.read_text())
-        del body[missing]
+    def test_v6_file_is_a_data_error(self):
+        # the previous version, with its config/selector pair, is not read
+        with pytest.raises(DataError, match=r"^unsupported checkpoint version 6 "
+                                            r"\(this build reads version 7\)$"):
+            load_model(V6_FIXTURE)
+
+    def test_v7_fixture_is_the_v6_model(self):
+        # the re-saved fixture holds the v6 file's theta, logits and
+        # encoder bits, and its hidden widths are the v6 config's
+        v6, v7 = (json.loads(p.read_text()) for p in (V6_FIXTURE, V7_FIXTURE))
+        assert v7["net"] == {"hidden": v6["config"]["hidden_sizes"],
+                             "theta": v6["net"]["theta"]}
+        assert (v7["encoder"], v7["selector"]) == (v6["encoder"], v6["selector"])
+        kind, model, encoder = load_model(V7_FIXTURE)
+        assert kind == KIND_ADVERSARIAL and model.net.sizes == (4, 8, 6, 2)
+
+    @pytest.mark.parametrize("where,key,named", [
+        (("net",), "sizes", "unknown field 'net.sizes'"),
+        (("net",), "config", "unknown field 'net.config'"),
+        (("selector",), "sensitive_index", "unknown field 'selector.sensitive_index'"),
+        (("encoder",), "junk", "unknown field 'encoder.junk'"),
+        (("encoder", "layout", 1), "categories",
+         "layout entry of the numeric column 'proxy' has unknown field 'categories'"),
+        (("encoder", "layout", 0), "min",
+         "layout entry of the sensitive column 'sens' has unknown field 'min'"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None)
+    def test_unknown_nested_key_is_named(self, tmp_path, where, key, named):
+        # each object of the body holds exactly its own keys, a layout
+        # entry those of its role
+        body = json.loads(V7_FIXTURE.read_text())
+        obj = body
+        for step in where:
+            obj = obj[step]
+        obj[key] = ["0", "1"]
+        path = tmp_path / "nested.json"
         path.write_text(json.dumps(body))
-        with pytest.raises(DataError, match=f"malformed checkpoint .*: '{missing}'$"):
+        with pytest.raises(DataError, match=f"^malformed checkpoint .*{named}$"):
             load_model(path)
+
+    @pytest.mark.parametrize("hidden,message", [
+        ("8,6", "must be a list"), (8, "must be a list"), (None, "must be a list"),
+        ({"0": 8}, "must be a list"), (["6", 6], "must be a list"),
+        ([True, 6], "must be a list"), ([8, 6.0], "must be a list"),
+        ([8, 0], "positive layer sizes"), ([-1, 6], "positive layer sizes")],
+        ids=["string", "int", "null", "object", "string-width", "true-width",
+             "float-width", "zero-width", "negative-width"])
+    def test_hidden_must_be_json_integers(self, tmp_path, hidden, message):
+        # int() would read "6" as 6, true as 1 and 6.0 as 6; a width below
+        # 1 is the net's error
+        body = json.loads(V7_FIXTURE.read_text())
+        body["net"]["hidden"] = hidden
+        path = tmp_path / "hidden.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(DataError) as exc:
+            load_model(path)
+        assert str(exc.value).startswith(f"malformed checkpoint {path}: ")
+        assert message in str(exc.value)
+        if message == "must be a list":
+            assert "net.hidden must be a list of JSON integers" in str(exc.value)
 
     @pytest.mark.parametrize("corrupt", ["not-base64", "short-blob", "nan-blob",
                                          "inf-blob", "sizes-vs-encoder"])
@@ -188,11 +270,13 @@ class TestValidation:
             load_model(path)
 
     def test_truncated_body(self, trained, tmp_path):
+        # a body without its selector is a model that reads every column,
+        # but a net without its widths is no net
         model, _, encoder = trained
         path = tmp_path / "trunc.json"
         save_model(path, model, encoder)
         body = json.loads(path.read_text())
-        del body["selector"]
+        del body["net"]["hidden"]
         path.write_text(json.dumps(body))
         with pytest.raises(DataError) as exc:
             load_model(path)
@@ -204,19 +288,24 @@ class TestValidation:
 
 
 class TestSave:
-    @pytest.mark.parametrize("field,value", [("max_epochs", np.int64(1)),
-                                             ("alpha_phi", np.float32(1e-3))])
-    def test_numpy_scalar_config_saves_and_loads(self, tmp_path, field, value):
-        # json encodes neither scalar: the config stores the builtin
-        tr, va, _ = split(synth_proxy(200, 0.9, seed=0), 1)
-        fields = dict(max_epochs=1, patience=1, batch_size=64, hidden_sizes=(4,))
-        model = train(tr, va, TrainConfig(**{**fields, field: value}))
-        assert type(getattr(model.config, field)) is type(value.item())
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1)], ids=repr)
+    def test_numpy_scalar_privileged_value_saves_and_loads(self, tmp_path, value):
+        # json encodes neither scalar: the predicate stores the builtin
+        ds = synth_proxy(200, 0.9, seed=0)
+        builtin = ds.encoder.spec
+        spec = dataclasses.replace(builtin, privileged=Predicate(op="ge", value=value))
+        assert type(spec.privileged.value) is type(value.item())
+        ds = Dataset(ds.features, ds.labels,
+                     Encoder(spec, ds.encoder.layout, ds.encoder.labels))
+        tr, va, _ = split(ds, 1)
+        model = train(tr, va, TrainConfig(max_epochs=1, patience=1, batch_size=64,
+                                          hidden_sizes=(4,)))
         path = tmp_path / "numpy.json"
         save_model(path, model, tr.encoder)
-        _, loaded, _ = load_model(path)
-        assert loaded.config == model.config
-        assert getattr(loaded.config, field) == value.item()
+        _, loaded, encoder = load_model(path)
+        want = dataclasses.replace(builtin, privileged=Predicate(op="ge", value=value.item()))
+        assert encoder.spec.to_dict() == spec.to_dict() == want.to_dict()
+        assert loaded.net.theta.tobytes() == model.net.theta.tobytes()
 
     def test_numpy_scalar_logistic_bias_saves_and_loads(self, trained, tmp_path):
         # the bias is one float32 word of the blob, the last of theta
@@ -230,23 +319,22 @@ class TestSave:
 
     def test_failed_encoding_leaves_no_file(self, trained, tmp_path):
         model, _, encoder = trained
-        # assignment skips TrainConfig's checks: a numpy scalar gets in
-        config = dataclasses.replace(model.config)
-        config.seed = np.int64(4)
-        unencodable = TrainedModel(model.net, model.policy, config)
+        # assignment skips Predicate's checks: a numpy scalar gets in
+        unencodable = copy.deepcopy(encoder)
+        unencodable.spec.privileged.value = np.float32(0.5)
         path = tmp_path / "never.json"
         with pytest.raises(TypeError):
-            save_model(path, unencodable, encoder)
+            save_model(path, model, unencodable)
         assert not path.exists()
         # and an earlier checkpoint at the path is left as it was
         save_model(path, model, encoder)
         before = path.read_bytes()
         with pytest.raises(TypeError):
-            save_model(path, unencodable, encoder)
+            save_model(path, model, unencodable)
         assert path.read_bytes() == before
 
 
-# the three ways a version-6 blob can be wrong: cut short, written as
+# the three ways a version-7 blob can be wrong: cut short, written as
 # float64, or holding a non-finite float32 word (exponent bits all ones)
 _BLOB_DEFECTS = st.one_of(
     st.tuples(st.just("truncated"), st.integers(0, 10**6)),
@@ -278,43 +366,15 @@ class TestBlobProperty:
             load_model(path)
 
 
-_V6_BODY = json.loads(V6_FIXTURE.read_text())
-# the config's keys and the three retired ones, which are now unknown
-_CONFIG_KEYS = sorted({*_V6_BODY["config"], "inference_policy", "mc_samples",
-                       "mask_sensitive"})
-_DELETE = object()
-
-
-class TestConfigEditProperty:
-    @settings(max_examples=300, deadline=None)
-    @given(key=st.sampled_from(_CONFIG_KEYS) | st.text(max_size=12),
-           value=CONFIG_VALUES | ANY_JSON | st.just(_DELETE))
-    def test_one_config_edit_loads_or_is_a_data_error(self, tmp_path_factory,
-                                                      key, value):
-        # replace one entry with any JSON value, delete it, or add an
-        # unknown key: the loader returns a model or raises DataError
-        body = json.loads(json.dumps(_V6_BODY))
-        if value is _DELETE:
-            body["config"].pop(key, None)
-        else:
-            body["config"][key] = value
-        path = tmp_path_factory.getbasetemp() / "config_edit.json"
-        path.write_text(json.dumps(body))
-        try:
-            kind, model, _ = load_model(path)
-        except DataError:
-            return
-        assert kind == KIND_ADVERSARIAL and isinstance(model, TrainedModel)
-
-
 @pytest.fixture(scope="module")
 def bodies(tmp_path_factory):
-    """The v6 fixture's body and a logistic body on its encoder, as the
+    """The v7 fixture's body and a logistic body on its encoder, as the
     writer writes them: the two shapes of the one layout."""
     path = tmp_path_factory.mktemp("bodies") / "logistic.json"
-    _, _, encoder = load_model(V6_FIXTURE)
+    _, _, encoder = load_model(V7_FIXTURE)
     save_model(path, logistic_model([0.5, -0.25, 0.0, 1.0], 0.1), encoder)
-    return {KIND_ADVERSARIAL: _V6_BODY, KIND_LOGISTIC: json.loads(path.read_text())}
+    return {KIND_ADVERSARIAL: json.loads(V7_FIXTURE.read_text()),
+            KIND_LOGISTIC: json.loads(path.read_text())}
 
 
 class TestBodyEditProperty:
@@ -323,8 +383,8 @@ class TestBodyEditProperty:
     def test_body_edits_load_or_are_a_data_error(self, bodies, tmp_path_factory,
                                                  kind, data):
         # one or two edits anywhere: version, encoder, net, and the
-        # config and selector where the body has them
-        body = data.draw(json_edits(bodies[kind], BODY_VALUES))
+        # selector where the body has them, or a key set in any object
+        body = data.draw(json_edits(bodies[kind], BODY_VALUES, BODY_KEYS))
         path = tmp_path_factory.getbasetemp() / "body_edit.json"
         path.write_text(json.dumps(body))
         try:
@@ -332,8 +392,15 @@ class TestBodyEditProperty:
         except DataError:
             return
         assert isinstance(model, TrainedModel)
+        # a body that loads holds no key its layout lacks
+        for where, fields in BODY_FIELDS.items():
+            assert set(body.get(where, {}) if where else body) <= fields
+        for item in body["encoder"]["layout"]:
+            assert set(item) == LAYOUT_FIELDS[item["role"]]
         assert model.net.input_dim == model.kept.size == encoder.dim
+        assert model.net.sizes == (encoder.dim, *body["net"]["hidden"], 2)
+        assert (loaded_kind == KIND_ADVERSARIAL) == ("selector" in body)
         if loaded_kind == KIND_ADVERSARIAL:
             assert model.policy.logits.size == encoder.dim
         else:
-            assert model.policy is None and model.net.sizes == (encoder.dim, 2)
+            assert model.policy is None

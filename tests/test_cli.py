@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BODY_VALUES, GERMAN_HEADER, json_edits, logistic_model,
+from conftest import (BODY_KEYS, BODY_VALUES, GERMAN_HEADER, json_edits, logistic_model,
                       write_german_csv)
 from fairsel import diagnostics, training
 from fairsel.checkpoint import BLOB_DTYPE, CHECKPOINT_VERSION, save_model
@@ -27,7 +27,7 @@ from fairsel.selector import SelectorPolicy
 from fairsel.training import TrainConfig, TrainedModel
 
 DATA_DIR = Path(__file__).parent / "data"
-FIXTURE = DATA_DIR / "v6_toy_checkpoint.json"
+FIXTURE = DATA_DIR / "v7_toy_checkpoint.json"
 
 TOY_SPEC = {
     "name": "toy",
@@ -178,14 +178,13 @@ class TestEvaluateCommand:
         raw = load_csv(data, spec)
         encoder = Encoder.fit(raw, spec)
         # one SELU unit, of the sign of info - 1/2, and a head that reads
-        # that sign: sizes [4, 1, 2], as the config's hidden width says
+        # that sign: sizes [4, 1, 2]
         a = 30.0
         net = DenseNet.from_layers([np.array([[0, 0, a, 0.0]]), np.array([[-1.0], [1.0]])],
                                    [np.array([-a / 2]), np.zeros(2)])
         policy = SelectorPolicy(np.full(4, 5.0), encoder.sensitive_index)
-        cfg = TrainConfig(max_epochs=0, patience=0, hidden_sizes=(1,))
         path = tmp_path / "memorizer.json"
-        save_model(path, TrainedModel(net, policy, cfg), encoder)
+        save_model(path, TrainedModel(net, policy), encoder)
         return str(path)
 
     def test_memorized_toy_hits_perfect_accuracy(self, tmp_path, capsys):
@@ -309,7 +308,8 @@ class TestEvaluateCommand:
             body["selector"]["logits"] = body["selector"]["logits"][:3]
         else:
             # a logistic body whose (d, 2) net reads 3 columns, not 4
-            body = {"version": body["version"], "net": {"theta": blob(np.zeros(8))},
+            body = {"version": body["version"],
+                    "net": {"hidden": [], "theta": blob(np.zeros(8))},
                     "encoder": body["encoder"]}
         Path(ckpt).write_text(json.dumps(body))
         capsys.readouterr()
@@ -404,11 +404,11 @@ class TestEvaluateCommand:
         assert "row 7," in err and "'purpose'" in err and "'A4X'" in err
 
     def test_v2_checkpoint_reproduces_its_recorded_metrics(self, tmp_path, capsys):
-        # tests/data holds a version-6 checkpoint (a model first saved as
-        # version 2, re-saved by the version-5 and version-6 writers) and
-        # its evaluate report on write_toy(tmp_path), recorded at the
-        # version-5 re-save and unchanged since; the net is fixed, so a
-        # scoring change that moves a bit shows here
+        # tests/data holds a version-7 checkpoint (a model first saved as
+        # version 2, re-saved by the version-5, 6 and 7 writers) and its
+        # evaluate report on write_toy(tmp_path), recorded at the version-5
+        # re-save and unchanged since; the net is fixed, so a scoring
+        # change that moves a bit shows here
         data, _ = write_toy(tmp_path)
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(FIXTURE), "--data", data]) == 0
@@ -422,30 +422,33 @@ class TestEvaluateCommand:
         ("mask_sensitive", True), ("mask_sensitive", "no"), ("mask_sensitive", False),
         ("dropout", 0.5), ("", None)])
     def test_unknown_config_key_is_two(self, tmp_path, capsys, key, value):
-        # a key TrainConfig does not define, a retired option's or any other
+        # a checkpoint holds no training config since version 7: a config
+        # object, with a key TrainConfig defines, a retired option's or any
+        # other, is a field the layout lacks, at the top or in the net
         data, _ = write_toy(tmp_path)
-        body = json.loads(FIXTURE.read_text())
-        body["config"][key] = value
-        ckpt = tmp_path / "unknown.json"
-        ckpt.write_text(json.dumps(body))
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
-        err = capsys.readouterr().err
-        assert f"malformed checkpoint {ckpt}: " in err
-        assert f"unexpected keyword argument '{key}'" in err
+        for where in ("", "net"):
+            body = json.loads(FIXTURE.read_text())
+            (body[where] if where else body)["config"] = {key: value}
+            ckpt = tmp_path / "unknown.json"
+            ckpt.write_text(json.dumps(body))
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
+            named = f"{where}.config" if where else "config"
+            assert capsys.readouterr().err == (
+                f"data error: malformed checkpoint {ckpt}: unknown field '{named}'\n")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 7, "5", "6"], ids=repr)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8, "5", "6", "7"], ids=repr)
     def test_other_version_is_two(self, tmp_path, capsys, version):
         data, _ = write_toy(tmp_path)
         body = json.loads(FIXTURE.read_text())
-        assert body["version"] == CHECKPOINT_VERSION == 6
+        assert body["version"] == CHECKPOINT_VERSION == 7
         ckpt = tmp_path / "other.json"
         ckpt.write_text(json.dumps(dict(body, version=version)))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
         assert capsys.readouterr().err == (
             f"data error: unsupported checkpoint version {version!r} "
-            f"(this build reads version 6)\n")
+            f"(this build reads version 7)\n")
 
     @pytest.mark.parametrize("field,value", [
         ("score_baseline", "yes"), ("alpha_theta", "1e-3"),
@@ -454,30 +457,38 @@ class TestEvaluateCommand:
         ("hidden_sizes", "86"), ("hidden_sizes", [8.9, 6]),
         ("hidden_sizes", [True, 6])])
     def test_config_field_of_wrong_type_is_two(self, tmp_path, capsys, field, value):
+        # the fields of the config version 6 stored: the hidden widths
+        # are the net's own since version 7, read as net.hidden, and no
+        # other field has a place in the file
         data, _ = write_toy(tmp_path)
         body = json.loads(FIXTURE.read_text())
-        body["config"][field] = value
+        if field == "hidden_sizes":
+            body["net"]["hidden"] = value
+            message = "net.hidden must be a list of JSON integers"
+        else:
+            body["config"] = {field: value}
+            message = "unknown field 'config'"
         ckpt = tmp_path / "typed.json"
         ckpt.write_text(json.dumps(body))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt), "--data", data]) == 2
-        assert f"malformed checkpoint {ckpt}: {field} must be" in capsys.readouterr().err
+        assert f"malformed checkpoint {ckpt}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["one-class-head", "three-class-head",
                                       "hidden-vs-net", "string-logits", "true-logit"])
     def test_v2_edit_is_two(self, tmp_path, capsys, edit):
-        # the net's sizes are the encoder's and the config's, and the
-        # logits must be JSON numbers
+        # the net's sizes are the encoder's and its own hidden widths,
+        # and the logits must be JSON numbers
         data, _ = write_toy(tmp_path)
         body = json.loads(FIXTURE.read_text())
         if edit.endswith("-head"):
             # a well-formed theta for another head
             net = DenseNet.initialize(4, (8, 6), 1 if edit == "one-class-head" else 3,
                                       np.random.default_rng(0))
-            body["net"] = {"theta": base64.b64encode(
-                net.theta.astype(BLOB_DTYPE).tobytes()).decode()}
+            body["net"]["theta"] = base64.b64encode(
+                net.theta.astype(BLOB_DTYPE).tobytes()).decode()
         elif edit == "hidden-vs-net":
-            body["config"]["hidden_sizes"] = [6, 8]   # the net is [4, 8, 6, 2]
+            body["net"]["hidden"] = [6, 8]   # the net is [4, 8, 6, 2]
         elif edit == "string-logits":
             body["selector"]["logits"] = [str(v) for v in body["selector"]["logits"]]
         else:
@@ -552,9 +563,10 @@ class TestEvaluateEditProperty:
     @given(data=st.data())
     def test_edited_checkpoint_scores_or_is_a_data_error(self, toy_data,
                                                          tmp_path_factory, data):
-        # one or two edits anywhere in the v6 fixture, evaluated through
+        # one or two edits anywhere in the v7 fixture, evaluated through
         # the CLI: a report, or exit 2 with a data error, never a traceback
-        body = data.draw(json_edits(json.loads(FIXTURE.read_text()), BODY_VALUES))
+        body = data.draw(json_edits(json.loads(FIXTURE.read_text()), BODY_VALUES,
+                                    BODY_KEYS))
         path = tmp_path_factory.getbasetemp() / "evaluate_edit.json"
         path.write_text(json.dumps(body))
         err = io.StringIO()

@@ -564,8 +564,7 @@ class TestPredict:
     def _model(self, logits, seed=0):
         net = make_net(seed, d=4, hidden=(6,), c=2)
         pol = SelectorPolicy(np.asarray(logits, dtype=float), 1)
-        cfg = TrainConfig(max_epochs=0, patience=0, seed=3, hidden_sizes=(6,))
-        return training.TrainedModel(net, pol, cfg)
+        return training.TrainedModel(net, pol)
 
     def test_threshold_all_ones_equals_forward_with_k_zeroed(self):
         model = self._model([30.0, 30.0, 30.0, 30.0])
@@ -587,8 +586,7 @@ class TestPredict:
     def test_tie_breaks_toward_lower_class(self):
         net = DenseNet.from_layers([np.zeros((3, 2))], [np.zeros(3)])
         pol = SelectorPolicy(np.zeros(2), 0)
-        cfg = TrainConfig(max_epochs=0, patience=0, hidden_sizes=(1,))
-        label, probs = predict_row(training.TrainedModel(net, pol, cfg),
+        label, probs = predict_row(training.TrainedModel(net, pol),
                                    np.array([0.4, 0.6]))
         assert label == 0
         assert np.allclose(probs, 1 / 3)
@@ -687,7 +685,7 @@ class TestMeanSensitivity:
         # the rows are class 1; the closest is 4.5e-5 from a tie)
         net, policy, X = self._instance(7, n=600)
         net = DenseNet(net.sizes, net.theta.astype(dtype))
-        model = training.TrainedModel(net, policy, TrainConfig(hidden_sizes=(9, 6)))
+        model = training.TrainedModel(net, policy)
         labels, want = predict(model, X)
         probs = threshold05_sensitivity(net, policy, X)[1]
         assert probs.shape == (600, 2) and probs.dtype == dtype
@@ -763,7 +761,7 @@ class TestBatchesOnly:
     def test_one_dimensional_arguments_raise(self):
         net = make_net(0, d=4, hidden=(5,), c=2)
         policy = SelectorPolicy(np.zeros(4), 1)
-        model = training.TrainedModel(net, policy, TrainConfig(hidden_sizes=(5,)))
+        model = training.TrainedModel(net, policy)
         x, s = np.full(4, 0.5), np.array([1, 0, 1, 1], dtype=np.int8)
         pair = sensitivity_pair(net, x[None, :], s[None, :], 1)
         rng = np.random.default_rng(0)

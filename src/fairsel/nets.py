@@ -15,17 +15,18 @@ and `backward` and `adam_step` work on vectors laid out like it.
 A net computes in the dtype of its `theta`, float32 or float64: inputs
 and output gradients are cast to it, and every intermediate keeps it
 (training steps a float32 net; the gradient oracles run float64 ones).
-Everything here is a pure function of its inputs;
-parameter updates return fresh arrays instead of mutating. The
-in-place ufuncs that keep the SELU layers lean on memory only ever
-write to arrays the function itself allocated.
+Everything here except `adam_step` is a pure function of its inputs:
+the in-place ufuncs that keep the SELU layers lean on memory only ever
+write to arrays the function itself allocated. `adam_step` overwrites
+the net's parameters and the moments of its `AdamState`, so copy a net
+to keep it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,7 +81,10 @@ def selu_slope(a):
     scale are scalars of a's dtype: a Python float times the boolean mask
     would be float64 and promote a float32 result."""
     c, scale = a.dtype.type(SELU_SCALE * SELU_ALPHA), a.dtype.type(SELU_SCALE)
-    return np.minimum(a, 0.0) + c - (a > 0) * (c - scale)
+    out = np.minimum(a, 0.0)
+    out += c
+    out -= (a > 0) * (c - scale)
+    return out
 
 
 def reduce_classes(ufunc, a):
@@ -110,8 +114,8 @@ def softmax(z):
 def _layout(sizes):
     """(name, start, stop, shape) of each parameter block of theta, in the
     order W0, b0, W1, b1, ... (weights row-major, shape (out, in)), for a
-    tuple of layer sizes. Cached: every backward and Adam step builds a
-    net of the sizes it was given."""
+    tuple of layer sizes. Cached: every backward builds a net of the
+    sizes it was given."""
     blocks, stop = [], 0
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         for kind, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,))):
@@ -272,11 +276,17 @@ def backward(net, X, outputs, output_grad):
 
 @dataclass
 class AdamState:
-    """Adam's first and second moments, each laid out like net.theta."""
+    """Adam's first and second moments, each laid out like net.theta, and
+    the steps taken. `adam_step` overwrites the moments and writes its
+    intermediates to `scratch`, two vectors of their layout."""
 
     first: np.ndarray
     second: np.ndarray
     step_count: int = 0
+    scratch: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.first), np.empty_like(self.first))
 
     @classmethod
     def for_net(cls, net):
@@ -285,10 +295,11 @@ class AdamState:
 
 def adam_step(net, grad, state, lr):
     """One Adam update with bias correction, given the gradient laid out
-    like net.theta. Returns (new_net, new_state).
+    like net.theta, in place: net.theta and the moments of state are
+    overwritten, and grad is only read. Returns (net, state).
 
-    Pure: inputs are not mutated, so identical calls from identical
-    states give identical results.
+    A non-finite gradient raises NumericalError before anything is
+    written, so the net and state are left as they were.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -298,20 +309,23 @@ def adam_step(net, grad, state, lr):
 
     t = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    m, v, (tmp, step) = state.first, state.second, state.scratch
     # b1*m + (1-b1)*g, b2*v + (1-b2)*g*g and p - lr*m_hat/(sqrt(v_hat) + eps),
-    # same operations in the same order, in place on fresh arrays
-    tmp = (1 - b1) * grad
-    m = b1 * state.first
+    # one operation at a time in the textbook order, so the bits are the
+    # formula's
+    np.multiply(grad, 1 - b1, out=tmp)
+    m *= b1
     m += tmp
     np.multiply(grad, 1 - b2, out=tmp)
     tmp *= grad
-    v = b2 * state.second
+    v *= b2
     v += tmp
     np.divide(v, 1 - b2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    step = m / (1 - b1 ** t)
+    np.divide(m, 1 - b1 ** t, out=step)
     step *= lr
     step /= tmp
-    theta = np.subtract(net.theta, step, out=step)
-    return net._like(theta), AdamState(m, v, t)
+    net.theta -= step
+    state.step_count = t
+    return net, state

@@ -251,11 +251,12 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
 
 
 def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):
-    """One Adam descent step on the composite predictor loss.
+    """One Adam descent step on the composite predictor loss, in place on
+    net and adam_state (`adam_step`).
 
     Must be fed the pair of the paired selector step, computed on this
-    same net. Returns (updated net, updated adam state, mean
-    cross-entropy, mean sensitivity norm).
+    same net. Returns (net, adam state, mean cross-entropy, mean
+    sensitivity norm).
     """
     _, grad, ce_mean, sens_mean = pair_loss_and_grads(net, pair, Y, sensitivity_weight)
     net, adam_state = adam_step(net, grad, adam_state, alpha_phi)
@@ -330,7 +331,9 @@ def train(train_data, val_data, config):
     diagnostics = None
 
     for epoch in range(config.max_epochs):
-        epoch_start = (net, policy, adam)
+        # a selector step returns a fresh policy, and the Adam moments are
+        # not read after a rollback, so only the parameters are copied
+        theta_start, policy_start = net.theta.copy(), policy
         order = rng.permutation(n)
         # gathered once per epoch: each batch is a slice view of these
         X_epoch, Y_epoch = X[order], Y[order]
@@ -350,7 +353,7 @@ def train(train_data, val_data, config):
                 ce_sum += ce_mean * len(X_batch)
                 sens_sum += sens_mean * len(X_batch)
         except NumericalError as exc:
-            net, policy, adam = epoch_start
+            net, policy = DenseNet(net.sizes, theta_start), policy_start
             diagnostics = f"training aborted during epoch {epoch}, batch {batch}: {exc}"
             break
 
@@ -358,7 +361,7 @@ def train(train_data, val_data, config):
             predict(TrainedModel(net, policy), val_data.features)[0]))
         log.append(EpochRecord(ce_sum / n, sens_sum / n, val_score))
         if best is None or val_score > best[0]:
-            best = (val_score, epoch, net, policy)
+            best = (val_score, epoch, DenseNet(net.sizes, net.theta.copy()), policy)
         elif epoch - best[1] >= config.patience:
             break
 

@@ -313,24 +313,26 @@ class TestAdam:
         b1, b2, lr = ADAM_BETA1, ADAM_BETA2, 1e-3
         for t in range(1, 51):
             grad = rng.normal(scale=10.0 ** rng.integers(-8, 3), size=20)
-            inputs = (net.theta, grad, state.first, state.second)
-            before = [a.copy() for a in inputs]
-            new_net, new_state = adam_step(net, grad, state, lr)
-            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
-            # textbook Adam with bias correction
-            m = b1 * state.first + (1 - b1) * grad
-            v = b2 * state.second + (1 - b2) * grad * grad
-            want = net.theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
-            for got, ref in zip((new_net.theta, new_state.first, new_state.second),
-                                (want, m, v)):
+            theta, first, second, grad_before = (a.copy() for a in (
+                net.theta, state.first, state.second, grad))
+            # textbook Adam with bias correction, on copies of the inputs
+            m = b1 * first + (1 - b1) * grad
+            v = b2 * second + (1 - b2) * grad * grad
+            want = theta - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
+            stepped, stepped_state = adam_step(net, grad, state, lr)
+            assert stepped is net and stepped_state is state
+            assert np.array_equal(grad, grad_before)
+            for got, ref in zip((net.theta, state.first, state.second), (want, m, v)):
                 assert np.array_equal(got, ref)
-            assert new_net.sizes == net.sizes and new_state.step_count == t
-            net, state = new_net, new_state
+            # the layer views still read the stepped vector
+            assert np.array_equal(net.biases[0], want[15:])
+            assert state.step_count == t
 
     def test_zero_gradient_keeps_params(self):
         net = self._net()
-        new, _ = adam_step(net, np.zeros(3), AdamState.for_net(net), lr=0.1)
-        assert np.array_equal(new.theta, net.theta)
+        theta = net.theta.copy()
+        adam_step(net, np.zeros(3), AdamState.for_net(net), lr=0.1)
+        assert np.array_equal(net.theta, theta)
 
     def test_first_step_hand_value(self):
         # m_hat = v_hat = 1 at t=1, so the step is lr / (1 + eps)
@@ -341,19 +343,31 @@ class TestAdam:
         assert state.step_count == 1
 
     def test_deterministic(self):
-        net = self._net()
+        # two copies of one net and state, stepped alike, stay equal
         grad = np.array([0.3, -0.1, 0.2])
-        state = AdamState.for_net(net)
-        a1, s1 = adam_step(net, grad, state, 0.01)
-        a2, s2 = adam_step(net, grad, state, 0.01)
-        assert np.array_equal(a1.theta, a2.theta)
-        assert np.array_equal(s1.first, s2.first)
+        net = self._net()
+        net, state = adam_step(net, grad, AdamState.for_net(net), 0.01)
+        copies = [(DenseNet(net.sizes, net.theta.copy()),
+                   AdamState(state.first.copy(), state.second.copy(), state.step_count))
+                  for _ in range(2)]
+        for net_, state_ in copies:
+            adam_step(net_, grad, state_, 0.01)
+        (a1, s1), (a2, s2) = copies
+        assert not np.array_equal(a1.theta, net.theta)
+        for x, y in ((a1.theta, a2.theta), (s1.first, s2.first), (s1.second, s2.second)):
+            assert np.array_equal(x, y)
 
     def test_nonfinite_gradient_names_block(self):
+        # and writes nothing: the net and the state are as they were
         net = self._net()
+        state = AdamState(np.array([0.1, -0.2, 0.3]), np.array([1.0, 2.0, 3.0]), 5)
+        kept = [a.copy() for a in (net.theta, state.first, state.second)]
         with pytest.raises(NumericalError) as exc:
-            adam_step(net, np.array([np.nan, 0.0, 0.0]), AdamState.for_net(net), 0.1)
+            adam_step(net, np.array([np.nan, 0.0, 0.0]), state, 0.1)
         assert "layer0.weight" in str(exc.value)
+        for got, before in zip((net.theta, state.first, state.second), kept):
+            assert np.array_equal(got, before)
+        assert state.step_count == 5
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_at_block_ends_names_that_block(self, bad):

@@ -37,6 +37,19 @@ def threshold05_sensitivity(net, policy, X):
     return mean_sensitivity(net, kept, policy.sensitive_index, X)
 
 
+def recorded_epoch_ends(monkeypatch):
+    """Patch training.predict, which train calls once per finished epoch
+    to score it, to record a copy of the parameters it scores."""
+    ended, real = [], training.predict
+
+    def recording(model, X):
+        ended.append(model.net.theta.copy())
+        return real(model, X)
+
+    monkeypatch.setattr(training, "predict", recording)
+    return ended
+
+
 def predict_row(model, x):
     labels, probs = predict(model, x[None, :])
     return int(labels[0]), probs[0]
@@ -212,10 +225,14 @@ class TestPredictorStep:
         gw1 = delta1.T @ x_sel
         gb1 = delta1.sum(axis=0)
         oracle_grad = np.concatenate([g.ravel() for g in (gw1, gb1, gw2, gb2)])
-        oracle, _ = adam_step(net, oracle_grad, AdamState.for_net(net), 1e-3)
+        # adam_step writes in place: the oracle steps a copy of the net
+        before = net.theta.copy()
+        oracle, _ = adam_step(DenseNet(net.sizes, before.copy()), oracle_grad,
+                              AdamState.for_net(net), 1e-3)
 
         stepped, _, _, _ = predictor_step(net, sensitivity_pair(net, X, S, 0), Y,
                                           AdamState.for_net(net), 1e-3, 0.0)
+        assert not np.array_equal(stepped.theta, before)
         assert np.allclose(stepped.theta, oracle.theta, rtol=1e-10, atol=1e-12)
 
     def test_zero_gradients_leave_net_bit_identical(self):
@@ -225,9 +242,10 @@ class TestPredictorStep:
         X = np.random.default_rng(0).random((4, 3))
         Y = np.tile([1.0, 0.0], (4, 1))
         S = np.zeros((4, 3), dtype=np.int8)
+        before = net.theta.copy()
         stepped, _, _, _ = predictor_step(net, sensitivity_pair(net, X, S, 0), Y,
                                           AdamState.for_net(net), 1e-4, 1.0)
-        assert np.array_equal(stepped.theta, net.theta)
+        assert np.array_equal(stepped.theta, before)
 
     def test_composite_gradient_passes_finite_differences(self):
         from fairsel.diagnostics import (net_gradient_errors, random_instance,
@@ -470,22 +488,44 @@ class TestTrain:
         assert model.best_epoch == int(np.argmax(scores))
 
     def test_divergence_restores_last_finite_epoch(self, monkeypatch):
+        # the fault comes at the second batch of epoch 2, after the first
+        # batch has stepped the net in place: the returned parameters are
+        # those epoch 1 ended with, as its validation read them
         tr, va, _ = self._data()
+        ended = recorded_epoch_ends(monkeypatch)
         real = training.predictor_step
         calls = {"n": 0}
+        at_fault = []
 
-        def poisoned(*args, **kw):
+        def poisoned(net, *args, **kw):
             calls["n"] += 1
             if calls["n"] == 8:
+                at_fault.append(net.theta.copy())
                 raise NumericalError("injected blow-up")
-            return real(*args, **kw)
+            return real(net, *args, **kw)
 
         monkeypatch.setattr(training, "predictor_step", poisoned)
-        model = train(tr, va, self._config(max_epochs=6))
-        assert model.diagnostics is not None
-        assert "injected" in model.diagnostics
-        assert all(np.isfinite(w).all() for w in model.net.weights)
-        assert len(model.training_log) < 6
+        config = self._config(max_epochs=6)
+        assert math.ceil(tr.n / config.batch_size) == 3
+        model = train(tr, va, config)
+        assert model.diagnostics == (
+            "training aborted during epoch 2, batch 1: injected blow-up")
+        assert len(model.training_log) == len(ended) == 2
+        assert not np.array_equal(at_fault[0], ended[-1])
+        assert np.array_equal(model.net.theta, ended[-1])
+
+    def test_returns_best_epoch_parameters_when_later_epochs_score_lower(
+            self, monkeypatch):
+        # the scores peak at epoch 1 of 5: the returned net is the one
+        # epoch 1's validation read, not the last one stepped
+        tr, va, _ = self._data()
+        ended = recorded_epoch_ends(monkeypatch)
+        scores = iter([0.5, 0.9, 0.8, 0.7, 0.6])
+        monkeypatch.setattr(training, "balanced_accuracy", lambda outcomes: next(scores))
+        model = train(tr, va, self._config(max_epochs=5, patience=5))
+        assert model.best_epoch == 1 and len(ended) == 5
+        assert not np.array_equal(ended[1], ended[-1])
+        assert np.array_equal(model.net.theta, ended[1])
 
     def test_divergence_names_epoch_batch_and_block(self, monkeypatch):
         tr, va, _ = self._data()

@@ -16,10 +16,10 @@ A net computes in the dtype of its `theta`, float32 or float64: inputs
 and output gradients are cast to it, and every intermediate keeps it
 (training steps a float32 net; the gradient oracles run float64 ones).
 Everything here except `adam_step` is a pure function of its inputs:
-the in-place ufuncs that keep the SELU layers lean on memory only ever
-write to arrays the function itself allocated. `adam_step` overwrites
-the net's parameters and the moments of its `AdamState`, so copy a net
-to keep it.
+a layer applies SELU or softmax in place to the array it just allocated,
+public `selu` and `softmax` to a copy, and `backward` fills a fresh
+vector. `adam_step` overwrites the net's parameters and the moments of
+its `AdamState`, so copy a net to keep it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .errors import DimensionError, NumericalError
 
 SELU_SCALE = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
+# selu_slope's c = scale * alpha and c - scale, in each dtype a net computes in
+_SLOPE_CONSTANTS = {np.dtype(t): (t(SELU_SCALE * SELU_ALPHA),
+                                  t(SELU_SCALE * SELU_ALPHA) - t(SELU_SCALE))
+                    for t in (np.float32, np.float64)}
 
 # softmax outputs are floored at this value before any logarithm. It is
 # a normal number in float32 as in float64 (float32's smallest is about
@@ -55,19 +59,23 @@ def _floats(x):
     return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
-def selu(x):
-    """Scaled exponential linear unit, elementwise:
-    scale * max(x, 0) + scale * alpha * expm1(min(x, 0)), computed in two
-    buffers it allocates itself, in x's dtype. expm1 never sees a
-    positive value, and x is never written."""
-    x = _floats(x)
+def _selu_(x):
+    """selu in place over x, a float array the caller allocated."""
     neg = np.minimum(x, 0.0, out=np.empty_like(x))
     np.expm1(neg, out=neg)
     neg *= SELU_SCALE * SELU_ALPHA
-    out = np.maximum(x, 0.0, out=np.empty_like(x))
-    out *= SELU_SCALE
-    out += neg
-    return out
+    np.maximum(x, 0.0, out=x)
+    x *= SELU_SCALE
+    x += neg
+    return x
+
+
+def selu(x):
+    """Scaled exponential linear unit, elementwise:
+    scale * max(x, 0) + scale * alpha * expm1(min(x, 0)), in x's dtype,
+    on a copy of x. expm1 never sees a positive value, and x is never
+    written."""
+    return _selu_(_floats(x).copy())
 
 
 def selu_slope(a):
@@ -77,13 +85,14 @@ def selu_slope(a):
 
     Branch-free: min(a, 0) + c is c where a > 0, and subtracting the exact
     c - scale (Sterbenz) there leaves exactly scale, so the result equals
-    the np.where form bit for bit, without its unpredictable mask. c and
-    scale are scalars of a's dtype: a Python float times the boolean mask
-    would be float64 and promote a float32 result."""
-    c, scale = a.dtype.type(SELU_SCALE * SELU_ALPHA), a.dtype.type(SELU_SCALE)
+    the np.where form bit for bit, without its unpredictable mask. The
+    constants are scalars of a's dtype (float32 or float64): a Python
+    float times the boolean mask would be float64 and promote a float32
+    result."""
+    c, c_minus_scale = _SLOPE_CONSTANTS[a.dtype]
     out = np.minimum(a, 0.0)
     out += c
-    out -= (a > 0) * (c - scale)
+    out -= (a > 0) * c_minus_scale
     return out
 
 
@@ -100,22 +109,26 @@ def reduce_classes(ufunc, a):
     return ufunc(first, 0.0 + second if ufunc is np.add else second)
 
 
+def _softmax_(z):
+    """softmax in place over z, a float array the caller allocated."""
+    z -= reduce_classes(np.maximum, z)[..., None]
+    np.exp(z, out=z)
+    z /= reduce_classes(np.add, z)[..., None]
+    return z
+
+
 def softmax(z):
     """Row-wise softmax with max-subtraction for numerical stability, in
-    z's dtype."""
-    z = _floats(z)
-    e = z - reduce_classes(np.maximum, z)[..., None]
-    np.exp(e, out=e)
-    e /= reduce_classes(np.add, e)[..., None]
-    return e
+    z's dtype, on a copy of z; z is never written."""
+    return _softmax_(_floats(z).copy())
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(sizes):
     """(name, start, stop, shape) of each parameter block of theta, in the
     order W0, b0, W1, b1, ... (weights row-major, shape (out, in)), for a
-    tuple of layer sizes. Cached: every backward builds a net of the
-    sizes it was given."""
+    tuple of layer sizes. Cached: every net views its theta through it,
+    and every backward writes its gradient through it."""
     blocks, stop = [], 0
     for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         for kind, shape in (("weight", (fan_out, fan_in)), ("bias", (fan_out,))):
@@ -153,20 +166,8 @@ class DenseNet:
         if self.theta.shape != (blocks[-1][2],):
             raise DimensionError(f"parameter vector of sizes {self.sizes}",
                                  (blocks[-1][2],), self.theta.shape)
-        self._view()
-
-    def _view(self):
-        views = [self.theta[lo:hi].reshape(shape)
-                 for _, lo, hi, shape in _layout(self.sizes)]
+        views = [self.theta[lo:hi].reshape(shape) for _, lo, hi, shape in blocks]
         self.weights, self.biases = views[0::2], views[1::2]
-        return self
-
-    def _like(self, theta):
-        """A net of these sizes around theta, a vector of this theta's
-        shape and dtype, so the checks of __init__ hold already."""
-        net = object.__new__(DenseNet)
-        net.sizes, net.theta = self.sizes, theta
-        return net._view()
 
     @property
     def input_dim(self):
@@ -219,13 +220,14 @@ def _check_input(net, X):
 
 def _layers(net, X):
     """Each layer's output in turn: the SELU activations of the hidden
-    layers, then the class probabilities."""
+    layers, then the class probabilities, each computed in place in the
+    pre-activation array allocated here."""
     acts = _check_input(net, X)
     last = net.num_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts @ w.T
         z += b
-        acts = softmax(z) if i == last else selu(z)
+        acts = _softmax_(z) if i == last else _selu_(z)
         yield acts
 
 
@@ -264,14 +266,16 @@ def backward(net, X, outputs, output_grad):
     # softmax Jacobian-vector product: dz = p * (g - <g, p>)
     delta = probs * (G - reduce_classes(np.add, G * probs)[:, None])
 
-    grad = net._like(np.empty_like(net.theta))
+    grad = np.empty_like(net.theta)  # fresh: a caller may keep the last one
+    blocks = _layout(net.sizes)
     for i in range(net.num_layers - 1, -1, -1):
-        np.matmul(delta.T, acts[i], out=grad.weights[i])
-        delta.sum(axis=0, out=grad.biases[i])
+        (_, lo, hi, shape), (_, b_lo, b_hi, _) = blocks[2 * i], blocks[2 * i + 1]
+        np.matmul(delta.T, acts[i], out=grad[lo:hi].reshape(shape))
+        np.add.reduce(delta, axis=0, out=grad[b_lo:b_hi])
         if i > 0:
             delta = delta @ net.weights[i]
             delta *= selu_slope(acts[i])
-    return grad.theta
+    return grad
 
 
 @dataclass

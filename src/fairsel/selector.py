@@ -1,10 +1,11 @@
 """Stochastic feature-selection policy.
 
 A single global logit vector defines independent per-feature Bernoulli
-selection probabilities through a sigmoid. The sensitive feature is
-always masked out of sampling, so no sampled selection ever carries
-it. The score-function gradient of the log selection probability is
-what drives the selector's training updates.
+selection probabilities through a sigmoid. Sampled selection rows are
+boolean (the enumeration's are 0/1 int8; both work everywhere). The
+sensitive feature is always masked out of sampling, so no sampled
+selection ever carries it. The score-function gradient of the log
+selection probability drives the selector's training updates.
 """
 
 from __future__ import annotations
@@ -65,9 +66,10 @@ def probabilities(policy):
 
 
 def sample_selection_batch(p, n_rows, rng):
-    """n_rows independent selection vectors, one row per draw."""
+    """n_rows independent selection vectors, one boolean row per draw:
+    X * S, S - p and S == 1 read them as 0/1 rows."""
     p = np.asarray(p, dtype=np.float64)
-    return (rng.random((n_rows, p.shape[0])) < p).astype(np.int8)
+    return rng.random((n_rows, p.shape[0])) < p
 
 
 def _validate_rows(p, S):

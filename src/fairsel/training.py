@@ -78,8 +78,10 @@ class TrainConfig:
 
     def __post_init__(self):
         # a caller's config may hold numpy scalars: a bool must not pass
-        # for a number, nor a float for a count, and each is stored as its
-        # builtin
+        # for a number, nor a float for a count. Each is stored as its
+        # builtin, which float32 arithmetic takes at float32 (NEP 50): a
+        # np.float64 alpha_phi would make Adam's float32 step *= lr
+        # compute in float64 and move the trained bits
         for names, cast, kind, what in (
                 (("batch_size", "max_epochs", "patience", "seed"),
                  int, numbers.Integral, "an integer"),
@@ -212,7 +214,13 @@ def selector_step(policy, X, net, alpha_theta, rng, baseline=None):
     grad = (coeff[:, None] * log_pi_grad(p, S)).sum(axis=0) / S.shape[0]
     if not np.isfinite(grad).all():
         raise NumericalError("selector gradient estimate is non-finite; aborting epoch")
-    return SelectorPolicy(policy.logits + alpha_theta * grad, policy.sensitive_index), pair
+    logits = policy.logits + alpha_theta * grad
+    # the shape and index are the policy's: only an overflow can fail __post_init__
+    if not np.isfinite(logits).all():
+        raise NumericalError("non-finite selector logits")
+    stepped = object.__new__(SelectorPolicy)
+    stepped.logits, stepped.sensitive_index = logits, policy.sensitive_index
+    return stepped, pair
 
 
 def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
@@ -228,7 +236,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
     ran once, whose norm is exactly 0, give `backward` no second row.
 
     Returns (loss, gradient laid out like net.theta, mean cross-entropy,
-    mean sensitivity norm).
+    mean sensitivity norm). The loss is formed from the two means in
+    Python floats, so its last bit may differ from the per-example mean's.
     """
     p_sel, diff, norms = pair.p_sel, pair.diff, pair.norms
     if np.shape(Y) != p_sel.shape:
@@ -237,8 +246,8 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
 
     p_true = np.maximum(reduce_classes(np.add, p_sel * Y), PROB_FLOOR)
     ce = -np.log(p_true)
-    # sum() / n is what np.mean computes, without its Python wrapper
-    loss = float((sensitivity_weight * norms + ce_weight * ce).sum() / n)
+    # sum() / n, in the rows' dtype, is np.mean without its Python wrapper
+    ce_mean, sens_mean = float(ce.sum() / n), float(norms.sum() / n)
 
     unit = np.divide(diff, norms[:, None], out=np.zeros(diff.shape, diff.dtype),
                      where=(norms > NORM_EPS)[:, None])
@@ -247,7 +256,7 @@ def pair_loss_and_grads(net, pair, Y, sensitivity_weight, ce_weight=1.0):
     grad_sel = (-(sensitivity_weight / n) * unit
                 - ce_weight * (Y / np.maximum(p_sel, PROB_FLOOR)) / n)
     grad = backward(net, pair.rows, pair.outputs, np.concatenate([grad_sel, grad_with]))
-    return loss, grad, float(ce.sum() / n), float(norms.sum() / n)
+    return sensitivity_weight * sens_mean + ce_weight * ce_mean, grad, ce_mean, sens_mean
 
 
 def predictor_step(net, pair, Y, adam_state, alpha_phi, sensitivity_weight):

@@ -139,6 +139,49 @@ class TestForward:
         assert np.array_equal(outputs[-1], forward(net, X))
         assert np.array_equal(outputs[0], selu(X @ net.weights[0].T + net.biases[0]))
 
+    # pre-activations at +-0 (-0. reaches a layer as +0. through the
+    # matmul), around SELU's kink, where expm1 rounds to -1 (below about
+    # -17 in float32, -37 in float64), where float32's e^z underflows
+    # (about -88) and large positive values
+    EDGE = np.array([0.0, -0.0, 1e-30, -1e-30, 1e-7, -1e-7, -17.0, -18.0, -37.0, -40.0,
+                     -87.0, -88.0, -88.7, -89.0, -104.0, -800.0, 30.0, 88.7, 1e4, 1e30])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_layers_equal_public_kernels(self, dtype):
+        m = self.EDGE.size
+        X = np.stack([np.roll(self.EDGE, r) for r in range(m)]).astype(dtype)
+        eye = np.eye(m)
+        assert np.array_equal(X @ eye.astype(dtype).T, X)
+        # identity layers pass the values on exactly: the hidden layers
+        # see EDGE and selu(EDGE), and the head-only net's softmax sees
+        # each pair of them
+        deep = DenseNet.from_layers([eye, eye, np.random.default_rng(0).normal(size=(2, m))],
+                                    [np.zeros(m), np.zeros(m), np.zeros(2)])
+        head = DenseNet.from_layers([eye[:2]], [np.zeros(2)])
+        for net in (deep, head):
+            net = DenseNet(net.sizes, net.theta.astype(dtype))
+            acts, chain = X, []
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                z = acts @ w.T
+                z += b
+                acts = softmax(z) if i == net.num_layers - 1 else selu(z)
+                chain.append(acts)
+            outputs = layer_outputs(net, X)
+            assert len(outputs) == len(chain)
+            for got, want in zip(outputs, chain):
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+            assert np.array_equal(forward(net, X).view(np.uint8), chain[-1].view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_softmax_leaves_its_input(self, dtype, classes):
+        z = np.random.default_rng(classes).normal(0, 30, size=(64, classes)).astype(dtype)
+        z[::4] = -0.0
+        before = z.copy()
+        softmax(z)
+        assert np.array_equal(z.view(np.uint8), before.view(np.uint8))
+
     def test_batch_matches_rows(self):
         net = make_net(1)
         X = np.random.default_rng(5).random((6, net.input_dim))
@@ -251,8 +294,11 @@ class TestClassAxisColumns:
         # numpy's own forms of the norm, the cross-entropy and the means
         assert np.array_equal(bits(pair.norms), bits(np.linalg.norm(pair.diff, axis=1)))
         ce_rows = -np.log(np.maximum((pair.p_sel * Y).sum(axis=1), PROB_FLOOR))
-        assert (loss, ce, sens) == (float(np.mean(pair.norms + ce_rows)),
-                                    float(np.mean(ce_rows)), float(np.mean(pair.norms)))
+        assert (ce, sens) == (float(np.mean(ce_rows)), float(np.mean(pair.norms)))
+        # the loss is formed from the two means, in Python floats: the
+        # per-example mean up to its rounding
+        assert loss == 1.0 * sens + 1.0 * ce
+        assert loss == pytest.approx(float(np.mean(pair.norms + ce_rows)), rel=1e-13)
         ref_grad = self._with_numpy_reduce(
             monkeypatch, lambda: training.pair_loss_and_grads(
                 net, training.sensitivity_pair(net, X, S, 0), Y, 1.0)[1])

@@ -3,12 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_net
 from fairsel.errors import DimensionError, FairselError
 from fairsel.diagnostics import relative_error
+from fairsel.nets import DenseNet
 from fairsel.selector import (SelectorPolicy, enumerate_selections,
                               log_pi_grad, pi_prob, probabilities,
                               sample_selection_batch,
                               sigmoid)
+from fairsel.training import sensitivity_pair
+
+
+def bits(a):
+    """The raw bytes of an array: -0. differs from 0., NaN equals NaN."""
+    return np.ascontiguousarray(a).view(np.uint8)
+
 
 # sigmoid values computed with a 40-digit oracle and frozen
 SIGMOID_0P3 = 0.5744425168116589
@@ -85,6 +94,10 @@ class TestSampling:
         S = sample_selection_batch(np.full(6, 0.5), 10_000, rng)
         rates = S.mean(axis=0)
         assert np.all(np.abs(rates - 0.5) < 0.03)
+
+    def test_rows_are_boolean(self):
+        S = sample_selection_batch(np.array([0.3, 0.0, 0.9]), 7, np.random.default_rng(3))
+        assert S.dtype == np.bool_ and S.shape == (7, 3)
 
     def test_reproducible(self):
         p = np.array([0.3, 0.7, 0.5])
@@ -178,6 +191,27 @@ class TestSelectionRows:
                 np.prod([p[j] if S[i, j] else 1 - p[j] for j in range(6)]),
                 rel=1e-14)
             assert np.array_equal(grad[i], [S[i, j] - p[j] for j in range(6)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_boolean_and_integer_rows_agree(self, dtype):
+        # training samples boolean rows, the enumeration builds int8 ones:
+        # the same pattern gives the same bits either way
+        rng = np.random.default_rng(7)
+        p = probabilities(SelectorPolicy(rng.normal(0, 1.5, size=6), 2))
+        S = sample_selection_batch(p, 64, rng)
+        S[0], S[1] = False, p > 0   # nothing selected, everything selectable
+        ints = S.astype(np.int8)
+        for fn in (pi_prob, log_pi_grad):
+            assert np.array_equal(bits(fn(p, S)), bits(fn(p, ints)))
+        net = make_net(8, d=6, hidden=(7,), c=2)
+        net = DenseNet(net.sizes, net.theta.astype(dtype))
+        X = rng.normal(size=(64, 6)).astype(dtype)
+        X[::5, 2] = 0.0   # rows the sensitive value does not change
+        by_bool, by_int = sensitivity_pair(net, X, S, 2), sensitivity_pair(net, X, ints, 2)
+        assert np.array_equal(by_bool.changed, by_int.changed)
+        for a, b in [(by_bool.rows, by_int.rows), (by_bool.norms, by_int.norms),
+                     (by_bool.diff, by_int.diff)]:
+            assert a.dtype == b.dtype == dtype and np.array_equal(bits(a), bits(b))
 
     @pytest.mark.parametrize("fn", [pi_prob, log_pi_grad])
     def test_masked_feature_in_any_row_rejected(self, fn):

@@ -174,6 +174,18 @@ class TestSelectorStep:
             selector_step(policy, np.random.default_rng(0).random((4, 3)),
                           net, 0.5, np.random.default_rng(1))
 
+    def test_overflowing_step_is_a_numerical_error(self, monkeypatch):
+        # the gradient stays finite (rows scaled by 1e20), but the step of
+        # 1e300 times it overflows the logits
+        real = training.log_pi_grad
+        monkeypatch.setattr(training, "log_pi_grad", lambda p, S: real(p, S) * 1e20)
+        net = make_net(0, d=4, hidden=(5,), c=2)
+        policy = SelectorPolicy(np.array([0.3, -0.2, 0.1, 0.4]), 1)
+        X = np.random.default_rng(0).random((8, 4))
+        with np.errstate(over="ignore"), \
+                pytest.raises(NumericalError, match="^non-finite selector logits$"):
+            selector_step(policy, X, net, 1e300, np.random.default_rng(1))
+
     def test_average_update_aligns_with_enumeration_gradient(self):
         from fairsel.diagnostics import estimator_instance
         net, policy, x = estimator_instance()
@@ -514,6 +526,50 @@ class TestTrain:
         assert not np.array_equal(at_fault[0], ended[-1])
         assert np.array_equal(model.net.theta, ended[-1])
 
+    def test_overflowing_selector_step_rolls_back_the_epoch(self, monkeypatch):
+        # the score function is scaled by 1e-300 for four batches, so their
+        # steps of alpha_theta = 1e300 are ordinary ones, then by 1e20: the
+        # fifth step (epoch 1, batch 1) overflows the logits, and the run
+        # returns the net and policy epoch 1 started from
+        tr, va, _ = self._data()
+        ended, real_predict = [], training.predict
+
+        def recording(model, X):
+            ended.append((model.net.theta.copy(), model.policy.logits.copy()))
+            return real_predict(model, X)
+
+        real, calls = training.log_pi_grad, {"n": 0}
+
+        def scaled(p, S):
+            calls["n"] += 1
+            return real(p, S) * (1e20 if calls["n"] >= 5 else 1e-300)
+
+        monkeypatch.setattr(training, "predict", recording)
+        monkeypatch.setattr(training, "log_pi_grad", scaled)
+        config = self._config(alpha_theta=1e300, max_epochs=6)
+        assert math.ceil(tr.n / config.batch_size) == 3
+        with np.errstate(over="ignore"):
+            model = train(tr, va, config)
+        assert model.diagnostics == (
+            "training aborted during epoch 1, batch 1: non-finite selector logits")
+        assert len(model.training_log) == len(ended) == 1
+        assert np.array_equal(model.net.theta, ended[0][0])
+        assert np.array_equal(model.policy.logits, ended[0][1])
+
+    def test_numpy_scalar_config_trains_like_builtins(self):
+        # the config stores builtins: under NEP 50 a np.float64 alpha_phi
+        # would make Adam's float32 step *= lr compute in float64
+        tr, va, _ = self._data()
+        given = dict(alpha_theta=np.float32(0.5), alpha_phi=np.float64(1e-3),
+                     sensitivity_weight=np.float32(0.75), batch_size=np.int64(64),
+                     max_epochs=np.int64(3), patience=np.int64(3), seed=np.int64(5))
+        numpy_run = train(tr, va, self._config(**given))
+        builtin_run = train(tr, va, self._config(**{k: v.item() for k, v in given.items()}))
+        assert numpy_run.training_log == builtin_run.training_log
+        assert np.array_equal(numpy_run.net.theta.view(np.int32),
+                              builtin_run.net.theta.view(np.int32))
+        assert np.array_equal(numpy_run.policy.logits, builtin_run.policy.logits)
+
     def test_returns_best_epoch_parameters_when_later_epochs_score_lower(
             self, monkeypatch):
         # the scores peak at epoch 1 of 5: the returned net is the one
@@ -789,7 +845,7 @@ class TestTrainConfig:
         assert TrainConfig(hidden_sizes=[16, 8]).hidden_sizes == (16, 8)
 
     def test_numpy_hidden_sizes_are_stored_as_ints(self):
-        # as the counts are: a checkpoint must json-encode them
+        # as the counts are: builtins, whatever the caller passed
         cfg = TrainConfig(hidden_sizes=tuple(np.array([32, 32])))
         assert cfg.hidden_sizes == (32, 32)
         assert all(type(h) is int for h in cfg.hidden_sizes)

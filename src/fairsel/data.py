@@ -13,6 +13,12 @@ normalizer; out-of-range values are clipped.
 A Dataset holds the encoded features, one 0/1 label per row and its
 encoder; its column names, sensitive index and group tags are read off
 those, and `Dataset.outcomes` gives every score its GroupedOutcomes.
+
+Every file fairsel reads goes through `read_text` (UTF-8, a leading
+byte-order mark dropped, a bad byte named by its line), and a spec or
+checkpoint through `read_json` on top of it. `json_fields` reads each
+JSON object of either: a key missing, unknown or of another JSON type
+is a DataError that names it by its dotted path from the file's root.
 """
 
 from __future__ import annotations
@@ -37,33 +43,75 @@ COLUMN_KINDS = ("numeric", "categorical")
 _PREDICATE_OPS = ("eq", "in", "ge", "gt", "le", "lt")
 
 
-def _strings(v):
-    return isinstance(v, list) and all(isinstance(x, str) for x in v)
-
-
 _SCALAR = (str, int, float)
+_NUMBER = (int, float)
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
-               _SCALAR: "a string or a number"}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               _NUMBER: "a number", _SCALAR: "a string or a number"}
 
 
-def _typed(value, kinds, what):
-    """value, if it is of type kinds (never a JSON true or false, though
-    bool is an int); a DataError naming what otherwise."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise DataError(f"{what} must be {_JSON_TYPES[kinds]}, "
+def read_text(path):
+    """The text of the file at path, decoded as UTF-8 with a leading
+    byte-order mark dropped; a DataError naming the file, and the line of
+    a byte that is not UTF-8, otherwise."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from None
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line} is not UTF-8: {exc}") from None
+
+
+def read_json(path):
+    """The JSON object in the file at path, read by read_text; a DataError
+    naming the file, and the line of a syntax error, otherwise."""
+    try:
+        body = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise DataError(f"{path}: not a JSON object, got {reprlib.repr(body)}")
+    return body
+
+
+def _typed(value, kinds, path):
+    """value, if it is of type kinds, or for [kinds] a list of values of
+    that type (never a JSON true or false, though bool is an int); a
+    DataError naming its dotted path, or its first other item's, otherwise."""
+    if isinstance(kinds, list):
+        for i, item in enumerate(_typed(value, list, path)):
+            _typed(item, kinds[0], f"{path}[{i}]")
+    elif isinstance(value, bool) or not isinstance(value, kinds):
+        raise DataError(f"field {path!r} must be {_JSON_TYPES[kinds]}, "
                         f"got {reprlib.repr(value)}")
     return value
 
 
-def _field(obj, path, kinds, default=None):
-    """The field at path (dotted, from the spec's root) of the spec JSON
-    object obj that holds it, of type kinds; a DataError naming the path
-    if it is of another type, or missing and has no default."""
-    key = path.rpartition(".")[2]
-    if key not in obj and default is None:
-        raise DataError(f"dataset spec is missing field {path!r}")
-    return _typed(obj.get(key, default), kinds, f"dataset spec field {path!r}")
+def json_fields(value, path, fields, optional=()):
+    """The values under the keys of fields (key -> type, as `_typed` reads
+    it) of value, the JSON object at the dotted path path ("" for its
+    file's root), with None for a key of optional that it lacks. A key of
+    fields that it lacks and needs, or holds with a value of another type,
+    or else a key that fields lacks, is a DataError naming the first such
+    key by its path."""
+    at = f"{path}." if path else ""
+    values = []
+    _typed(value, dict, path)
+    for key, kinds in fields.items():
+        if key in value:
+            values.append(_typed(value[key], kinds, at + key))
+        elif key in optional:
+            values.append(None)
+        else:
+            raise DataError(f"missing field {at + key!r}")
+    for key in value:
+        if key not in fields:
+            raise DataError(f"unknown field {at + key!r}")
+    return values
 
 
 def _number(v):
@@ -77,24 +125,24 @@ def _number(v):
     return values[0] if values and math.isfinite(values[0]) else None
 
 
-# the keys of an encoder layout entry, by its role
-_LAYOUT_FIELDS = {"sensitive": ("name", "role"), "numeric": ("name", "role", "min", "max"),
-                  "categorical": ("name", "role", "categories")}
+# the fields of an encoder layout entry, by its role
+_LAYOUT_FIELDS = {"sensitive": {"name": str, "role": str},
+                  "numeric": {"name": str, "role": str, "min": _NUMBER, "max": _NUMBER},
+                  "categorical": {"name": str, "role": str, "categories": [str]}}
 
 
 def _layout_entry_fits(item, name, role):
-    """item is the layout entry of column name in that role: a numeric entry
-    holds finite min <= max a finite span apart (min-max scaling divides
-    by it), a categorical one a list of distinct strings."""
-    if not (isinstance(item, dict) and item.get("name") == name
-            and item.get("role") == role):
+    """item, a layout entry with the fields of role, is that of column name
+    in that role: a numeric entry holds finite min <= max a finite span
+    apart (min-max scaling divides by it), a categorical one distinct
+    categories."""
+    if (item["name"], item["role"]) != (name, role):
         return False
     if role == "numeric":
-        lo, hi = item.get("min"), item.get("max")
-        return (all(type(v) in (int, float) and math.isfinite(v) for v in (lo, hi))
-                and 0 <= hi - lo < math.inf)
-    cats = item.get("categories")
-    return role == "sensitive" or (_strings(cats) and len(set(cats)) == len(cats))
+        lo, hi = item["min"], item["max"]
+        return math.isfinite(lo) and math.isfinite(hi) and 0 <= hi - lo < math.inf
+    cats = item.get("categories", ())
+    return len(set(cats)) == len(cats)
 
 
 @dataclass
@@ -113,8 +161,8 @@ class Predicate:
             raise DataError(f"unknown predicate op {self.op!r}")
         if self.op == "in":
             if not self.values:
-                raise DataError("dataset spec field 'sensitive.privileged.values' "
-                                "must be a nonempty list for op 'in'")
+                raise DataError("field 'sensitive.privileged.values' must be a "
+                                "nonempty list for op 'in'")
             self.values = tuple(str(v) for v in self.values)
         elif self.value is None:
             raise DataError(f"predicate op {self.op!r} needs a value")
@@ -135,21 +183,6 @@ class Predicate:
         if self.op == "in":
             return {"op": "in", "values": list(self.values)}
         return {"op": self.op, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, d):
-        """A predicate from its spec JSON; value and values hold strings or numbers."""
-        if d.get("value") is not None:
-            _field(d, "sensitive.privileged.value", _SCALAR)
-        values = _field(d, "sensitive.privileged.values", list, [])
-        for i, v in enumerate(values):
-            _typed(v, _SCALAR, f"dataset spec field 'sensitive.privileged.values[{i}]'")
-        pred = cls(op=d.get("op"), value=d.get("value"), values=tuple(values))
-        unread = "value" if pred.op == "in" else "values"
-        if unread in d:
-            raise DataError(f"dataset spec field 'sensitive.privileged.{unread}' "
-                            f"is not read by op {pred.op!r}")
-        return pred
 
 
 @dataclass
@@ -191,38 +224,42 @@ class DatasetSpec:
         bad = [v for v in pred.values or (pred.value,) if _number(v) is None]
         if kind == "numeric" and bad:
             field = "values" if pred.op == "in" else "value"
-            raise DataError(f"dataset spec field 'sensitive.privileged.{field}' "
+            raise DataError(f"field 'sensitive.privileged.{field}' "
                             f"on numeric column {self.sensitive_column!r} is not "
                             f"a number or not finite, got {reprlib.repr(bad[0])}")
 
     @classmethod
-    def from_dict(cls, d):
-        """A spec from its parsed JSON; a field that is missing or of
-        another JSON type is a DataError that names it."""
-        _typed(d, dict, "dataset spec")
-        columns = []
-        for i, c in enumerate(_field(d, "columns", list)):
-            _typed(c, dict, f"dataset spec field 'columns[{i}]'")
-            columns.append(ColumnSpec(_field(c, f"columns[{i}].name", str),
-                                      _field(c, f"columns[{i}].kind", str)))
-        label, sensitive = _field(d, "label", dict), _field(d, "sensitive", dict)
-        return cls(
-            columns=columns,
-            label_column=_field(label, "label.column", str),
-            favorable_value=str(_field(label, "label.favorable", _SCALAR)),
-            sensitive_column=_field(sensitive, "sensitive.column", str),
-            privileged=Predicate.from_dict(
-                _field(sensitive, "sensitive.privileged", dict)),
-            name=_field(d, "name", str, ""),
-        )
+    def from_dict(cls, d, path=""):
+        """A spec from its JSON object d at the dotted path path of its file
+        ("" for a spec file); a field that is missing, unknown or of another
+        JSON type is a DataError that names its path."""
+        at = f"{path}." if path else ""
+        name, columns, label, sensitive = json_fields(
+            d, path, {"name": str, "columns": list, "label": dict, "sensitive": dict},
+            optional=("name",))
+        columns = [ColumnSpec(*json_fields(c, f"{at}columns[{i}]",
+                                           {"name": str, "kind": str}))
+                   for i, c in enumerate(columns)]
+        label_column, favorable = json_fields(label, at + "label",
+                                              {"column": str, "favorable": _SCALAR})
+        sensitive_column, privileged = json_fields(sensitive, at + "sensitive",
+                                                   {"column": str, "privileged": dict})
+        # op `in` reads values, a list of strings or numbers, the others value
+        in_op = privileged.get("op") == "in"
+        field = "values" if in_op else "value"
+        op, value = json_fields(privileged, at + "sensitive.privileged",
+                                {"op": str, field: [_SCALAR] if in_op else _SCALAR})
+        return cls(columns, label_column, str(favorable), sensitive_column,
+                   Predicate(op, **{field: value}), name or "")
 
     @classmethod
     def from_json(cls, path):
+        """A spec from its JSON file; a fault is a DataError naming the file."""
+        body = read_json(path)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read dataset spec {path}: {exc}") from None
+            return cls.from_dict(body)
+        except DataError as exc:
+            raise DataError(f"malformed dataset spec {path}: {exc}") from None
 
     def to_dict(self):
         return {
@@ -275,17 +312,7 @@ def load_csv(path, spec):
     raise a DataError naming the file line. Of several faults, the one at
     the earliest data row is raised.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from None
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}: line {line} is not UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     rows, fault = [], None
     try:
         rows.extend(reader)
@@ -402,7 +429,7 @@ class Encoder:
     layout or vocabulary that does not fit the spec is a DataError."""
 
     def __init__(self, spec, layout, labels):
-        if not (_strings(labels) and len(set(labels)) == len(labels) == 2
+        if not (len(set(labels)) == len(labels) == 2
                 and spec.favorable_value in labels):
             raise DataError(f"label column {spec.label_column!r} must hold the "
                             f"favorable value {spec.favorable_value!r} and one other "
@@ -412,15 +439,12 @@ class Encoder:
                             f"columns in order, got {reprlib.repr(layout)}")
         self.spec, self.layout, self.labels = spec, layout, labels
         self.column_names = []
-        for c, item in zip(spec.columns, layout):
+        for i, (c, item) in enumerate(zip(spec.columns, layout)):
             role = "sensitive" if c.name == spec.sensitive_column else c.kind
+            json_fields(item, f"encoder.layout[{i}]", _LAYOUT_FIELDS[role])
             if not _layout_entry_fits(item, c.name, role):
                 raise DataError(f"encoder layout entry {reprlib.repr(item)} does not "
                                 f"fit the {role} column {c.name!r}")
-            unknown = [key for key in item if key not in _LAYOUT_FIELDS[role]]
-            if unknown:
-                raise DataError(f"encoder layout entry of the {role} column {c.name!r} "
-                                f"has unknown field {unknown[0]!r}")
             if role == "sensitive":
                 self.sensitive_index = len(self.column_names)
             if role == "categorical":
@@ -490,11 +514,11 @@ class Encoder:
 
     @classmethod
     def from_payload(cls, payload):
-        try:
-            return cls(DatasetSpec.from_dict(payload["spec"]), payload["layout"],
-                       payload["labels"])
-        except KeyError as exc:
-            raise DataError(f"encoder payload missing field {exc}") from None
+        """The encoder of to_payload's object, stored as a checkpoint's
+        field 'encoder'."""
+        spec, layout, labels = json_fields(payload, "encoder",
+                                           {"spec": dict, "layout": list, "labels": [str]})
+        return cls(DatasetSpec.from_dict(spec, "encoder.spec"), layout, labels)
 
 
 def _codes(raw, cells, values, column):

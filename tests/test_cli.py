@@ -245,14 +245,28 @@ class TestEvaluateCommand:
 
     @pytest.mark.parametrize("target", ["dataset spec", "checkpoint"])
     def test_json_file_not_utf8_is_two(self, tmp_path, capsys, target):
+        # the file is rewritten one value a line, and its third line
+        # gets the bad byte
         data, spec_path = write_toy(tmp_path)
         ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
         bad = Path(spec_path if target == "dataset spec" else ckpt)
-        bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xff', 1))
+        lines = json.dumps(json.loads(bad.read_text()), indent=1).encode().splitlines()
+        lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+        bad.write_bytes(b"\n".join(lines))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
                      "--spec", spec_path]) == 2
-        assert f"cannot read {target} {bad}: " in capsys.readouterr().err
+        assert f"{bad}: line 3 is not UTF-8: " in capsys.readouterr().err
+
+    def test_json_files_with_byte_order_mark_load(self, tmp_path, capsys):
+        # RFC 8259 lets a parser ignore one, and load_csv drops one too
+        data, spec_path = write_toy(tmp_path)
+        ckpt = self._memorizing_checkpoint(tmp_path, data, spec_path)
+        for path in (Path(spec_path), Path(ckpt)):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
+                     "--spec", spec_path]) == 0
 
     def test_baseline_checkpoint_dispatch(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)
@@ -437,7 +451,8 @@ class TestEvaluateCommand:
             assert capsys.readouterr().err == (
                 f"data error: malformed checkpoint {ckpt}: unknown field '{named}'\n")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8, "5", "6", "7"], ids=repr)
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 8, "5", "6", "7", 7.0, True],
+                             ids=repr)
     def test_other_version_is_two(self, tmp_path, capsys, version):
         data, _ = write_toy(tmp_path)
         body = json.loads(FIXTURE.read_text())
@@ -464,7 +479,7 @@ class TestEvaluateCommand:
         body = json.loads(FIXTURE.read_text())
         if field == "hidden_sizes":
             body["net"]["hidden"] = value
-            message = "net.hidden must be a list of JSON integers"
+            message = "field 'net.hidden"
         else:
             body["config"] = {field: value}
             message = "unknown field 'config'"
@@ -500,7 +515,8 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert f"malformed checkpoint {ckpt}: " in err
         if edit in ("string-logits", "true-logit"):
-            assert "selector.logits must be a list of JSON numbers" in err
+            at = 0 if edit == "string-logits" else 1
+            assert f"field 'selector.logits[{at}]' must be a number" in err
 
     def test_empty_data_file_is_two(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)
@@ -894,12 +910,12 @@ class TestSpecShape:
     field, from every command that reads one."""
 
     SHAPES = {
-        "not-an-object": ([], "dataset spec must be an object, got []"),
-        "label-string": ({**TOY_SPEC, "label": "label"},
-                         "dataset spec field 'label' must be an object, got 'label'"),
+        "not-an-object": ([], "{spec}: not a JSON object, got []"),
+        "label-string": ({**TOY_SPEC, "label": "label"}, "malformed dataset spec {spec}: "
+                         "field 'label' must be an object, got 'label'"),
         "column-string": ({**TOY_SPEC, "columns": ["sens", *TOY_SPEC["columns"][1:]]},
-                          "dataset spec field 'columns[0]' must be an object, "
-                          "got 'sens'"),
+                          "malformed dataset spec {spec}: field 'columns[0]' must be an "
+                          "object, got 'sens'"),
     }
 
     @pytest.mark.parametrize("command", ["train", "compare", "tune", "evaluate"])
@@ -913,7 +929,7 @@ class TestSpecShape:
         flags = (["--checkpoint", str(FIXTURE)]
                  if command == "evaluate" else fast_flags(out))
         assert main([command, "--data", data, "--spec", str(spec), *flags]) == 2
-        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert capsys.readouterr().err == f"data error: {message.format(spec=spec)}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("privileged,field", [
@@ -934,8 +950,9 @@ class TestSpecShape:
         out = tmp_path / "o"
         assert main(["train", "--data", data, "--spec", str(spec), *fast_flags(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: dataset spec field 'sensitive.privileged.{field}' "
-                              f"on numeric column 'age' is not a number or not finite")
+        assert err.startswith(f"data error: malformed dataset spec {spec}: field "
+                              f"'sensitive.privileged.{field}' on numeric column 'age' "
+                              f"is not a number or not finite")
         assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (ANY_JSON, GERMAN_CATEGORIES, GERMAN_HEADER, GERMAN_NUMERIC,
                       json_edits, write_german_csv)
+from fairsel.checkpoint import load_model
 from fairsel.data import (MISSING_TOKENS, ColumnSpec, Dataset, DatasetSpec,
                           Encoder, Predicate, RawTable, load_csv, prepare_splits,
                           split, split_indices, synth_proxy)
@@ -584,6 +586,22 @@ _SPEC_VALUES = (st.sampled_from([
     {"name": "age", "kind": "numeric"}, 10**400, float("nan"), float("inf"),
     float("-inf"), "nan", "1e999", "1_000", "\uff12\uff15", "\u0662\u0665"])
     | ANY_JSON)
+# the keys of a spec's objects and near misses of them, for edits that
+# insert a key
+_SPEC_KEYS = ["name", "columns", "kind", "label", "column", "favorable", "sensitive",
+              "privileged", "op", "value", "values", "favourable", "drop", "junk"]
+
+
+def json_objects(node, path=""):
+    """(dotted path, object) for each JSON object in the parsed JSON node,
+    node's own first if it is one."""
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from json_objects(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from json_objects(value, f"{path}[{i}]")
 
 
 @pytest.fixture(scope="module")
@@ -595,14 +613,15 @@ def small_german_csv(tmp_path_factory):
 class TestSpecEditProperty:
     @settings(max_examples=300, deadline=None)
     @given(edited=st.sampled_from(sorted(_SPECS)).flatmap(
-        lambda name: st.tuples(st.just(name), json_edits(_SPECS[name], _SPEC_VALUES))))
+        lambda name: st.tuples(st.just(name),
+                               json_edits(_SPECS[name], _SPEC_VALUES, _SPEC_KEYS))))
     # an integer past float range as the privileged value, which the
     # derandomized examples do not reach
     @example(edited=("bank", {**_SPECS["bank"], "sensitive": {
         "column": "age", "privileged": {"op": "ge", "value": 10**400}}}))
     def test_spec_edits_load_or_are_a_data_error(self, small_german_csv, edited):
-        # one or two edits anywhere in a shipped spec; the German one also
-        # loads and splits a German-shaped file
+        # one or two edits anywhere in a shipped spec, or a key set in any
+        # object; the German one also loads and splits a German-shaped file
         name, body = edited
         try:
             spec = DatasetSpec.from_dict(body)
@@ -612,6 +631,10 @@ class TestSpecEditProperty:
             return
         assert isinstance(spec, DatasetSpec)
         assert all(isinstance(part, Dataset) for part in splits)
+        # a spec that loads holds no key that the loader did not read
+        read = dict(json_objects(spec.to_dict()))
+        for path, obj in json_objects(body):
+            assert set(obj) <= set(read[path])
 
     @pytest.mark.parametrize("value", ["1_000", "\uff12\uff15", "\u0662\u0665"],
                              ids=["underscore", "full-width", "arabic-indic"])
@@ -622,6 +645,49 @@ class TestSpecEditProperty:
             "column": "age", "privileged": {"op": "ge", "value": value}}}
         with pytest.raises(DataError, match=r"'sensitive\.privileged\.value' on numeric"):
             DatasetSpec.from_dict(body)
+
+
+# every JSON file fairsel ships or reads in the tests, and the keys of
+# their objects, by dotted path, that a file may lack
+_JSON_FILES = {**{f"{name}.json": files("fairsel") / "specs" / f"{name}.json"
+                  for name in ("german", "compas", "bank")},
+               "v7_toy_checkpoint.json": Path(__file__).parent / "data"
+               / "v7_toy_checkpoint.json"}
+_OPTIONAL = {"name", "selector", "encoder.spec.name"}
+
+
+def _walk_cases():
+    """(file, dotted path of one of its objects, one of that object's keys
+    to delete or None to insert one) for every object of every file."""
+    for file, source in _JSON_FILES.items():
+        for path, obj in json_objects(json.loads(source.read_text())):
+            yield from ((file, path, key) for key in (None, *obj))
+
+
+class TestJsonObjects:
+    @pytest.mark.parametrize("file,path,key", list(_walk_cases()),
+                             ids=lambda v: "insert" if v is None else str(v))
+    def test_each_key_is_named_by_its_path(self, tmp_path, file, path, key):
+        # an inserted key, and a deleted one that is not optional, is a
+        # data error that names its dotted path; every object of a spec
+        # and of a checkpoint holds exactly the keys it is read for
+        body = json.loads(_JSON_FILES[file].read_text())
+        obj = dict(json_objects(body))[path]
+        dotted = f"{path}.{key or 'junk'}" if path else key or "junk"
+        if key is None:
+            obj["junk"] = 1
+        else:
+            del obj[key]
+        edited = tmp_path / file
+        edited.write_text(json.dumps(body))
+        load = load_model if "checkpoint" in file else DatasetSpec.from_json
+        if dotted in _OPTIONAL:
+            load(edited)
+            return
+        with pytest.raises(DataError) as exc:
+            load(edited)
+        word = "unknown" if key is None else "missing"
+        assert f"{word} field {dotted!r}" in str(exc.value)
 
 
 class TestSpecValidation:
@@ -732,15 +798,15 @@ class TestSpecValidation:
                                                               field):
         # it used to load, and the group matched one of the two fields only
         with pytest.raises(DataError, match=re.escape(
-                f"'sensitive.privileged.{field}' is not read by op")):
+                f"unknown field 'sensitive.privileged.{field}'")):
             DatasetSpec.from_dict({
                 "columns": [{"name": "sex", "kind": "categorical"}],
                 "label": {"column": "label", "favorable": "yes"},
                 "sensitive": {"column": "sex", "privileged": privileged}})
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda d: d.pop("sensitive"), "is missing field 'sensitive'"),
-        (lambda d: d["label"].pop("favorable"), "is missing field 'label.favorable'"),
+        (lambda d: d.pop("sensitive"), "missing field 'sensitive'"),
+        (lambda d: d["label"].pop("favorable"), "missing field 'label.favorable'"),
         (lambda d: d["label"].update(favorable=["yes"]),
          "'label.favorable' must be a string or a number"),
         (lambda d: d["columns"][0].update(kind=None), "'columns[0].kind' must be a string"),

@@ -5,7 +5,7 @@ sensitive one, so fairness gaps of the adversarial model can be read
 against an unconstrained learner. `fit_logistic` trains it in float64 by
 full-batch gradient descent on binary cross-entropy and keeps the
 parameters of the first epoch with the highest validation balanced
-accuracy, scored in blocks of EPOCH_BLOCK epochs. `train_logistic`
+accuracy, with every epoch's labels scored in one call. `train_logistic`
 deploys that fit as the model every other model is: a float32 `(d, 2)`
 softmax net with no hidden layer (`logistic_net`) that keeps every
 column, so it is predicted, scored and saved by the same code as the
@@ -23,21 +23,16 @@ from .errors import NumericalError
 from .metrics import balanced_accuracies, balanced_accuracy  # noqa: F401
 from .nets import DenseNet
 from .selector import sigmoid
-from .training import TrainedModel
-
-# epochs whose validation labels are scored in one balanced-accuracy call
-EPOCH_BLOCK = 64
+from .training import TrainedModel, builtin_number
 
 
 def logistic_grad(weights, bias, X, y):
     """The exact gradient (grad_w, grad_b) of the mean binary
-    cross-entropy, and the probabilities it was read off. It is also the
-    gradient of `logistic_net(weights, bias)`'s mean softmax cross-entropy
-    in its class-1 row."""
-    p = sigmoid(X @ weights + bias)
-    resid = p - y
+    cross-entropy. It is also the gradient of `logistic_net(weights,
+    bias)`'s mean softmax cross-entropy in its class-1 row."""
+    resid = sigmoid(X @ weights + bias) - y
     # sum() / n is what np.mean computes, without its Python wrapper
-    return X.T @ resid / X.shape[0], float(resid.sum() / X.shape[0]), p
+    return X.T @ resid / X.shape[0], float(resid.sum() / X.shape[0])
 
 
 def logistic_net(weights, bias):
@@ -52,9 +47,11 @@ def fit_logistic(train_data, val_data, *, epochs, lr):
     """Fit (w, b) in float64 by full-batch gradient descent; keep the
     parameters of the first epoch with the highest validation balanced
     accuracy of the labels `x @ w + b > 0` (a tie is class 0, as in
-    `predict`), scoring EPOCH_BLOCK epochs in one call. Deterministic
-    (zero initialization, convex loss). A validation split that lacks a
-    class raises DegenerateGroupError before the first epoch."""
+    `predict`), scoring every epoch's labels in one call after the last.
+    epochs is an integer and lr a real number, by `TrainConfig`'s rule.
+    Deterministic (zero initialization, convex loss). A validation split
+    that lacks a class raises DegenerateGroupError before the first epoch."""
+    epochs, lr = builtin_number("epochs", epochs, True), builtin_number("lr", lr, False)
     # written so that NaN fails every comparison
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -64,27 +61,19 @@ def fit_logistic(train_data, val_data, *, epochs, lr):
     Xv, yv = val_data.features, val_data.labels
     balanced_accuracies(yv, np.empty((0, yv.shape[0])))  # checks yv's classes
     w, b = np.zeros(X.shape[1]), 0.0
-
-    labels = np.empty((min(epochs, EPOCH_BLOCK), Xv.shape[0]), dtype=bool)
-    params = np.empty((labels.shape[0], X.shape[1] + 1))
-    best = (-np.inf, w, b)
+    labels = np.empty((epochs, Xv.shape[0]), dtype=bool)
+    params = np.empty((epochs, X.shape[1] + 1))
     for epoch in range(epochs):
-        gw, gb, _ = logistic_grad(w, b, X, y)
+        gw, gb = logistic_grad(w, b, X, y)
         w = w - lr * gw
         b = b - lr * gb
         # a non-finite gradient leaves non-finite parameters too
         if not (np.isfinite(w).all() and math.isfinite(b)):
             raise NumericalError("logistic training diverged; lower the learning rate")
-        slot = epoch % EPOCH_BLOCK
-        np.greater(Xv @ w + b, 0.0, out=labels[slot])
-        params[slot, :-1], params[slot, -1] = w, b
-        if slot == labels.shape[0] - 1 or epoch == epochs - 1:
-            scores = balanced_accuracies(yv, labels[:slot + 1])
-            i = int(scores.argmax())
-            if scores[i] > best[0]:
-                best = (scores[i], params[i, :-1].copy(), float(params[i, -1]))
-    _, w, b = best
-    return w, b
+        np.greater(Xv @ w + b, 0.0, out=labels[epoch])
+        params[epoch, :-1], params[epoch, -1] = w, b
+    best = int(balanced_accuracies(yv, labels).argmax())  # the first of the best
+    return params[best, :-1].copy(), float(params[best, -1])
 
 
 def train_logistic(train_data, val_data, *, epochs=500, lr=0.1):

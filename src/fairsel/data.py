@@ -29,7 +29,7 @@ import json
 import math
 import operator
 import reprlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -68,9 +68,17 @@ def read_text(path):
 
 def read_json(path):
     """The JSON object in the file at path, read by read_text; a DataError
-    naming the file, and the line of a syntax error, otherwise."""
+    naming the file, and the line of a syntax error or the key that an
+    object repeats (json would keep its last value), otherwise."""
+    def unique_keys(pairs):
+        body = {}
+        for key, value in pairs:
+            if key in body:
+                raise DataError(f"{path}: key {key!r} repeated in one object")
+            body[key] = value
+        return body
     try:
-        body = json.loads(read_text(path))
+        body = json.loads(read_text(path), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(body, dict):
@@ -155,13 +163,15 @@ class Predicate:
     op: str
     value: object = None
     values: tuple = ()
+    # "encoder.spec." in a checkpoint: the prefix of the paths its faults name
+    at: InitVar[str] = ""
 
-    def __post_init__(self):
+    def __post_init__(self, at):
         if self.op not in _PREDICATE_OPS:
             raise DataError(f"unknown predicate op {self.op!r}")
         if self.op == "in":
             if not self.values:
-                raise DataError("field 'sensitive.privileged.values' must be a "
+                raise DataError(f"field '{at}sensitive.privileged.values' must be a "
                                 "nonempty list for op 'in'")
             self.values = tuple(str(v) for v in self.values)
         elif self.value is None:
@@ -205,8 +215,10 @@ class DatasetSpec:
     sensitive_column: str
     privileged: Predicate
     name: str = ""
+    # "encoder.spec." in a checkpoint: the prefix of the paths its faults name
+    at: InitVar[str] = ""
 
-    def __post_init__(self):
+    def __post_init__(self, at):
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise DataError("duplicate column names in spec")
@@ -224,7 +236,7 @@ class DatasetSpec:
         bad = [v for v in pred.values or (pred.value,) if _number(v) is None]
         if kind == "numeric" and bad:
             field = "values" if pred.op == "in" else "value"
-            raise DataError(f"field 'sensitive.privileged.{field}' "
+            raise DataError(f"field '{at}sensitive.privileged.{field}' "
                             f"on numeric column {self.sensitive_column!r} is not "
                             f"a number or not finite, got {reprlib.repr(bad[0])}")
 
@@ -250,7 +262,7 @@ class DatasetSpec:
         op, value = json_fields(privileged, at + "sensitive.privileged",
                                 {"op": str, field: [_SCALAR] if in_op else _SCALAR})
         return cls(columns, label_column, str(favorable), sensitive_column,
-                   Predicate(op, **{field: value}), name or "")
+                   Predicate(op, **{field: value}, at=at), name or "", at)
 
     @classmethod
     def from_json(cls, path):

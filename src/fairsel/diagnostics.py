@@ -192,7 +192,7 @@ def check_logistic_gradient(n_instances=100, seed=3):
         y = (rng.random(n) < 0.5).astype(np.int64)
         w = rng.normal(0, 1, size=d)
         b = float(rng.normal())
-        gw, gb, _ = logistic_grad(w, b, X, y)
+        gw, gb = logistic_grad(w, b, X, y)
 
         def loss(theta):
             p = forward(logistic_net(theta[:d], theta[d]), X)[np.arange(n), y]

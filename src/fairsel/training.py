@@ -58,6 +58,19 @@ NORM_EPS = 1e-12
 SENSITIVITY_BLOCK = 128
 
 
+def builtin_number(name, value, integer):
+    """value, an integer (integer) or a real number, as its builtin int or
+    float, which float32 arithmetic takes at float32 (NEP 50); a numpy
+    scalar passes, a bool or a float for an integer is a ValueError."""
+    kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    try:
+        return (int if integer else float)(value)
+    except OverflowError:  # an integer past float range
+        raise ValueError(f"{name} must be finite") from None
+
+
 @dataclass
 class TrainConfig:
     """Hyper-parameters of one training run.
@@ -77,24 +90,12 @@ class TrainConfig:
     score_baseline: bool = False
 
     def __post_init__(self):
-        # a caller's config may hold numpy scalars: a bool must not pass
-        # for a number, nor a float for a count. Each is stored as its
-        # builtin, which float32 arithmetic takes at float32 (NEP 50): a
-        # np.float64 alpha_phi would make Adam's float32 step *= lr
+        # a np.float64 alpha_phi would make Adam's float32 step *= lr
         # compute in float64 and move the trained bits
-        for names, cast, kind, what in (
-                (("batch_size", "max_epochs", "patience", "seed"),
-                 int, numbers.Integral, "an integer"),
-                (("alpha_theta", "alpha_phi", "sensitivity_weight"),
-                 float, numbers.Real, "a number")):
+        for names, integer in ((("batch_size", "max_epochs", "patience", "seed"), True),
+                               (("alpha_theta", "alpha_phi", "sensitivity_weight"), False)):
             for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
-                try:
-                    setattr(self, name, cast(value))
-                except OverflowError:  # an integer past float range
-                    raise ValueError(f"{name} must be finite") from None
+                setattr(self, name, builtin_number(name, getattr(self, name), integer))
         if not isinstance(self.score_baseline, bool):
             raise ValueError(f"score_baseline must be true or false, "
                              f"got {self.score_baseline!r}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,7 @@ import fairsel.baseline as baseline
 import fairsel.data
 import fairsel.metrics
 from conftest import logistic_model
-from fairsel.baseline import (EPOCH_BLOCK, fit_logistic, logistic_grad,
-                              logistic_net, train_logistic)
+from fairsel.baseline import fit_logistic, logistic_grad, logistic_net, train_logistic
 from fairsel.data import (ColumnSpec, Dataset, DatasetSpec, Encoder, Predicate,
                           load_csv, prepare_splits, split, synth_proxy)
 from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
@@ -125,11 +125,34 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match="epochs"):
             train_logistic(ds, ds, epochs=epochs, lr=0.1)
 
-    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf])
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf, 10 ** 400])
     def test_non_positive_or_non_finite_lr_is_rejected(self, lr):
         ds = separable()
         with pytest.raises(ValueError, match="lr"):
             train_logistic(ds, ds, epochs=5, lr=lr)
+
+    @pytest.mark.parametrize("epochs,lr,message", [
+        (True, 0.5, "epochs must be an integer, got True"),
+        (np.True_, 0.5, f"epochs must be an integer, got {np.True_!r}"),
+        (2.0, 0.5, "epochs must be an integer, got 2.0"),
+        ("5", 0.5, "epochs must be an integer, got '5'"),
+        (5, True, "lr must be a number, got True"),
+        (5, "0.5", "lr must be a number, got '0.5'"),
+        (5, None, "lr must be a number, got None"),
+    ])
+    def test_epochs_must_be_an_integer_and_lr_a_number(self, epochs, lr, message):
+        # by TrainConfig's rule: epochs=True would size the scored labels
+        # at one epoch, and lr=True fitted at lr 1.0
+        ds = separable()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_logistic(ds, ds, epochs=epochs, lr=lr)
+
+    def test_numpy_scalar_arguments_fit_like_builtins(self):
+        tr, va, _ = split(synth_proxy(300, 0.8, seed=1), 1)
+        w, b = fit_logistic(tr, va, epochs=np.int64(40), lr=np.float64(0.3))
+        assert type(b) is float
+        want_w, want_b = fit_logistic(tr, va, epochs=40, lr=0.3)
+        assert w.tobytes() == want_w.tobytes() and b == want_b
 
     def test_deterministic(self):
         ds = synth_proxy(400, 0.8, seed=1)
@@ -146,15 +169,15 @@ class TestTrainLogistic:
         b = 0.0
         initial = cross_entropy(w, b, X, y)
         for _ in range(200):
-            gw, gb, _ = logistic_grad(w, b, X, y)
+            gw, gb = logistic_grad(w, b, X, y)
             w, b = w - 1e-3 * gw, b - 1e-3 * gb
         final = cross_entropy(w, b, X, y)
         assert final <= initial
 
 
-class TestBlockScoredFit:
+class TestFitScoredInOneCall:
     @pytest.mark.parametrize("n,corr,seed", [(300, 0.8, 1), (1000, 0.95, 2), (5000, 0.95, 3)])
-    @pytest.mark.parametrize("epochs", [1, EPOCH_BLOCK - 1, EPOCH_BLOCK, EPOCH_BLOCK + 1, 400])
+    @pytest.mark.parametrize("epochs", [1, 63, 64, 65, 400])
     def test_matches_the_per_epoch_loop_on_proxy_splits(self, n, corr, seed, epochs):
         tr, va, _ = split(synth_proxy(n, corr, seed), seed)
         assert_same_fit(tr, va, epochs, 0.5)
@@ -164,16 +187,16 @@ class TestBlockScoredFit:
         tr, va = german_splits[rep]
         assert_same_fit(tr, va, 500, 0.1)
 
-    def test_the_first_of_tied_epochs_wins_across_blocks(self):
+    def test_the_first_of_tied_epochs_wins(self):
         # the toy is separable, so validation (the training set itself)
-        # reaches its best score and keeps it in later blocks
+        # reaches its best score and keeps it in later epochs
         ds = separable()
-        epochs = 4 * EPOCH_BLOCK
+        epochs = 256
         steps = list(reference_trajectory(ds, ds, epochs=epochs, lr=1.0))
         scores = [score for score, _, _ in steps]
         first = scores.index(max(scores))
         tied = [e for e, score in enumerate(scores) if score == max(scores)]
-        assert first // EPOCH_BLOCK < tied[-1] // EPOCH_BLOCK
+        assert first < tied[-1]
         assert not np.array_equal(steps[first][1], steps[tied[-1]][1])
         got_w, got_b = fit_logistic(ds, ds, epochs=epochs, lr=1.0)
         assert got_w.tobytes() == steps[first][1].tobytes()
@@ -219,15 +242,15 @@ class TestBlockScoredFit:
 
         def nan_at_third_epoch(*args, calls=[]):
             calls.append(None)
-            gw, gb, p = real(*args)
-            return (gw * np.nan, gb, p) if len(calls) == 3 else (gw, gb, p)
+            gw, gb = real(*args)
+            return (gw * np.nan, gb) if len(calls) == 3 else (gw, gb)
 
         monkeypatch.setattr(baseline, "logistic_grad", nan_at_third_epoch)
         tr, va, _ = split(synth_proxy(300, 0.8, 1), 1)
         with pytest.raises(NumericalError, match="diverged"):
             train_logistic(tr, va, epochs=10, lr=0.5)
 
-    @pytest.mark.parametrize("epochs", [1, 10, 400])
+    @pytest.mark.parametrize("epochs", [1, 10, 400, 1000])
     def test_per_epoch_metric_calls_do_not_grow_with_epochs(self, monkeypatch, epochs):
         calls = {"balanced_accuracy": 0, "balanced_accuracies": 0, "GroupedOutcomes": 0}
 
@@ -243,9 +266,10 @@ class TestBlockScoredFit:
                     monkeypatch.setattr(module, name, counted(name, vars(module)[name]))
         tr, va, _ = split(synth_proxy(300, 0.8, 1), 1)
         train_logistic(tr, va, epochs=epochs, lr=0.5)
-        # one up-front check of the validation labels, then one call per block
+        # one up-front check of the validation labels, then one call that
+        # scores every epoch's labels
         assert calls == {"balanced_accuracy": 0, "GroupedOutcomes": 0,
-                         "balanced_accuracies": 1 + math.ceil(epochs / EPOCH_BLOCK)}
+                         "balanced_accuracies": 2}
 
 
 class TestGradient:
@@ -259,7 +283,7 @@ class TestGradient:
         y = (rng.random(n) < 0.5).astype(np.int64)
         w = rng.normal(0, 1, size=d)
         b = float(rng.normal())
-        gw, gb, _ = logistic_grad(w, b, X, y)
+        gw, gb = logistic_grad(w, b, X, y)
         h = 1e-6
         for j in range(d):
             wp, wm = w.copy(), w.copy()

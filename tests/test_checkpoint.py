@@ -190,6 +190,24 @@ class TestValidation:
         with pytest.raises(DataError, match=f"^malformed checkpoint .*{re.escape(named)}$"):
             load_model(path)
 
+    def test_spec_fault_is_named_from_the_checkpoint_root(self, tmp_path):
+        # the spec's own checks used to name the field from the spec's root
+        # ('sensitive.privileged.value') inside a checkpoint too
+        body = json.loads(V7_FIXTURE.read_text())
+        path = tmp_path / "spec.json"
+        for privileged, named in (
+                ({"op": "ge", "value": "old"},
+                 "field 'encoder.spec.sensitive.privileged.value' on numeric column 'sens' "
+                 "is not a number or not finite, got 'old'"),
+                ({"op": "in", "values": []},
+                 "field 'encoder.spec.sensitive.privileged.values' must be a nonempty "
+                 "list for op 'in'")):
+            body["encoder"]["spec"]["sensitive"]["privileged"] = privileged
+            path.write_text(json.dumps(body))
+            with pytest.raises(DataError, match=f"^malformed checkpoint {re.escape(str(path))}: "
+                                                f"{re.escape(named)}$"):
+                load_model(path)
+
     @pytest.mark.parametrize("hidden,message", [
         ("8,6", "field 'net.hidden' must be a list, got '8,6'"),
         (8, "field 'net.hidden' must be a list, got 8"),

@@ -268,6 +268,30 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--checkpoint", ckpt, "--data", data,
                      "--spec", spec_path]) == 0
 
+    @pytest.mark.parametrize("command,target", [
+        ("train", "dataset spec"), ("evaluate", "dataset spec"), ("evaluate", "checkpoint")])
+    def test_json_key_repeated_in_an_object_is_two(self, tmp_path, capsys, command, target):
+        # json keeps an object's last value of a key: both files used to
+        # load, the spec with favorable "yes" and the checkpoint as version 7
+        data, spec_path = write_toy(tmp_path)
+        bad = Path(spec_path) if target == "dataset spec" else tmp_path / "twice.json"
+        if target == "dataset spec":
+            text = bad.read_text().replace('"favorable": "yes"',
+                                           '"favorable": "no", "favorable": "yes"')
+            key = "favorable"
+        else:
+            text = FIXTURE.read_text().replace('{"version": 7', '{"version": 6, "version": 7', 1)
+            key = "version"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        flags = (["--checkpoint", str(bad if target == "checkpoint" else FIXTURE)]
+                 if command == "evaluate" else fast_flags(out))
+        capsys.readouterr()
+        assert main([command, "--data", data, "--spec", spec_path, *flags]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}: key {key!r} repeated in one object\n")
+        assert not out.exists()
+
     def test_baseline_checkpoint_dispatch(self, tmp_path, capsys):
         data, spec_path = write_toy(tmp_path)
         spec = DatasetSpec.from_json(spec_path)

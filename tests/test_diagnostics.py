@@ -39,8 +39,8 @@ class TestWrongAnalyticGradientFails:
         assert diagnostics.check_logistic_gradient(n_instances=2).passed
 
         def patched(w, b, X, y):
-            gw, gb, p = real(w, b, X, y)
-            return corrupt(gw), float(corrupt(gb)), p
+            gw, gb = real(w, b, X, y)
+            return corrupt(gw), float(corrupt(gb))
         monkeypatch.setattr(diagnostics, "logistic_grad", patched)
         res = diagnostics.check_logistic_gradient(n_instances=2)
         assert not res.passed
@@ -66,8 +66,8 @@ def test_logistic_gate_allows_for_rounding_of_the_difference(monkeypatch, seed):
     real = diagnostics.logistic_grad
 
     def scaled(w, b, X, y):   # a 1e-4 relative fault still fails
-        gw, gb, p = real(w, b, X, y)
-        return gw * (1 + 1e-4), gb * (1 + 1e-4), p
+        gw, gb = real(w, b, X, y)
+        return gw * (1 + 1e-4), gb * (1 + 1e-4)
     monkeypatch.setattr(diagnostics, "logistic_grad", scaled)
     assert not diagnostics.check_logistic_gradient(50, seed).passed
 

@@ -190,9 +190,10 @@ def build_parser():
 
 
 def _parse_list(flag, kind, what, text):
-    """The values of a comma-separated list flag; blank items are skipped."""
+    """The values of a comma-separated list flag; a blank item is a
+    UsageError, as a bad one is."""
     try:
-        return [kind(t) for t in text.split(",") if t.strip()]
+        return [kind(t) for t in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated {what}, got {text!r}") from None
 
@@ -348,12 +349,9 @@ def cmd_evaluate(args):
 
 def cmd_tune(args):
     grid = sorted(set(_parse_list("--grid", float, "numbers", args.grid)))
-    if not grid:
-        raise UsageError("--grid must contain at least one value")
     rows, t0 = _run_tasks(args, grid)
 
     entries = []
-    best = None  # (score, weight)
     for i, weight in enumerate(grid):
         point = rows[i * args.reps:(i + 1) * args.reps]
         mean_val = float(np.mean([r["validation"] for r in point]))
@@ -362,16 +360,16 @@ def cmd_tune(args):
             "validation_balanced_accuracy": mean_val,
             "test": rpt.aggregate([r["test"] for r in point]),
         })
-        if best is None or mean_val > best[0]:
-            best = (mean_val, weight)
+    # the first of the weights with the highest mean validation score
+    best = max(entries, key=lambda e: e["validation_balanced_accuracy"])
     for e in entries:
-        e["selected"] = e["sensitivity_weight"] == best[1]
+        e["selected"] = e is best
 
-    fields = {"grid": entries, "best": {"sensitivity_weight": best[1],
-                                        "validation_balanced_accuracy": best[0]}}
+    weight, score = best["sensitivity_weight"], best["validation_balanced_accuracy"]
+    fields = {"grid": entries, "best": {"sensitivity_weight": weight,
+                                        "validation_balanced_accuracy": score}}
     return _write_report(args, fields, t0, [
-        f"best sensitivity weight: {best[1]} "
-        f"(validation balanced accuracy {best[0]:.4f})"])
+        f"best sensitivity weight: {weight} (validation balanced accuracy {score:.4f})"])
 
 
 def cmd_gradcheck(args):

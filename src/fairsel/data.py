@@ -68,8 +68,9 @@ def read_text(path):
 
 def read_json(path):
     """The JSON object in the file at path, read by read_text; a DataError
-    naming the file, and the line of a syntax error or the key that an
-    object repeats (json would keep its last value), otherwise."""
+    naming the file, and the line of a syntax error, the key that an
+    object repeats (json would keep its last value) or a NaN, Infinity or
+    number past a float's range (json would read them), otherwise."""
     def unique_keys(pairs):
         body = {}
         for key, value in pairs:
@@ -77,8 +78,14 @@ def read_json(path):
                 raise DataError(f"{path}: key {key!r} repeated in one object")
             body[key] = value
         return body
+    def finite(text):   # a JSON float, or NaN, Infinity or -Infinity
+        value = float(text)
+        if not math.isfinite(value):
+            raise DataError(f"{path}: {text} is not a finite JSON number")
+        return value
     try:
-        body = json.loads(read_text(path), object_pairs_hook=unique_keys)
+        body = json.loads(read_text(path), object_pairs_hook=unique_keys,
+                          parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(body, dict):
@@ -168,7 +175,8 @@ class Predicate:
 
     def __post_init__(self, at):
         if self.op not in _PREDICATE_OPS:
-            raise DataError(f"unknown predicate op {self.op!r}")
+            raise DataError(f"field '{at}sensitive.privileged.op' must be one of "
+                            f"{', '.join(_PREDICATE_OPS)}, got {self.op!r}")
         if self.op == "in":
             if not self.values:
                 raise DataError(f"field '{at}sensitive.privileged.values' must be a "
@@ -231,7 +239,8 @@ class DatasetSpec:
         kind = next(c.kind for c in self.columns if c.name == self.sensitive_column)
         pred = self.privileged
         if pred.op in ("ge", "gt", "le", "lt") and kind != "numeric":
-            raise DataError("numeric predicate on a categorical sensitive column")
+            raise DataError(f"field '{at}sensitive.privileged.op' on categorical column "
+                            f"{self.sensitive_column!r} must be 'eq' or 'in', got {pred.op!r}")
         # mask compares a numeric column's cells as numbers
         bad = [v for v in pred.values or (pred.value,) if _number(v) is None]
         if kind == "numeric" and bad:
@@ -315,23 +324,23 @@ def load_csv(path, spec):
     """Parse a headered RFC-4180 CSV against a DatasetSpec.
 
     Rows with missing cells in any used column are rejected (counted in
-    the result, never imputed). Numeric cells that do not parse as a
+    the result, never imputed). Bytes that are not UTF-8 (a leading
+    byte-order mark is dropped) and a header that lacks a used column or
+    names one twice raise a DataError. Else the fault at the earliest data
+    row (1-based, header excluded) is raised, the first found on a tie:
+    a row with more cells than the header (rows after it are read but
+    never returned), then each numeric cell, in spec order, that is not a
     finite number in plain ASCII (nan, inf, 1_000 and non-ASCII digits
-    included) raise a DataError naming the data row (1-based, header
-    excluded) and column; so do a row with more cells than the header and
-    a used column that the header names twice. Bytes that are not UTF-8
-    (a leading byte-order mark is dropped) and text the csv module rejects
-    raise a DataError naming the file line. Of several faults, the one at
-    the earliest data row is raised.
+    included), and text the csv module rejects, named by its file line.
     """
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    rows, fault = [], None
+    rows, faults = [], []   # faults: (data row, DataError), in the order found
     try:
         rows.extend(reader)
-    except csv.Error as exc:   # raised unless a row read before it has a fault
-        fault = DataError(f"{path}: line {reader.line_num}: {exc}")
+    except csv.Error as exc:   # at the data row after the last one read
+        faults.append((len(rows), DataError(f"{path}: line {reader.line_num}: {exc}")))
     if not rows:
-        raise fault or DataError(f"{path}: empty file")
+        raise faults[0][1] if faults else DataError(f"{path}: empty file")
     header = [h.strip() for h in rows.pop(0)]
     col_index = {name: i for i, name in enumerate(header)}
     used = [c.name for c in spec.columns] + [spec.label_column]
@@ -344,11 +353,10 @@ def load_csv(path, spec):
 
     width = len(header)
     lengths = list(map(len, rows))
-    if rows and max(lengths) > width:   # rows after the long one are never read
+    if rows and max(lengths) > width:
         at = next(i for i, n in enumerate(lengths) if n > width)
-        fault = DataError(f"{path}: row {at + 1} has {lengths[at]} cells, "
-                          f"more than the header's {width}")
-        del rows[at:], lengths[at:]
+        faults.append((at + 1, DataError(f"{path}: row {at + 1} has {lengths[at]} "
+                                         f"cells, more than the header's {width}")))
     if rows and min(lengths) < width:   # drop blank rows, pad short ones as missing
         data_rows = [i for i, n in enumerate(lengths, start=1) if n]
         rows = [row + [""] * (width - len(row)) for row in rows if row]
@@ -370,22 +378,18 @@ def load_csv(path, spec):
         data_rows = [data_rows[j] for j in kept]
         cells = {name: [col[j] for j in kept] for name, col in cells.items()}
 
-    bad = None   # (data row, column, cell) of the earliest cell not a number
     for c in spec.columns:
         if c.kind == "numeric":
             values = _numbers(cells[c.name])
             if values is None:
                 j = next(j for j, cell in enumerate(cells[c.name])
                          if _numbers([cell]) is None)
-                if bad is None or data_rows[j] < bad[0]:
-                    bad = (data_rows[j], c.name, cells[c.name][j])
+                faults.append((data_rows[j], DataError(
+                    f"{path}: row {data_rows[j]}, column {c.name!r}: "
+                    f"cannot parse {cells[c.name][j]!r} as a finite number")))
             cells[c.name] = values
-    if bad is not None:
-        row_no, name, cell = bad
-        raise DataError(f"{path}: row {row_no}, column {name!r}: "
-                        f"cannot parse {cell!r} as a finite number")
-    if fault is not None:
-        raise fault
+    if faults:
+        raise min(faults, key=operator.itemgetter(0))[1]
     return RawTable({c.name: cells[c.name] for c in spec.columns},
                     cells[spec.label_column], data_rows, len(rejected))
 

@@ -14,7 +14,8 @@ from conftest import BODY_KEYS, BODY_VALUES, json_edits, logistic_model
 from fairsel.baseline import train_logistic
 from fairsel.checkpoint import (BLOB_DTYPE, KIND_ADVERSARIAL, KIND_LOGISTIC,
                                 load_model, save_model)
-from fairsel.data import Dataset, Encoder, Predicate, split, synth_proxy
+from fairsel.data import (Dataset, DatasetSpec, Encoder, Predicate, split,
+                           synth_proxy)
 from fairsel.errors import DataError
 from fairsel.nets import DenseNet, forward
 from fairsel.report import evaluate_model
@@ -207,6 +208,28 @@ class TestValidation:
             with pytest.raises(DataError, match=f"^malformed checkpoint {re.escape(str(path))}: "
                                                 f"{re.escape(named)}$"):
                 load_model(path)
+
+    @pytest.mark.parametrize("kind,privileged,named", [
+        ("numeric", {"op": "geq", "value": 1},
+         "field '{at}sensitive.privileged.op' must be one of eq, in, ge, gt, le, lt, "
+         "got 'geq'"),
+        ("categorical", {"op": "ge", "value": 1},
+         "field '{at}sensitive.privileged.op' on categorical column 'sens' must be "
+         "'eq' or 'in', got 'ge'")], ids=["unknown-op", "order-op-on-categorical"])
+    def test_predicate_op_fault_is_named_from_the_file_root(self, tmp_path, kind,
+                                                            privileged, named):
+        # the same spec as a spec file and as a checkpoint's encoder.spec
+        body = json.loads(V7_FIXTURE.read_text())
+        spec = body["encoder"]["spec"]
+        spec["columns"][0]["kind"] = kind   # 'sens', the sensitive column
+        spec["sensitive"]["privileged"] = privileged
+        for load, obj, at, what in ((DatasetSpec.from_json, spec, "", "dataset spec"),
+                                    (load_model, body, "encoder.spec.", "checkpoint")):
+            path = tmp_path / f"{what}.json"
+            path.write_text(json.dumps(obj))
+            with pytest.raises(DataError, match=f"^malformed {what} {re.escape(str(path))}: "
+                                                f"{re.escape(named.format(at=at))}$"):
+                load(path)
 
     @pytest.mark.parametrize("hidden,message", [
         ("8,6", "field 'net.hidden' must be a list, got '8,6'"),

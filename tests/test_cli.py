@@ -338,7 +338,7 @@ class TestEvaluateCommand:
             theta[2] = float("nan")   # W0 row 0, column 2
             net["theta"] = blob(theta)
         elif corrupt == "inf-logit":
-            body["selector"]["logits"][0] = float("inf")
+            body["selector"]["logits"][0] = 10 ** 400   # JSON has no Infinity
         elif corrupt == "narrow-input":
             # the encoder writes 4 columns, the net reads 3
             net["theta"] = blob(np.delete(theta, 3))
@@ -379,7 +379,7 @@ class TestEvaluateCommand:
         elif defect == "missing-max":
             del entry["numeric"]["max"]
         elif defect == "infinite-max":
-            entry["numeric"]["max"] = float("inf")
+            entry["numeric"]["max"] = 10 ** 400   # JSON has no Infinity
         elif defect == "inverted-range":
             # transform would encode every value of the column as 0
             entry["numeric"]["min"], entry["numeric"]["max"] = 2.0, 1.0
@@ -828,6 +828,8 @@ class TestInvalidValues:
         ("train", ["--batch-size", "0"]),
         ("train", ["--max-epochs", "-1"]),
         ("train", ["--hidden", "0"]),
+        ("train", ["--hidden", "8,,8"]),
+        ("train", ["--hidden", "8,"]),
     ])
     def test_bad_flag_is_usage_error_before_any_file(self, tmp_path, capsys,
                                                      command, flags):
@@ -884,7 +886,9 @@ class TestInvalidValues:
         ("train", ["--hidden", "8,x"],
          "--hidden expects comma-separated integers, got '8,x'"),
         ("tune", ["--grid", "0,x"], "--grid expects comma-separated numbers, got '0,x'"),
-        ("tune", ["--grid", ", ,"], "--grid must contain at least one value")])
+        ("tune", ["--grid", ", ,"], "--grid expects comma-separated numbers, got ', ,'"),
+        ("train", ["--hidden", "8,,8"],
+         "--hidden expects comma-separated integers, got '8,,8'")])
     def test_list_flag_error_names_the_flag(self, tmp_path, capsys, command, flags,
                                             message):
         data, spec = write_toy(tmp_path)
@@ -958,14 +962,15 @@ class TestSpecShape:
 
     @pytest.mark.parametrize("privileged,field", [
         ('{"op": "ge", "value": 1%s}' % ("0" * 400), "value"),
-        ('{"op": "ge", "value": 1e999}', "value"),
-        ('{"op": "ge", "value": NaN}', "value"),
-        ('{"op": "ge", "value": -Infinity}', "value"),
+        ('{"op": "ge", "value": 1e999}', None),
+        ('{"op": "ge", "value": NaN}', None),
+        ('{"op": "ge", "value": -Infinity}', None),
         ('{"op": "ge", "value": "nan"}', "value"),
         ('{"op": "in", "values": ["1e999"]}', "values")],
         ids=["401-digits", "1e999", "NaN", "-Infinity", "nan-string", "in-1e999"])
     def test_non_finite_privileged_value_is_two(self, tmp_path, capsys, privileged, field):
-        # the bank spec's sensitive column (age) is numeric
+        # the bank spec's sensitive column (age) is numeric; a float JSON
+        # lacks is refused as the file is read (field None)
         data, _ = write_toy(tmp_path)
         text = (files("fairsel") / "specs" / "bank.json").read_text()
         spec = tmp_path / "bank.json"
@@ -974,9 +979,12 @@ class TestSpecShape:
         out = tmp_path / "o"
         assert main(["train", "--data", data, "--spec", str(spec), *fast_flags(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: malformed dataset spec {spec}: field "
-                              f"'sensitive.privileged.{field}' on numeric column 'age' "
-                              f"is not a number or not finite")
+        token = privileged.split()[-1][:-1]
+        assert err.startswith(
+            f"data error: {spec}: {token} is not a finite JSON number" if field is None
+            else f"data error: malformed dataset spec {spec}: field "
+                 f"'sensitive.privileged.{field}' on numeric column 'age' "
+                 f"is not a number or not finite")
         assert not out.exists()
 
 

@@ -337,6 +337,11 @@ class TestIngestProperty:
     @example(body=_german_row() + _german_row(age="x") + _german_row() + _LONG)
     @example(body=_german_row() + _LONG + _german_row() + _german_row(age="x"))
     @example(body=_german_row(age="x") + _german_row() + _FIELD_PAST_LIMIT)
+    @example(body=_german_row() + _LONG + _FIELD_PAST_LIMIT)
+    @example(body=b"\n" + _german_row() + _LONG + _german_row(age="x"))
+    @example(body=_FIELD_PAST_LIMIT + _german_row(age="x"))
+    @example(body=b"\n" + _german_row(age="x") + _LONG)
+    @example(body=_german_row(extra=b",1", age="x"))
     @example(body=_german_row(age="x") + _german_row(duration_months="y"))
     @example(body=_german_row() + _german_row(age="x", housing="?"))
     @example(body=b"\n" + _german_row() + b"\r\n\n" + _german_row(job="?")
@@ -688,6 +693,22 @@ class TestJsonObjects:
             load(edited)
         word = "unknown" if key is None else "missing"
         assert f"{word} field {dotted!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+    def test_number_json_lacks_is_named_with_the_file(self, tmp_path, token):
+        # json reads each as a float: a favorable value 'nan' or 'inf', and
+        # a privileged value that matches such cells
+        spec = json.loads(_JSON_FILES["german.json"].read_text())
+        spec["label"]["favorable"] = "TOKEN"
+        model = json.loads(_JSON_FILES["v7_toy_checkpoint.json"].read_text())
+        model["encoder"]["spec"]["columns"][0]["kind"] = "categorical"   # 'sens'
+        model["encoder"]["spec"]["sensitive"]["privileged"] = {"op": "eq", "value": "TOKEN"}
+        for load, body in ((DatasetSpec.from_json, spec), (load_model, model)):
+            path = tmp_path / "edited.json"
+            path.write_text(json.dumps(body).replace('"TOKEN"', token))
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: {token} is not a finite JSON number") + "$"):
+                load(path)
 
 
 class TestSpecValidation:

@@ -48,15 +48,11 @@ def fit_logistic(train_data, val_data, *, epochs, lr):
     parameters of the first epoch with the highest validation balanced
     accuracy of the labels `x @ w + b > 0` (a tie is class 0, as in
     `predict`), scoring every epoch's labels in one call after the last.
-    epochs is an integer and lr a real number, by `TrainConfig`'s rule.
+    epochs is a positive integer and lr a positive finite number (`builtin_number`).
     Deterministic (zero initialization, convex loss). A validation split
     that lacks a class raises DegenerateGroupError before the first epoch."""
-    epochs, lr = builtin_number("epochs", epochs, True), builtin_number("lr", lr, False)
-    # written so that NaN fails every comparison
-    if epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    if not 0 < lr < np.inf:
-        raise ValueError("lr must be positive and finite")
+    epochs = builtin_number("epochs", epochs, True, True)
+    lr = builtin_number("lr", lr, False, True)
     X, y = train_data.features, train_data.labels
     Xv, yv = val_data.features, val_data.labels
     balanced_accuracies(yv, np.empty((0, yv.shape[0])))  # checks yv's classes

@@ -211,7 +211,8 @@ class DenseNet:
         return net
 
 
-def _check_input(net, X):
+def check_rows(net, X):
+    """X as an (n, input_dim) array in the net's dtype, or a DimensionError."""
     X = np.asarray(X, dtype=net.theta.dtype)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise DimensionError("input", f"(n, {net.input_dim})", X.shape)
@@ -222,7 +223,7 @@ def _layers(net, X):
     """Each layer's output in turn: the SELU activations of the hidden
     layers, then the class probabilities, each computed in place in the
     pre-activation array allocated here."""
-    acts = _check_input(net, X)
+    acts = check_rows(net, X)
     last = net.num_layers - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = acts @ w.T
@@ -253,7 +254,7 @@ def backward(net, X, outputs, output_grad):
     Returns one flat vector laid out like `net.theta`, summed over rows.
     Linear in output_grad.
     """
-    X = _check_input(net, X)
+    X = check_rows(net, X)
     G = np.asarray(output_grad, dtype=net.theta.dtype)
     if G.shape != (X.shape[0], net.num_classes):
         raise DimensionError("output_grad", (X.shape[0], net.num_classes), G.shape)
@@ -305,8 +306,8 @@ def adam_step(net, grad, state, lr):
     A non-finite gradient raises NumericalError before anything is
     written, so the net and state are left as they were.
     """
-    if lr <= 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < math.inf:  # written so that NaN fails it
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if not net.theta.shape == np.shape(grad) == state.first.shape == state.second.shape:
         raise DimensionError("gradient and moments", net.theta.shape, np.shape(grad))
     require_finite(net, grad, "gradient")

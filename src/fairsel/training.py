@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError
+from .errors import DataError, DimensionError, NumericalError
 from .metrics import balanced_accuracies, balanced_accuracy
 from .nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
-                   forward, layer_outputs, reduce_classes)
+                   check_rows, forward, layer_outputs, reduce_classes)
 from .selector import (SelectorPolicy, log_pi_grad, probabilities,
                        sample_selection_batch)
 
@@ -58,17 +58,22 @@ NORM_EPS = 1e-12
 SENSITIVITY_BLOCK = 128
 
 
-def builtin_number(name, value, integer):
-    """value, an integer (integer) or a real number, as its builtin int or
-    float, which float32 arithmetic takes at float32 (NEP 50); a numpy
-    scalar passes, a bool or a float for an integer is a ValueError."""
+def builtin_number(name, value, integer, positive):
+    """value as its builtin int (integer) or float, which float32
+    arithmetic takes at float32 (NEP 50); a numpy scalar passes. A bool,
+    a float for an integer, a value not above 0 (positive) or below 0, or
+    a real that is not finite is a ValueError that names name."""
     kind, what = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     try:
-        return (int if integer else float)(value)
+        number = (int if integer else float)(value)
     except OverflowError:  # an integer past float range
-        raise ValueError(f"{name} must be finite") from None
+        number = math.inf if value > 0 else -math.inf
+    if not ((0 < number if positive else 0 <= number) and number < math.inf):
+        bound = ("positive" if positive else "nonnegative") + ("" if integer else " and finite")
+        raise ValueError(f"{name} must be {bound}, got {number}")
+    return number
 
 
 @dataclass
@@ -92,32 +97,20 @@ class TrainConfig:
     def __post_init__(self):
         # a np.float64 alpha_phi would make Adam's float32 step *= lr
         # compute in float64 and move the trained bits
-        for names, integer in ((("batch_size", "max_epochs", "patience", "seed"), True),
-                               (("alpha_theta", "alpha_phi", "sensitivity_weight"), False)):
-            for name in names:
-                setattr(self, name, builtin_number(name, getattr(self, name), integer))
+        for name, integer, positive in (
+                ("alpha_theta", False, True), ("alpha_phi", False, True),
+                ("batch_size", True, True), ("max_epochs", True, False),
+                ("patience", True, False), ("sensitivity_weight", False, False),
+                ("seed", True, False)):
+            setattr(self, name, builtin_number(name, getattr(self, name), integer, positive))
         if not isinstance(self.score_baseline, bool):
             raise ValueError(f"score_baseline must be true or false, "
                              f"got {self.score_baseline!r}")
-        if not (isinstance(self.hidden_sizes, (list, tuple)) and self.hidden_sizes
-                and all(isinstance(h, numbers.Integral) and not isinstance(h, bool)
-                        and h >= 1 for h in self.hidden_sizes)):
-            raise ValueError(f"hidden_sizes must be a nonempty list of integers "
-                             f"of at least 1, got {self.hidden_sizes!r}")
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        # written so that NaN fails every comparison
-        if not (0 < self.alpha_theta < math.inf and 0 < self.alpha_phi < math.inf):
-            raise ValueError("learning rates must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be nonnegative")
-        if self.patience < 0:
-            raise ValueError("patience must be nonnegative")
-        if not 0 <= self.sensitivity_weight < math.inf:
-            raise ValueError("sensitivity_weight must be nonnegative and finite")
+        if not (isinstance(self.hidden_sizes, (list, tuple)) and self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be a nonempty list, "
+                             f"got {self.hidden_sizes!r}")
+        self.hidden_sizes = tuple(builtin_number(f"hidden_sizes[{i}]", h, True, True)
+                                  for i, h in enumerate(self.hidden_sizes))
         self.patience = min(self.patience, self.max_epochs)
 
 
@@ -278,10 +271,7 @@ def predict(model, X):
     dtype (float32 for a trained model), for a batch of input rows X
     (n, d) reduced to the model's kept columns. Ties break toward the
     lower class index."""
-    X = np.asarray(X, dtype=model.net.theta.dtype)
-    if X.ndim != 2 or X.shape[1] != model.net.input_dim:
-        raise DimensionError("input", f"(n, {model.net.input_dim})", X.shape)
-    probs = forward(model.net, X * model.kept)
+    probs = forward(model.net, check_rows(model.net, X) * model.kept)
     return probs.argmax(axis=1), probs
 
 
@@ -320,9 +310,12 @@ def train(train_data, val_data, config):
     are returned, and the diagnostics field says why.
 
     Each epoch is scored by `predict`'s balanced accuracy on val_data; a
-    split that lacks a class raises DegenerateGroupError before epoch 0.
+    split that lacks a class raises DegenerateGroupError, and a training
+    split with no rows DataError, before epoch 0.
     """
     balanced_accuracies(val_data.labels, np.empty((0, val_data.n)))  # checks the classes
+    if train_data.n == 0:
+        raise DataError("the training split has no rows")
     X = train_data.features.astype(np.float32)
     Y = np.eye(2, dtype=np.float32)[train_data.labels]
     k = train_data.sensitive_index

@@ -122,13 +122,13 @@ class TestTrainLogistic:
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_fewer_than_one_epoch_is_rejected(self, epochs):
         ds = separable()
-        with pytest.raises(ValueError, match="epochs"):
+        with pytest.raises(ValueError, match="^epochs must be"):
             train_logistic(ds, ds, epochs=epochs, lr=0.1)
 
     @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf, 10 ** 400])
     def test_non_positive_or_non_finite_lr_is_rejected(self, lr):
         ds = separable()
-        with pytest.raises(ValueError, match="lr"):
+        with pytest.raises(ValueError, match="^lr must be"):
             train_logistic(ds, ds, epochs=5, lr=lr)
 
     @pytest.mark.parametrize("epochs,lr,message", [

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import base64
 import contextlib
 import csv
@@ -1011,3 +1012,17 @@ class TestReadmeFlags:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         assert re.findall(r"Version (\d+) is written", readme) == [
             str(CHECKPOINT_VERSION)]
+
+
+class TestReadmeQuickstart:
+    def test_library_quickstart_runs_as_written(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library quickstart\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        eod, probs = capsys.readouterr().out.splitlines()
+        # plain floats, not numpy reprs
+        assert math.isfinite(float(eod.removeprefix("EOD: ")))
+        probs = ast.literal_eval(probs.removeprefix("selection probabilities: "))
+        assert all(type(p) is float and 0 <= p <= 1 for p in probs.values())
+        assert probs["sensitive"] == 0.0

@@ -380,6 +380,14 @@ class TestAdam:
         adam_step(net, np.zeros(3), AdamState.for_net(net), lr=0.1)
         assert np.array_equal(net.theta, theta)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_lr_is_rejected(self, lr):
+        net = self._net()
+        theta = net.theta.copy()
+        with pytest.raises(ValueError, match="^lr must be positive and finite, got "):
+            adam_step(net, np.ones(3), AdamState.for_net(net), lr)
+        assert np.array_equal(net.theta, theta)
+
     def test_first_step_hand_value(self):
         # m_hat = v_hat = 1 at t=1, so the step is lr / (1 + eps)
         net = DenseNet((1, 1), np.zeros(2))

@@ -7,7 +7,7 @@ import pytest
 from conftest import (forward_row, make_net, naive_forward, recorded_selections,
                       selu_deriv)
 from fairsel.data import synth_proxy, split
-from fairsel.errors import DegenerateGroupError, DimensionError, NumericalError
+from fairsel.errors import DataError, DegenerateGroupError, DimensionError, NumericalError
 from fairsel.nets import (PROB_FLOOR, AdamState, DenseNet, adam_step, backward,
                          forward, layer_outputs)
 from fairsel.selector import (SelectorPolicy, enumerate_selections, pi_prob,
@@ -634,6 +634,11 @@ class TestTrain:
         with pytest.raises(DegenerateGroupError):
             train(tr, one_class, self._config(max_epochs=1))
 
+    def test_empty_training_split_is_a_data_error(self):
+        tr, va, _ = self._data()
+        with pytest.raises(DataError, match="^the training split has no rows$"):
+            train(tr.subset(np.arange(0)), va, self._config(max_epochs=2))
+
     @pytest.mark.parametrize("max_epochs", [0, 1])
     def test_one_class_validation_split_fails_before_training(self, monkeypatch,
                                                               max_epochs):
@@ -825,20 +830,22 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("alpha_theta", math.nan), ("alpha_phi", math.inf),
         ("sensitivity_weight", math.nan), ("sensitivity_weight", math.inf),
-        ("patience", -1),
+        ("patience", -1), ("batch_size", 0), ("max_epochs", -1), ("seed", -1),
+        ("alpha_phi", 0.0),
         # an integer past float range is no OverflowError
         pytest.param("alpha_theta", 10**400, id="alpha_theta-int-past-float"),
         pytest.param("sensitivity_weight", -10**400,
                      id="sensitivity_weight-int-past-float")])
     def test_non_finite_or_negative_value_is_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        # the fault names the field, whichever bound it breaks
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("value", ["32", (8.9, 6), (True, 6), (), [8, 0], (-1,),
                                        None, 32])
     def test_hidden_sizes_must_be_positive_ints(self, value):
         # int() would read "32" as (3, 2), 8.9 as 8 and True as 1
-        with pytest.raises(ValueError, match="hidden_sizes must be"):
+        with pytest.raises(ValueError, match=r"^hidden_sizes(\[\d+\])? must be"):
             TrainConfig(hidden_sizes=value)
 
     def test_hidden_sizes_list_becomes_tuple(self):
